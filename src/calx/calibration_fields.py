@@ -21,19 +21,25 @@ matching conditions hold exactly on the sampled points.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
-from calx.potentials import delta_robin, delta_robin_prime, gamma, rho, rho_prime, u_radial
+from calx.potentials import (delta_robin, delta_robin_prime, gamma, rho, rho_prime,
+                             robin_bracket, robin_bracket_excess, u_radial)
 
 
-def _scalar_or_array(out, scalar):
-    if scalar:
-        return float(out.reshape(())[()])
-    return out
+def _scalar_or_array(out, cast=float):
+    return cast(out) if out.ndim == 0 else out
+
+
+def _everywhere(pos, t):
+    return np.ones_like(np.asarray(t, dtype=float), dtype=bool)
+
+
+def _zero(pos, t):
+    return np.zeros_like(np.asarray(t, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -120,58 +126,51 @@ class PiecewiseField:
     profile: object = None
     phi_t_bump: Optional[tuple] = None
 
-    def _flatten(self, pos, t):
-        pos_b, t_b = np.broadcast_arrays(np.asarray(pos, dtype=float), np.asarray(t, dtype=float))
-        scalar = pos_b.ndim == 0
-        shape = pos_b.shape
-        return pos_b.ravel(), t_b.ravel(), shape, scalar
+    def _sample(self, pos, t, *quantities):
+        """One classification pass: ``(index, *values)`` at the given points.
 
-    def region_index(self, pos, t):
-        """Index into ``self.regions`` of the piece owning each point, -1 if none."""
-        p, tt, shape, scalar = self._flatten(pos, t)
+        Each point is claimed by the first region whose predicate matches
+        (index -1 if none).  Every predicate runs once on all points, the
+        other callables only on the points their region claims.
+        ``quantities`` names ``Region`` attributes (``psi``, ``phi_t``,
+        ``Psi``, ``dpsi_dpos``); a value is NaN where no region claims the
+        point or the claiming region lacks the callable.  ``phi_t``
+        includes ``phi_t_bump``.  Arrays take the broadcast shape of
+        ``pos`` and ``t``.
+        """
+        pos_b, t_b = np.broadcast_arrays(np.asarray(pos, dtype=float), np.asarray(t, dtype=float))
+        p, tt = pos_b.ravel(), t_b.ravel()
         idx = np.full(p.shape, -1, dtype=int)
+        values = [np.full(p.shape, np.nan) for _ in quantities]
         free = np.ones(p.shape, dtype=bool)
         for k, region in enumerate(self.regions):
             mask = free & np.asarray(region.contains(p, tt), dtype=bool)
-            if mask.any():
-                idx[mask] = k
-                free &= ~mask
-        out = idx.reshape(shape)
-        if scalar:
-            return int(out.reshape(())[()])
-        return out
+            if not mask.any():
+                continue
+            free &= ~mask
+            idx[mask] = k
+            pk, tk = p[mask], tt[mask]
+            for name, out in zip(quantities, values):
+                fn = getattr(region, name)
+                if fn is not None:
+                    out[mask] = fn(pk, tk)
+        if "phi_t" in quantities and self.phi_t_bump is not None:
+            pos0, t0, amount, hw_pos, hw_t = self.phi_t_bump
+            box = (np.abs(p - pos0) <= hw_pos) & (np.abs(tt - t0) <= hw_t)
+            values[quantities.index("phi_t")][box] += amount
+        return tuple(a.reshape(pos_b.shape) for a in (idx, *values))
+
+    def region_index(self, pos, t):
+        """Index into ``self.regions`` of the piece owning each point, -1 if none."""
+        return _scalar_or_array(self._sample(pos, t)[0], int)
 
     def evaluate(self, pos, t):
         """Return ``(psi, phi_t)`` at the given points."""
-        p, tt, shape, scalar = self._flatten(pos, t)
-        psi = np.full(p.shape, np.nan)
-        phit = np.full(p.shape, np.nan)
-        free = np.ones(p.shape, dtype=bool)
-        for region in self.regions:
-            mask = free & np.asarray(region.contains(p, tt), dtype=bool)
-            if mask.any():
-                psi[mask] = region.psi(p[mask], tt[mask])
-                phit[mask] = region.phi_t(p[mask], tt[mask])
-                free &= ~mask
-        if self.phi_t_bump is not None:
-            pos0, t0, amount, hw_pos, hw_t = self.phi_t_bump
-            box = (np.abs(p - pos0) <= hw_pos) & (np.abs(tt - t0) <= hw_t)
-            phit[box] += amount
-        psi = psi.reshape(shape)
-        phit = phit.reshape(shape)
-        return _scalar_or_array(psi, scalar), _scalar_or_array(phit, scalar)
+        return tuple(_scalar_or_array(v) for v in self._sample(pos, t, "psi", "phi_t")[1:])
 
     def Psi(self, pos, t):
         """Antiderivative ``integral_0^t phi_x dt'`` (signed component)."""
-        p, tt, shape, scalar = self._flatten(pos, t)
-        out = np.full(p.shape, np.nan)
-        free = np.ones(p.shape, dtype=bool)
-        for region in self.regions:
-            mask = free & np.asarray(region.contains(p, tt), dtype=bool)
-            if mask.any():
-                out[mask] = region.Psi(p[mask], tt[mask])
-                free &= ~mask
-        return _scalar_or_array(out.reshape(shape), scalar)
+        return _scalar_or_array(self._sample(pos, t, "Psi")[1])
 
     def region_names(self):
         return tuple(region.name for region in self.regions)
@@ -427,20 +426,14 @@ class CalibParams1D:
 def _zero_field(kind, profile, params_dict, beta):
     """Degenerate field for a constant profile: identically (0, 0)."""
 
-    def contains(pos, t):
-        return np.ones_like(np.asarray(t, dtype=float), dtype=bool)
-
-    def zero(pos, t):
-        return np.zeros_like(np.asarray(t, dtype=float))
-
     region = Region(
         name="everything",
         condition="all t",
-        contains=contains,
-        psi=zero,
-        phi_t=zero,
-        Psi=zero,
-        dpsi_dpos=zero,
+        contains=_everywhere,
+        psi=_zero,
+        phi_t=_zero,
+        Psi=_zero,
+        dpsi_dpos=_zero,
         psi_formula="0",
         phi_t_formula="0",
     )
@@ -542,9 +535,6 @@ def _template_field(params, profile, kind):
     def band_dpsi(pos, t):
         return 2.0 * gprime(pos)
 
-    def above_contains(pos, t):
-        return np.ones_like(np.asarray(t, dtype=float), dtype=bool)
-
     def above_psi(pos, t):
         w = w_of(pos)
         return 2.0 * (M - t) / (1.0 - w) * factor(pos)
@@ -574,7 +564,7 @@ def _template_field(params, profile, kind):
         Region("graph-band", "m + sigma w <= t <= u", band_contains, band_psi,
                band_phi_t, band_Psi, band_dpsi,
                "2 grad(u)", "|grad(u)|^2"),
-        Region("above-graph", "t > u", above_contains, above_psi, above_phi_t,
+        Region("above-graph", "t > u", _everywhere, above_psi, above_phi_t,
                above_Psi, above_dpsi,
                "2 (M-t)/(M-u) grad(u)", "((M-t)/(M-u))^2 |grad(u)|^2"),
     )
@@ -683,14 +673,8 @@ def build_field_indicator_const(n, beta, gamma_, pos_max=4.0):
             details={"beta": beta, "gamma": gamma_},
         )
 
-    def contains(pos, t):
-        return np.ones_like(np.asarray(t, dtype=float), dtype=bool)
-
     def psi(pos, t):
         return -2.0 * beta * t * np.asarray(pos, dtype=float) ** (1 - n)
-
-    def phi_t(pos, t):
-        return np.zeros_like(np.asarray(t, dtype=float))
 
     def Psi(pos, t):
         return -beta * t ** 2 * np.asarray(pos, dtype=float) ** (1 - n)
@@ -699,8 +683,8 @@ def build_field_indicator_const(n, beta, gamma_, pos_max=4.0):
         return 2.0 * (n - 1) * beta * t * np.asarray(pos, dtype=float) ** (-n)
 
     region = Region(
-        name="whole-domain", condition="0 <= t <= 1", contains=contains,
-        psi=psi, phi_t=phi_t, Psi=Psi, dpsi_dpos=dpsi,
+        name="whole-domain", condition="0 <= t <= 1", contains=_everywhere,
+        psi=psi, phi_t=_zero, Psi=Psi, dpsi_dpos=dpsi,
         psi_formula="-2 beta t r^(1-n)", phi_t_formula="0")
     return PiecewiseField(
         kind="indicator-const",
@@ -715,48 +699,21 @@ def build_field_indicator_const(n, beta, gamma_, pos_max=4.0):
     )
 
 
-def _monotone_bracket_scan(n, beta, gamma_, scan_max, samples):
-    """Grid check of ``(beta^2 - (n-1) beta / r) delta(r)^2 <= gamma^2``.
+def _trace_pieces(n, beta, pos_range):
+    """The Robin trace curve ``t = delta(r)`` and the two regions it separates.
 
-    Returns ``(ok, worst_r, worst_excess)`` where ``worst_excess`` is the
-    largest amount by which the left side exceeds ``gamma^2``.
+    Returns ``(below, above, curve)``, ``curve`` being the interface over
+    ``pos_range``.  Below the curve the field is ``(-2 beta t e_r, (n-1) beta t^2 / r)``;
+    above it the components follow the trace, ``(-2 (1-t) K(r) e_r,
+    (1-t)^2 K(r)^2 - (beta^2 - (n-1) beta / r) delta(r)^2)`` with
+    ``K = beta delta / (1 - delta)``.
     """
 
-    grid = np.linspace(1.0, float(scan_max), int(samples))
-    dvals = delta_robin(n, beta, grid)
-    bracket = (beta ** 2 - (n - 1) * beta / grid) * dvals ** 2
-    excess = bracket - gamma_ ** 2
-    k = int(np.argmax(excess))
-    return bool(excess[k] <= 0.0), float(grid[k]), float(excess[k])
+    def g_trace(pos):
+        return delta_robin(n, beta, pos)
 
-
-def build_field_indicator_two_piece(n, beta, gamma_, pos_max=4.0,
-                                    scan_max=50.0, scan_samples=200001):
-    """Two-piece calibration of the unit-ball indicator.
-
-    Below the Robin trace curve ``t = delta(r)`` the field is
-    ``(-2 beta t e_r, (n-1) beta t^2 / r)``; above it the components
-    follow the trace, ``(-2 (1-t) K(r) e_r, (1-t)^2 K(r)^2 - (beta^2 -
-    (n-1) beta / r) delta(r)^2)`` with ``K = beta delta / (1 - delta)``.
-    The construction certifies the indicator when
-    ``(beta^2 - (n-1) beta / r) delta(r)^2 <= gamma^2`` on the scanned
-    range; the first failure raises :class:`HypothesisViolation` with
-    the worst radius attached.
-    """
-
-    n = int(n)
-    beta = float(beta)
-    gamma_ = float(gamma_)
-    if beta <= 0.0 or gamma_ < 0.0:
-        raise ValueError("beta must be positive and gamma nonnegative")
-    ok, worst_r, worst_excess = _monotone_bracket_scan(n, beta, gamma_, scan_max, scan_samples)
-    if not ok:
-        raise HypothesisViolation(
-            "monotonicity certificate fails: (beta^2 - (n-1) beta / r) delta(r)^2 "
-            "exceeds gamma^2 by {:.3g} at r = {:.6g}".format(worst_excess, worst_r),
-            location=worst_r,
-            details={"excess": worst_excess, "gamma": gamma_},
-        )
+    def g_trace_prime(pos):
+        return delta_robin_prime(n, beta, pos)
 
     def lower_contains(pos, t):
         return t <= delta_robin(n, beta, pos)
@@ -770,20 +727,11 @@ def build_field_indicator_two_piece(n, beta, gamma_, pos_max=4.0,
     def lower_Psi(pos, t):
         return -beta * t ** 2
 
-    def lower_dpsi(pos, t):
-        return np.zeros_like(np.asarray(t, dtype=float))
-
-    def upper_contains(pos, t):
-        return np.ones_like(np.asarray(t, dtype=float), dtype=bool)
-
     def upper_psi(pos, t):
         return -2.0 * (1.0 - t) * _K_factor(n, pos)
 
     def upper_phi_t(pos, t):
-        pos = np.asarray(pos, dtype=float)
-        K = _K_factor(n, pos)
-        d = delta_robin(n, beta, pos)
-        return (1.0 - t) ** 2 * K ** 2 - (beta ** 2 - (n - 1) * beta / pos) * d ** 2
+        return (1.0 - t) ** 2 * _K_factor(n, pos) ** 2 - robin_bracket(n, beta, pos)
 
     def upper_Psi(pos, t):
         pos = np.asarray(pos, dtype=float)
@@ -797,25 +745,44 @@ def build_field_indicator_two_piece(n, beta, gamma_, pos_max=4.0,
         gp = (n - 1) * pos ** (n - 2) * gamma(n, pos) + 1.0
         return 2.0 * (1.0 - t) * K ** 2 * gp
 
-    regions = (
+    return (
         Region("below-trace", "t <= delta(r)", lower_contains, lower_psi,
-               lower_phi_t, lower_Psi, lower_dpsi,
+               lower_phi_t, lower_Psi, _zero,
                "-2 beta t", "(n-1) beta t^2 / r"),
-        Region("above-trace", "t > delta(r)", upper_contains, upper_psi,
+        Region("above-trace", "t > delta(r)", _everywhere, upper_psi,
                upper_phi_t, upper_Psi, upper_dpsi,
                "-2 (1-t) K(r)", "(1-t)^2 K(r)^2 - (beta^2-(n-1)beta/r) delta(r)^2"),
+        Interface(name="trace-curve", kind="graph", pos_range=pos_range,
+                  g=g_trace, g_prime=g_trace_prime, description="t = delta(r)"),
     )
 
-    def g_trace(pos):
-        return delta_robin(n, beta, pos)
 
-    def g_trace_prime(pos):
-        return delta_robin_prime(n, beta, pos)
+def build_field_indicator_two_piece(n, beta, gamma_, pos_max=4.0,
+                                    scan_max=50.0, scan_samples=200001):
+    """Two-piece calibration of the unit-ball indicator.
 
-    interfaces = (Interface(
-        name="trace-curve", kind="graph", pos_range=(1.0, float(pos_max)),
-        g=g_trace, g_prime=g_trace_prime, description="t = delta(r)"),)
+    The pieces are the two regions either side of the Robin trace curve
+    ``t = delta(r)`` (see :func:`_trace_pieces`).  The construction
+    certifies the indicator when ``(beta^2 - (n-1) beta / r) delta(r)^2
+    <= gamma^2`` on the scanned range; the first failure raises
+    :class:`HypothesisViolation` with the worst radius attached.
+    """
 
+    n = int(n)
+    beta = float(beta)
+    gamma_ = float(gamma_)
+    if beta <= 0.0 or gamma_ < 0.0:
+        raise ValueError("beta must be positive and gamma nonnegative")
+    worst_r, worst_excess = robin_bracket_excess(n, beta, gamma_, scan_max, scan_samples)
+    if not worst_excess <= 0.0:
+        raise HypothesisViolation(
+            "monotonicity certificate fails: (beta^2 - (n-1) beta / r) delta(r)^2 "
+            "exceeds gamma^2 by {:.3g} at r = {:.6g}".format(worst_excess, worst_r),
+            location=worst_r,
+            details={"excess": worst_excess, "gamma": gamma_},
+        )
+
+    below, above, curve = _trace_pieces(n, beta, (1.0, float(pos_max)))
     return PiecewiseField(
         kind="indicator-two-piece",
         geometry="radial",
@@ -825,8 +792,8 @@ def build_field_indicator_two_piece(n, beta, gamma_, pos_max=4.0,
         gamma_sq_term=gamma_ ** 2,
         params={"n": n, "beta": beta, "gamma": gamma_, "R": 1.0,
                 "scan_max": float(scan_max)},
-        regions=regions,
-        interfaces=interfaces,
+        regions=(below, above),
+        interfaces=(curve,),
     )
 
 
@@ -839,7 +806,8 @@ def build_field_ball_harmonic(n, beta, gamma_, R, enforce_beta=True, el_tol=1e-9
     ``gamma^2 = (beta^2 - (n-1) beta / R) delta(R)^2`` to ``el_tol``.
     ``beta >= n - 1/2`` guarantees the axioms; set ``enforce_beta=False``
     to build the field anyway and let the verifier report what fails.
-    ``R = 1`` collapses to the two-piece indicator construction.
+    ``R = 1`` collapses to the two-piece indicator construction, and
+    outside the ball the field is that construction's two regions.
     """
 
     n = int(n)
@@ -855,7 +823,7 @@ def build_field_ball_harmonic(n, beta, gamma_, R, enforce_beta=True, el_tol=1e-9
 
     dR = delta_robin(n, beta, R)
     gamma_sq = gamma_ ** 2
-    el_residual = gamma_sq - (beta ** 2 - (n - 1) * beta / R) * dR ** 2
+    el_residual = gamma_sq - robin_bracket(n, beta, R)
     if abs(el_residual) > el_tol:
         raise HypothesisViolation(
             "R does not satisfy the critical-radius identity "
@@ -871,6 +839,8 @@ def build_field_ball_harmonic(n, beta, gamma_, R, enforce_beta=True, el_tol=1e-9
         )
 
     amp = beta * dR * R ** (n - 1)
+    pos_max = 2.0 * R
+    below, above, curve = _trace_pieces(n, beta, (R, pos_max))
 
     def u_of(r):
         return u_radial(n, beta, R, r)[0]
@@ -886,18 +856,6 @@ def build_field_ball_harmonic(n, beta, gamma_, R, enforce_beta=True, el_tol=1e-9
     def a_contains(pos, t):
         return inner(pos) & (t <= dR)
 
-    def a_psi(pos, t):
-        return -2.0 * beta * t
-
-    def a_phi_t(pos, t):
-        return (n - 1) * beta * t ** 2 / np.asarray(pos, dtype=float)
-
-    def a_Psi(pos, t):
-        return -beta * t ** 2
-
-    def a_dpsi(pos, t):
-        return np.zeros_like(np.asarray(t, dtype=float))
-
     def b_contains(pos, t):
         return inner(pos) & (t <= rho_of(pos))
 
@@ -909,9 +867,6 @@ def build_field_ball_harmonic(n, beta, gamma_, R, enforce_beta=True, el_tol=1e-9
 
     def b_Psi(pos, t):
         return -beta * dR ** 2 - 2.0 * beta * dR * (t - dR)
-
-    def b_dpsi(pos, t):
-        return np.zeros_like(np.asarray(t, dtype=float))
 
     def c_contains(pos, t):
         return inner(pos) & (t <= u_of(pos))
@@ -934,9 +889,6 @@ def build_field_ball_harmonic(n, beta, gamma_, R, enforce_beta=True, el_tol=1e-9
     def d_contains(pos, t):
         return inner(pos)
 
-    def d_psi(pos, t):
-        return -2.0 * (1.0 - t) * _K_factor(n, pos)
-
     def d_phi_t(pos, t):
         return (1.0 - t) ** 2 * _K_factor(n, pos) ** 2 - gamma_sq
 
@@ -949,52 +901,21 @@ def build_field_ball_harmonic(n, beta, gamma_, R, enforce_beta=True, el_tol=1e-9
         at_graph = at_rho - 2.0 * amp * pos ** (1 - n) * (uu - rr)
         return at_graph - K * ((1.0 - uu) ** 2 - (1.0 - t) ** 2)
 
-    def d_dpsi(pos, t):
-        pos = np.asarray(pos, dtype=float)
-        K = _K_factor(n, pos)
-        gp = (n - 1) * pos ** (n - 2) * gamma(n, pos) + 1.0
-        return 2.0 * (1.0 - t) * K ** 2 * gp
-
-    def e_contains(pos, t):
-        return t <= delta_robin(n, beta, pos)
-
-    def f_contains(pos, t):
-        return np.ones_like(np.asarray(t, dtype=float), dtype=bool)
-
-    def f_psi(pos, t):
-        return -2.0 * (1.0 - t) * _K_factor(n, pos)
-
-    def f_phi_t(pos, t):
-        pos = np.asarray(pos, dtype=float)
-        d = delta_robin(n, beta, pos)
-        K = _K_factor(n, pos)
-        return (1.0 - t) ** 2 * K ** 2 - (beta ** 2 - (n - 1) * beta / pos) * d ** 2
-
-    def f_Psi(pos, t):
-        pos = np.asarray(pos, dtype=float)
-        d = delta_robin(n, beta, pos)
-        K = _K_factor(n, pos)
-        return -beta * d ** 2 - K * ((1.0 - d) ** 2 - (1.0 - t) ** 2)
-
     regions = (
-        Region("inner-below-trace", "r <= R, t <= delta(R)", a_contains, a_psi,
-               a_phi_t, a_Psi, a_dpsi, "-2 beta t", "(n-1) beta t^2 / r"),
+        replace(below, name="inner-below-trace", condition="r <= R, t <= delta(R)",
+                contains=a_contains),
         Region("inner-transition", "r <= R, delta(R) < t <= rho(r)", b_contains,
-               b_psi, b_phi_t, b_Psi, b_dpsi,
+               b_psi, b_phi_t, b_Psi, _zero,
                "-2 beta delta(R)", "(n-1) beta delta(R)(2t - delta(R))/r"),
         Region("inner-gradient", "r <= R, rho(r) < t <= u(r)", c_contains, c_psi,
                c_phi_t, c_Psi, c_dpsi,
                "-2 beta delta(R) (R/r)^(n-1)",
                "(beta delta(R))^2 (R/r)^(2n-2) - gamma^2"),
-        Region("inner-above-graph", "r <= R, t > u(r)", d_contains, d_psi,
-               d_phi_t, d_Psi, d_dpsi,
-               "-2 (1-t) K(r)", "(1-t)^2 K(r)^2 - gamma^2"),
-        Region("outer-below-trace", "r > R, t <= delta(r)", e_contains, a_psi,
-               a_phi_t, a_Psi, a_dpsi, "-2 beta t", "(n-1) beta t^2 / r"),
-        Region("outer-above-trace", "r > R, t > delta(r)", f_contains, f_psi,
-               f_phi_t, f_Psi, d_dpsi,
-               "-2 (1-t) K(r)",
-               "(1-t)^2 K(r)^2 - (beta^2-(n-1)beta/r) delta(r)^2"),
+        replace(above, name="inner-above-graph", condition="r <= R, t > u(r)",
+                contains=d_contains, phi_t=d_phi_t, Psi=d_Psi,
+                phi_t_formula="(1-t)^2 K(r)^2 - gamma^2"),
+        replace(below, name="outer-below-trace", condition="r > R, t <= delta(r)"),
+        replace(above, name="outer-above-trace", condition="r > R, t > delta(r)"),
     )
 
     def g_level(pos):
@@ -1003,39 +924,25 @@ def build_field_ball_harmonic(n, beta, gamma_, R, enforce_beta=True, el_tol=1e-9
     def g_level_prime(pos):
         return np.zeros_like(np.asarray(pos, dtype=float))
 
-    def g_rho(pos):
-        return rho_of(pos)
-
     def g_rho_prime(pos):
         return rho_prime(n, beta, R, pos)
-
-    def g_u(pos):
-        return u_of(pos)
 
     def g_u_prime(pos):
         return -amp * np.asarray(pos, dtype=float) ** (1 - n)
 
-    def g_outer(pos):
-        return delta_robin(n, beta, pos)
-
-    def g_outer_prime(pos):
-        return delta_robin_prime(n, beta, pos)
-
-    pos_max = 2.0 * R
     interfaces = [
         Interface(name="trace-level", kind="graph", pos_range=(1.0, R),
                   g=g_level, g_prime=g_level_prime, description="t = delta(R)"),
         Interface(name="graph", kind="graph", pos_range=(1.0, R),
-                  g=g_u, g_prime=g_u_prime, description="t = u(r)"),
+                  g=u_of, g_prime=g_u_prime, description="t = u(r)"),
         Interface(name="support-sphere", kind="sphere", radius=R,
                   description="r = R"),
-        Interface(name="outer-trace-curve", kind="graph", pos_range=(R, pos_max),
-                  g=g_outer, g_prime=g_outer_prime, description="t = delta(r)"),
+        replace(curve, name="outer-trace-curve"),
     ]
     if n > 1:
         interfaces.insert(1, Interface(
             name="flux-matching-curve", kind="graph", pos_range=(1.0, R),
-            g=g_rho, g_prime=g_rho_prime, description="t = rho(r)"))
+            g=rho_of, g_prime=g_rho_prime, description="t = rho(r)"))
 
     return PiecewiseField(
         kind="ball-harmonic",

@@ -43,7 +43,7 @@ from calx.energy import (
     energy_radial_optimal,
     indicator_monotonicity_margin,
 )
-from calx.potentials import delta_robin
+from calx.potentials import robin_bracket
 from calx.verifier import VerificationReport, VerifyConfig, verify_all
 
 
@@ -210,33 +210,40 @@ def _verify_config_from(opt):
         raise _UsageError(str(exc))
 
 
-def _build_checked_field(kind, opt):
-    """Returns (field, notes) or raises; infeasibility surfaces as
-    HypothesisViolation from the builders."""
-
-    notes = []
-    if kind == "harmonic":
-        beta = opt.require("beta", float)
-        m = opt.require("m", float)
-        M = opt.require("M", float)
-        sup_grad = opt.get("sup_grad", cast=float)
-        params = CalibParams1D.from_traces(m, M, beta, sup_grad=sup_grad)
-        return build_field_1d(params), notes
-    n = opt.require("n", int)
+def _affine_field(opt, notes):
     beta = opt.require("beta", float)
-    if kind == "indicator-const":
-        return build_field_indicator_const(n, beta, opt.require("gamma", float)), notes
-    if kind == "indicator-two-piece":
-        return build_field_indicator_two_piece(n, beta, opt.require("gamma", float)), notes
-    R = opt.require("R", float)
+    params = CalibParams1D.from_traces(opt.require("m", float), opt.require("M", float),
+                                       beta, sup_grad=opt.get("sup_grad", cast=float))
+    return build_field_1d(params)
+
+
+def _radial_args(opt):
+    return opt.require("n", int), opt.require("beta", float), opt.require("R", float)
+
+
+def _radial_shell_field(opt, notes):
+    n, beta, R = _radial_args(opt)
+    profile = radial_shell_profile(n, beta, R)
+    return build_field_harmonic(profile, profile.m, profile.M, beta)
+
+
+def _indicator_args(opt):
+    return opt.require("n", int), opt.require("beta", float), opt.require("gamma", float)
+
+
+def _ball_field(opt, notes):
+    """Ball field; gamma defaults to the critical-radius identity, and
+    below beta = n - 1/2 the field is built but marked uncertified."""
+
+    n, beta, R = _radial_args(opt)
     gamma_ = opt.get("gamma", cast=float)
     if gamma_ is None:
-        bracket = beta ** 2 - (n - 1) * beta / R
-        gsq = bracket * delta_robin(n, beta, R) ** 2
+        gsq = robin_bracket(n, beta, R)
         if gsq < 0.0:
             raise HypothesisViolation(
                 "no nonnegative gamma satisfies the critical-radius identity "
-                "at R = {:g} (beta^2 - (n-1) beta / R = {:g} < 0)".format(R, bracket))
+                "at R = {:g} (beta^2 - (n-1) beta / R = {:g} < 0)".format(
+                    R, beta ** 2 - (n - 1) * beta / R))
         gamma_ = math.sqrt(gsq)
         notes.append("gamma = {} (from the critical-radius identity)".format(_fmt(gamma_)))
     threshold = n - 0.5
@@ -244,9 +251,25 @@ def _build_checked_field(kind, opt):
         notes.append(
             "note: beta = {:g} is below n - 1/2 = {:g}; the monotonicity "
             "hypothesis fails, grid results are empirical only".format(beta, threshold))
-        field = build_field_ball_harmonic(n, beta, gamma_, R, enforce_beta=False)
-        return field, notes
-    return build_field_ball_harmonic(n, beta, gamma_, R), notes
+    return build_field_ball_harmonic(n, beta, gamma_, R, enforce_beta=beta >= threshold)
+
+
+# Field builders by `describe` kind: each reads its options and appends
+# notes for the report.  Infeasible constructions raise
+# HypothesisViolation, malformed options ValueError.
+_FIELDS = {
+    "1d": _affine_field,
+    "harmonic": _radial_shell_field,
+    "indicator-const": lambda opt, notes: build_field_indicator_const(*_indicator_args(opt)),
+    "indicator-two-piece":
+        lambda opt, notes: build_field_indicator_two_piece(*_indicator_args(opt)),
+    "ball-harmonic": _ball_field,
+}
+
+# `check harmonic` certifies the affine profile on the interval.
+_CHECK_FIELDS = {"harmonic": "1d", "indicator-const": "indicator-const",
+                 "indicator-two-piece": "indicator-two-piece",
+                 "ball-harmonic": "ball-harmonic"}
 
 
 def _cmd_check(args, config):
@@ -257,8 +280,9 @@ def _cmd_check(args, config):
         raise _UsageError("--format must be text or json")
     vconfig = _verify_config_from(opt)
 
+    notes = []
     try:
-        field, notes = _build_checked_field(kind, opt)
+        field = _FIELDS[_CHECK_FIELDS[kind]](opt, notes)
     except HypothesisViolation as exc:
         report = VerificationReport.infeasible(str(exc), kind=kind)
         if fmt == "json":
@@ -324,44 +348,8 @@ def _cmd_phase_diagram(args, config):
 
 
 def _cmd_describe(args, config):
-    opt = _Options(args, config)
-    kind = args.kind
     try:
-        if kind == "1d":
-            params = CalibParams1D.from_traces(
-                opt.require("m", float), opt.require("M", float),
-                opt.require("beta", float), sup_grad=opt.get("sup_grad", cast=float))
-            field = build_field_1d(params)
-        elif kind == "harmonic":
-            n = opt.require("n", int)
-            beta = opt.require("beta", float)
-            R = opt.require("R", float)
-            profile = radial_shell_profile(n, beta, R)
-            field = build_field_harmonic(profile, profile.m, profile.M, beta)
-        elif kind == "indicator-const":
-            field = build_field_indicator_const(
-                opt.require("n", int), opt.require("beta", float),
-                opt.require("gamma", float))
-        elif kind == "indicator-two-piece":
-            field = build_field_indicator_two_piece(
-                opt.require("n", int), opt.require("beta", float),
-                opt.require("gamma", float))
-        else:
-            opt_gamma = opt.get("gamma", cast=float)
-            n = opt.require("n", int)
-            beta = opt.require("beta", float)
-            R = opt.require("R", float)
-            if opt_gamma is None:
-                bracket = beta ** 2 - (n - 1) * beta / R
-                gsq = bracket * delta_robin(n, beta, R) ** 2
-                if gsq < 0.0:
-                    raise HypothesisViolation(
-                        "no nonnegative gamma satisfies the critical-radius "
-                        "identity at R = {:g}".format(R))
-                opt_gamma = math.sqrt(gsq)
-            field = build_field_ball_harmonic(
-                n, beta, opt_gamma, R,
-                enforce_beta=(beta >= n - 0.5))
+        field = _FIELDS[args.kind](_Options(args, config), [])
     except HypothesisViolation as exc:
         sys.stderr.write("infeasible: {}\n".format(exc))
         return 1
@@ -402,8 +390,7 @@ def _build_parser():
     curve.set_defaults(handler=_cmd_energy_curve)
 
     check = subs.add_parser("check", parents=[shared], help="verify a calibration field on a grid")
-    check.add_argument("kind", choices=("harmonic", "indicator-const",
-                                        "indicator-two-piece", "ball-harmonic"))
+    check.add_argument("kind", choices=tuple(_CHECK_FIELDS))
     _add_field_params(check)
     check.add_argument("--samples", type=int,
                        help="grid resolution for every axis")
@@ -427,8 +414,7 @@ def _build_parser():
     phase.set_defaults(handler=_cmd_phase_diagram)
 
     desc = subs.add_parser("describe", parents=[shared], help="dump a field's piecewise structure")
-    desc.add_argument("kind", choices=("1d", "harmonic", "indicator-const",
-                                       "indicator-two-piece", "ball-harmonic"))
+    desc.add_argument("kind", choices=tuple(_FIELDS))
     _add_field_params(desc)
     desc.set_defaults(handler=_cmd_describe)
     return parser

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from calx.potentials import delta_robin, gamma
+from calx.potentials import delta_robin, gamma, robin_bracket, robin_bracket_excess
 
 __all__ = [
     "unit_ball_volume",
@@ -304,8 +304,7 @@ def dE_dR(n: int, beta: float, gamma_: float, R):
     n omega_n R^(n-1) [gamma^2 - (beta^2 - (n-1) beta / R) delta(R)^2]."""
     w = unit_ball_volume(n)
     R = np.asarray(R, dtype=float)
-    d = np.asarray(delta_robin(n, beta, R))
-    bracket = gamma_**2 - (beta**2 - (n - 1) * beta / R) * d**2
+    bracket = gamma_**2 - robin_bracket(n, beta, R)
     out = n * w * R ** (n - 1) * bracket
     return out if out.ndim else float(out)
 
@@ -352,7 +351,4 @@ def indicator_monotonicity_margin(n: int, beta: float, gamma_: float,
     """
     if Rmax <= 1.0:
         raise ValueError("Rmax must be > 1")
-    rs = np.linspace(1.0, Rmax, samples)
-    d = np.asarray(delta_robin(n, beta, rs))
-    bracket = (beta**2 - (n - 1) * beta / rs) * d**2
-    return float(gamma_**2 - bracket.max())
+    return -robin_bracket_excess(n, beta, gamma_, Rmax, samples)[1]

@@ -13,7 +13,6 @@ read off a table instead of trusted from a formula.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,27 +232,26 @@ def oracle_1d_best(m, M, beta, max_jumps=2, resolution=1000, space=None):
 _BASIS_CACHE = {}
 
 
+def _rk4_step(k, r, h, v, w):
+    """One RK4 step of size h from radius r for v' = w, w' = -k w / r."""
+
+    dv1, dw1 = w, -k * w / r
+    dv2 = w + 0.5 * h * dw1
+    dw2 = -k * dv2 / (r + 0.5 * h)
+    dv3 = w + 0.5 * h * dw2
+    dw3 = -k * dv3 / (r + 0.5 * h)
+    dv4 = w + h * dw3
+    dw4 = -k * dv4 / (r + h)
+    return (v + h * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4) / 6.0,
+            w + h * (dw1 + 2.0 * dw2 + 2.0 * dw3 + dw4) / 6.0)
+
+
 def _rk4_extend(n, step, states, n_steps):
     """Grow the cached RK4 trajectory of v'' = -(n-1) v'/r to n_steps."""
 
-    k = n - 1
     while len(states) <= n_steps:
         i = len(states) - 1
-        r = 1.0 + i * step
-        v, w = states[-1]
-
-        def slope(rr, ww):
-            return -k * ww / rr
-
-        h = step
-        dv1, dw1 = w, slope(r, w)
-        dv2, dw2 = w + 0.5 * h * dw1, slope(r + 0.5 * h, w + 0.5 * h * dw1)
-        dv3, dw3 = w + 0.5 * h * dw2, slope(r + 0.5 * h, w + 0.5 * h * dw2)
-        dv4, dw4 = w + h * dw3, slope(r + h, w + h * dw3)
-        states.append((
-            v + h * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4) / 6.0,
-            w + h * (dw1 + 2.0 * dw2 + 2.0 * dw3 + dw4) / 6.0,
-        ))
+        states.append(_rk4_step(n - 1, 1.0 + i * step, step, *states[-1]))
 
 
 def _basis_at(n, R, step):
@@ -266,23 +264,7 @@ def _basis_at(n, R, step):
     v, w = states[full]
     rest = R - 1.0 - full * step
     if rest > 1e-15:
-        tail = [(v, w)]
-        _rk4_extend(n, rest, tail, 1)
-        r0 = 1.0 + full * step
-        # _rk4_extend assumes the trajectory starts at r = 1; redo the
-        # single partial step from the true starting radius instead.
-        k = n - 1
-        h = rest
-
-        def slope(rr, ww):
-            return -k * ww / rr
-
-        dv1, dw1 = w, slope(r0, w)
-        dv2, dw2 = w + 0.5 * h * dw1, slope(r0 + 0.5 * h, w + 0.5 * h * dw1)
-        dv3, dw3 = w + 0.5 * h * dw2, slope(r0 + 0.5 * h, w + 0.5 * h * dw2)
-        dv4, dw4 = w + h * dw3, slope(r0 + h, w + h * dw3)
-        v = v + h * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4) / 6.0
-        w = w + h * (dw1 + 2.0 * dw2 + 2.0 * dw3 + dw4) / 6.0
+        v, w = _rk4_step(n - 1, 1.0 + full * step, rest, v, w)
     return v, w
 
 
@@ -378,7 +360,8 @@ def oracle_radial_sweep(n, beta, gamma_, R_grid, delta_grid, threads=None):
     of the unit ball, so the table always starts with that single row
     and any user-supplied R = 1 entries are folded into it.  Remaining
     rows are sorted by R then delta; the best row is the first minimum
-    in scan order.
+    in scan order.  ``threads`` is accepted for compatibility and has no
+    effect: the rows are pure-Python work that threads cannot overlap.
     """
 
     Rs = sorted(set(float(R) for R in R_grid))
@@ -392,11 +375,7 @@ def oracle_radial_sweep(n, beta, gamma_, R_grid, delta_grid, threads=None):
 
     tasks = [(1.0, 1.0)]
     tasks += [(R, d) for R in Rs if R > 1.0 for d in deltas]
-    if threads and int(threads) > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            rows = list(pool.map(lambda rd: _sweep_row(n, beta, gamma_, *rd), tasks))
-    else:
-        rows = [_sweep_row(n, beta, gamma_, R, d) for R, d in tasks]
+    rows = [_sweep_row(n, beta, gamma_, R, d) for R, d in tasks]
 
     best = 0
     for i, row in enumerate(rows):

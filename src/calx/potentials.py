@@ -5,6 +5,8 @@ The building blocks used everywhere else in the package:
 * ``gamma``        -- the exterior harmonic potential with zero boundary
                       trace on the unit sphere,
 * ``delta_robin``  -- the optimal Robin trace on a sphere of radius R,
+* ``robin_bracket`` -- (beta^2 - (n-1) beta / r) delta(r)^2, the term the
+                      critical-radius identity sets equal to gamma^2,
 * ``u_radial``     -- the radial competitor supported on B_R,
 * ``rho``          -- the interface curve that makes the ball calibration
                       divergence-free,
@@ -23,6 +25,8 @@ __all__ = [
     "gamma_scaling_identity",
     "delta_robin",
     "delta_robin_prime",
+    "robin_bracket",
+    "robin_bracket_excess",
     "u_radial",
     "rho",
     "rho_prime",
@@ -100,6 +104,31 @@ def delta_robin_prime(n: int, beta: float, r):
     g_prime = (n - 1) * r ** (n - 2) * gamma(n, r) + 1.0
     out = -beta * g_prime * np.asarray(d) ** 2
     return out if out.ndim else float(out)
+
+
+def robin_bracket(n: int, beta: float, r):
+    """(beta^2 - (n-1) beta / r) delta(r)^2.
+
+    dE/dR of the Robin-optimal energy is n omega_n R^(n-1) (gamma^2 -
+    robin_bracket(R)), so the critical radii are where it equals gamma^2.
+    """
+    r = np.asarray(r, dtype=float)
+    d = np.asarray(delta_robin(n, beta, r))
+    out = (beta ** 2 - (n - 1) * beta / r) * d ** 2
+    return out if out.ndim else float(out)
+
+
+def robin_bracket_excess(n: int, beta: float, gamma_: float, rmax: float, samples: int):
+    """Largest excess of robin_bracket over gamma^2 on a uniform grid of [1, rmax].
+
+    Returns ``(r, excess)`` at the first grid node where the bracket
+    peaks; a nonpositive excess means the bracket stays below gamma^2 on
+    the grid.
+    """
+    grid = np.linspace(1.0, float(rmax), int(samples))
+    bracket = robin_bracket(n, beta, grid)
+    k = int(np.argmax(bracket))
+    return float(grid[k]), float(bracket[k] - gamma_ ** 2)
 
 
 def u_radial(n: int, beta: float, R: float, r):

@@ -19,12 +19,11 @@ from __future__ import annotations
 import dataclasses
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from calx.calibration_fields import PiecewiseField
 from calx.potentials import delta_robin, u_radial
 
 _AXIOMS = ("a", "b", "graph", "divflux")
@@ -37,8 +36,8 @@ class VerifyConfig:
     ``pos_res`` and ``t_res`` control the pointwise grids, ``pair_res``
     the number of ``t`` nodes used for the pairwise axiom (b) scan.
     ``axioms`` selects which groups run.  ``threads`` caps the worker
-    count for the pairwise scan; results are merged in grid order, so
-    the report does not depend on it.
+    count for the pairwise axiom (b) scan, the only threaded step;
+    results are merged in grid order, so the report does not depend on it.
     """
 
     pos_res: int = 128
@@ -225,16 +224,18 @@ def check_condition_a(field, gamma_sq_term, config=None):
     )
 
 
-def _b_scan_chunk(field, pos_chunk, tg, bound, tol, max_keep):
-    """Pairwise scan on one chunk of positions; returns (worst, count, kept, reduced)."""
+def _b_scan_chunk(pos_chunk, Psi_rows, tg, bound, tol, max_keep):
+    """Pairwise scan of the sampled ``Psi`` rows of one chunk of positions.
+
+    Returns ``(worst, count, kept, reduced)``.
+    """
 
     worst = np.inf
     reduced_worst = np.inf
     count = 0
     kept = []
     iu = np.triu_indices(tg.size, k=1)
-    for p in pos_chunk:
-        vals = np.asarray(field.Psi(np.full_like(tg, p), tg), dtype=float)
+    for p, vals in zip(pos_chunk, Psi_rows):
         if not np.isfinite(vals).all():
             count += 1
             kept.append(Violation("b", (float(p), float("nan"), float("nan")),
@@ -269,21 +270,25 @@ def check_condition_b(field, beta, config=None):
     The scan covers the full triangular grid of ``t`` pairs.  For fields
     directed along a fixed direction it also records the reduced margin
     ``beta s^2 - |Psi(pos, s)|`` (the ``r = 0`` slice), which is how the
-    sharp cases are proved.
+    sharp cases are proved.  ``Psi`` is sampled once on the whole
+    ``pos x t`` pair grid; each fibre then scans its row.
     """
 
     config = config or VerifyConfig()
     pos = np.linspace(field.pos_range[0], field.pos_range[1], config.pos_res)
     tg = np.linspace(0.0, field.t_max, config.pair_res)
     bound = beta * (tg[None, :] ** 2 + tg[:, None] ** 2)
-    chunks = np.array_split(pos, config.threads)
+    Psi = field.Psi(*np.meshgrid(pos, tg, indexing="ij"))
+    chunks = list(zip(np.array_split(pos, config.threads), np.array_split(Psi, config.threads)))
+
+    def scan(chunk):
+        return _b_scan_chunk(*chunk, tg, bound, config.tol_b, config.max_recorded)
+
     if config.threads == 1:
-        outs = [_b_scan_chunk(field, chunks[0], tg, bound, config.tol_b, config.max_recorded)]
+        outs = [scan(chunks[0])]
     else:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            outs = list(pool.map(
-                lambda c: _b_scan_chunk(field, c, tg, bound, config.tol_b, config.max_recorded),
-                chunks))
+            outs = list(pool.map(scan, chunks))
     worst = min(o[0] for o in outs)
     count = sum(o[1] for o in outs)
     violations = []
@@ -375,29 +380,24 @@ def check_graph_conditions(field, calibrated, config=None):
     return a_prime, b_prime
 
 
-def _fd_t(field, P, T, h, ridx):
-    """Central difference of phi_t in t where the stencil stays in one region."""
+def _central_difference(field, P, T, ridx, h, axis, quantity):
+    """Central difference of ``quantity`` along ``pos`` (axis 0) or ``t`` (axis 1).
 
-    ok = (T - h >= 0.0) & (T + h <= field.t_max)
-    ok &= field.region_index(P, np.clip(T + h, 0.0, field.t_max)) == ridx
-    ok &= field.region_index(P, np.clip(T - h, 0.0, field.t_max)) == ridx
-    up = field.evaluate(P, np.clip(T + h, 0.0, field.t_max))[1]
-    dn = field.evaluate(P, np.clip(T - h, 0.0, field.t_max))[1]
-    return (up - dn) / (2.0 * h), ok
+    One sampling pass per stencil side.  Also returns where the stencil
+    stays inside the domain and in the region ``ridx`` of its centre.
+    """
 
-
-def _fd_pos(field, P, T, h, ridx):
-    """Central difference of phi_x in pos where the stencil stays in one region."""
-
-    lo, hi = field.pos_range
-    ok = (P - h >= lo) & (P + h <= hi)
-    Pp = np.clip(P + h, lo, hi)
-    Pm = np.clip(P - h, lo, hi)
-    ok &= field.region_index(Pp, T) == ridx
-    ok &= field.region_index(Pm, T) == ridx
-    up = field.evaluate(Pp, T)[0]
-    dn = field.evaluate(Pm, T)[0]
-    return (up - dn) / (2.0 * h), ok
+    grid = [P, T]
+    lo, hi = field.pos_range if axis == 0 else (0.0, field.t_max)
+    X = grid[axis]
+    ok = (X - h >= lo) & (X + h <= hi)
+    sides = []
+    for step in (h, -h):
+        grid[axis] = np.clip(X + step, lo, hi)
+        idx, values = field._sample(*grid, quantity)
+        ok &= idx == ridx
+        sides.append(values)
+    return (sides[0] - sides[1]) / (2.0 * h), ok
 
 
 def check_divergence_and_flux(field, config=None):
@@ -413,8 +413,13 @@ def check_divergence_and_flux(field, config=None):
     h = config.fd_step
     pos, t = _grids(field, config)
     P, T = np.meshgrid(pos, t, indexing="ij")
-    psi, phit = field.evaluate(P, T)
-    ridx = field.region_index(P, T)
+    if config.divergence_mode == "auto":
+        ridx, psi, phit, dpsi = field._sample(P, T, "psi", "phi_t", "dpsi_dpos")
+        has_dpsi = np.array([r.dpsi_dpos is not None for r in field.regions])
+        analytic = (ridx >= 0) & has_dpsi[ridx]
+    else:
+        ridx, psi, phit = field._sample(P, T, "psi", "phi_t")
+        dpsi, analytic = np.full(P.shape, np.nan), np.zeros(P.shape, dtype=bool)
 
     violations = []
     finite = np.isfinite(psi) & np.isfinite(phit)
@@ -425,23 +430,12 @@ def check_divergence_and_flux(field, config=None):
     max_phi_x = float(np.max(np.abs(psi[finite]))) if finite.any() else float("nan")
     max_phi_t = float(np.max(np.abs(phit[finite]))) if finite.any() else float("nan")
 
-    dphit, ok_t = _fd_t(field, P, T, h, ridx)
-    if config.divergence_mode == "auto":
-        dpsi = np.full(P.shape, np.nan)
-        ok_pos = np.zeros(P.shape, dtype=bool)
-        for k, region in enumerate(field.regions):
-            mask = ridx == k
-            if not mask.any():
-                continue
-            if region.dpsi_dpos is not None:
-                dpsi[mask] = region.dpsi_dpos(P[mask], T[mask])
-                ok_pos |= mask
-            else:
-                vals, ok = _fd_pos(field, P, T, h, ridx)
-                dpsi[mask] = vals[mask]
-                ok_pos |= mask & ok
-    else:
-        dpsi, ok_pos = _fd_pos(field, P, T, h, ridx)
+    dphit, ok_t = _central_difference(field, P, T, ridx, h, 1, "phi_t")
+    ok_pos = analytic
+    if (~analytic & (ridx >= 0)).any():
+        fd_dpsi, ok = _central_difference(field, P, T, ridx, h, 0, "psi")
+        dpsi = np.where(analytic, dpsi, fd_dpsi)
+        ok_pos = analytic | ok
 
     valid = ok_t & ok_pos & finite
     div = np.where(valid, dpsi + dphit, 0.0)

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -139,23 +140,36 @@ def test_config_file_errors(tmp_path, capsys):
     assert code == 2
 
 
-def test_describe_emits_field_json(capsys):
-    code, out, _ = run(capsys, ["describe", "ball-harmonic", "--n", "2",
-                                "--beta", "2", "--R", "2"])
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["kind"] == "ball-harmonic"
-    assert len(doc["regions"]) == 6
+DESCRIBE_CASES = {
+    "1d": ["--m", "0.8", "--M", "1", "--beta", "3"],
+    "harmonic": ["--n", "2", "--beta", "0.5", "--R", "2"],
+    "indicator-const": ["--n", "2", "--beta", "0.3", "--gamma", "0.4"],
+    "indicator-two-piece": ["--n", "2", "--beta", "1", "--gamma", "0.4"],
+    "ball-harmonic": ["--n", "2", "--beta", "2", "--R", "2"],
+}
 
-    code, out, _ = run(capsys, ["describe", "harmonic", "--n", "2",
-                                "--beta", "0.5", "--R", "2"])
-    assert code == 0
-    assert json.loads(out)["kind"] == "harmonic"
 
+@pytest.mark.parametrize("kind", sorted(DESCRIBE_CASES))
+def test_describe_emits_field_json(kind, capsys):
+    # region names, conditions, formulas and interfaces as calx 0.1.0 printed them
+    with open(Path(__file__).with_name("describe_expected.json")) as handle:
+        expected = json.load(handle)[kind]
+    code, out, _ = run(capsys, ["describe", kind] + DESCRIBE_CASES[kind])
+    assert code == 0
+    assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+def test_describe_reports_infeasible_construction(capsys):
     code, _, err = run(capsys, ["describe", "1d", "--m", "0", "--M", "1",
                                 "--beta", "1"])
     assert code == 1
     assert err.startswith("infeasible:")
+
+    # the same wording as `check` when no gamma fits the critical-radius identity
+    code, _, err = run(capsys, ["describe", "ball-harmonic", "--n", "3",
+                                "--beta", "1", "--R", "1.5"])
+    assert code == 1
+    assert "(beta^2 - (n-1) beta / R = -0.333333 < 0)" in err
 
 
 def test_phase_diagram_regimes(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Unit tests for the grid verifier."""
 
+import dataclasses
 import json
 import math
 
@@ -9,6 +10,7 @@ from scipy import integrate
 
 from calx.calibration_fields import (
     CalibParams1D,
+    PiecewiseField,
     build_field_1d,
     build_field_ball_harmonic,
     build_field_indicator_const,
@@ -21,6 +23,7 @@ from calx.verifier import (
     calibrated_function_for,
     check_condition_a,
     check_condition_b,
+    check_divergence_and_flux,
     perturb_phi_t,
     verify_all,
 )
@@ -139,6 +142,67 @@ def test_divergence_modes_agree_on_a_smooth_field():
         report = verify_all(field, config=cfg)
         assert report.passed, (mode, report.summary_table())
         assert report.results["divflux"].meta["divergence_mode"] == mode
+
+
+def test_auto_divergence_differences_regions_without_dpsi():
+    # no builder leaves dpsi_dpos out, so drop it from one region by hand
+    field = limit_field()
+    cfg = VerifyConfig(pos_res=64, t_res=64, pair_res=64)
+
+    def without_dpsi(name):
+        return dataclasses.replace(field, regions=tuple(
+            dataclasses.replace(r, dpsi_dpos=None) if r.name == name else r
+            for r in field.regions))
+
+    intact = check_divergence_and_flux(field, cfg)
+    assert intact.status == "pass"
+    # psi is constant in pos on the graph band, so the differences are
+    # exact there; stencils that leave the band are skipped
+    flat = check_divergence_and_flux(without_dpsi("graph-band"), cfg)
+    assert flat.status == "pass"
+    assert flat.meta["n_div_skipped"] > intact.meta["n_div_skipped"]
+    # above the graph the differences carry the same error as in fd mode
+    curved = check_divergence_and_flux(without_dpsi("above-graph"), cfg)
+    fd = check_divergence_and_flux(field, dataclasses.replace(cfg, divergence_mode="fd"))
+    assert curved.n_violations == fd.n_violations > 0
+    assert curved.meta["div_worst"] == fd.meta["div_worst"]
+
+
+def test_axioms_classify_each_grid_once(monkeypatch):
+    field = ball_field()
+    cfg = VerifyConfig(pos_res=32, t_res=32, pair_res=32)
+    grid = cfg.pos_res * cfg.t_res
+    passes = []
+    sample = PiecewiseField._sample
+
+    def counting(self, pos, t, *quantities):
+        out = sample(self, pos, t, *quantities)
+        passes.append(out[0].size)
+        return out
+
+    monkeypatch.setattr(PiecewiseField, "_sample", counting)
+    # centre and both t-stencil sides; fd mode adds both pos-stencil sides
+    check_divergence_and_flux(field, cfg)
+    assert passes.count(grid) == 3
+    passes.clear()
+    check_divergence_and_flux(field, dataclasses.replace(cfg, divergence_mode="fd"))
+    assert passes.count(grid) == 5
+
+    # axiom (b) samples Psi once on the pos x pair grid: each region
+    # predicate runs once, on the whole grid
+    seen = []
+
+    def counted(region):
+        def contains(pos, t):
+            seen.append((region.name, np.size(pos)))
+            return region.contains(pos, t)
+        return dataclasses.replace(region, contains=contains)
+
+    field = dataclasses.replace(field, regions=tuple(counted(r) for r in field.regions))
+    passes.clear()
+    check_condition_b(field, 2.0, cfg)
+    assert passes == [grid]
+    assert seen == [(r.name, grid) for r in field.regions]
 
 
 def test_perturbation_is_localized_to_one_node():
