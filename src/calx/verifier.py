@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from calx.potentials import delta_robin, u_radial
+from calx.calibration_fields import radial_shell_profile
 
 _AXIOMS = ("a", "b", "graph", "divflux")
 
@@ -35,9 +34,9 @@ class VerifyConfig:
 
     ``pos_res`` and ``t_res`` control the pointwise grids, ``pair_res``
     the number of ``t`` nodes used for the pairwise axiom (b) scan.
-    ``axioms`` selects which groups run.  ``threads`` caps the worker
-    count for the pairwise axiom (b) scan, the only threaded step;
-    results are merged in grid order, so the report does not depend on it.
+    ``axioms`` selects which groups run.  ``threads`` is accepted and
+    validated for compatibility and has no effect: the axiom (b) scan
+    sorts each fibre once, and a thread pool around it does not pay.
     """
 
     pos_res: int = 128
@@ -163,24 +162,17 @@ def calibrated_function_for(field):
             gamma_sq=field.gamma_sq_term,
         )
     if kind == "ball-harmonic":
-        n = int(params["n"])
-        beta = params["beta"]
         R = params["R"]
-        dR = delta_robin(n, beta, R)
-        amp = beta * dR * R ** (n - 1)
-
-        def value(pos):
-            return u_radial(n, beta, R, pos)[0]
+        profile = radial_shell_profile(int(params["n"]), params["beta"], R)
 
         def grad(pos):
             pos = np.asarray(pos, dtype=float)
-            out = np.where((pos >= 1.0) & (pos <= R), -amp * pos ** (1 - n), 0.0)
-            return out
+            return np.where((pos >= 1.0) & (pos <= R), profile.grad_component(pos), 0.0)
 
         return CalibratedFunction(
-            value=value,
+            value=profile.value,
             grad=grad,
-            jumps=((R, 0.0, dR, -1.0),),
+            jumps=((R, 0.0, profile.m, -1.0),),
             gamma_sq=field.gamma_sq_term,
         )
     return None
@@ -211,7 +203,7 @@ def check_condition_a(field, gamma_sq_term, config=None):
             residual=float(residual[i, j]) if finite[i, j] else float("nan"),
             tol=config.tol_a,
         ))
-    worst = float(np.min(residual[finite])) if finite.any() else float("nan")
+    worst = float(np.min(residual)) if finite.all() else float("nan")
     status = "pass" if not bad.any() else "fail"
     return AxiomResult(
         axiom="a",
@@ -224,44 +216,31 @@ def check_condition_a(field, gamma_sq_term, config=None):
     )
 
 
-def _b_scan_chunk(pos_chunk, Psi_rows, tg, bound, tol, max_keep):
-    """Pairwise scan of the sampled ``Psi`` rows of one chunk of positions.
+# The sort proposes pairs and the exact pair expression decides every
+# pair whose sorted margin lies within this slack of -tol or of the worst
+# margin.  The slack is relative to the fibre scale max|Psi| + beta t_max^2
+# (plus tol); rounding moves a sorted margin by about 20 units of 2^-53 of
+# that scale at most, so 2^-46 leaves a wide safety factor.
+_B_SLACK = 2.0 ** -46
 
-    Returns ``(worst, count, kept, reduced)``.
+
+def _b_pairs(order, start, stop):
+    """Unordered pairs ``(fibre, r, c)``, ``r < c``, read off sorted rows.
+
+    Node ``i`` of fibre ``f`` pairs with ``order[f, start[f, i]:stop[f, i]]``;
+    the pair of a node with itself is dropped.
     """
 
-    worst = np.inf
-    reduced_worst = np.inf
-    count = 0
-    kept = []
-    iu = np.triu_indices(tg.size, k=1)
-    for p, vals in zip(pos_chunk, Psi_rows):
-        if not np.isfinite(vals).all():
-            count += 1
-            kept.append(Violation("b", (float(p), float("nan"), float("nan")),
-                                  float("nan"), tol))
-            continue
-        diff = np.abs(vals[None, :] - vals[:, None])
-        margin = bound - diff
-        tri = margin[iu]
-        m = float(tri.min()) if tri.size else np.inf
-        worst = min(worst, m)
-        reduced = bound[0] - np.abs(vals - vals[0])
-        reduced_worst = min(reduced_worst, float(reduced[1:].min()) if tg.size > 1 else np.inf)
-        bad = tri < -tol
-        if bad.any():
-            count += int(bad.sum())
-            ii = iu[0][bad]
-            jj = iu[1][bad]
-            order = np.argsort(tri[bad])
-            for k in order[: max_keep - len(kept)]:
-                kept.append(Violation(
-                    "b",
-                    (float(p), float(tg[ii[k]]), float(tg[jj[k]])),
-                    float(-tri[bad][k]),
-                    tol,
-                ))
-    return worst, count, kept, reduced_worst
+    counts = (stop - start).ravel()
+    cell = np.flatnonzero(counts)
+    counts = counts[cell]
+    cell = np.repeat(cell, counts)
+    step = np.arange(cell.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    f, i = np.divmod(cell, order.shape[1])
+    j = order[f, start.ravel()[cell] + step]
+    keep = i != j
+    f, i, j = f[keep], i[keep], j[keep]
+    return f, np.minimum(i, j), np.maximum(i, j)
 
 
 def check_condition_b(field, beta, config=None):
@@ -271,38 +250,108 @@ def check_condition_b(field, beta, config=None):
     directed along a fixed direction it also records the reduced margin
     ``beta s^2 - |Psi(pos, s)|`` (the ``r = 0`` slice), which is how the
     sharp cases are proved.  ``Psi`` is sampled once on the whole
-    ``pos x t`` pair grid; each fibre then scans its row.
+    ``pos x t`` pair grid.
+
+    Each fibre costs one sort instead of an ``N x N`` pair matrix.  With
+    ``a = Psi - beta t^2`` and ``b = Psi + beta t^2`` the margin of the
+    pair ``i < j`` is ``min(b_j - a_i, b_i - a_j)``, and for ``beta >= 0``
+    the two one-sided failures never happen together.  So a fibre has
+    ``sum_i #{j : b_j < a_i - tol}`` violations, counted by one
+    ``argsort`` of ``b`` and one ``searchsorted``, and its worst margin
+    pairs the smallest ``b`` with the largest ``a`` (or a runner-up when
+    both sit at the same node).  The sort only proposes pairs: every pair
+    whose sorted margin lies within a few ulps of ``max|Psi| + beta
+    t_max^2`` of ``-tol`` or of the worst margin is decided by the exact
+    expression ``beta (t_r^2 + t_c^2) - |Psi_c - Psi_r|``, which also
+    gives every recorded residual, so counts and margins are those of the
+    full pair scan bit for bit.  Each fibre records its violations worst
+    first.  A fibre with a non-finite sample counts as one violation and
+    makes the worst margin NaN.
     """
 
     config = config or VerifyConfig()
+    if beta < 0.0:
+        raise ValueError("beta must be nonnegative")
+    tol = config.tol_b
     pos = np.linspace(field.pos_range[0], field.pos_range[1], config.pos_res)
     tg = np.linspace(0.0, field.t_max, config.pair_res)
-    bound = beta * (tg[None, :] ** 2 + tg[:, None] ** 2)
+    tg2 = tg ** 2
     Psi = field.Psi(*np.meshgrid(pos, tg, indexing="ij"))
-    chunks = list(zip(np.array_split(pos, config.threads), np.array_split(Psi, config.threads)))
+    w = beta * tg2
+    scale = np.max(np.abs(Psi), axis=1) + w[-1]
+    # false for NaN and inf; the thresholds below stay within 3 scales
+    ok = scale <= np.finfo(float).max / 4.0
+    psi = Psi[ok]
+    reduced = beta * (tg2 + tg2[0]) - np.abs(psi - psi[:, :1])
+    reduced = float(np.min(reduced[:, 1:])) if psi.size else np.inf
 
-    def scan(chunk):
-        return _b_scan_chunk(*chunk, tg, bound, config.tol_b, config.max_recorded)
+    N = tg.size
+    a, b = psi - w, psi + w
+    slack = _B_SLACK * (scale[ok] + tol)
+    order = np.argsort(b, axis=1)
+    fibres = np.arange(psi.shape[0])
+    top = np.argmax(a, axis=1)
+    b1, b2 = b[fibres, order[:, 0]], b[fibres, order[:, 1]]
+    a1, a2 = a[fibres, top], np.partition(a, -2, axis=1)[:, -2]
+    lowest = np.where(top == order[:, 0], np.minimum(b2 - a1, b1 - a2), b1 - a1)
 
-    if config.threads == 1:
-        outs = [scan(chunks[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            outs = list(pool.map(scan, chunks))
-    worst = min(o[0] for o in outs)
-    count = sum(o[1] for o in outs)
+    # ranks in sorted b below a_i + offset: the worst-margin candidates,
+    # the certain violations, and the end of the band left to the exact
+    # expression
+    offsets = np.stack([lowest + 2.0 * slack, -tol - slack, -tol + slack])
+    ranks = np.empty((3,) + a.shape, dtype=np.int32)
+    for f in fibres:
+        ranks[:, f] = np.searchsorted(b[f, order[f]], a[f] + offsets[:, f, None])
+    near, sure, band_end = ranks
+
+    def exact(f, r, c):
+        return beta * (tg2[c] + tg2[r]) - np.abs(psi[f, c] - psi[f, r])
+
+    worst = np.min(exact(*_b_pairs(order, np.zeros_like(near), near)), initial=np.inf)
+
+    # both orientations of a pair can fall in the band, so merge them; a
+    # pair certain in one orientation is in neither the band nor the
+    # certain set in the other, because b >= a at every node and rounding
+    # is monotone
+    f, r, c = _b_pairs(order, sure, band_end)
+    f, r = np.divmod(np.unique((f * N + r) * N + c), N * N)
+    r, c = np.divmod(r, N)
+    bad = exact(f, r, c) < -tol
+    band_f, band_r, band_c = f[bad], r[bad], c[bad]
+
+    # per position: its violations, or one for a non-finite fibre; the
+    # recorded list follows positions in order, each fibre worst first
+    entries = np.ones(pos.size, dtype=np.int64)
+    entries[ok] = sure.sum(axis=1) + np.bincount(band_f, minlength=psi.shape[0])
+    fibre_of = np.cumsum(ok) - 1
+    band_at = np.searchsorted(band_f, np.arange(psi.shape[0] + 1))
     violations = []
-    for o in outs:
-        violations.extend(o[2])
-    violations = violations[: config.max_recorded]
-    reduced = min(o[3] for o in outs)
-    status = "pass" if count == 0 else "fail"
+    for p in np.flatnonzero(entries):
+        room = config.max_recorded - len(violations)
+        if room <= 0:
+            break
+        if not ok[p]:
+            violations.append(Violation("b", (float(pos[p]), float("nan"), float("nan")),
+                                        float("nan"), tol))
+            continue
+        f = fibre_of[p]
+        _, r, c = _b_pairs(order[f:f + 1], np.zeros_like(sure[f:f + 1]), sure[f:f + 1])
+        r = np.concatenate([r, band_r[band_at[f]:band_at[f + 1]]])
+        c = np.concatenate([c, band_c[band_at[f]:band_at[f + 1]]])
+        triu = np.argsort(r * N + c)
+        r, c = r[triu], c[triu]
+        margin = exact(f, r, c)
+        for k in np.argsort(margin)[:room]:
+            violations.append(Violation("b", (float(pos[p]), float(tg[r[k]]), float(tg[c[k]])),
+                                        float(-margin[k]), tol))
+
+    count = int(entries.sum())
     return AxiomResult(
         axiom="b",
-        status=status,
+        status="pass" if count == 0 else "fail",
         violations=violations,
         n_violations=count,
-        worst_margin=float(worst) if np.isfinite(worst) else None,
+        worst_margin=float(worst) if ok.all() else float("nan"),
         meta={"pos_res": config.pos_res, "pair_res": config.pair_res,
               "beta": float(beta),
               "reduced_margin": float(reduced) if np.isfinite(reduced) else None},

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from calx.calibration_fields import (
@@ -15,10 +17,12 @@ from calx.calibration_fields import (
     build_field_ball_harmonic,
     build_field_indicator_const,
 )
+from calx.cli import main as cli_main
 from calx.potentials import delta_robin
 from calx.verifier import (
     CalibratedFunction,
     VerificationReport,
+    Violation,
     VerifyConfig,
     calibrated_function_for,
     check_condition_a,
@@ -107,6 +111,139 @@ def test_condition_b_threads_agree():
     assert r1.status == r2.status == "pass"
     assert r1.worst_margin == r2.worst_margin
     assert r1.n_violations == r2.n_violations
+
+
+def reference_condition_b(pos, Psi, tg, beta, tol, max_recorded):
+    """Axiom (b) by the full O(N^2) pair matrix of every fibre.
+
+    Returns ``(n_violations, worst_margin, reduced_margin, violations)``;
+    a fibre with a non-finite sample counts once and makes the worst
+    margin NaN.
+    """
+
+    worst = np.inf
+    reduced_worst = np.inf
+    count = 0
+    kept = []
+    bound = beta * (tg[None, :] ** 2 + tg[:, None] ** 2)
+    iu = np.triu_indices(tg.size, k=1)
+    for p, vals in zip(pos, Psi):
+        room = max(max_recorded - len(kept), 0)
+        if not np.isfinite(vals).all():
+            count += 1
+            worst = np.nan
+            kept += [Violation("b", (float(p), float("nan"), float("nan")),
+                               float("nan"), tol)][:room]
+            continue
+        margin = bound - np.abs(vals[None, :] - vals[:, None])
+        tri = margin[iu]
+        worst = min(worst, float(tri.min()))
+        reduced = bound[0] - np.abs(vals - vals[0])
+        reduced_worst = min(reduced_worst, float(reduced[1:].min()))
+        bad = tri < -tol
+        count += int(bad.sum())
+        ii, jj = iu[0][bad], iu[1][bad]
+        for k in np.argsort(tri[bad])[:room]:
+            kept.append(Violation("b", (float(p), float(tg[ii[k]]), float(tg[jj[k]])),
+                                  float(-tri[bad][k]), tol))
+    margins = [None if np.isinf(x) else x for x in (worst, reduced_worst)]
+    return count, margins[0], margins[1], kept
+
+
+class RowsField:
+    """Stand-in field whose ``Psi`` on the pos x pair grid is a given array."""
+
+    def __init__(self, rows, t_max):
+        self.rows = rows
+        self.pos_range = (1.0, 2.0)
+        self.t_max = t_max
+
+    def Psi(self, P, T):
+        assert P.shape == self.rows.shape
+        return self.rows
+
+
+@st.composite
+def pair_scans(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    P, N = draw(st.integers(16, 20)), draw(st.integers(16, 40))
+    t_max = draw(st.sampled_from([0.5, 1.0, 3.0]))
+    beta = draw(st.sampled_from([0.0, 0.3, 1.0, 2.5]))
+    tol = draw(st.sampled_from([1e-300, 1e-9, 1e-3, 0.2]))
+    tg = np.linspace(0.0, t_max, N)
+    rows = rng.normal(scale=draw(st.sampled_from([0.01, 1.0, 30.0])), size=(P, N))
+    if draw(st.booleans()):
+        # coarse values: many tied values and tied margins
+        rows = np.round(rows * 2.0) / 2.0
+    if draw(st.booleans()):
+        rows += beta * tg ** 2 * rng.choice([-1.0, 0.0, 1.0], size=(P, 1))
+    # pairs planted a few ulps from margin -tol
+    for _ in range(draw(st.integers(0, 12))):
+        f = rng.integers(P)
+        r, c = sorted(rng.choice(N, size=2, replace=False))
+        value = rows[f, r] + (beta * (tg[c] ** 2 + tg[r] ** 2) + tol)
+        for _ in range(abs(int(rng.integers(-4, 5)))):
+            value = np.nextafter(value, np.inf if rng.integers(2) else -np.inf)
+        rows[f, c] = value
+    if draw(st.booleans()):
+        rows[rng.integers(P), rng.integers(N)] = rng.choice([np.nan, np.inf, -np.inf])
+    max_recorded = draw(st.sampled_from([1, 3, 17, 60, 10000]))
+    return rows, t_max, beta, tol, max_recorded
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair_scans())
+def test_condition_b_matches_the_full_pair_scan(scan):
+    rows, t_max, beta, tol, max_recorded = scan
+    cfg = VerifyConfig(pos_res=rows.shape[0], pair_res=rows.shape[1], tol_b=tol,
+                       max_recorded=max_recorded)
+    got = check_condition_b(RowsField(rows, t_max), beta, cfg)
+    pos = np.linspace(1.0, 2.0, rows.shape[0])
+    tg = np.linspace(0.0, t_max, rows.shape[1])
+    count, worst, reduced, kept = reference_condition_b(pos, rows, tg, beta, tol, max_recorded)
+    assert got.n_violations == count
+    assert got.status == ("pass" if count == 0 else "fail")
+    assert repr(got.worst_margin) == repr(worst)
+    assert repr(got.meta["reduced_margin"]) == repr(reduced)
+    assert [repr(v) for v in got.violations] == [repr(v) for v in kept]
+
+
+def test_condition_b_matches_the_full_pair_scan_on_a_failing_ball():
+    # criterion 8: beta below n - 1/2 breaks axiom (b) on many fibres
+    field = build_field_ball_harmonic(2, 1.3, 0.62934651086470002, 1.08,
+                                      enforce_beta=False)
+    cfg = VerifyConfig(pos_res=128, t_res=128, pair_res=128, max_recorded=20)
+    got = check_condition_b(field, 1.3, cfg)
+    pos = np.linspace(*field.pos_range, 128)
+    tg = np.linspace(0.0, field.t_max, 128)
+    Psi = field.Psi(*np.meshgrid(pos, tg, indexing="ij"))
+    count, worst, reduced, kept = reference_condition_b(pos, Psi, tg, 1.3, cfg.tol_b, 20)
+    assert got.n_violations == count == 52
+    assert got.worst_margin == worst < 0.0
+    assert got.meta["reduced_margin"] == reduced
+    assert [repr(v) for v in got.violations] == [repr(v) for v in kept]
+
+
+def test_nonfinite_samples_fail_with_a_nan_margin(capsys):
+    # R = 1e300 overflows the shell potentials on one fibre
+    with np.errstate(all="ignore"):
+        code = cli_main(["check", "ball-harmonic", "--n", "2", "--beta", "2",
+                         "--R", "1e300", "--samples", "64", "--format", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 1
+    b = doc["results"]["b"]
+    assert b["status"] == "fail" and b["n_violations"] == 1
+    assert math.isnan(b["worst_margin"])
+    assert b["violations"][0]["location"][0] == 1.0
+    for entry in doc["results"].values():
+        if entry["status"] == "fail":
+            assert not entry["worst_margin"] >= 0.0
+
+    field = limit_field()
+    bad = dataclasses.replace(field, phi_t_bump=(0.5, 0.5, np.nan, 0.01, 0.01))
+    result = check_condition_a(bad, 0.0, VerifyConfig(pos_res=64, t_res=64))
+    assert result.status == "fail" and result.n_violations > 0
+    assert math.isnan(result.worst_margin)
 
 
 def test_psi_antiderivative_matches_quadrature():
