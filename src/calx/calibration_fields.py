@@ -27,7 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from calx.potentials import (delta_robin, delta_robin_prime, gamma, rho, rho_prime,
-                             robin_bracket, robin_bracket_excess, u_radial)
+                             robin_bracket, robin_bracket_sup, u_radial)
 
 
 def _scalar_or_array(out, cast=float):
@@ -268,9 +268,9 @@ def radial_shell_profile(n, beta, R):
 
     beta = float(beta)
     R = float(R)
-    if beta <= 0.0:
+    if not beta > 0.0:
         raise ValueError("beta must be positive")
-    if R <= 1.0:
+    if not R > 1.0:
         raise ValueError("shell requires R > 1")
     dR = delta_robin(n, beta, R)
     amp = beta * dR * R ** (n - 1)
@@ -664,7 +664,7 @@ def build_field_indicator_const(n, beta, gamma_, pos_max=4.0):
     gamma_ = float(gamma_)
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    if beta <= 0.0 or gamma_ < 0.0:
+    if not beta > 0.0 or not gamma_ >= 0.0:
         raise ValueError("beta must be positive and gamma nonnegative")
     if beta > gamma_:
         raise HypothesisViolation(
@@ -757,23 +757,23 @@ def _trace_pieces(n, beta, pos_range):
     )
 
 
-def build_field_indicator_two_piece(n, beta, gamma_, pos_max=4.0,
-                                    scan_max=50.0, scan_samples=200001):
+def build_field_indicator_two_piece(n, beta, gamma_, pos_max=4.0):
     """Two-piece calibration of the unit-ball indicator.
 
     The pieces are the two regions either side of the Robin trace curve
     ``t = delta(r)`` (see :func:`_trace_pieces`).  The construction
     certifies the indicator when ``(beta^2 - (n-1) beta / r) delta(r)^2
-    <= gamma^2`` on the scanned range; the first failure raises
-    :class:`HypothesisViolation` with the worst radius attached.
+    <= gamma^2`` for every ``r >= 1``; otherwise it raises
+    :class:`HypothesisViolation` with the radius of the supremum attached.
     """
 
     n = int(n)
     beta = float(beta)
     gamma_ = float(gamma_)
-    if beta <= 0.0 or gamma_ < 0.0:
+    if not beta > 0.0 or not gamma_ >= 0.0:
         raise ValueError("beta must be positive and gamma nonnegative")
-    worst_r, worst_excess = robin_bracket_excess(n, beta, gamma_, scan_max, scan_samples)
+    worst_r, worst = robin_bracket_sup(n, beta)
+    worst_excess = worst - gamma_ ** 2
     if not worst_excess <= 0.0:
         raise HypothesisViolation(
             "monotonicity certificate fails: (beta^2 - (n-1) beta / r) delta(r)^2 "
@@ -790,8 +790,7 @@ def build_field_indicator_two_piece(n, beta, gamma_, pos_max=4.0,
         pos_range=(1.0, float(pos_max)),
         t_max=1.0,
         gamma_sq_term=gamma_ ** 2,
-        params={"n": n, "beta": beta, "gamma": gamma_, "R": 1.0,
-                "scan_max": float(scan_max)},
+        params={"n": n, "beta": beta, "gamma": gamma_, "R": 1.0},
         regions=(below, above),
         interfaces=(curve,),
     )
@@ -814,14 +813,15 @@ def build_field_ball_harmonic(n, beta, gamma_, R, enforce_beta=True, el_tol=1e-9
     beta = float(beta)
     gamma_ = float(gamma_)
     R = float(R)
-    if beta <= 0.0 or gamma_ < 0.0:
+    if not beta > 0.0 or not gamma_ >= 0.0:
         raise ValueError("beta must be positive and gamma nonnegative")
-    if R < 1.0:
+    if not R >= 1.0:
         raise ValueError("R must be at least 1")
     if R == 1.0:
         return build_field_indicator_two_piece(n, beta, gamma_)
 
-    dR = delta_robin(n, beta, R)
+    profile = radial_shell_profile(n, beta, R)
+    dR, amp, u_of = profile.m, profile.sup_grad, profile.value
     gamma_sq = gamma_ ** 2
     el_residual = gamma_sq - robin_bracket(n, beta, R)
     if abs(el_residual) > el_tol:
@@ -838,12 +838,8 @@ def build_field_ball_harmonic(n, beta, gamma_, R, enforce_beta=True, el_tol=1e-9
             details={"beta": beta, "threshold": n - 0.5},
         )
 
-    amp = beta * dR * R ** (n - 1)
     pos_max = 2.0 * R
     below, above, curve = _trace_pieces(n, beta, (R, pos_max))
-
-    def u_of(r):
-        return u_radial(n, beta, R, r)[0]
 
     def rho_of(r):
         # membership predicates evaluate this outside the shell too,
@@ -895,11 +891,7 @@ def build_field_ball_harmonic(n, beta, gamma_, R, enforce_beta=True, el_tol=1e-9
     def d_Psi(pos, t):
         pos = np.asarray(pos, dtype=float)
         uu = u_of(pos)
-        K = _K_factor(n, pos)
-        rr = rho_of(pos)
-        at_rho = -beta * dR ** 2 - 2.0 * beta * dR * (rr - dR)
-        at_graph = at_rho - 2.0 * amp * pos ** (1 - n) * (uu - rr)
-        return at_graph - K * ((1.0 - uu) ** 2 - (1.0 - t) ** 2)
+        return c_Psi(pos, uu) - _K_factor(n, pos) * ((1.0 - uu) ** 2 - (1.0 - t) ** 2)
 
     regions = (
         replace(below, name="inner-below-trace", condition="r <= R, t <= delta(R)",
@@ -927,14 +919,11 @@ def build_field_ball_harmonic(n, beta, gamma_, R, enforce_beta=True, el_tol=1e-9
     def g_rho_prime(pos):
         return rho_prime(n, beta, R, pos)
 
-    def g_u_prime(pos):
-        return -amp * np.asarray(pos, dtype=float) ** (1 - n)
-
     interfaces = [
         Interface(name="trace-level", kind="graph", pos_range=(1.0, R),
                   g=g_level, g_prime=g_level_prime, description="t = delta(R)"),
         Interface(name="graph", kind="graph", pos_range=(1.0, R),
-                  g=u_of, g_prime=g_u_prime, description="t = u(r)"),
+                  g=u_of, g_prime=profile.grad_component, description="t = u(r)"),
         Interface(name="support-sphere", kind="sphere", radius=R,
                   description="r = R"),
         replace(curve, name="outer-trace-curve"),

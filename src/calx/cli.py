@@ -12,9 +12,10 @@ Four subcommands:
 
 Exit codes: 0 when the requested computation succeeds (for ``check``:
 the field is certified), 1 when a construction is infeasible or a
-verification fails, 2 on usage errors.  Options may also be supplied
-through ``--config FILE`` (a flat JSON object keyed by option name);
-explicit flags win over the file, the file wins over defaults.
+verification fails, 2 on usage errors, a NaN or infinite number
+included.  Options may also be supplied through ``--config FILE`` (a
+flat JSON object keyed by option name); explicit flags win over the
+file, the file wins over defaults.
 """
 
 from __future__ import annotations
@@ -37,13 +38,8 @@ from calx.calibration_fields import (
     build_field_indicator_two_piece,
     radial_shell_profile,
 )
-from calx.energy import (
-    critical_radii,
-    dE_dR,
-    energy_radial_optimal,
-    indicator_monotonicity_margin,
-)
-from calx.potentials import robin_bracket
+from calx.energy import critical_radii, dE_dR, energy_radial_optimal
+from calx.potentials import robin_bracket, robin_bracket_sup
 from calx.verifier import VerificationReport, VerifyConfig, verify_all
 
 
@@ -82,9 +78,12 @@ class _Options:
         if value is None or cast is None:
             return value
         try:
-            return cast(value)
+            value = cast(value)
         except (TypeError, ValueError):
             raise _UsageError("invalid value for {}: {!r}".format(name, value))
+        if cast is float and not math.isfinite(value):
+            raise _UsageError("{} must be finite, got {!r}".format(name, value))
+        return value
 
     def require(self, name, cast=None):
         value = self.get(name, cast=cast)
@@ -98,21 +97,18 @@ def _parse_grid(spec):
     """A float or 'start:stop:count' string into a 1-D array."""
 
     text = str(spec)
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise _UsageError("grid spec must be start:stop:count, got {!r}".format(spec))
-        try:
-            start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-        except ValueError:
-            raise _UsageError("grid spec must be start:stop:count, got {!r}".format(spec))
-        if count < 1 or stop < start:
-            raise _UsageError("grid spec must be increasing with count >= 1")
-        return np.linspace(start, stop, count)
+    parts = text.split(":") if ":" in text else [text, text, "1"]
+    if len(parts) != 3:
+        raise _UsageError("grid spec must be start:stop:count, got {!r}".format(spec))
     try:
-        return np.array([float(text)])
+        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise _UsageError("grid spec must be a number or start:stop:count, got {!r}".format(spec))
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise _UsageError("grid spec must be finite, got {!r}".format(spec))
+    if count < 1 or stop < start:
+        raise _UsageError("grid spec must be increasing with count >= 1")
+    return np.linspace(start, stop, count)
 
 
 def _env_threads():
@@ -309,11 +305,11 @@ def _cmd_check(args, config):
     return 0 if certified else 1
 
 
-def _classify_cell(n, beta, gamma_, rmax):
+def _classify_cell(n, beta, gamma_, bracket_sup, rmax):
+    # bracket_sup is robin_bracket_sup(n, beta)[1]; rmax bounds only critical_radii
     if beta <= gamma_:
         return "indicator-by-beta-le-gamma"
-    margin = indicator_monotonicity_margin(n, beta, gamma_, Rmax=rmax)
-    if margin >= 0.0:
+    if gamma_ ** 2 - bracket_sup >= 0.0:
         return "indicator-by-monotonicity"
     if beta >= n - 0.5 and critical_radii(n, beta, gamma_, rmax):
         return "harmonic-certified"
@@ -336,8 +332,9 @@ def _cmd_phase_diagram(args, config):
 
     lines = ["beta,gamma,regime"]
     for beta in betas:
+        bracket_sup = robin_bracket_sup(n, float(beta))[1]
         for gamma_ in gammas:
-            regime = _classify_cell(n, float(beta), float(gamma_), rmax)
+            regime = _classify_cell(n, float(beta), float(gamma_), bracket_sup, rmax)
             lines.append(",".join((_fmt(beta), _fmt(gamma_), regime)))
     text = "\n".join(lines) + "\n"
     if out:

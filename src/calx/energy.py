@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from calx.potentials import delta_robin, gamma, robin_bracket, robin_bracket_excess
+from calx.potentials import delta_robin, gamma, robin_bracket, robin_bracket_sup
 
 __all__ = [
     "unit_ball_volume",
@@ -340,15 +340,11 @@ def critical_radii(n: int, beta: float, gamma_: float, Rmax: float,
     return deduped
 
 
-def indicator_monotonicity_margin(n: int, beta: float, gamma_: float,
-                                  Rmax: float = 10.0,
-                                  samples: int = 100_000) -> float:
-    """Infimum over a dense r-grid of gamma^2 - (beta^2 - (n-1) beta / r) delta(r)^2.
+def indicator_monotonicity_margin(n: int, beta: float, gamma_: float) -> float:
+    """Infimum over r >= 1 of gamma^2 - (beta^2 - (n-1) beta / r) delta(r)^2.
 
     A nonnegative value certifies that R -> energy_radial_optimal(R) is
-    non-decreasing on [1, Rmax], hence the indicator of the unit ball beats
-    every radial profile in the scanned range.
+    non-decreasing on [1, inf), hence the indicator of the unit ball beats
+    every radial profile (see :func:`calx.potentials.robin_bracket_sup`).
     """
-    if Rmax <= 1.0:
-        raise ValueError("Rmax must be > 1")
-    return -robin_bracket_excess(n, beta, gamma_, Rmax, samples)[1]
+    return gamma_ ** 2 - robin_bracket_sup(n, beta)[1]

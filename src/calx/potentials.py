@@ -7,6 +7,8 @@ The building blocks used everywhere else in the package:
 * ``delta_robin``  -- the optimal Robin trace on a sphere of radius R,
 * ``robin_bracket`` -- (beta^2 - (n-1) beta / r) delta(r)^2, the term the
                       critical-radius identity sets equal to gamma^2,
+* ``robin_bracket_sup`` -- its supremum over all r >= 1 and where it is
+                      reached,
 * ``u_radial``     -- the radial competitor supported on B_R,
 * ``rho``          -- the interface curve that makes the ball calibration
                       divergence-free,
@@ -19,6 +21,7 @@ branch explicitly on the dimension (n = 1, n = 2, n >= 3).
 from __future__ import annotations
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 __all__ = [
     "gamma",
@@ -26,7 +29,7 @@ __all__ = [
     "delta_robin",
     "delta_robin_prime",
     "robin_bracket",
-    "robin_bracket_excess",
+    "robin_bracket_sup",
     "u_radial",
     "rho",
     "rho_prime",
@@ -118,17 +121,32 @@ def robin_bracket(n: int, beta: float, r):
     return out if out.ndim else float(out)
 
 
-def robin_bracket_excess(n: int, beta: float, gamma_: float, rmax: float, samples: int):
-    """Largest excess of robin_bracket over gamma^2 on a uniform grid of [1, rmax].
+_SUP_NODES = 100_001  # grid nodes of the one scan behind robin_bracket_sup
 
-    Returns ``(r, excess)`` at the first grid node where the bracket
-    peaks; a nonpositive excess means the bracket stays below gamma^2 on
-    the grid.
+
+def robin_bracket_sup(n: int, beta: float) -> tuple[float, float]:
+    """Supremum of robin_bracket over all r >= 1, as ``(r, value)``.
+
+    The bracket is positive at r0 = max(1, 2(n-1)/beta), at most
+    beta^2 delta(r)^2, and delta decreases: past any r_hat with
+    beta delta(r_hat) <= sqrt(bracket(r0)) it stays below bracket(r0).
+    So [1, r_hat] is scanned on a fixed grid, and the larger of the grid
+    maximum and its refinement on the two cells around it is returned.
     """
-    grid = np.linspace(1.0, float(rmax), int(samples))
+    n = _check_dimension(n)
+    r0 = max(1.0, 2.0 * (n - 1) / beta)
+    root, r_hat = np.sqrt(robin_bracket(n, beta, r0)), 2.0 * r0
+    while beta * delta_robin(n, beta, r_hat) > root:
+        r_hat *= 2.0
+    grid = np.linspace(1.0, r_hat, _SUP_NODES)
     bracket = robin_bracket(n, beta, grid)
     k = int(np.argmax(bracket))
-    return float(grid[k]), float(bracket[k] - gamma_ ** 2)
+    cells = (grid[max(k - 1, 0)], grid[min(k + 1, _SUP_NODES - 1)])
+    res = minimize_scalar(lambda r: -robin_bracket(n, beta, r), bounds=cells,
+                          method="bounded", options={"xatol": 1e-12 * r_hat})
+    if -res.fun > bracket[k]:
+        return float(res.x), float(-res.fun)
+    return float(grid[k]), float(bracket[k])
 
 
 def u_radial(n: int, beta: float, R: float, r):

@@ -505,41 +505,33 @@ def check_divergence_and_flux(field, config=None):
         if interface.kind == "graph":
             lo, hi = interface.pos_range
             margin = 1e-4 * (hi - lo)
-            pgrid = np.linspace(lo + margin, hi - margin, config.pos_res)
-            curve = np.asarray(interface.g(pgrid), dtype=float)
+            coords = np.linspace(lo + margin, hi - margin, config.pos_res)
+            curve = np.asarray(interface.g(coords), dtype=float)
             if interface.g_prime is not None:
-                slope = np.asarray(interface.g_prime(pgrid), dtype=float)
+                slope = np.asarray(interface.g_prime(coords), dtype=float)
             else:
                 hg = 1e-6 * (hi - lo)
-                slope = (np.asarray(interface.g(pgrid + hg), dtype=float)
-                         - np.asarray(interface.g(pgrid - hg), dtype=float)) / (2.0 * hg)
-            psi_lo, phit_lo = field.evaluate(pgrid, curve - shift)
-            psi_hi, phit_hi = field.evaluate(pgrid, curve + shift)
+                slope = (np.asarray(interface.g(coords + hg), dtype=float)
+                         - np.asarray(interface.g(coords - hg), dtype=float)) / (2.0 * hg)
+            psi_lo, phit_lo = field.evaluate(coords, curve - shift)
+            psi_hi, phit_hi = field.evaluate(coords, curve + shift)
             residual = np.abs((phit_hi - phit_lo) - slope * (psi_hi - psi_lo))
-            residual = np.where(np.isfinite(residual), residual, np.inf)
-            bad_f = residual > config.tol_flux
-            flux_worst = max(flux_worst, float(np.max(residual)))
-            n_bad_flux += int(bad_f.sum())
-            for k in np.nonzero(bad_f)[0][: config.max_recorded]:
-                violations.append(Violation(
-                    "flux", (interface.name, float(pgrid[k])),
-                    float(residual[k]), config.tol_flux))
         else:
             r0 = interface.radius
             tmargin = 1e-6 * field.t_max
-            tgrid = np.linspace(tmargin, field.t_max - tmargin, config.t_res)
+            coords = np.linspace(tmargin, field.t_max - tmargin, config.t_res)
             dr = 1e-9 * max(1.0, r0)
-            psi_in = field.evaluate(np.full_like(tgrid, r0 - dr), tgrid)[0]
-            psi_out = field.evaluate(np.full_like(tgrid, r0 + dr), tgrid)[0]
+            psi_in = field.evaluate(np.full_like(coords, r0 - dr), coords)[0]
+            psi_out = field.evaluate(np.full_like(coords, r0 + dr), coords)[0]
             residual = np.abs(psi_out - psi_in)
-            residual = np.where(np.isfinite(residual), residual, np.inf)
-            bad_f = residual > config.tol_flux
-            flux_worst = max(flux_worst, float(np.max(residual)))
-            n_bad_flux += int(bad_f.sum())
-            for k in np.nonzero(bad_f)[0][: config.max_recorded]:
-                violations.append(Violation(
-                    "flux", (interface.name, float(tgrid[k])),
-                    float(residual[k]), config.tol_flux))
+        residual = np.where(np.isfinite(residual), residual, np.inf)
+        bad_f = residual > config.tol_flux
+        flux_worst = max(flux_worst, float(np.max(residual)))
+        n_bad_flux += int(bad_f.sum())
+        for k in np.nonzero(bad_f)[0][: config.max_recorded]:
+            violations.append(Violation(
+                "flux", (interface.name, float(coords[k])),
+                float(residual[k]), config.tol_flux))
 
     n_nonfinite = int((~finite).sum())
     status = "pass" if (n_bad_div == 0 and n_bad_flux == 0 and n_nonfinite == 0) else "fail"

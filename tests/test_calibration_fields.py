@@ -259,6 +259,22 @@ def test_ball_field_construction_guards():
     assert field.kind == "ball-harmonic"
 
 
+@pytest.mark.parametrize("build", [
+    lambda bad: build_field_indicator_const(2, bad, 0.4),
+    lambda bad: build_field_indicator_const(2, 0.3, bad),
+    lambda bad: build_field_indicator_two_piece(2, bad, 0.4),
+    lambda bad: build_field_indicator_two_piece(2, 1.0, bad),
+    lambda bad: build_field_ball_harmonic(2, bad, 0.4, 2.0),
+    lambda bad: build_field_ball_harmonic(2, 2.0, bad, 2.0),
+    lambda bad: build_field_ball_harmonic(2, 2.0, 0.4, bad),
+    lambda bad: radial_shell_profile(2, bad, 2.0),
+    lambda bad: radial_shell_profile(2, 0.5, bad),
+])
+def test_builders_reject_nan_parameters(build):
+    with pytest.raises(ValueError):
+        build(float("nan"))
+
+
 def test_ball_field_regions_and_jump_identity():
     gam = math.sqrt(GAMMA_EL_SQ_2_2_2)
     field = build_field_ball_harmonic(2, 2.0, gam, 2.0)

@@ -1,9 +1,13 @@
 """End-to-end tests of the command line interface."""
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from calx.cli import main
 
@@ -216,3 +220,72 @@ def test_threads_env_variable(monkeypatch, capsys):
                                 "--beta", "3"])
     assert code == 2
     assert "CALX_THREADS" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "indicator-const", "--n", "2", "--beta", "nan", "--gamma", "0.4"],
+    ["check", "indicator-two-piece", "--n", "2", "--beta", "1", "--gamma", "inf"],
+    ["check", "ball-harmonic", "--n", "2", "--beta", "2", "--R", "2", "--gamma=-inf"],
+    ["check", "harmonic", "--m", "0.8", "--M", "nan", "--beta", "3"],
+    ["energy-curve", "--n", "2", "--beta", "nan", "--gamma", "0.4"],
+    ["energy-curve", "--n", "2", "--beta", "1", "--gamma", "0.4", "--rmax", "inf"],
+    ["phase-diagram", "--n", "2", "--beta", "nan:1:3", "--gamma", "0.4"],
+    ["phase-diagram", "--n", "2", "--beta", "1", "--gamma", "0:inf:3"],
+    ["phase-diagram", "--n", "2", "--beta", "inf", "--gamma", "0.4"],
+    ["describe", "indicator-const", "--n", "2", "--beta", "0.3", "--gamma", "nan"],
+])
+def test_non_finite_numbers_are_usage_errors(argv, capsys):
+    code, out, err = run(capsys, argv + ["--samples", "16"] if argv[0] == "check" else argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "finite" in err
+
+
+def test_non_finite_config_values_are_usage_errors(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"n": 2, "beta": NaN, "gamma": 0.4}')
+    code, _, err = run(capsys, ["check", "indicator-const", "--config", str(cfg)])
+    assert code == 2 and "finite" in err
+
+
+@pytest.mark.parametrize("rmax", ["2", "100"])
+def test_phase_diagram_label_does_not_depend_on_rmax(rmax, capsys):
+    # the bracket is positive only past r = (n-1)/beta = 20: a scan of [1, rmax]
+    # sees that for rmax = 100 but not for rmax = 2 or the default 10
+    code, out, _ = run(capsys, ["phase-diagram", "--n", "3", "--beta", "0.1",
+                                "--gamma", "0", "--rmax", rmax])
+    assert code == 0
+    assert out == "beta,gamma,regime\n0.10000000000000001,0,undetermined\n"
+    code, _, _ = run(capsys, ["check", "indicator-two-piece", "--n", "3",
+                              "--beta", "0.1", "--gamma", "0", "--samples", "16"])
+    assert code == 1
+
+
+# `check` kind that reproduces each indicator label of `phase-diagram`
+_LABEL_CHECKS = {"indicator-by-beta-le-gamma": "indicator-const",
+                 "indicator-by-monotonicity": "indicator-two-piece"}
+
+
+def _main_stdout(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    return code, buf.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 4), beta=st.floats(0.02, 4.0), gamma_=st.floats(0.0, 2.0))
+def test_phase_diagram_labels_are_reproduced_by_check(n, beta, gamma_):
+    args = ["--n", str(n), "--beta", repr(beta), "--gamma", repr(gamma_)]
+    code, out = _main_stdout(["phase-diagram"] + args)
+    assert code == 0
+    label = out.splitlines()[1].split(",")[2]
+    kind = _LABEL_CHECKS.get(label, "indicator-two-piece")
+    code, out = _main_stdout(["check", kind] + args + ["--samples", "64", "--format", "json"])
+    report = json.loads(out)
+    if label in _LABEL_CHECKS:
+        assert code == 0 and report["passed"], (label, report)
+    else:
+        # beta > gamma, and the bracket exceeds gamma^2 somewhere on [1, inf)
+        assert beta > gamma_
+        assert code == 1 and report["construction_error"], (label, report)

@@ -18,6 +18,8 @@ from calx.potentials import (
     rho,
     rho_prime,
     lemma_gamma_bounds,
+    robin_bracket,
+    robin_bracket_sup,
 )
 
 GAMMA_2_AT_2 = 0.69314718055994530941723212145817656807550013436025
@@ -185,3 +187,20 @@ def test_lemma_gamma_bounds_rejects_degenerate_arguments():
         lemma_gamma_bounds(1, 2.0)
     with pytest.raises(ValueError):
         lemma_gamma_bounds(2, 1.0)
+
+
+@pytest.mark.parametrize("beta", [0.01, 0.7, 1.0, 3.0, 250.0])
+def test_robin_bracket_sup_in_one_dimension_is_at_the_unit_sphere(beta):
+    # n = 1: the bracket is beta^2 delta(r)^2 and delta decreases from 1
+    assert robin_bracket_sup(1, beta) == (1.0, beta ** 2)
+
+
+@pytest.mark.parametrize("n, beta", [(2, 1.0), (2, 0.01), (3, 0.1), (3, 1.2),
+                                     (4, 0.05), (5, 0.3), (2, 100.0)])
+def test_robin_bracket_sup_bounds_a_dense_scan_far_beyond_its_interval(n, beta):
+    r_best, value = robin_bracket_sup(n, beta)
+    assert robin_bracket(n, beta, r_best) == value
+    radii = np.geomspace(1.0, 1e7, 400_001)
+    scan = robin_bracket(n, beta, radii)
+    assert value >= scan.max()
+    assert value - scan.max() <= 1e-6 * value
