@@ -42,6 +42,10 @@ def _zero(pos, t):
     return np.zeros_like(np.asarray(t, dtype=float))
 
 
+def _zero_at(pos):
+    return np.zeros_like(np.asarray(pos, dtype=float))
+
+
 @dataclass(frozen=True)
 class Region:
     """One closed-form piece of a field.
@@ -108,7 +112,8 @@ class PiecewiseField:
     bottom to top; the first matching predicate wins.  ``params`` holds
     the defining scalars for reporting, ``gamma_sq_term`` is the
     ``gamma^2`` appearing in axiom (a) (zero for Dirichlet-type fields)
-    and ``profile`` optionally keeps the calibrated profile descriptor.
+    and ``calibrated`` is the :class:`CalibratedFunction` the builder
+    calibrates (``None`` when there is none).
     ``phi_t_bump`` supports soundness tests: a tuple
     ``(pos0, t0, amount, pos_halfwidth, t_halfwidth)`` adds ``amount``
     to ``phi_t`` inside the given box.
@@ -123,7 +128,7 @@ class PiecewiseField:
     params: dict
     regions: tuple
     interfaces: tuple = ()
-    profile: object = None
+    calibrated: Optional[CalibratedFunction] = None
     phi_t_bump: Optional[tuple] = None
 
     def _sample(self, pos, t, *quantities):
@@ -228,6 +233,30 @@ class HarmonicProfile:
     sup_grad: float
 
 
+@dataclass(frozen=True)
+class CalibratedFunction:
+    """The function a field is supposed to calibrate.
+
+    ``value`` and ``grad`` are vectorized callables of the position
+    (``grad`` is the signed component along the field direction).
+    ``jumps`` lists jump fibers as ``(pos, lo, hi, nu_sign)`` with
+    ``lo < hi`` and ``nu_sign`` the component of the jump normal along
+    the field direction.  ``gamma_sq`` is the ``gamma^2`` entering the
+    graph condition on ``phi_t`` (zero for Dirichlet-type problems).
+    """
+
+    value: Callable
+    grad: Callable
+    jumps: tuple = ()
+    gamma_sq: float = 0.0
+
+
+def _unit_ball_indicator(gamma_sq):
+    """The unit-ball indicator on ``r >= 1``: zero, with a jump up to 1 at ``r = 1``."""
+    return CalibratedFunction(value=_zero_at, grad=_zero_at,
+                              jumps=((1.0, 0.0, 1.0, -1.0),), gamma_sq=gamma_sq)
+
+
 def affine_profile(m, M):
     """Affine profile ``u(x) = m + (M - m) x`` on ``[0, 1]``."""
     m = float(m)
@@ -242,9 +271,6 @@ def affine_profile(m, M):
     def grad_component(x):
         return np.full_like(np.asarray(x, dtype=float), slope)
 
-    def grad_prime(x):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
     return HarmonicProfile(
         name="affine",
         geometry="interval",
@@ -254,7 +280,7 @@ def affine_profile(m, M):
         M=M,
         value=value,
         grad_component=grad_component,
-        grad_prime=grad_prime,
+        grad_prime=_zero_at,
         sup_grad=slope,
     )
 
@@ -299,6 +325,15 @@ def radial_shell_profile(n, beta, R):
     )
 
 
+def _jump_energy(m, M, beta0):
+    """The jump target ``delta = M / (1 + beta0)`` and ``integral_m^delta 2 (M - t) dt``.
+
+    The integral is written to stay exact for dyadic inputs.
+    """
+    delta = M / (1.0 + beta0)
+    return delta, (M - m) ** 2 - (M - delta) ** 2
+
+
 def choose_lambda(m, M, beta0):
     """Smallest feasible slope parameter for the four-band field.
 
@@ -321,11 +356,9 @@ def choose_lambda(m, M, beta0):
         raise ValueError("beta0 must be nonnegative")
     if M == 0.0:
         return 0.0
-    delta = M / (1.0 + beta0)
+    delta, integral = _jump_energy(m, M, beta0)
     if m > delta:
         return 0.0
-    # integral_m^delta 2 (M - t) dt, written to stay exact for dyadic inputs
-    integral = (M - m) ** 2 - (M - delta) ** 2
     budget = beta0 * delta ** 2
     slack = 1e-12 * max(1.0, abs(budget), abs(integral))
     if m == 0.0:
@@ -373,13 +406,13 @@ class CalibParams1D:
             raise ValueError("side condition lam m <= M - m fails")
         if self.lam * self.m > self.beta0 * self.delta + slack:
             raise ValueError("side condition lam m <= beta0 delta fails")
-        integral = (self.M - self.m) ** 2 - (self.M - self.delta) ** 2
+        integral = _jump_energy(self.m, self.M, self.beta0)[1]
         if self.m <= self.delta and integral > self.lam * self.m ** 2 + self.beta0 * self.delta ** 2 + slack:
             raise ValueError("jump-energy test fails for these parameters")
 
     @property
     def delta(self):
-        return self.M / (1.0 + self.beta0)
+        return _jump_energy(self.m, self.M, self.beta0)[0]
 
     @property
     def tau(self):
@@ -411,8 +444,7 @@ class CalibParams1D:
             beta0 = beta * (M - m) / sup_grad
         lam = choose_lambda(m, M, beta0)
         if lam is None:
-            delta = M / (1.0 + beta0)
-            integral = (M - m) ** 2 - (M - delta) ** 2
+            delta, integral = _jump_energy(m, M, beta0)
             raise HypothesisViolation(
                 "jump-energy test violated: {:g} > {:g}".format(
                     integral, beta0 * (m ** 2 + delta ** 2)),
@@ -423,7 +455,7 @@ class CalibParams1D:
         return cls(m=m, M=M, beta=beta, beta0=beta0, lam=lam)
 
 
-def _zero_field(kind, profile, params_dict, beta):
+def _zero_field(kind, profile, params_dict, calibrated):
     """Degenerate field for a constant profile: identically (0, 0)."""
 
     region = Region(
@@ -447,7 +479,7 @@ def _zero_field(kind, profile, params_dict, beta):
         params=params_dict,
         regions=(region,),
         interfaces=(),
-        profile=profile,
+        calibrated=calibrated,
     )
 
 
@@ -478,11 +510,12 @@ def _template_field(params, profile, kind):
         "delta": params.delta,
         "sup_grad": profile.sup_grad,
     }
-    if tau == 0.0:
-        return _zero_field(kind, profile, params_dict, beta)
-
     value = profile.value
     gcomp = profile.grad_component
+    calibrated = CalibratedFunction(value=value, grad=gcomp)
+    if tau == 0.0:
+        return _zero_field(kind, profile, params_dict, calibrated)
+
     gprime = profile.grad_prime
 
     def w_of(pos):
@@ -574,12 +607,9 @@ def _template_field(params, profile, kind):
         def g_data(pos):
             return np.full_like(np.asarray(pos, dtype=float), m)
 
-        def g_data_prime(pos):
-            return np.zeros_like(np.asarray(pos, dtype=float))
-
         interfaces.append(Interface(
             name="data-level", kind="graph", pos_range=profile.pos_range,
-            g=g_data, g_prime=g_data_prime, description="t = m"))
+            g=g_data, g_prime=_zero_at, description="t = m"))
     if sigma > 0.0:
         def g_sigma(pos):
             return m + sigma * w_of(pos)
@@ -608,7 +638,7 @@ def _template_field(params, profile, kind):
         params=params_dict,
         regions=regions,
         interfaces=tuple(interfaces),
-        profile=profile,
+        calibrated=calibrated,
     )
 
 
@@ -696,6 +726,7 @@ def build_field_indicator_const(n, beta, gamma_, pos_max=4.0):
         params={"n": n, "beta": beta, "gamma": gamma_, "R": 1.0},
         regions=(region,),
         interfaces=(),
+        calibrated=_unit_ball_indicator(gamma_ ** 2),
     )
 
 
@@ -793,6 +824,7 @@ def build_field_indicator_two_piece(n, beta, gamma_, pos_max=4.0):
         params={"n": n, "beta": beta, "gamma": gamma_, "R": 1.0},
         regions=(below, above),
         interfaces=(curve,),
+        calibrated=_unit_ball_indicator(gamma_ ** 2),
     )
 
 
@@ -913,15 +945,16 @@ def build_field_ball_harmonic(n, beta, gamma_, R, enforce_beta=True, el_tol=1e-9
     def g_level(pos):
         return np.full_like(np.asarray(pos, dtype=float), dR)
 
-    def g_level_prime(pos):
-        return np.zeros_like(np.asarray(pos, dtype=float))
+    def shell_grad(pos):
+        pos = np.asarray(pos, dtype=float)
+        return np.where((pos >= 1.0) & (pos <= R), profile.grad_component(pos), 0.0)
 
     def g_rho_prime(pos):
         return rho_prime(n, beta, R, pos)
 
     interfaces = [
         Interface(name="trace-level", kind="graph", pos_range=(1.0, R),
-                  g=g_level, g_prime=g_level_prime, description="t = delta(R)"),
+                  g=g_level, g_prime=_zero_at, description="t = delta(R)"),
         Interface(name="graph", kind="graph", pos_range=(1.0, R),
                   g=u_of, g_prime=profile.grad_component, description="t = u(r)"),
         Interface(name="support-sphere", kind="sphere", radius=R,
@@ -944,4 +977,6 @@ def build_field_ball_harmonic(n, beta, gamma_, R, enforce_beta=True, el_tol=1e-9
                 "delta_R": dR, "beta_threshold": n - 0.5},
         regions=regions,
         interfaces=tuple(interfaces),
+        calibrated=CalibratedFunction(value=u_of, grad=shell_grad, jumps=((R, 0.0, dR, -1.0),),
+                                      gamma_sq=gamma_sq),
     )

@@ -12,10 +12,11 @@ Four subcommands:
 
 Exit codes: 0 when the requested computation succeeds (for ``check``:
 the field is certified), 1 when a construction is infeasible or a
-verification fails, 2 on usage errors, a NaN or infinite number
-included.  Options may also be supplied through ``--config FILE`` (a
-flat JSON object keyed by option name); explicit flags win over the
-file, the file wins over defaults.
+verification fails, 2 on usage errors: a NaN or infinite number, an
+out-of-range dimension, or a number that overflows a float.  Options
+may also be supplied through ``--config FILE`` (a flat JSON object
+keyed by option name); explicit flags win over the file, the file wins
+over defaults.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from calx.potentials import robin_bracket, robin_bracket_sup
 from calx.verifier import VerificationReport, VerifyConfig, verify_all
 
 
-class _UsageError(Exception):
+class _UsageError(ValueError):
     pass
 
 
@@ -200,10 +201,7 @@ def _verify_config_from(opt):
     mode = opt.get("divergence_mode")
     if mode is not None:
         kwargs["divergence_mode"] = mode
-    try:
-        return VerifyConfig(**kwargs)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
+    return VerifyConfig(**kwargs)
 
 
 def _affine_field(opt, notes):
@@ -214,7 +212,11 @@ def _affine_field(opt, notes):
 
 
 def _radial_args(opt):
-    return opt.require("n", int), opt.require("beta", float), opt.require("R", float)
+    n, beta, R = opt.require("n", int), opt.require("beta", float), opt.require("R", float)
+    # the shell potentials scale with R^(n-1): a radius whose power leaves the
+    # float range raises OverflowError here, before numpy warns about it
+    R ** (n - 1)
+    return n, beta, R
 
 
 def _radial_shell_field(opt, notes):
@@ -286,8 +288,6 @@ def _cmd_check(args, config):
         else:
             sys.stdout.write(report.summary_table() + "\n")
         return 1
-    except ValueError as exc:
-        raise _UsageError(str(exc))
 
     report = verify_all(field, config=vconfig)
     certified = report.passed and not any(n.startswith("note:") for n in notes)
@@ -350,8 +350,6 @@ def _cmd_describe(args, config):
     except HypothesisViolation as exc:
         sys.stderr.write("infeasible: {}\n".format(exc))
         return 1
-    except ValueError as exc:
-        raise _UsageError(str(exc))
     sys.stdout.write(json.dumps(field.to_description(), indent=2, sort_keys=True) + "\n")
     return 0
 
@@ -421,11 +419,13 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _load_config(args.config)
-        return args.handler(args, config)
-    except _UsageError as exc:
-        sys.stderr.write("error: {}\n".format(exc))
-        return 2
+        return args.handler(args, _load_config(args.config))
+    except OverflowError as exc:
+        error = "number out of range ({})".format(exc)
+    except ValueError as exc:
+        error = exc
+    sys.stderr.write("error: {}\n".format(error))
+    return 2
 
 
 if __name__ == "__main__":

@@ -2,16 +2,17 @@
 
 Every check works on deterministic tensor grids over
 ``pos_range x [0, t_max]`` and reports signed margins: a positive worst
-margin means the axiom holds with room to spare on the sampled points,
-a violation is recorded whenever the margin drops below the negated
-tolerance.  Divergence is checked region by region.  Regions that carry
-an analytic spatial derivative of ``phi_x`` use it by default because
-several constructions contain factors like ``1/(r^(n-1) Gamma(r))``
-whose finite differences are hopeless near ``r = 1``; pass
-``divergence_mode='fd'`` to force finite differences everywhere.  The
-time derivative of ``phi_t`` is always a central difference, which is
-exact here since every region is polynomial of degree at most two
-in ``t``.
+margin means the axiom holds with room to spare on the sampled points.
+Every pointwise check follows one verdict rule: a sample violates unless
+its margin is finite and at least its floor, and any NaN or infinite
+margin makes the worst margin NaN.  Divergence is checked region by
+region.  Regions that carry an analytic spatial derivative of ``phi_x``
+use it by default because several constructions contain factors like
+``1/(r^(n-1) Gamma(r))`` whose finite differences are hopeless near
+``r = 1``; pass ``divergence_mode='fd'`` to force finite differences
+everywhere.  The time derivative of ``phi_t`` is always a central
+difference, which is exact here since every region is polynomial of
+degree at most two in ``t``.
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from calx.calibration_fields import radial_shell_profile
+from calx.calibration_fields import CalibratedFunction  # noqa: F401  (re-exported)
 
 _AXIOMS = ("a", "b", "graph", "divflux")
 
@@ -112,76 +113,52 @@ class AxiomResult:
         }
 
 
-@dataclass(frozen=True)
-class CalibratedFunction:
-    """The function a field is supposed to calibrate.
-
-    ``value`` and ``grad`` are vectorized callables of the position
-    (``grad`` is the signed component along the field direction).
-    ``jumps`` lists jump fibers as ``(pos, lo, hi, nu_sign)`` with
-    ``lo < hi`` and ``nu_sign`` the component of the jump normal along
-    the field direction.  ``gamma_sq`` is the ``gamma^2`` entering the
-    graph condition on ``phi_t`` (zero for Dirichlet-type problems).
-    """
-
-    value: Callable
-    grad: Callable
-    jumps: tuple = ()
-    gamma_sq: float = 0.0
-
-
-def calibrated_function_for(field):
-    """Canonical calibrated function for fields built by this package.
-
-    Returns ``None`` when the field kind carries no canonical profile.
-    """
-
-    kind = field.kind
-    params = field.params
-    if kind in ("1d", "harmonic"):
-        profile = field.profile
-        if profile is None:
-            return None
-        return CalibratedFunction(
-            value=profile.value,
-            grad=profile.grad_component,
-            jumps=(),
-            gamma_sq=0.0,
-        )
-    if kind in ("indicator-const", "indicator-two-piece"):
-        def value(pos):
-            return np.zeros_like(np.asarray(pos, dtype=float))
-
-        def grad(pos):
-            return np.zeros_like(np.asarray(pos, dtype=float))
-
-        return CalibratedFunction(
-            value=value,
-            grad=grad,
-            jumps=((1.0, 0.0, 1.0, -1.0),),
-            gamma_sq=field.gamma_sq_term,
-        )
-    if kind == "ball-harmonic":
-        R = params["R"]
-        profile = radial_shell_profile(int(params["n"]), params["beta"], R)
-
-        def grad(pos):
-            pos = np.asarray(pos, dtype=float)
-            return np.where((pos >= 1.0) & (pos <= R), profile.grad_component(pos), 0.0)
-
-        return CalibratedFunction(
-            value=profile.value,
-            grad=grad,
-            jumps=((R, 0.0, profile.m, -1.0),),
-            gamma_sq=field.gamma_sq_term,
-        )
-    return None
-
-
 def _grids(field, config):
     pos = np.linspace(field.pos_range[0], field.pos_range[1], config.pos_res)
     t = np.linspace(0.0, field.t_max, config.t_res)
     return pos, t
+
+
+def _tally(axiom, margin, locations, tol, config, residual=None, floor=0.0):
+    """The verdict rule of every pointwise check: ``(count, worst, recorded)``.
+
+    A sample violates unless its margin is finite and ``margin >= floor``,
+    so NaN and both infinities violate.  ``worst`` is the least margin,
+    NaN when any margin is not finite, and ``floor + tol`` (the margin of
+    a zero residual) when there are no samples.  The first
+    ``config.max_recorded`` violations in C order are recorded at
+    ``locations`` (arrays shaped like ``margin``) with their ``residual``
+    (default: the margin), NaN where the margin is not finite.
+    """
+
+    margin = np.ravel(margin)
+    residual = margin if residual is None else np.ravel(residual)
+    locations = [np.ravel(loc) for loc in locations]
+    finite = np.isfinite(margin)
+    bad = np.flatnonzero(~(finite & (margin >= floor)))
+    recorded = [Violation(axiom, tuple(loc[k].item() for loc in locations),
+                          float(residual[k]) if finite[k] else float("nan"), tol)
+                for k in bad[: config.max_recorded]]
+    if not finite.all():
+        worst = float("nan")
+    else:
+        worst = float(np.min(margin)) if margin.size else floor + tol
+    return bad.size, worst, recorded
+
+
+def _result(axiom, tallies, config, meta):
+    """An axiom group from the tallies of its parts, recorded in part order."""
+
+    count = sum(tally[0] for tally in tallies)
+    recorded = [v for tally in tallies for v in tally[2]]
+    return AxiomResult(
+        axiom=axiom,
+        status="pass" if count == 0 else "fail",
+        violations=recorded[: config.max_recorded],
+        n_violations=count,
+        worst_margin=float(np.min([tally[1] for tally in tallies])),
+        meta=meta,
+    )
 
 
 def check_condition_a(field, gamma_sq_term, config=None):
@@ -192,28 +169,10 @@ def check_condition_a(field, gamma_sq_term, config=None):
     P, T = np.meshgrid(pos, t, indexing="ij")
     psi, phit = field.evaluate(P, T)
     residual = phit - 0.25 * psi ** 2 + gamma_sq_term * (T > 0.0)
-    finite = np.isfinite(residual)
-    bad = (~finite) | (residual < -config.tol_a)
-    violations = []
-    idx = np.argwhere(bad)
-    for i, j in idx[: config.max_recorded]:
-        violations.append(Violation(
-            axiom="a",
-            location=(float(P[i, j]), float(T[i, j])),
-            residual=float(residual[i, j]) if finite[i, j] else float("nan"),
-            tol=config.tol_a,
-        ))
-    worst = float(np.min(residual)) if finite.all() else float("nan")
-    status = "pass" if not bad.any() else "fail"
-    return AxiomResult(
-        axiom="a",
-        status=status,
-        violations=violations,
-        n_violations=int(bad.sum()),
-        worst_margin=worst,
-        meta={"pos_res": config.pos_res, "t_res": config.t_res,
-              "gamma_sq_term": float(gamma_sq_term)},
-    )
+    tally = _tally("a", residual, (P, T), config.tol_a, config, floor=-config.tol_a)
+    return _result("a", [tally], config,
+                   {"pos_res": config.pos_res, "t_res": config.t_res,
+                    "gamma_sq_term": float(gamma_sq_term)})
 
 
 # The sort proposes pairs and the exact pair expression decides every
@@ -385,47 +344,25 @@ def check_graph_conditions(field, calibrated, config=None):
     u = np.asarray(calibrated.value(pos), dtype=float)
     g = np.asarray(calibrated.grad(pos), dtype=float)
     psi, phit = field.evaluate(pos, u)
-    res_x = psi - 2.0 * g
-    res_t = phit - (g ** 2 - gamma_sq * (u > 0.0))
-    bad = (np.abs(res_x) > config.tol_graph) | (np.abs(res_t) > config.tol_graph)
-    bad |= ~np.isfinite(res_x) | ~np.isfinite(res_t)
-    violations = []
-    for k in np.nonzero(bad)[0][: config.max_recorded]:
-        residual = max(abs(float(res_x[k])), abs(float(res_t[k])))
-        violations.append(Violation("a_prime", (float(pos[k]), float(u[k])),
-                                    residual, config.tol_graph))
-    margin_x = float(np.max(np.abs(res_x))) if res_x.size else 0.0
-    margin_t = float(np.max(np.abs(res_t))) if res_t.size else 0.0
-    a_prime = AxiomResult(
-        axiom="a_prime",
-        status="pass" if not bad.any() else "fail",
-        violations=violations,
-        n_violations=int(bad.sum()),
-        worst_margin=config.tol_graph - max(margin_x, margin_t),
-        meta={"max_phi_x_residual": margin_x, "max_phi_t_residual": margin_t,
-              "samples": int(pos.size)},
-    )
+    res_x = np.abs(psi - 2.0 * g)
+    res_t = np.abs(phit - (g ** 2 - gamma_sq * (u > 0.0)))
+    residual = np.maximum(res_x, res_t)
+    tol = config.tol_graph
+    a_prime = _result(
+        "a_prime", [_tally("a_prime", tol - residual, (pos, u), tol, config, residual)], config,
+        {"max_phi_x_residual": float(np.max(res_x, initial=0.0)),
+         "max_phi_t_residual": float(np.max(res_t, initial=0.0)),
+         "samples": int(pos.size)})
 
-    jump_violations = []
-    worst_jump = 0.0
-    for jpos, lo, hi, nu in calibrated.jumps:
-        dPsi = float(field.Psi(jpos, hi)) - float(field.Psi(jpos, lo))
-        target = beta * (lo ** 2 + hi ** 2) * nu
-        residual = abs(dPsi - target)
-        worst_jump = max(worst_jump, residual)
-        if residual > config.tol_graph or not np.isfinite(residual):
-            jump_violations.append(Violation(
-                "b_prime", (float(jpos), float(lo), float(hi)), residual,
-                config.tol_graph))
-    b_prime = AxiomResult(
-        axiom="b_prime",
-        status="pass" if not jump_violations else "fail",
-        violations=jump_violations,
-        n_violations=len(jump_violations),
-        worst_margin=config.tol_graph - worst_jump,
-        meta={"n_jumps": len(calibrated.jumps),
-              "max_jump_residual": worst_jump},
-    )
+    # one scalar residual per jump fibre, from the fibre's numbers as given
+    residual = np.array([abs(float(field.Psi(jpos, hi)) - float(field.Psi(jpos, lo))
+                             - beta * (lo ** 2 + hi ** 2) * nu)
+                         for jpos, lo, hi, nu in calibrated.jumps])
+    jumps = np.array(calibrated.jumps, dtype=float).reshape(-1, 4)
+    b_prime = _result(
+        "b_prime", [_tally("b_prime", tol - residual, jumps.T[:3], tol, config, residual)], config,
+        {"n_jumps": len(calibrated.jumps),
+         "max_jump_residual": float(np.max(residual, initial=0.0))})
     return a_prime, b_prime
 
 
@@ -470,14 +407,13 @@ def check_divergence_and_flux(field, config=None):
         ridx, psi, phit = field._sample(P, T, "psi", "phi_t")
         dpsi, analytic = np.full(P.shape, np.nan), np.zeros(P.shape, dtype=bool)
 
-    violations = []
     finite = np.isfinite(psi) & np.isfinite(phit)
-    for i, j in np.argwhere(~finite)[: config.max_recorded]:
-        violations.append(Violation(
-            "bounded", (float(P[i, j]), float(T[i, j])), float("nan"),
-            config.tol_div))
     max_phi_x = float(np.max(np.abs(psi[finite]))) if finite.any() else float("nan")
     max_phi_t = float(np.max(np.abs(phit[finite]))) if finite.any() else float("nan")
+    # boundedness has no graded margin: a finite sample scores the full
+    # tolerance, which no divergence margin exceeds
+    bounded = _tally("bounded", np.where(finite, config.tol_div, np.nan), (P, T),
+                     config.tol_div, config)
 
     dphit, ok_t = _central_difference(field, P, T, ridx, h, 1, "phi_t")
     ok_pos = analytic
@@ -486,71 +422,55 @@ def check_divergence_and_flux(field, config=None):
         dpsi = np.where(analytic, dpsi, fd_dpsi)
         ok_pos = analytic | ok
 
+    # a skipped point scores divergence 0: margin tol_div, which no checked point exceeds
     valid = ok_t & ok_pos & finite
     div = np.where(valid, dpsi + dphit, 0.0)
     if field.geometry == "radial":
         div = np.where(valid, div + (field.n - 1) * psi / P, 0.0)
-    bad = valid & (np.abs(div) > config.tol_div)
-    div_worst = float(np.max(np.abs(div[valid]))) if valid.any() else 0.0
-    for i, j in np.argwhere(bad)[: config.max_recorded]:
-        violations.append(Violation(
-            "div", (float(P[i, j]), float(T[i, j])), float(abs(div[i, j])),
-            config.tol_div))
-    n_bad_div = int(bad.sum())
+    div = np.abs(div)
+    div_tally = _tally("div", config.tol_div - div, (P, T), config.tol_div, config, div)
 
-    flux_worst = 0.0
-    n_bad_flux = 0
+    names, coords, flux = [], [np.zeros(0)], [np.zeros(0)]
     shift = 1e-9 * max(1.0, field.t_max)
     for interface in field.interfaces:
         if interface.kind == "graph":
             lo, hi = interface.pos_range
             margin = 1e-4 * (hi - lo)
-            coords = np.linspace(lo + margin, hi - margin, config.pos_res)
-            curve = np.asarray(interface.g(coords), dtype=float)
+            at = np.linspace(lo + margin, hi - margin, config.pos_res)
+            curve = np.asarray(interface.g(at), dtype=float)
             if interface.g_prime is not None:
-                slope = np.asarray(interface.g_prime(coords), dtype=float)
+                slope = np.asarray(interface.g_prime(at), dtype=float)
             else:
                 hg = 1e-6 * (hi - lo)
-                slope = (np.asarray(interface.g(coords + hg), dtype=float)
-                         - np.asarray(interface.g(coords - hg), dtype=float)) / (2.0 * hg)
-            psi_lo, phit_lo = field.evaluate(coords, curve - shift)
-            psi_hi, phit_hi = field.evaluate(coords, curve + shift)
-            residual = np.abs((phit_hi - phit_lo) - slope * (psi_hi - psi_lo))
+                slope = (np.asarray(interface.g(at + hg), dtype=float)
+                         - np.asarray(interface.g(at - hg), dtype=float)) / (2.0 * hg)
+            psi_lo, phit_lo = field.evaluate(at, curve - shift)
+            psi_hi, phit_hi = field.evaluate(at, curve + shift)
+            flux.append(np.abs((phit_hi - phit_lo) - slope * (psi_hi - psi_lo)))
         else:
             r0 = interface.radius
             tmargin = 1e-6 * field.t_max
-            coords = np.linspace(tmargin, field.t_max - tmargin, config.t_res)
+            at = np.linspace(tmargin, field.t_max - tmargin, config.t_res)
             dr = 1e-9 * max(1.0, r0)
-            psi_in = field.evaluate(np.full_like(coords, r0 - dr), coords)[0]
-            psi_out = field.evaluate(np.full_like(coords, r0 + dr), coords)[0]
-            residual = np.abs(psi_out - psi_in)
-        residual = np.where(np.isfinite(residual), residual, np.inf)
-        bad_f = residual > config.tol_flux
-        flux_worst = max(flux_worst, float(np.max(residual)))
-        n_bad_flux += int(bad_f.sum())
-        for k in np.nonzero(bad_f)[0][: config.max_recorded]:
-            violations.append(Violation(
-                "flux", (interface.name, float(coords[k])),
-                float(residual[k]), config.tol_flux))
+            psi_in = field.evaluate(np.full_like(at, r0 - dr), at)[0]
+            psi_out = field.evaluate(np.full_like(at, r0 + dr), at)[0]
+            flux.append(np.abs(psi_out - psi_in))
+        names += [interface.name] * at.size
+        coords.append(at)
+    flux = np.concatenate(flux)
+    flux_tally = _tally("flux", config.tol_flux - flux, (np.array(names, dtype=str),
+                                                         np.concatenate(coords)),
+                        config.tol_flux, config, flux)
 
-    n_nonfinite = int((~finite).sum())
-    status = "pass" if (n_bad_div == 0 and n_bad_flux == 0 and n_nonfinite == 0) else "fail"
-    return AxiomResult(
-        axiom="divflux",
-        status=status,
-        violations=violations[: config.max_recorded],
-        n_violations=n_bad_div + n_bad_flux + n_nonfinite,
-        worst_margin=min(config.tol_div - div_worst, config.tol_flux - flux_worst),
-        meta={
-            "divergence_mode": config.divergence_mode,
-            "div_worst": div_worst,
-            "flux_worst": flux_worst,
-            "n_div_checked": int(valid.sum()),
-            "n_div_skipped": int((~valid).sum()),
-            "max_abs_phi_x": max_phi_x,
-            "max_abs_phi_t": max_phi_t,
-        },
-    )
+    return _result("divflux", [bounded, div_tally, flux_tally], config, {
+        "divergence_mode": config.divergence_mode,
+        "div_worst": float(np.max(div)),
+        "flux_worst": float(np.max(flux, initial=0.0)),
+        "n_div_checked": int(valid.sum()),
+        "n_div_skipped": int((~valid).sum()),
+        "max_abs_phi_x": max_phi_x,
+        "max_abs_phi_t": max_phi_t,
+    })
 
 
 @dataclass
@@ -615,8 +535,8 @@ class VerificationReport:
 def verify_all(field, calibrated=None, config=None):
     """Run every selected axiom group and aggregate the outcome.
 
-    ``calibrated`` defaults to the canonical calibrated function of the
-    field kind; pass one explicitly to check a different minimizer
+    ``calibrated`` defaults to ``field.calibrated``, the function the
+    field's builder calibrates; pass one explicitly to check a different minimizer
     against the same field.  Graph checks are skipped when no
     calibrated function is available.
     """
@@ -628,18 +548,14 @@ def verify_all(field, calibrated=None, config=None):
     if "b" in config.axioms:
         results["b"] = check_condition_b(field, float(field.params["beta"]), config)
     if "graph" in config.axioms:
+        calibrated = calibrated or field.calibrated
         if calibrated is None:
-            calibrated = calibrated_function_for(field)
-        if calibrated is None:
-            skipped = AxiomResult("a_prime", "skipped", [], 0, None,
-                                  {"reason": "no calibrated function"})
-            results["a_prime"] = skipped
-            results["b_prime"] = AxiomResult("b_prime", "skipped", [], 0, None,
-                                             {"reason": "no calibrated function"})
+            for key in ("a_prime", "b_prime"):
+                results[key] = AxiomResult(key, "skipped", [], 0, None,
+                                           {"reason": "no calibrated function"})
         else:
-            a_prime, b_prime = check_graph_conditions(field, calibrated, config)
-            results["a_prime"] = a_prime
-            results["b_prime"] = b_prime
+            results["a_prime"], results["b_prime"] = check_graph_conditions(
+                field, calibrated, config)
     if "divflux" in config.axioms:
         results["divflux"] = check_divergence_and_flux(field, config)
     grid_meta = {

@@ -135,7 +135,7 @@ def test_field_1d_band_membership_and_values():
 def test_field_1d_graph_lands_in_the_saturating_band():
     field = build_field_1d(limit_params())
     names = field.region_names()
-    u = field.profile.value
+    u = field.calibrated.value
     for pos in (0.0, 0.25, 0.5, 0.99, 1.0):
         assert names[field.region_index(pos, u(pos))] == "graph-band"
         psi, phi_t = field.evaluate(pos, u(pos))

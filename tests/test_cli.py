@@ -241,6 +241,23 @@ def test_non_finite_numbers_are_usage_errors(argv, capsys):
     assert err.startswith("error:") and "finite" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "ball-harmonic", "--n", "3", "--beta", "3", "--R", "1e200", "--samples", "16"],
+    ["describe", "ball-harmonic", "--n", "3", "--beta", "3", "--R", "1e200"],
+    ["check", "indicator-two-piece", "--n", "2", "--beta", "1e308", "--gamma", "0.5",
+     "--samples", "16"],
+    ["phase-diagram", "--n", "2", "--beta", "1e200", "--gamma", "0.5"],
+    ["phase-diagram", "--n", "0", "--beta", "1", "--gamma", "0.5"],
+    ["energy-curve", "--n", "0", "--beta", "1", "--gamma", "0.5"],
+    ["energy-curve", "--n", "11", "--beta", "1", "--gamma", "0.5"],
+])
+def test_out_of_range_dimensions_and_overflowing_numbers_are_usage_errors(argv, capsys):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_non_finite_config_values_are_usage_errors(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"n": 2, "beta": NaN, "gamma": 0.4}')

@@ -24,7 +24,6 @@ from calx.verifier import (
     VerificationReport,
     Violation,
     VerifyConfig,
-    calibrated_function_for,
     check_condition_a,
     check_condition_b,
     check_divergence_and_flux,
@@ -60,20 +59,20 @@ def test_config_validation():
 
 def test_calibrated_function_for_each_kind():
     field = limit_field()
-    cal = calibrated_function_for(field)
+    cal = field.calibrated
     assert cal.jumps == ()
     assert cal.gamma_sq == 0.0
     assert cal.value(0.4) == pytest.approx(0.55)
     assert cal.grad(0.4) == pytest.approx(0.75)
 
     field = build_field_indicator_const(2, 0.3, 0.4)
-    cal = calibrated_function_for(field)
+    cal = field.calibrated
     assert cal.jumps == ((1.0, 0.0, 1.0, -1.0),)
     assert cal.gamma_sq == pytest.approx(0.16)
     assert cal.value(2.0) == 0.0
 
     field = ball_field()
-    cal = calibrated_function_for(field)
+    cal = field.calibrated
     dR = delta_robin(2, 2.0, 2.0)
     assert len(cal.jumps) == 1
     jpos, lo, hi, nu = cal.jumps[0]
@@ -244,6 +243,34 @@ def test_nonfinite_samples_fail_with_a_nan_margin(capsys):
     result = check_condition_a(bad, 0.0, VerifyConfig(pos_res=64, t_res=64))
     assert result.status == "fail" and result.n_violations > 0
     assert math.isnan(result.worst_margin)
+
+
+@pytest.mark.parametrize("case, axiom, part", [
+    ("NaN at a grid node", "divflux", "bounded"),
+    ("NaN at a stencil point only", "divflux", "div"),
+    ("NaN jump end", "b_prime", "b_prime"),
+    ("+inf at a grid node", "a", "a"),
+])
+def test_nonfinite_divergence_and_jump_samples_fail_with_a_nan_margin(case, axiom, part):
+    field = build_field_indicator_const(2, 0.3, 0.4)
+    cfg = VerifyConfig(pos_res=32, t_res=32, pair_res=32)
+    pos = np.linspace(*field.pos_range, 32)
+    t = np.linspace(0.0, field.t_max, 32)
+    calibrated = None
+    if case == "NaN jump end":
+        calibrated = dataclasses.replace(field.calibrated, jumps=((1.0, 0.0, np.nan, -1.0),))
+    else:
+        # phi_t is bumped at one grid node, or only where the t stencil of that node reads
+        t0 = t[7] + (cfg.fd_step if case == "NaN at a stencil point only" else 0.0)
+        amount = np.inf if case.startswith("+inf") else np.nan
+        field = perturb_phi_t(field, pos[5], t0, amount, 1e-6, 1e-6)
+    report = verify_all(field, calibrated, cfg)
+    result = report.results[axiom]
+    assert result.status == "fail" and result.n_violations == 1
+    assert math.isnan(result.worst_margin)
+    assert result.violations[0].axiom == part
+    assert math.isnan(result.violations[0].residual)
+    assert report.passed is False
 
 
 def test_psi_antiderivative_matches_quadrature():
