@@ -26,7 +26,7 @@ for R in Rs:
         energy_radial_optimal(n, beta, 0.34, R)))
 
 for gamma_ in (0.40, 0.34):
-    roots = critical_radii(n, beta, gamma_, 10.0)
+    roots = critical_radii(n, beta, gamma_)
     margin = indicator_monotonicity_margin(n, beta, gamma_)
     print()
     print("gamma = {}: critical radii {}".format(gamma_, roots))
@@ -35,7 +35,7 @@ for gamma_ in (0.40, 0.34):
 
 # The dip at gamma = 0.34 sits between the two roots; sample dE/dR to
 # see the sign pattern +,-,+ along the curve.
-roots = critical_radii(n, beta, 0.34, 10.0)
+roots = critical_radii(n, beta, 0.34)
 probes = [1.05, 0.5 * (roots[0] + roots[1]), 2.5]
 print()
 print("sign of dE/dR at gamma = 0.34:")

@@ -42,7 +42,7 @@ except HypothesisViolation as exc:
     print("  refused: {}".format(exc))
     print("  violating radius: {:.6f}".format(exc.location))
 
-roots = critical_radii(2, 1.0, 0.34, 10.0)
+roots = critical_radii(2, 1.0, 0.34)
 indicator = energy_radial_optimal(2, 1.0, 0.34, 1.0)
 dip = float(energy_radial_optimal(2, 1.0, 0.34, roots[1]))
 print("  indicator energy {:.6f} vs interior dip {:.6f} at "

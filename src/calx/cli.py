@@ -86,11 +86,19 @@ class _Options:
             raise _UsageError("{} must be finite, got {!r}".format(name, value))
         return value
 
-    def require(self, name, cast=None):
+    def require(self, name, cast=None, power=1):
+        """The option's value.  A float whose ``power`` overflows is a usage
+        error, raised here before numpy warns about the overflow."""
         value = self.get(name, cast=cast)
         if value is None:
             raise _UsageError("missing required option --{}".format(
                 name.replace("_", "-")))
+        if cast is float:
+            try:
+                value ** power
+            except (OverflowError, ZeroDivisionError):  # 0 ** -k is infinite too
+                raise _UsageError("--{} {!r} is out of range: {}^{} overflows a float".format(
+                    name, value, name, power))
         return value
 
 
@@ -149,7 +157,7 @@ def _cmd_energy_curve(args, config):
     Rs = np.linspace(1.0, rmax, samples)
     Es = np.asarray(energy_radial_optimal(n, beta, gamma_, Rs))
     Ds = np.asarray(dE_dR(n, beta, gamma_, Rs))
-    crit = critical_radii(n, beta, gamma_, rmax)
+    crit = critical_radii(n, beta, gamma_)
     best = int(np.argmin(Es))
     meta = {
         "n": n,
@@ -212,11 +220,10 @@ def _affine_field(opt, notes):
 
 
 def _radial_args(opt):
-    n, beta, R = opt.require("n", int), opt.require("beta", float), opt.require("R", float)
-    # the shell potentials scale with R^(n-1): a radius whose power leaves the
-    # float range raises OverflowError here, before numpy warns about it
-    R ** (n - 1)
-    return n, beta, R
+    n, beta = opt.require("n", int), opt.require("beta", float)
+    # the shell potentials form powers of R below R^(2n): rho forms
+    # (R/r)^(2n-2) gamma(R/r) < R^(2n-1) at r = 1, and the grid runs to 2R
+    return n, beta, opt.require("R", float, power=2 * n)
 
 
 def _radial_shell_field(opt, notes):
@@ -226,7 +233,8 @@ def _radial_shell_field(opt, notes):
 
 
 def _indicator_args(opt):
-    return opt.require("n", int), opt.require("beta", float), opt.require("gamma", float)
+    # the Robin bracket forms beta^2
+    return opt.require("n", int), opt.require("beta", float, power=2), opt.require("gamma", float)
 
 
 def _ball_field(opt, notes):
@@ -305,13 +313,21 @@ def _cmd_check(args, config):
     return 0 if certified else 1
 
 
-def _classify_cell(n, beta, gamma_, bracket_sup, rmax):
-    # bracket_sup is robin_bracket_sup(n, beta)[1]; rmax bounds only critical_radii
+def _classify_cell(n, beta, gamma_, bracket_sup):
+    """Regime of one cell; bracket_sup is robin_bracket_sup(n, beta)[1].
+
+    Past the two indicator labels gamma^2 < bracket_sup.  The bracket is
+    continuous on [1, inf) and at most beta^2 delta^2, which tends to 0, so
+    for gamma > 0 it equals gamma^2 somewhere past its peak: a critical
+    radius exists.  For gamma = 0 and beta >= n - 1/2 > n - 1 the bracket
+    is positive on all of [1, inf), so there is none.  The ball certificate
+    therefore applies exactly when beta >= n - 1/2 and gamma > 0.
+    """
     if beta <= gamma_:
         return "indicator-by-beta-le-gamma"
     if gamma_ ** 2 - bracket_sup >= 0.0:
         return "indicator-by-monotonicity"
-    if beta >= n - 0.5 and critical_radii(n, beta, gamma_, rmax):
+    if beta >= n - 0.5 and gamma_ > 0.0:
         return "harmonic-certified"
     return "undetermined"
 
@@ -321,10 +337,7 @@ def _cmd_phase_diagram(args, config):
     n = opt.require("n", int)
     betas = _parse_grid(opt.require("beta"))
     gammas = _parse_grid(opt.require("gamma"))
-    rmax = opt.get("rmax", 10.0, float)
     out = opt.get("out")
-    if rmax <= 1.0:
-        raise _UsageError("--rmax must be greater than 1")
     if (betas <= 0.0).any():
         raise _UsageError("beta grid must be positive")
     if (gammas < 0.0).any():
@@ -334,7 +347,7 @@ def _cmd_phase_diagram(args, config):
     for beta in betas:
         bracket_sup = robin_bracket_sup(n, float(beta))[1]
         for gamma_ in gammas:
-            regime = _classify_cell(n, float(beta), float(gamma_), bracket_sup, rmax)
+            regime = _classify_cell(n, float(beta), float(gamma_), bracket_sup)
             lines.append(",".join((_fmt(beta), _fmt(gamma_), regime)))
     text = "\n".join(lines) + "\n"
     if out:
@@ -404,7 +417,6 @@ def _build_parser():
     phase.add_argument("--n", type=int)
     phase.add_argument("--beta", help="value or start:stop:count")
     phase.add_argument("--gamma", help="value or start:stop:count")
-    phase.add_argument("--rmax", type=float)
     phase.add_argument("--out")
     phase.set_defaults(handler=_cmd_phase_diagram)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from calx.potentials import delta_robin, gamma, robin_bracket, robin_bracket_sup
+from calx.potentials import _robin_tail, delta_robin, gamma, robin_bracket, robin_bracket_sup
 
 __all__ = [
     "unit_ball_volume",
@@ -309,35 +309,32 @@ def dE_dR(n: int, beta: float, gamma_: float, R):
     return out if out.ndim else float(out)
 
 
-def critical_radii(n: int, beta: float, gamma_: float, Rmax: float,
-                   samples: int = 100_000) -> list:
-    """All roots R > 1 of dE_dR on (1, Rmax], ascending.
+def critical_radii(n: int, beta: float, gamma_: float) -> list:
+    """All roots R > 1 of dE_dR, ascending: at most two.
 
-    Sign changes are located on a uniform scan with ``samples`` nodes,
-    then each bracket is refined to absolute tolerance 1e-9.
+    dE_dR has the sign of gamma^2 - robin_bracket(R), and the bracket has a
+    single peak, at r*.  Below it there is a root when gamma^2 exceeds the
+    bracket at R = 1; past it one when gamma > 0, before the radius where
+    beta delta falls to gamma (the bracket is at most beta^2 delta^2).
+    Raises OverflowError when that root lies past the float range.
     """
-    if Rmax <= 1.0:
-        raise ValueError("Rmax must be > 1")
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
-    xs = np.linspace(1.0, Rmax, samples)
-    fs = np.asarray(dE_dR(n, beta, gamma_, xs))
 
-    def f(R):
-        return dE_dR(n, beta, gamma_, R)
+    def sign_of_dE_dR(R):
+        # gamma minus the bracket's signed root: gamma is not squared, so its
+        # root stays where gamma^2 underflows
+        s = beta ** 2 - (n - 1) * beta / R
+        return gamma_ - math.copysign(math.sqrt(abs(s)), s) * delta_robin(n, beta, R)
 
+    r_star = robin_bracket_sup(n, beta)[0]
+    if not sign_of_dE_dR(r_star) < 0.0:
+        return []
     roots = []
-    for i in np.nonzero(fs == 0.0)[0]:
-        if xs[i] > 1.0:
-            roots.append(float(xs[i]))
-    for i in np.nonzero(fs[:-1] * fs[1:] < 0.0)[0]:
-        roots.append(float(brentq(f, xs[i], xs[i + 1], xtol=1e-9)))
-    roots.sort()
-    deduped = []
-    for r in roots:
-        if not deduped or r - deduped[-1] > 1e-9:
-            deduped.append(r)
-    return deduped
+    if sign_of_dE_dR(1.0) > 0.0:
+        roots.append(brentq(sign_of_dE_dR, 1.0, r_star, xtol=1e-13))
+    if gamma_ > 0.0:
+        r_hat = _robin_tail(n, beta, gamma_, 2.0 * r_star)
+        roots.append(brentq(sign_of_dE_dR, r_star, r_hat, xtol=1e-13))
+    return roots
 
 
 def indicator_monotonicity_margin(n: int, beta: float, gamma_: float) -> float:

@@ -121,23 +121,32 @@ def robin_bracket(n: int, beta: float, r):
     return out if out.ndim else float(out)
 
 
+_LOG_FLOAT_MAX = np.log(np.finfo(float).max) - 1.0  # a factor e of room for rounding
 _SUP_NODES = 100_001  # grid nodes of the one scan behind robin_bracket_sup
+
+
+def _robin_tail(n: int, beta: float, level: float, r: float) -> float:
+    """First r 2^k (k >= 0) with beta delta <= level: the bracket, at most
+    beta^2 delta^2, stays at or below level^2 from there on."""
+    while beta * delta_robin(n, beta, r) > level:
+        r *= 2.0
+        # stop before r^(n-1), beta r^(n-1) or beta r^(n-1) gamma(r) in delta overflows
+        if (n - 1) * np.log(r) + np.log(max(beta, 1.0) * max(gamma(n, r), 1.0)) > _LOG_FLOAT_MAX:
+            raise OverflowError("beta delta(r) stays above {!r} within the float range".format(level))
+    return r
 
 
 def robin_bracket_sup(n: int, beta: float) -> tuple[float, float]:
     """Supremum of robin_bracket over all r >= 1, as ``(r, value)``.
 
-    The bracket is positive at r0 = max(1, 2(n-1)/beta), at most
-    beta^2 delta(r)^2, and delta decreases: past any r_hat with
-    beta delta(r_hat) <= sqrt(bracket(r0)) it stays below bracket(r0).
+    The bracket is positive at r0 = max(1, 2(n-1)/beta) and stays below
+    bracket(r0) past r_hat = _robin_tail(n, beta, sqrt(bracket(r0)), 2 r0).
     So [1, r_hat] is scanned on a fixed grid, and the larger of the grid
     maximum and its refinement on the two cells around it is returned.
     """
     n = _check_dimension(n)
     r0 = max(1.0, 2.0 * (n - 1) / beta)
-    root, r_hat = np.sqrt(robin_bracket(n, beta, r0)), 2.0 * r0
-    while beta * delta_robin(n, beta, r_hat) > root:
-        r_hat *= 2.0
+    r_hat = _robin_tail(n, beta, np.sqrt(robin_bracket(n, beta, r0)), 2.0 * r0)
     grid = np.linspace(1.0, r_hat, _SUP_NODES)
     bracket = robin_bracket(n, beta, grid)
     k = int(np.argmax(bracket))

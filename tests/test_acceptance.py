@@ -87,12 +87,12 @@ def test_criterion_03_energy_curve_features():
     signs = np.sign(dE_dR(2, 1.0, 0.34, Rs))
     changes = int(np.count_nonzero(np.diff(signs) != 0))
     assert changes == 2
-    roots = critical_radii(2, 1.0, 0.34, 10.0)
+    roots = critical_radii(2, 1.0, 0.34)
     assert len(roots) == 2
     assert roots[0] == pytest.approx(1.21447196960909539611985, abs=1e-8)
     assert roots[1] == pytest.approx(1.67947004206913789542485, abs=1e-8)
 
-    roots1 = critical_radii(1, 2.0, 0.5, 10.0)
+    roots1 = critical_radii(1, 2.0, 0.5)
     assert len(roots1) == 1
     assert roots1[0] == pytest.approx(2.5, abs=1e-9)
     print("criterion 3: PASS (two sign changes at R = {:.6f}, {:.6f}; "

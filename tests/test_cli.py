@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from calx.cli import main
+from calx.energy import critical_radii
+from calx.potentials import robin_bracket
 
 FROZEN_CRITICAL_RADII = (1.21447196960909539611985, 1.67947004206913789542485)
 
@@ -250,12 +252,18 @@ def test_non_finite_numbers_are_usage_errors(argv, capsys):
     ["phase-diagram", "--n", "0", "--beta", "1", "--gamma", "0.5"],
     ["energy-curve", "--n", "0", "--beta", "1", "--gamma", "0.5"],
     ["energy-curve", "--n", "11", "--beta", "1", "--gamma", "0.5"],
+    ["check", "ball-harmonic", "--n", "2", "--beta", "2", "--R", "1e300", "--samples", "16"],
 ])
 def test_out_of_range_dimensions_and_overflowing_numbers_are_usage_errors(argv, capsys):
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+    # `check` and `describe` name the option that overflows, with its value
+    huge = [(flag, float(value)) for flag, value in zip(argv, argv[1:])
+            if flag in ("--R", "--beta") and float(value) > 1e100]
+    if argv[0] != "phase-diagram" and huge:
+        assert err.startswith("error: {} {!r} is out of range".format(*huge[0])), err
 
 
 def test_non_finite_config_values_are_usage_errors(tmp_path, capsys):
@@ -267,15 +275,22 @@ def test_non_finite_config_values_are_usage_errors(tmp_path, capsys):
 
 @pytest.mark.parametrize("rmax", ["2", "100"])
 def test_phase_diagram_label_does_not_depend_on_rmax(rmax, capsys):
-    # the bracket is positive only past r = (n-1)/beta = 20: a scan of [1, rmax]
-    # sees that for rmax = 100 but not for rmax = 2 or the default 10
-    code, out, _ = run(capsys, ["phase-diagram", "--n", "3", "--beta", "0.1",
-                                "--gamma", "0", "--rmax", rmax])
+    # phase-diagram takes no search range
+    with pytest.raises(SystemExit) as exc:
+        main(["phase-diagram", "--n", "3", "--beta", "0.1", "--gamma", "0", "--rmax", rmax])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    # the bracket is positive only past r = (n-1)/beta = 20
+    code, out, _ = run(capsys, ["phase-diagram", "--n", "3", "--beta", "0.1", "--gamma", "0"])
     assert code == 0
     assert out == "beta,gamma,regime\n0.10000000000000001,0,undetermined\n"
     code, _, _ = run(capsys, ["check", "indicator-two-piece", "--n", "3",
                               "--beta", "0.1", "--gamma", "0", "--samples", "16"])
     assert code == 1
+    # the only critical radius is R = 19.46, past the scan range [1, 10] of earlier versions
+    code, out, _ = run(capsys, ["phase-diagram", "--n", "1", "--beta", "0.65", "--gamma", "0.05"])
+    assert code == 0
+    assert out == "beta,gamma,regime\n0.65000000000000002,0.050000000000000003,harmonic-certified\n"
 
 
 # `check` kind that reproduces each indicator label of `phase-diagram`
@@ -283,22 +298,43 @@ _LABEL_CHECKS = {"indicator-by-beta-le-gamma": "indicator-const",
                  "indicator-by-monotonicity": "indicator-two-piece"}
 
 
-def _main_stdout(argv):
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
+def _main_output(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, buf.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 4), beta=st.floats(0.02, 4.0), gamma_=st.floats(0.0, 2.0))
 def test_phase_diagram_labels_are_reproduced_by_check(n, beta, gamma_):
     args = ["--n", str(n), "--beta", repr(beta), "--gamma", repr(gamma_)]
-    code, out = _main_stdout(["phase-diagram"] + args)
+    code, out, _ = _main_output(["phase-diagram"] + args)
     assert code == 0
     label = out.splitlines()[1].split(",")[2]
+    if label == "harmonic-certified":
+        # the ball field at the largest critical radius; only a gamma this small
+        # puts that radius, or the powers of it the field forms, past the float range
+        beyond_floats = gamma_ < 1e-60
+        try:
+            R = critical_radii(n, beta, gamma_)[-1]
+        except OverflowError:
+            assert beyond_floats
+            return
+        if R - 1.0 < 1e-7:
+            # gamma^2 lies just below the bracket at r = 1 (beta = 4, gamma = 2 - 2^-52
+            # in four dimensions), and the grid meets the field's 1/(r - 1) there
+            assert robin_bracket(n, beta, 1.0) - gamma_ ** 2 < 1e-4
+            return
+        argv = ["check", "ball-harmonic", "--R", repr(R)] + args
+        code, out, err = _main_output(argv + ["--samples", "64", "--format", "json"])
+        if code == 2:
+            assert beyond_floats and err.startswith("error: --R {!r} is out of range".format(R))
+        else:
+            assert code == 0 and json.loads(out)["passed"], (label, R, out)
+        return
     kind = _LABEL_CHECKS.get(label, "indicator-two-piece")
-    code, out = _main_stdout(["check", kind] + args + ["--samples", "64", "--format", "json"])
+    code, out, _ = _main_output(["check", kind] + args + ["--samples", "64", "--format", "json"])
     report = json.loads(out)
     if label in _LABEL_CHECKS:
         assert code == 0 and report["passed"], (label, report)

@@ -167,19 +167,28 @@ def test_dE_dR_vanishes_at_the_critical_radius():
 
 
 def test_critical_radii_reference_roots():
-    roots = critical_radii(2, 1.0, 0.34, 10.0)
+    roots = critical_radii(2, 1.0, 0.34)
     assert len(roots) == 2
     assert abs(roots[0] - 1.21447196960909539611985) < 1e-8
     assert abs(roots[1] - 1.67947004206913789542485) < 1e-8
-    roots1 = critical_radii(1, 2.0, 0.5, 10.0)
+    roots1 = critical_radii(1, 2.0, 0.5)
     assert len(roots1) == 1
     assert abs(roots1[0] - 2.5) < 1e-9
+    # gamma = 0: the bracket's own zero at r = (n-1)/beta
+    assert critical_radii(3, 0.1, 0.0) == [pytest.approx(20.0, abs=1e-12)]
+    # n = 1: beta delta(R) = gamma at R = 1 + (beta/gamma - 1)/beta, past r = 10
+    assert critical_radii(1, 0.65, 0.05) == [pytest.approx(1.0 + 12.0 / 0.65, rel=1e-13)]
+
+
+def test_critical_radii_of_a_gamma_whose_square_underflows():
+    assert critical_radii(1, 1.0, 1e-200) == [pytest.approx(1e200, rel=1e-13)]
+    # here R = 1 + (1/gamma - 1) lies past the float range
+    with pytest.raises(OverflowError):
+        critical_radii(1, 1.0, 1e-320)
 
 
 def test_critical_radii_empty_in_the_monotone_regime():
-    assert critical_radii(2, 1.0, 0.4, 10.0) == []
-    with pytest.raises(ValueError):
-        critical_radii(2, 1.0, 0.4, 1.0)
+    assert critical_radii(2, 1.0, 0.4) == []
 
 
 def test_monotonicity_margin_reference_values():

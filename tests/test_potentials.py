@@ -204,3 +204,14 @@ def test_robin_bracket_sup_bounds_a_dense_scan_far_beyond_its_interval(n, beta):
     scan = robin_bracket(n, beta, radii)
     assert value >= scan.max()
     assert value - scan.max() <= 1e-6 * value
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_robin_bracket_has_a_single_peak(n):
+    # the bracket rises to its supremum and falls after it, so gamma^2 equals
+    # it at no more than two radii: critical_radii looks for one on each side
+    radii = np.geomspace(1.0, 1e8, 20_001)
+    for beta in np.geomspace(1e-3, 1e3, 31):
+        steps = np.sign(np.diff(robin_bracket(n, beta, radii)))
+        steps = steps[steps != 0.0]
+        assert np.count_nonzero(steps[1:] != steps[:-1]) <= 1, beta

@@ -17,8 +17,7 @@ from calx.calibration_fields import (
     build_field_ball_harmonic,
     build_field_indicator_const,
 )
-from calx.cli import main as cli_main
-from calx.potentials import delta_robin
+from calx.potentials import delta_robin, robin_bracket
 from calx.verifier import (
     CalibratedFunction,
     VerificationReport,
@@ -223,13 +222,14 @@ def test_condition_b_matches_the_full_pair_scan_on_a_failing_ball():
     assert [repr(v) for v in got.violations] == [repr(v) for v in kept]
 
 
-def test_nonfinite_samples_fail_with_a_nan_margin(capsys):
-    # R = 1e300 overflows the shell potentials on one fibre
+def test_nonfinite_samples_fail_with_a_nan_margin():
+    # R = 1e300 overflows the shell potentials on one fibre (`calx check`
+    # rejects that radius as a usage error; the builder takes it)
     with np.errstate(all="ignore"):
-        code = cli_main(["check", "ball-harmonic", "--n", "2", "--beta", "2",
-                         "--R", "1e300", "--samples", "64", "--format", "json"])
-    doc = json.loads(capsys.readouterr().out)
-    assert code == 1
+        field = build_field_ball_harmonic(2, 2.0, math.sqrt(robin_bracket(2, 2.0, 1e300)), 1e300)
+        report = verify_all(field, config=VerifyConfig(pos_res=64, t_res=64, pair_res=64))
+    doc = json.loads(report.to_json())
+    assert not report.passed
     b = doc["results"]["b"]
     assert b["status"] == "fail" and b["n_violations"] == 1
     assert math.isnan(b["worst_margin"])
@@ -443,3 +443,18 @@ def test_violation_listing_is_capped_in_json():
     doc = json.loads(report.to_json())
     assert doc["results"]["b"]["n_violations"] == n
     assert len(doc["results"]["b"]["violations"]) <= 50
+
+
+def test_flux_is_measured_again_closer_where_the_offset_is_too_coarse():
+    # R - 1 = 2e-4: the first graph point lies 2e-8 from r = 1, where K(r) ~ 5e7
+    # and the default offset 1e-9 in t moves the flux residual by (K 1e-9)^2
+    field = build_field_ball_harmonic(3, 2.921875, 1.640625, 1.0001973974490945)
+    cfg = VerifyConfig(pos_res=64, t_res=64, pair_res=64)
+    assert check_divergence_and_flux(field, cfg).status == "pass"
+    # a true jump is measured the same: phi_t raised by 1e-3 above the graph
+    jump = dataclasses.replace(field, regions=tuple(
+        dataclasses.replace(r, phi_t=lambda pos, t, phi_t=r.phi_t: phi_t(pos, t) + 1e-3)
+        if r.name == "inner-above-graph" else r for r in field.regions))
+    result = check_divergence_and_flux(jump, cfg)
+    assert result.status == "fail" and result.n_violations == cfg.pos_res
+    assert result.meta["flux_worst"] == pytest.approx(1e-3, rel=1e-6)
