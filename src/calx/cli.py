@@ -40,7 +40,7 @@ from calx.calibration_fields import (
     radial_shell_profile,
 )
 from calx.energy import critical_radii, dE_dR, energy_radial_optimal
-from calx.potentials import robin_bracket, robin_bracket_sup
+from calx.potentials import gamma, robin_bracket, robin_bracket_sup
 from calx.verifier import VerificationReport, VerifyConfig, verify_all
 
 
@@ -86,20 +86,24 @@ class _Options:
             raise _UsageError("{} must be finite, got {!r}".format(name, value))
         return value
 
-    def require(self, name, cast=None, power=1):
-        """The option's value.  A float whose ``power`` overflows is a usage
-        error, raised here before numpy warns about the overflow."""
+    def require(self, name, cast=None):
         value = self.get(name, cast=cast)
         if value is None:
             raise _UsageError("missing required option --{}".format(
                 name.replace("_", "-")))
-        if cast is float:
-            try:
-                value ** power
-            except (OverflowError, ZeroDivisionError):  # 0 ** -k is infinite too
-                raise _UsageError("--{} {!r} is out of range: {}^{} overflows a float".format(
-                    name, value, name, power))
         return value
+
+
+def _in_float_range(name, value, term, form):
+    """``value``, or a usage error naming the option when ``form(value)``, a
+    term the fields form, overflows: raised before numpy warns about it."""
+    try:
+        if not math.isinf(form(value)):
+            return value
+    except OverflowError:
+        pass
+    raise _UsageError("--{} {!r} is out of range: {} overflows a float".format(
+        name, value, term))
 
 
 def _parse_grid(spec):
@@ -220,10 +224,15 @@ def _affine_field(opt, notes):
 
 
 def _radial_args(opt):
-    n, beta = opt.require("n", int), opt.require("beta", float)
-    # the shell potentials form powers of R below R^(2n): rho forms
-    # (R/r)^(2n-2) gamma(R/r) < R^(2n-1) at r = 1, and the grid runs to 2R
-    return n, beta, opt.require("R", float, power=2 * n)
+    n, beta, R = opt.require("n", int), opt.require("beta", float), opt.require("R", float)
+    # the largest term in R the ball field forms: its grid ends at 2R, and
+    # for n >= 2 rho forms R^(2n-2) gamma(R) at r = 1
+    if n == 1:
+        _in_float_range("R", R, "2R", lambda r: 2.0 * r)
+    elif R >= 1.0:
+        _in_float_range("R", R, "R^{} gamma(R)".format(2 * n - 2),
+                        lambda r: r ** (2 * n - 2) * gamma(n, r))
+    return n, beta, R
 
 
 def _radial_shell_field(opt, notes):
@@ -233,8 +242,10 @@ def _radial_shell_field(opt, notes):
 
 
 def _indicator_args(opt):
+    n = opt.require("n", int)
     # the Robin bracket forms beta^2
-    return opt.require("n", int), opt.require("beta", float, power=2), opt.require("gamma", float)
+    beta = _in_float_range("beta", opt.require("beta", float), "beta^2", lambda b: b * b)
+    return n, beta, opt.require("gamma", float)
 
 
 def _ball_field(opt, notes):

@@ -316,7 +316,8 @@ def critical_radii(n: int, beta: float, gamma_: float) -> list:
     single peak, at r*.  Below it there is a root when gamma^2 exceeds the
     bracket at R = 1; past it one when gamma > 0, before the radius where
     beta delta falls to gamma (the bracket is at most beta^2 delta^2).
-    Raises OverflowError when that root lies past the float range.
+    That radius can lie past the float range for a tiny gamma; its root is
+    then not listed.
     """
 
     def sign_of_dE_dR(R):
@@ -332,7 +333,10 @@ def critical_radii(n: int, beta: float, gamma_: float) -> list:
     if sign_of_dE_dR(1.0) > 0.0:
         roots.append(brentq(sign_of_dE_dR, 1.0, r_star, xtol=1e-13))
     if gamma_ > 0.0:
-        r_hat = _robin_tail(n, beta, gamma_, 2.0 * r_star)
+        try:
+            r_hat = _robin_tail(n, beta, gamma_, 2.0 * r_star)
+        except OverflowError:
+            return roots
         roots.append(brentq(sign_of_dE_dR, r_star, r_hat, xtol=1e-13))
     return roots
 

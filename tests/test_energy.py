@@ -182,9 +182,10 @@ def test_critical_radii_reference_roots():
 
 def test_critical_radii_of_a_gamma_whose_square_underflows():
     assert critical_radii(1, 1.0, 1e-200) == [pytest.approx(1e200, rel=1e-13)]
-    # here R = 1 + (1/gamma - 1) lies past the float range
-    with pytest.raises(OverflowError):
-        critical_radii(1, 1.0, 1e-320)
+    # here R = 1 + (1/gamma - 1) lies past the float range and is not listed,
+    # while a root below the bracket's peak is
+    assert critical_radii(1, 1.0, 1e-320) == []
+    assert critical_radii(3, 0.1, 1e-320) == [pytest.approx(20.0, abs=1e-12)]
 
 
 def test_critical_radii_empty_in_the_monotone_regime():
