@@ -23,7 +23,7 @@ print("small-beta certificate (n = 2, beta = 0.3, gamma = 0.4):")
 print(report.summary_table())
 
 # Certificate two works for beta > gamma as long as the energy curve
-# is monotone; it glues two formulas along the trace curve rho(r).
+# is monotone; it glues two formulas along the Robin trace curve delta(r).
 print()
 print("two-piece certificate (n = 2, beta = 1, gamma = 0.4):")
 field = build_field_indicator_two_piece(2, 1.0, 0.4)

@@ -45,8 +45,8 @@ val_R, grad_R = u_radial(n, beta, R, R)
 print("  Robin check at R: u - |grad u| / beta = {:.3e}".format(
     val_R - grad_R / beta))
 
-# rho(r) is the auxiliary trace curve the two-piece certificate runs
-# along; it starts at the layer trace and stays below u.
+# rho(r) is the curve along which the ball certificate matches fluxes;
+# it stays below u and meets the layer trace delta(R) at r = R.
 print()
 print("auxiliary curve rho(r) on [1, R]:")
 for r in np.linspace(1.0, R, 6):

@@ -13,10 +13,12 @@ direction (``e_x`` on an interval, ``e_r`` radially), so ``phi_x`` is
 stored as a signed scalar component.
 
 Every builder returns a :class:`PiecewiseField` made of closed-form
-regions stacked bottom to top in ``t``.  Membership is decided by the
-first region whose predicate matches, and the region just below the
-calibrated graph always claims the graph itself, which makes the graph
-matching conditions hold exactly on the sampled points.
+regions stacked bottom to top in ``t``, each bounded above by a curve
+``t = top(pos)``.  A point belongs to the first region whose top it does
+not exceed, and the region just below the calibrated graph has the graph
+as its top, so it claims the graph itself, which makes the graph
+matching conditions hold exactly on the sampled points.  ``Psi`` is not
+written out anywhere: the field integrates ``psi`` between the tops.
 """
 
 from __future__ import annotations
@@ -34,10 +36,6 @@ def _scalar_or_array(out, cast=float):
     return cast(out) if out.ndim == 0 else out
 
 
-def _everywhere(pos, t):
-    return np.ones_like(np.asarray(t, dtype=float), dtype=bool)
-
-
 def _zero(pos, t):
     return np.zeros_like(np.asarray(t, dtype=float))
 
@@ -46,27 +44,48 @@ def _zero_at(pos):
     return np.zeros_like(np.asarray(pos, dtype=float))
 
 
+def _unbounded(pos):
+    return np.full_like(np.asarray(pos, dtype=float), np.inf)
+
+
+def _inside(R, curve):
+    """The top that follows ``curve`` on ``pos <= R`` and is ``-inf`` past ``R``."""
+
+    def top(pos):
+        pos = np.asarray(pos, dtype=float)
+        out = np.full_like(pos, -np.inf)
+        inside = pos <= R
+        out[inside] = curve(pos[inside])
+        return out
+
+    return top
+
+
 @dataclass(frozen=True)
 class Region:
     """One closed-form piece of a field.
 
-    ``contains``, ``psi``, ``phi_t`` and ``Psi`` are vectorized
-    callables of ``(pos, t)``.  ``psi`` is the signed component of
-    ``phi_x`` along the field direction and ``Psi(pos, t)`` is its
-    antiderivative ``integral_0^t psi dt'``.  ``dpsi_dpos`` is the
-    analytic spatial derivative of ``psi`` when one is available; the
-    verifier falls back to finite differences otherwise.
+    ``top`` is a vectorized callable of ``pos``: the region owns the
+    points with ``t <= top(pos)`` (``t < top(pos)`` when ``strict``) that
+    no earlier region owns, and a top of ``-inf`` keeps it off a position.
+    ``psi``, ``phi_t`` and ``dpsi_dpos`` are vectorized callables of
+    ``(pos, t)``.  ``psi`` is the signed component of ``phi_x`` along the
+    field direction and must be affine in ``t``: the field integrates it
+    over the region's stretch ``[a, b]`` of each fibre as
+    ``(b - a) (psi(a) + psi(b)) / 2``, which is then exact.
+    ``dpsi_dpos`` is the analytic spatial derivative of ``psi`` when one
+    is available; the verifier falls back to finite differences otherwise.
     """
 
     name: str
     condition: str
-    contains: Callable
+    top: Callable
     psi: Callable
     phi_t: Callable
-    Psi: Callable
     dpsi_dpos: Optional[Callable] = None
     psi_formula: str = ""
     phi_t_formula: str = ""
+    strict: bool = False
 
 
 @dataclass(frozen=True)
@@ -109,11 +128,15 @@ class PiecewiseField:
 
     ``geometry`` is ``'interval'`` (field along ``e_x``) or ``'radial'``
     (field along ``e_r`` in dimension ``n``).  ``regions`` are ordered
-    bottom to top; the first matching predicate wins.  ``params`` holds
-    the defining scalars for reporting, ``gamma_sq_term`` is the
-    ``gamma^2`` appearing in axiom (a) (zero for Dirichlet-type fields)
-    and ``calibrated`` is the :class:`CalibratedFunction` the builder
-    calibrates (``None`` when there is none).
+    bottom to top, and a point belongs to the first region whose top it
+    does not exceed, so along each fibre region ``k`` spans the stretch
+    from the running maximum of the tops below it to its own top.
+    ``Psi`` adds up the exact integrals of ``psi`` over these stretches.
+    ``params`` holds the defining scalars for reporting,
+    ``gamma_sq_term`` is the ``gamma^2`` appearing in axiom (a) (zero for
+    Dirichlet-type fields) and ``calibrated`` is the
+    :class:`CalibratedFunction` the builder calibrates (``None`` when
+    there is none).
     ``phi_t_bump`` supports soundness tests: a tuple
     ``(pos0, t0, amount, pos_halfwidth, t_halfwidth)`` adds ``amount``
     to ``phi_t`` inside the given box.
@@ -134,36 +157,58 @@ class PiecewiseField:
     def _sample(self, pos, t, *quantities):
         """One classification pass: ``(index, *values)`` at the given points.
 
-        Each point is claimed by the first region whose predicate matches
-        (index -1 if none).  Every predicate runs once on all points, the
-        other callables only on the points their region claims.
-        ``quantities`` names ``Region`` attributes (``psi``, ``phi_t``,
-        ``Psi``, ``dpsi_dpos``); a value is NaN where no region claims the
-        point or the claiming region lacks the callable.  ``phi_t``
-        includes ``phi_t_bump``.  Arrays take the broadcast shape of
-        ``pos`` and ``t``.
+        Each point is claimed by the first region whose top it does not
+        exceed (index -1 if none).  Every top runs once on ``pos`` as
+        given, so sampling on ``pos[:, None]`` and ``t[None, :]`` runs it
+        once per position; the other callables run only on the points
+        their region claims.  ``quantities`` names ``Region`` attributes
+        (``psi``, ``phi_t``, ``dpsi_dpos``) or ``Psi``; a value is NaN where
+        no region claims the point or the claiming region lacks the
+        callable.  ``phi_t`` includes ``phi_t_bump``.  Arrays take the
+        broadcast shape of ``pos`` and ``t``.
+
+        ``Psi`` integrates ``psi`` from 0.  Along a fibre region ``k``
+        spans ``[lo, hi]``, ``hi`` the running maximum of the tops up to
+        ``k`` (at least 0) and ``lo`` that of the tops below it.  A point
+        of region ``k`` takes the integral over the stretches below ``lo``
+        plus the trapezoid ``(t - lo) (psi(lo) + psi(t)) / 2``, and each
+        finite stretch adds ``(hi - lo) (psi(lo) + psi(hi)) / 2`` per
+        position; both are exact because ``psi`` is affine in ``t``, and
+        ``psi`` never runs where its region is empty.
         """
-        pos_b, t_b = np.broadcast_arrays(np.asarray(pos, dtype=float), np.asarray(t, dtype=float))
-        p, tt = pos_b.ravel(), t_b.ravel()
-        idx = np.full(p.shape, -1, dtype=int)
-        values = [np.full(p.shape, np.nan) for _ in quantities]
-        free = np.ones(p.shape, dtype=bool)
+        pos, t = np.asarray(pos, dtype=float), np.asarray(t, dtype=float)
+        shape = np.broadcast_shapes(pos.shape, t.shape)
+        p, tt = np.broadcast_to(pos, shape), np.broadcast_to(t, shape)
+        idx = np.full(shape, -1, dtype=int)
+        values = [np.full(shape, np.nan) for _ in quantities]
+        free = np.ones(shape, dtype=bool)
+        lo, below = np.zeros(pos.shape), np.zeros(pos.shape)
         for k, region in enumerate(self.regions):
-            mask = free & np.asarray(region.contains(p, tt), dtype=bool)
-            if not mask.any():
-                continue
-            free &= ~mask
-            idx[mask] = k
-            pk, tk = p[mask], tt[mask]
-            for name, out in zip(quantities, values):
-                fn = getattr(region, name)
-                if fn is not None:
-                    out[mask] = fn(pk, tk)
+            top = region.top(pos)
+            mask = free & ((tt < top) if region.strict else (tt <= top))
+            if mask.any():
+                free &= ~mask
+                idx[mask] = k
+                pk, tk = p[mask], tt[mask]
+                for name, out in zip(quantities, values):
+                    if name == "Psi":
+                        a = np.broadcast_to(lo, shape)[mask]
+                        out[mask] = (np.broadcast_to(below, shape)[mask]
+                                     + 0.5 * (tk - a) * (region.psi(pk, a) + region.psi(pk, tk)))
+                    elif getattr(region, name) is not None:
+                        out[mask] = getattr(region, name)(pk, tk)
+            if "Psi" in quantities:
+                hi = np.maximum(lo, top)
+                whole = (hi > lo) & np.isfinite(hi)
+                if whole.any():
+                    pw, a, b = pos[whole], lo[whole], hi[whole]
+                    below[whole] += 0.5 * (b - a) * (region.psi(pw, a) + region.psi(pw, b))
+                lo = hi
         if "phi_t" in quantities and self.phi_t_bump is not None:
             pos0, t0, amount, hw_pos, hw_t = self.phi_t_bump
             box = (np.abs(p - pos0) <= hw_pos) & (np.abs(tt - t0) <= hw_t)
             values[quantities.index("phi_t")][box] += amount
-        return tuple(a.reshape(pos_b.shape) for a in (idx, *values))
+        return (idx, *values)
 
     def region_index(self, pos, t):
         """Index into ``self.regions`` of the piece owning each point, -1 if none."""
@@ -361,7 +406,8 @@ def choose_lambda(m, M, beta0):
         return 0.0
     budget = beta0 * delta ** 2
     slack = 1e-12 * max(1.0, abs(budget), abs(integral))
-    if m == 0.0:
+    # a trace whose square underflows takes no multiplier either
+    if m * m == 0.0:
         return 0.0 if integral <= budget + slack else None
     lam = max(0.0, (integral - budget) / m ** 2)
     if lam > beta0 * (1.0 + 1e-12) + slack:
@@ -458,17 +504,7 @@ class CalibParams1D:
 def _zero_field(kind, profile, params_dict, calibrated):
     """Degenerate field for a constant profile: identically (0, 0)."""
 
-    region = Region(
-        name="everything",
-        condition="all t",
-        contains=_everywhere,
-        psi=_zero,
-        phi_t=_zero,
-        Psi=_zero,
-        dpsi_dpos=_zero,
-        psi_formula="0",
-        phi_t_formula="0",
-    )
+    region = Region("everything", "all t", _unbounded, _zero, _zero, _zero, "0", "0")
     return PiecewiseField(
         kind=kind,
         geometry=profile.geometry,
@@ -524,8 +560,14 @@ def _template_field(params, profile, kind):
     def factor(pos):
         return gcomp(pos) / tau
 
-    def below_contains(pos, t):
-        return t < m
+    def g_data(pos):
+        return np.full_like(np.asarray(pos, dtype=float), m)
+
+    def g_sigma(pos):
+        return m + sigma * w_of(pos)
+
+    def g_sigma_prime(pos):
+        return sigma * gcomp(pos) / tau
 
     def below_psi(pos, t):
         return -2.0 * lam * t * factor(pos)
@@ -533,37 +575,20 @@ def _template_field(params, profile, kind):
     def below_phi_t(pos, t):
         return (lam * m) ** 2 * factor(pos) ** 2
 
-    def below_Psi(pos, t):
-        return -lam * t ** 2 * factor(pos)
-
     def below_dpsi(pos, t):
         return -2.0 * lam * t * gprime(pos) / tau
-
-    def lower_contains(pos, t):
-        return t < m + sigma * w_of(pos)
 
     def lower_psi(pos, t):
         return -2.0 * lam * m * factor(pos)
 
-    def lower_Psi(pos, t):
-        return (-lam * m ** 2 - 2.0 * lam * m * (t - m)) * factor(pos)
-
     def lower_dpsi(pos, t):
         return -2.0 * lam * m * gprime(pos) / tau
-
-    def band_contains(pos, t):
-        return t <= m + tau * w_of(pos)
 
     def band_psi(pos, t):
         return 2.0 * gcomp(pos)
 
     def band_phi_t(pos, t):
         return gcomp(pos) ** 2
-
-    def band_Psi(pos, t):
-        w = w_of(pos)
-        return (-lam * m ** 2 - 2.0 * lam * m * sigma * w
-                + 2.0 * tau * (t - m - sigma * w)) * factor(pos)
 
     def band_dpsi(pos, t):
         return 2.0 * gprime(pos)
@@ -576,11 +601,6 @@ def _template_field(params, profile, kind):
         w = w_of(pos)
         return ((M - t) / (1.0 - w)) ** 2 * factor(pos) ** 2
 
-    def above_Psi(pos, t):
-        w = w_of(pos)
-        at_graph = -lam * m ** 2 - 2.0 * lam * m * sigma * w + 2.0 * tau * w * (tau - sigma)
-        return (at_graph + tau ** 2 * (1.0 - w) - (M - t) ** 2 / (1.0 - w)) * factor(pos)
-
     def above_dpsi(pos, t):
         w = w_of(pos)
         g = gcomp(pos)
@@ -588,45 +608,29 @@ def _template_field(params, profile, kind):
                 + 2.0 * (M - t) / (1.0 - w) * gprime(pos) / tau)
 
     regions = (
-        Region("below-data", "t < m", below_contains, below_psi, below_phi_t,
-               below_Psi, below_dpsi,
-               "-2 lam t grad(u)/(M-m)", "(lam m)^2 |grad(u)/(M-m)|^2"),
-        Region("lower-band", "m <= t < m + sigma w", lower_contains, lower_psi,
-               below_phi_t, lower_Psi, lower_dpsi,
-               "-2 lam m grad(u)/(M-m)", "(lam m)^2 |grad(u)/(M-m)|^2"),
-        Region("graph-band", "m + sigma w <= t <= u", band_contains, band_psi,
-               band_phi_t, band_Psi, band_dpsi,
-               "2 grad(u)", "|grad(u)|^2"),
-        Region("above-graph", "t > u", _everywhere, above_psi, above_phi_t,
-               above_Psi, above_dpsi,
+        Region("below-data", "t < m", g_data, below_psi, below_phi_t, below_dpsi,
+               "-2 lam t grad(u)/(M-m)", "(lam m)^2 |grad(u)/(M-m)|^2", strict=True),
+        Region("lower-band", "m <= t < m + sigma w", g_sigma, lower_psi,
+               below_phi_t, lower_dpsi,
+               "-2 lam m grad(u)/(M-m)", "(lam m)^2 |grad(u)/(M-m)|^2", strict=True),
+        Region("graph-band", "m + sigma w <= t <= u", value, band_psi,
+               band_phi_t, band_dpsi, "2 grad(u)", "|grad(u)|^2"),
+        Region("above-graph", "t > u", _unbounded, above_psi, above_phi_t, above_dpsi,
                "2 (M-t)/(M-u) grad(u)", "((M-t)/(M-u))^2 |grad(u)|^2"),
     )
 
     interfaces = []
     if m > 0.0:
-        def g_data(pos):
-            return np.full_like(np.asarray(pos, dtype=float), m)
-
         interfaces.append(Interface(
             name="data-level", kind="graph", pos_range=profile.pos_range,
             g=g_data, g_prime=_zero_at, description="t = m"))
     if sigma > 0.0:
-        def g_sigma(pos):
-            return m + sigma * w_of(pos)
-
-        def g_sigma_prime(pos):
-            return sigma * gcomp(pos) / tau
-
         interfaces.append(Interface(
             name="slope-matching", kind="graph", pos_range=profile.pos_range,
             g=g_sigma, g_prime=g_sigma_prime, description="t = m + sigma w"))
-
-    def g_graph(pos):
-        return value(pos)
-
     interfaces.append(Interface(
         name="graph", kind="graph", pos_range=profile.pos_range,
-        g=g_graph, g_prime=gcomp, description="t = u(pos)"))
+        g=value, g_prime=gcomp, description="t = u(pos)"))
 
     return PiecewiseField(
         kind=kind,
@@ -676,13 +680,19 @@ def build_field_harmonic(u, m, M, beta):
     return _template_field(params, u, kind="harmonic")
 
 
+# Radial extent of the indicator fields' grid, and the tolerance on the
+# critical-radius identity the ball field accepts.
+_INDICATOR_POS_MAX = 4.0
+_EL_TOL = 1e-9
+
+
 def _K_factor(n, r):
     """Robin trace ratio ``beta delta / (1 - delta) = 1 / (r^(n-1) Gamma(r))``."""
     rr = np.asarray(r, dtype=float)
     return 1.0 / (rr ** (n - 1) * gamma(n, rr))
 
 
-def build_field_indicator_const(n, beta, gamma_, pos_max=4.0):
+def build_field_indicator_const(n, beta, gamma_):
     """Single-piece calibration of the unit-ball indicator for ``beta <= gamma``.
 
     The field is ``phi = (-2 beta t r^(1-n) e_r, 0)`` on ``r >= 1``.
@@ -706,21 +716,16 @@ def build_field_indicator_const(n, beta, gamma_, pos_max=4.0):
     def psi(pos, t):
         return -2.0 * beta * t * np.asarray(pos, dtype=float) ** (1 - n)
 
-    def Psi(pos, t):
-        return -beta * t ** 2 * np.asarray(pos, dtype=float) ** (1 - n)
-
     def dpsi(pos, t):
         return 2.0 * (n - 1) * beta * t * np.asarray(pos, dtype=float) ** (-n)
 
-    region = Region(
-        name="whole-domain", condition="0 <= t <= 1", contains=_everywhere,
-        psi=psi, phi_t=_zero, Psi=Psi, dpsi_dpos=dpsi,
-        psi_formula="-2 beta t r^(1-n)", phi_t_formula="0")
+    region = Region("whole-domain", "0 <= t <= 1", _unbounded, psi, _zero, dpsi,
+                    "-2 beta t r^(1-n)", "0")
     return PiecewiseField(
         kind="indicator-const",
         geometry="radial",
         n=n,
-        pos_range=(1.0, float(pos_max)),
+        pos_range=(1.0, _INDICATOR_POS_MAX),
         t_max=1.0,
         gamma_sq_term=gamma_ ** 2,
         params={"n": n, "beta": beta, "gamma": gamma_, "R": 1.0},
@@ -746,29 +751,17 @@ def _trace_pieces(n, beta, pos_range):
     def g_trace_prime(pos):
         return delta_robin_prime(n, beta, pos)
 
-    def lower_contains(pos, t):
-        return t <= delta_robin(n, beta, pos)
-
     def lower_psi(pos, t):
         return -2.0 * beta * t
 
     def lower_phi_t(pos, t):
         return (n - 1) * beta * t ** 2 / np.asarray(pos, dtype=float)
 
-    def lower_Psi(pos, t):
-        return -beta * t ** 2
-
     def upper_psi(pos, t):
         return -2.0 * (1.0 - t) * _K_factor(n, pos)
 
     def upper_phi_t(pos, t):
         return (1.0 - t) ** 2 * _K_factor(n, pos) ** 2 - robin_bracket(n, beta, pos)
-
-    def upper_Psi(pos, t):
-        pos = np.asarray(pos, dtype=float)
-        K = _K_factor(n, pos)
-        d = delta_robin(n, beta, pos)
-        return -beta * d ** 2 - K * ((1.0 - d) ** 2 - (1.0 - t) ** 2)
 
     def upper_dpsi(pos, t):
         pos = np.asarray(pos, dtype=float)
@@ -777,18 +770,16 @@ def _trace_pieces(n, beta, pos_range):
         return 2.0 * (1.0 - t) * K ** 2 * gp
 
     return (
-        Region("below-trace", "t <= delta(r)", lower_contains, lower_psi,
-               lower_phi_t, lower_Psi, _zero,
+        Region("below-trace", "t <= delta(r)", g_trace, lower_psi, lower_phi_t, _zero,
                "-2 beta t", "(n-1) beta t^2 / r"),
-        Region("above-trace", "t > delta(r)", _everywhere, upper_psi,
-               upper_phi_t, upper_Psi, upper_dpsi,
+        Region("above-trace", "t > delta(r)", _unbounded, upper_psi, upper_phi_t, upper_dpsi,
                "-2 (1-t) K(r)", "(1-t)^2 K(r)^2 - (beta^2-(n-1)beta/r) delta(r)^2"),
         Interface(name="trace-curve", kind="graph", pos_range=pos_range,
                   g=g_trace, g_prime=g_trace_prime, description="t = delta(r)"),
     )
 
 
-def build_field_indicator_two_piece(n, beta, gamma_, pos_max=4.0):
+def build_field_indicator_two_piece(n, beta, gamma_):
     """Two-piece calibration of the unit-ball indicator.
 
     The pieces are the two regions either side of the Robin trace curve
@@ -813,12 +804,12 @@ def build_field_indicator_two_piece(n, beta, gamma_, pos_max=4.0):
             details={"excess": worst_excess, "gamma": gamma_},
         )
 
-    below, above, curve = _trace_pieces(n, beta, (1.0, float(pos_max)))
+    below, above, curve = _trace_pieces(n, beta, (1.0, _INDICATOR_POS_MAX))
     return PiecewiseField(
         kind="indicator-two-piece",
         geometry="radial",
         n=n,
-        pos_range=(1.0, float(pos_max)),
+        pos_range=(1.0, _INDICATOR_POS_MAX),
         t_max=1.0,
         gamma_sq_term=gamma_ ** 2,
         params={"n": n, "beta": beta, "gamma": gamma_, "R": 1.0},
@@ -828,13 +819,13 @@ def build_field_indicator_two_piece(n, beta, gamma_, pos_max=4.0):
     )
 
 
-def build_field_ball_harmonic(n, beta, gamma_, R, enforce_beta=True, el_tol=1e-9):
+def build_field_ball_harmonic(n, beta, gamma_, R, enforce_beta=True):
     """Calibration of the optimal profile supported on the ball ``r <= R``.
 
     The calibrated function is 1 inside the unit ball, the Robin-optimal
     radial profile on the shell ``1 <= r <= R`` and 0 outside.  ``R``
     must satisfy the critical-radius identity
-    ``gamma^2 = (beta^2 - (n-1) beta / R) delta(R)^2`` to ``el_tol``.
+    ``gamma^2 = (beta^2 - (n-1) beta / R) delta(R)^2`` to ``_EL_TOL``.
     ``beta >= n - 1/2`` guarantees the axioms; set ``enforce_beta=False``
     to build the field anyway and let the verifier report what fails.
     ``R = 1`` collapses to the two-piece indicator construction, and
@@ -856,7 +847,7 @@ def build_field_ball_harmonic(n, beta, gamma_, R, enforce_beta=True, el_tol=1e-9
     dR, amp, u_of = profile.m, profile.sup_grad, profile.value
     gamma_sq = gamma_ ** 2
     el_residual = gamma_sq - robin_bracket(n, beta, R)
-    if abs(el_residual) > el_tol:
+    if abs(el_residual) > _EL_TOL:
         raise HypothesisViolation(
             "R does not satisfy the critical-radius identity "
             "(residual {:.3g})".format(el_residual),
@@ -874,18 +865,10 @@ def build_field_ball_harmonic(n, beta, gamma_, R, enforce_beta=True, el_tol=1e-9
     below, above, curve = _trace_pieces(n, beta, (R, pos_max))
 
     def rho_of(r):
-        # membership predicates evaluate this outside the shell too,
-        # where the value is irrelevant; clamp to keep rho defined
-        return rho(n, beta, R, np.clip(np.asarray(r, dtype=float), 1.0, R))
+        return rho(n, beta, R, r)
 
-    def inner(pos):
-        return np.asarray(pos, dtype=float) <= R
-
-    def a_contains(pos, t):
-        return inner(pos) & (t <= dR)
-
-    def b_contains(pos, t):
-        return inner(pos) & (t <= rho_of(pos))
+    def g_level(pos):
+        return np.full_like(np.asarray(pos, dtype=float), dR)
 
     def b_psi(pos, t):
         return np.full_like(np.asarray(t, dtype=float), -2.0 * beta * dR)
@@ -893,57 +876,34 @@ def build_field_ball_harmonic(n, beta, gamma_, R, enforce_beta=True, el_tol=1e-9
     def b_phi_t(pos, t):
         return (n - 1) * beta * dR * (2.0 * t - dR) / np.asarray(pos, dtype=float)
 
-    def b_Psi(pos, t):
-        return -beta * dR ** 2 - 2.0 * beta * dR * (t - dR)
-
-    def c_contains(pos, t):
-        return inner(pos) & (t <= u_of(pos))
-
     def c_psi(pos, t):
         return -2.0 * amp * np.asarray(pos, dtype=float) ** (1 - n)
 
     def c_phi_t(pos, t):
         return amp ** 2 * np.asarray(pos, dtype=float) ** (2 - 2 * n) - gamma_sq
 
-    def c_Psi(pos, t):
-        pos = np.asarray(pos, dtype=float)
-        rr = rho_of(pos)
-        at_rho = -beta * dR ** 2 - 2.0 * beta * dR * (rr - dR)
-        return at_rho - 2.0 * amp * pos ** (1 - n) * (t - rr)
-
     def c_dpsi(pos, t):
         return 2.0 * (n - 1) * amp * np.asarray(pos, dtype=float) ** (-n)
-
-    def d_contains(pos, t):
-        return inner(pos)
 
     def d_phi_t(pos, t):
         return (1.0 - t) ** 2 * _K_factor(n, pos) ** 2 - gamma_sq
 
-    def d_Psi(pos, t):
-        pos = np.asarray(pos, dtype=float)
-        uu = u_of(pos)
-        return c_Psi(pos, uu) - _K_factor(n, pos) * ((1.0 - uu) ** 2 - (1.0 - t) ** 2)
-
     regions = (
         replace(below, name="inner-below-trace", condition="r <= R, t <= delta(R)",
-                contains=a_contains),
-        Region("inner-transition", "r <= R, delta(R) < t <= rho(r)", b_contains,
-               b_psi, b_phi_t, b_Psi, _zero,
+                top=_inside(R, g_level)),
+        Region("inner-transition", "r <= R, delta(R) < t <= rho(r)", _inside(R, rho_of),
+               b_psi, b_phi_t, _zero,
                "-2 beta delta(R)", "(n-1) beta delta(R)(2t - delta(R))/r"),
-        Region("inner-gradient", "r <= R, rho(r) < t <= u(r)", c_contains, c_psi,
-               c_phi_t, c_Psi, c_dpsi,
+        Region("inner-gradient", "r <= R, rho(r) < t <= u(r)", _inside(R, u_of), c_psi,
+               c_phi_t, c_dpsi,
                "-2 beta delta(R) (R/r)^(n-1)",
                "(beta delta(R))^2 (R/r)^(2n-2) - gamma^2"),
         replace(above, name="inner-above-graph", condition="r <= R, t > u(r)",
-                contains=d_contains, phi_t=d_phi_t, Psi=d_Psi,
+                top=_inside(R, _unbounded), phi_t=d_phi_t,
                 phi_t_formula="(1-t)^2 K(r)^2 - gamma^2"),
         replace(below, name="outer-below-trace", condition="r > R, t <= delta(r)"),
         replace(above, name="outer-above-trace", condition="r > R, t > delta(r)"),
     )
-
-    def g_level(pos):
-        return np.full_like(np.asarray(pos, dtype=float), dR)
 
     def shell_grad(pos):
         pos = np.asarray(pos, dtype=float)

@@ -142,10 +142,15 @@ def _write_text(path, text):
         handle.write(text)
 
 
+def _beta_in_range(beta):
+    """``beta``, or a usage error when beta^2, which the Robin bracket forms, overflows."""
+    return _in_float_range("beta", beta, "beta^2", lambda b: b * b)
+
+
 def _cmd_energy_curve(args, config):
     opt = _Options(args, config)
     n = opt.require("n", int)
-    beta = opt.require("beta", float)
+    beta = _beta_in_range(opt.require("beta", float))
     gamma_ = opt.require("gamma", float)
     rmax = opt.get("rmax", 10.0, float)
     samples = opt.get("samples", 512, int)
@@ -243,9 +248,7 @@ def _radial_shell_field(opt, notes):
 
 def _indicator_args(opt):
     n = opt.require("n", int)
-    # the Robin bracket forms beta^2
-    beta = _in_float_range("beta", opt.require("beta", float), "beta^2", lambda b: b * b)
-    return n, beta, opt.require("gamma", float)
+    return n, _beta_in_range(opt.require("beta", float)), opt.require("gamma", float)
 
 
 def _ball_field(opt, notes):
@@ -253,6 +256,7 @@ def _ball_field(opt, notes):
     below beta = n - 1/2 the field is built but marked uncertified."""
 
     n, beta, R = _radial_args(opt)
+    _beta_in_range(beta)
     gamma_ = opt.get("gamma", cast=float)
     if gamma_ is None:
         gsq = robin_bracket(n, beta, R)
@@ -353,6 +357,7 @@ def _cmd_phase_diagram(args, config):
         raise _UsageError("beta grid must be positive")
     if (gammas < 0.0).any():
         raise _UsageError("gamma grid must be nonnegative")
+    _beta_in_range(float(betas[-1]))
 
     lines = ["beta,gamma,regime"]
     for beta in betas:

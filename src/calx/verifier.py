@@ -127,13 +127,14 @@ def _tally(axiom, margin, locations, tol, config, residual=None, floor=0.0):
     NaN when any margin is not finite, and ``floor + tol`` (the margin of
     a zero residual) when there are no samples.  The first
     ``config.max_recorded`` violations in C order are recorded at
-    ``locations`` (arrays shaped like ``margin``) with their ``residual``
-    (default: the margin), NaN where the margin is not finite.
+    ``locations`` (arrays that broadcast to the shape of ``margin``) with
+    their ``residual`` (default: the margin), NaN where the margin is not
+    finite.
     """
 
+    locations = [np.broadcast_to(loc, np.shape(margin)).ravel() for loc in locations]
     margin = np.ravel(margin)
     residual = margin if residual is None else np.ravel(residual)
-    locations = [np.ravel(loc) for loc in locations]
     finite = np.isfinite(margin)
     bad = np.flatnonzero(~(finite & (margin >= floor)))
     recorded = [Violation(axiom, tuple(loc[k].item() for loc in locations),
@@ -166,7 +167,7 @@ def check_condition_a(field, gamma_sq_term, config=None):
 
     config = config or VerifyConfig()
     pos, t = _grids(field, config)
-    P, T = np.meshgrid(pos, t, indexing="ij")
+    P, T = pos[:, None], t[None, :]
     psi, phit = field.evaluate(P, T)
     residual = phit - 0.25 * psi ** 2 + gamma_sq_term * (T > 0.0)
     tally = _tally("a", residual, (P, T), config.tol_a, config, floor=-config.tol_a)
@@ -209,7 +210,7 @@ def check_condition_b(field, beta, config=None):
     directed along a fixed direction it also records the reduced margin
     ``beta s^2 - |Psi(pos, s)|`` (the ``r = 0`` slice), which is how the
     sharp cases are proved.  ``Psi`` is sampled once on the whole
-    ``pos x t`` pair grid.
+    ``pos x t`` pair grid, from ``pos[:, None]`` and ``t[None, :]``.
 
     Each fibre costs one sort instead of an ``N x N`` pair matrix.  With
     ``a = Psi - beta t^2`` and ``b = Psi + beta t^2`` the margin of the
@@ -235,7 +236,7 @@ def check_condition_b(field, beta, config=None):
     pos = np.linspace(field.pos_range[0], field.pos_range[1], config.pos_res)
     tg = np.linspace(0.0, field.t_max, config.pair_res)
     tg2 = tg ** 2
-    Psi = field.Psi(*np.meshgrid(pos, tg, indexing="ij"))
+    Psi = field.Psi(pos[:, None], tg[None, :])
     w = beta * tg2
     scale = np.max(np.abs(Psi), axis=1) + w[-1]
     # false for NaN and inf; the thresholds below stay within 3 scales
@@ -381,7 +382,7 @@ def _central_difference(field, P, T, ridx, h, axis, quantity):
     for step in (h, -h):
         grid[axis] = np.clip(X + step, lo, hi)
         idx, values = field._sample(*grid, quantity)
-        ok &= idx == ridx
+        ok = ok & (idx == ridx)
         sides.append(values)
     return (sides[0] - sides[1]) / (2.0 * h), ok
 
@@ -398,14 +399,14 @@ def check_divergence_and_flux(field, config=None):
     config = config or VerifyConfig()
     h = config.fd_step
     pos, t = _grids(field, config)
-    P, T = np.meshgrid(pos, t, indexing="ij")
+    P, T = pos[:, None], t[None, :]
     if config.divergence_mode == "auto":
         ridx, psi, phit, dpsi = field._sample(P, T, "psi", "phi_t", "dpsi_dpos")
         has_dpsi = np.array([r.dpsi_dpos is not None for r in field.regions])
         analytic = (ridx >= 0) & has_dpsi[ridx]
     else:
         ridx, psi, phit = field._sample(P, T, "psi", "phi_t")
-        dpsi, analytic = np.full(P.shape, np.nan), np.zeros(P.shape, dtype=bool)
+        dpsi, analytic = np.full(ridx.shape, np.nan), np.zeros(ridx.shape, dtype=bool)
 
     finite = np.isfinite(psi) & np.isfinite(phit)
     max_phi_x = float(np.max(np.abs(psi[finite]))) if finite.any() else float("nan")

@@ -143,16 +143,28 @@ def test_field_1d_graph_lands_in_the_saturating_band():
         assert abs(phi_t - 0.75 ** 2) < 1e-12
 
 
-def test_field_1d_psi_antiderivative_properties():
-    field = build_field_1d(limit_params())
-    pos = np.linspace(0.0, 1.0, 41)
-    assert np.max(np.abs(field.Psi(pos, np.zeros_like(pos)))) == 0.0
-    # continuity of Psi in t across every band interface
-    for interface in field.interfaces:
-        curve = interface.g(pos)
-        above = field.Psi(pos, np.minimum(curve + 1e-12, field.t_max))
-        below = field.Psi(pos, np.maximum(curve - 1e-12, 0.0))
-        assert np.max(np.abs(above - below)) < 1e-10
+def test_psi_antiderivative_properties():
+    shell = radial_shell_profile(2, 0.5, 2.0)
+    fields = (build_field_1d(limit_params()), build_field_indicator_const(2, 0.3, 0.4),
+              build_field_indicator_two_piece(2, 1.0, 0.4),
+              build_field_harmonic(shell, shell.m, shell.M, 0.5),
+              build_field_ball_harmonic(2, 2.0, math.sqrt(GAMMA_EL_SQ_2_2_2), 2.0))
+    for field in fields:
+        pos = np.linspace(*field.pos_range, 41)
+        assert np.max(np.abs(field.Psi(pos, np.zeros_like(pos)))) == 0.0
+        # continuity of Psi in t across every graph interface, and in pos
+        # across the support sphere
+        for interface in field.interfaces:
+            if interface.kind == "graph":
+                at = np.linspace(*interface.pos_range, 41)
+                curve = interface.g(at)
+                above = field.Psi(at, np.minimum(curve + 1e-12, field.t_max))
+                below = field.Psi(at, np.maximum(curve - 1e-12, 0.0))
+            else:
+                t = np.linspace(0.0, field.t_max, 41)
+                above = field.Psi(interface.radius + 1e-12, t)
+                below = field.Psi(interface.radius - 1e-12, t)
+            assert np.max(np.abs(above - below)) < 1e-10, (field.kind, interface.name)
 
 
 def test_field_1d_jump_identity_is_exact_in_the_limit_case():

@@ -263,17 +263,31 @@ def test_non_finite_numbers_are_usage_errors(argv, capsys):
     ["energy-curve", "--n", "0", "--beta", "1", "--gamma", "0.5"],
     ["energy-curve", "--n", "11", "--beta", "1", "--gamma", "0.5"],
     ["check", "ball-harmonic", "--n", "2", "--beta", "2", "--R", "1e300", "--samples", "16"],
+    ["check", "ball-harmonic", "--n", "2", "--beta", "1e200", "--R", "2", "--samples", "16"],
+    ["phase-diagram", "--n", "2", "--beta", "1:1e200:3", "--gamma", "0.5"],
+    ["energy-curve", "--n", "2", "--beta", "1e200", "--gamma", "0.5"],
 ])
 def test_out_of_range_dimensions_and_overflowing_numbers_are_usage_errors(argv, capsys):
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
-    # `check` and `describe` name the option that overflows, with its value
-    huge = [(flag, float(value)) for flag, value in zip(argv, argv[1:])
-            if flag in ("--R", "--beta") and float(value) > 1e100]
-    if argv[0] != "phase-diagram" and huge:
+    # the option that overflows is named with its value (a grid's largest)
+    huge = [(flag, float(value.split(":")[1] if ":" in value else value))
+            for flag, value in zip(argv, argv[1:]) if flag in ("--R", "--beta")]
+    huge = [(flag, value) for flag, value in huge if value > 1e100]
+    if huge:
         assert err.startswith("error: {} {!r} is out of range".format(*huge[0])), err
+
+
+def test_a_shell_trace_that_squares_to_zero_takes_no_multiplier(capsys):
+    # the trace is about 2.5e-201, so m^2 underflows to 0
+    code, out, err = run(capsys, ["describe", "harmonic", "--n", "1", "--beta", "2",
+                                  "--R", "1e200"])
+    assert code in (0, 1)
+    assert "Traceback" not in err
+    if code == 0:
+        assert json.loads(out)["params"]["lambda"] == 0.0
 
 
 @pytest.mark.parametrize("n, R", [(1, "1e200"), (2, "1e90")])
