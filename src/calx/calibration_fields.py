@@ -69,12 +69,14 @@ class Region:
     points with ``t <= top(pos)`` (``t < top(pos)`` when ``strict``) that
     no earlier region owns, and a top of ``-inf`` keeps it off a position.
     ``psi``, ``phi_t`` and ``dpsi_dpos`` are vectorized callables of
-    ``(pos, t)``.  ``psi`` is the signed component of ``phi_x`` along the
-    field direction and must be affine in ``t``: the field integrates it
-    over the region's stretch ``[a, b]`` of each fibre as
-    ``(b - a) (psi(a) + psi(b)) / 2``, which is then exact.
-    ``dpsi_dpos`` is the analytic spatial derivative of ``psi`` when one
-    is available; the verifier falls back to finite differences otherwise.
+    ``(pos, t)``, defined for every ``t``.  ``psi`` is the signed
+    component of ``phi_x`` along the field direction and must be affine
+    in ``t``: the field integrates it over the region's stretch ``[a, b]``
+    of each fibre as ``(b - a) (psi(a) + psi(b)) / 2``, which is then
+    exact.  ``phi_t`` must be at most quadratic in ``t``: the field
+    differentiates it as ``(phi_t(t + h) - phi_t(t - h)) / (2 h)`` with
+    ``h = t_max``, which is then exact.  ``dpsi_dpos`` is the analytic
+    spatial derivative of ``psi``.
     """
 
     name: str
@@ -82,7 +84,7 @@ class Region:
     top: Callable
     psi: Callable
     phi_t: Callable
-    dpsi_dpos: Optional[Callable] = None
+    dpsi_dpos: Callable
     psi_formula: str = ""
     phi_t_formula: str = ""
     strict: bool = False
@@ -93,9 +95,8 @@ class Interface:
     """A curve separating two regions, used for flux continuity checks.
 
     ``kind`` is ``'graph'`` for a curve ``t = g(pos)`` or ``'sphere'``
-    for a vertical interface ``pos = radius``.  ``g_prime`` is the
-    analytic slope of a graph interface; ``None`` means the verifier
-    differentiates ``g`` numerically.
+    for a vertical interface ``pos = radius``.  A graph interface
+    declares its curve ``g`` and the curve's analytic slope ``g_prime``.
     """
 
     name: str
@@ -105,6 +106,10 @@ class Interface:
     g_prime: Optional[Callable] = None
     radius: float = 0.0
     description: str = ""
+
+    def __post_init__(self):
+        if self.kind == "graph" and (self.g is None or self.g_prime is None):
+            raise ValueError("a graph interface needs its curve g and its slope g_prime")
 
 
 class HypothesisViolation(Exception):
@@ -162,10 +167,14 @@ class PiecewiseField:
         given, so sampling on ``pos[:, None]`` and ``t[None, :]`` runs it
         once per position; the other callables run only on the points
         their region claims.  ``quantities`` names ``Region`` attributes
-        (``psi``, ``phi_t``, ``dpsi_dpos``) or ``Psi``; a value is NaN where
-        no region claims the point or the claiming region lacks the
-        callable.  ``phi_t`` includes ``phi_t_bump``.  Arrays take the
-        broadcast shape of ``pos`` and ``t``.
+        (``psi``, ``phi_t``, ``dpsi_dpos``), ``Psi`` or ``dphi_t_dt``; a
+        value is NaN where no region claims the point.  ``phi_t`` includes
+        ``phi_t_bump``, which is constant on its box and adds nothing to
+        ``dphi_t_dt``.  Arrays take the broadcast shape of ``pos`` and ``t``.
+
+        ``dphi_t_dt`` is the central difference of the claiming region's
+        own ``phi_t`` at ``t +- t_max``, exact because ``phi_t`` is at most
+        quadratic in ``t``.
 
         ``Psi`` integrates ``psi`` from 0.  Along a fibre region ``k``
         spans ``[lo, hi]``, ``hi`` the running maximum of the tops up to
@@ -195,7 +204,11 @@ class PiecewiseField:
                         a = np.broadcast_to(lo, shape)[mask]
                         out[mask] = (np.broadcast_to(below, shape)[mask]
                                      + 0.5 * (tk - a) * (region.psi(pk, a) + region.psi(pk, tk)))
-                    elif getattr(region, name) is not None:
+                    elif name == "dphi_t_dt":
+                        h = self.t_max
+                        out[mask] = (region.phi_t(pk, tk + h)
+                                     - region.phi_t(pk, tk - h)) / (2.0 * h)
+                    else:
                         out[mask] = getattr(region, name)(pk, tk)
             if "Psi" in quantities:
                 hi = np.maximum(lo, top)
@@ -330,6 +343,14 @@ def affine_profile(m, M):
     )
 
 
+def _weights(beta, gamma_=0.0):
+    """``(beta, gamma_)`` as floats, finite with ``beta > 0`` and ``gamma_ >= 0``."""
+    beta, gamma_ = float(beta), float(gamma_)
+    if not (0.0 < beta < np.inf and 0.0 <= gamma_ < np.inf):
+        raise ValueError("beta must be positive and gamma nonnegative, both finite")
+    return beta, gamma_
+
+
 def radial_shell_profile(n, beta, R):
     """Robin-optimal radial profile on the shell ``1 <= r <= R``.
 
@@ -337,12 +358,10 @@ def radial_shell_profile(n, beta, R):
     at ``r = R``; its gradient points inward (negative ``e_r`` component).
     """
 
-    beta = float(beta)
+    beta = _weights(beta)[0]
     R = float(R)
-    if not beta > 0.0:
-        raise ValueError("beta must be positive")
-    if not R > 1.0:
-        raise ValueError("shell requires R > 1")
+    if not 1.0 < R < np.inf:
+        raise ValueError("shell requires a finite R > 1")
     dR = delta_robin(n, beta, R)
     amp = beta * dR * R ** (n - 1)
 
@@ -646,7 +665,7 @@ def _template_field(params, profile, kind):
     )
 
 
-def build_field_1d(params, interval=(0.0, 1.0)):
+def build_field_1d(params):
     """Four-band calibration of the affine profile on ``[0, 1]``.
 
     ``params`` must already be feasible (see :class:`CalibParams1D`).
@@ -657,8 +676,6 @@ def build_field_1d(params, interval=(0.0, 1.0)):
     ``phi = (2 (M-t)/(1-x), ((M-t)/(1-x))^2)``.
     """
 
-    if tuple(float(v) for v in interval) != (0.0, 1.0):
-        raise ValueError("the interval construction is normalized to [0, 1]")
     profile = affine_profile(params.m, params.M)
     return _template_field(params, profile, kind="1d")
 
@@ -700,12 +717,9 @@ def build_field_indicator_const(n, beta, gamma_):
     """
 
     n = int(n)
-    beta = float(beta)
-    gamma_ = float(gamma_)
+    beta, gamma_ = _weights(beta, gamma_)
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    if not beta > 0.0 or not gamma_ >= 0.0:
-        raise ValueError("beta must be positive and gamma nonnegative")
     if beta > gamma_:
         raise HypothesisViolation(
             "indicator field needs beta <= gamma: {:g} > {:g}".format(beta, gamma_),
@@ -790,10 +804,7 @@ def build_field_indicator_two_piece(n, beta, gamma_):
     """
 
     n = int(n)
-    beta = float(beta)
-    gamma_ = float(gamma_)
-    if not beta > 0.0 or not gamma_ >= 0.0:
-        raise ValueError("beta must be positive and gamma nonnegative")
+    beta, gamma_ = _weights(beta, gamma_)
     worst_r, worst = robin_bracket_sup(n, beta)
     worst_excess = worst - gamma_ ** 2
     if not worst_excess <= 0.0:
@@ -833,13 +844,10 @@ def build_field_ball_harmonic(n, beta, gamma_, R, enforce_beta=True):
     """
 
     n = int(n)
-    beta = float(beta)
-    gamma_ = float(gamma_)
+    beta, gamma_ = _weights(beta, gamma_)
     R = float(R)
-    if not beta > 0.0 or not gamma_ >= 0.0:
-        raise ValueError("beta must be positive and gamma nonnegative")
-    if not R >= 1.0:
-        raise ValueError("R must be at least 1")
+    if not 1.0 <= R < np.inf:
+        raise ValueError("R must be finite and at least 1")
     if R == 1.0:
         return build_field_indicator_two_piece(n, beta, gamma_)
 

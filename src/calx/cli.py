@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -124,19 +123,6 @@ def _parse_grid(spec):
     return np.linspace(start, stop, count)
 
 
-def _env_threads():
-    raw = os.environ.get("CALX_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise _UsageError("CALX_THREADS must be an integer, got {!r}".format(raw))
-    if threads < 1:
-        raise _UsageError("CALX_THREADS must be at least 1")
-    return threads
-
-
 def _write_text(path, text):
     with open(path, "w") as handle:
         handle.write(text)
@@ -205,7 +191,7 @@ def _cmd_energy_curve(args, config):
 
 
 def _verify_config_from(opt):
-    kwargs = {"threads": _env_threads()}
+    kwargs = {}
     samples = opt.get("samples", cast=int)
     if samples is not None:
         kwargs["pos_res"] = samples

@@ -6,13 +6,13 @@ margin means the axiom holds with room to spare on the sampled points.
 Every pointwise check follows one verdict rule: a sample violates unless
 its margin is finite and at least its floor, and any NaN or infinite
 margin makes the worst margin NaN.  Divergence is checked region by
-region.  Regions that carry an analytic spatial derivative of ``phi_x``
-use it by default because several constructions contain factors like
-``1/(r^(n-1) Gamma(r))`` whose finite differences are hopeless near
-``r = 1``; pass ``divergence_mode='fd'`` to force finite differences
-everywhere.  The time derivative of ``phi_t`` is always a central
-difference, which is exact here since every region is polynomial of
-degree at most two in ``t``.
+region from one sampling pass: every region declares the analytic
+spatial derivative of ``phi_x``, used by default because several
+constructions contain factors like ``1/(r^(n-1) Gamma(r))`` whose finite
+differences are hopeless near ``r = 1``, and the field derives the time
+derivative of ``phi_t`` exactly from each region's own ``phi_t``, which
+is at most quadratic in ``t``.  ``divergence_mode='fd'`` replaces the
+spatial derivative by a central difference along ``pos``.
 """
 
 from __future__ import annotations
@@ -367,23 +367,20 @@ def check_graph_conditions(field, calibrated, config=None):
     return a_prime, b_prime
 
 
-def _central_difference(field, P, T, ridx, h, axis, quantity):
-    """Central difference of ``quantity`` along ``pos`` (axis 0) or ``t`` (axis 1).
+def _central_difference(field, P, T, ridx, h):
+    """Central difference of ``psi`` along ``pos``, one sampling pass per stencil side.
 
-    One sampling pass per stencil side.  Also returns where the stencil
-    stays inside the domain and in the region ``ridx`` of its centre.
+    Also returns where the stencil stays inside the domain and in the
+    region ``ridx`` of its centre.
     """
 
-    grid = [P, T]
-    lo, hi = field.pos_range if axis == 0 else (0.0, field.t_max)
-    X = grid[axis]
-    ok = (X - h >= lo) & (X + h <= hi)
+    lo, hi = field.pos_range
+    ok = (P - h >= lo) & (P + h <= hi)
     sides = []
     for step in (h, -h):
-        grid[axis] = np.clip(X + step, lo, hi)
-        idx, values = field._sample(*grid, quantity)
+        idx, psi = field._sample(np.clip(P + step, lo, hi), T, "psi")
         ok = ok & (idx == ridx)
-        sides.append(values)
+        sides.append(psi)
     return (sides[0] - sides[1]) / (2.0 * h), ok
 
 
@@ -392,21 +389,19 @@ def check_divergence_and_flux(field, config=None):
 
     The divergence of a field directed along ``e_r`` is
     ``d(psi)/dr + (n-1) psi / r + d(phi_t)/dt`` (the middle term drops
-    on an interval).  Interface flux continuity compares the two side
-    limits of ``phi . normal`` along each declared interface.
+    on an interval), checked at every grid point where ``psi`` and
+    ``phi_t`` are finite.  All terms come from one sampling pass, with
+    the regions' own derivatives.  In ``fd`` mode ``d(psi)/dr`` is a
+    central difference of step ``fd_step`` instead, two more passes, and
+    a point whose stencil leaves the domain or its region is skipped.
+    Interface flux continuity compares the two side limits of
+    ``phi . normal`` along each declared interface.
     """
 
     config = config or VerifyConfig()
-    h = config.fd_step
     pos, t = _grids(field, config)
     P, T = pos[:, None], t[None, :]
-    if config.divergence_mode == "auto":
-        ridx, psi, phit, dpsi = field._sample(P, T, "psi", "phi_t", "dpsi_dpos")
-        has_dpsi = np.array([r.dpsi_dpos is not None for r in field.regions])
-        analytic = (ridx >= 0) & has_dpsi[ridx]
-    else:
-        ridx, psi, phit = field._sample(P, T, "psi", "phi_t")
-        dpsi, analytic = np.full(ridx.shape, np.nan), np.zeros(ridx.shape, dtype=bool)
+    ridx, psi, phit, dpsi, dphit = field._sample(P, T, "psi", "phi_t", "dpsi_dpos", "dphi_t_dt")
 
     finite = np.isfinite(psi) & np.isfinite(phit)
     max_phi_x = float(np.max(np.abs(psi[finite]))) if finite.any() else float("nan")
@@ -416,15 +411,12 @@ def check_divergence_and_flux(field, config=None):
     bounded = _tally("bounded", np.where(finite, config.tol_div, np.nan), (P, T),
                      config.tol_div, config)
 
-    dphit, ok_t = _central_difference(field, P, T, ridx, h, 1, "phi_t")
-    ok_pos = analytic
-    if (~analytic & (ridx >= 0)).any():
-        fd_dpsi, ok = _central_difference(field, P, T, ridx, h, 0, "psi")
-        dpsi = np.where(analytic, dpsi, fd_dpsi)
-        ok_pos = analytic | ok
+    valid = finite
+    if config.divergence_mode == "fd":
+        dpsi, ok = _central_difference(field, P, T, ridx, config.fd_step)
+        valid = valid & ok
 
     # a skipped point scores divergence 0: margin tol_div, which no checked point exceeds
-    valid = ok_t & ok_pos & finite
     div = np.where(valid, dpsi + dphit, 0.0)
     if field.geometry == "radial":
         div = np.where(valid, div + (field.n - 1) * psi / P, 0.0)
@@ -439,12 +431,7 @@ def check_divergence_and_flux(field, config=None):
             margin = 1e-4 * (hi - lo)
             at = np.linspace(lo + margin, hi - margin, config.pos_res)
             curve = np.asarray(interface.g(at), dtype=float)
-            if interface.g_prime is not None:
-                slope = np.asarray(interface.g_prime(at), dtype=float)
-            else:
-                hg = 1e-6 * (hi - lo)
-                slope = (np.asarray(interface.g(at + hg), dtype=float)
-                         - np.asarray(interface.g(at - hg), dtype=float)) / (2.0 * hg)
+            slope = np.asarray(interface.g_prime(at), dtype=float)
             psi_lo, phit_lo = field.evaluate(at, curve - shift)
             psi_hi, phit_hi = field.evaluate(at, curve + shift)
             flux.append(np.abs((phit_hi - phit_lo) - slope * (psi_hi - psi_lo)))

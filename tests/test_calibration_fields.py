@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ import pytest
 from calx.calibration_fields import (
     CalibParams1D,
     HypothesisViolation,
+    Interface,
+    Region,
     affine_profile,
     build_field_1d,
     build_field_ball_harmonic,
@@ -197,7 +200,9 @@ def test_limit_case_calibrates_both_minimizers():
 
 
 def test_field_1d_rejects_other_intervals():
-    with pytest.raises(ValueError):
+    # the construction is normalized to [0, 1] and takes no interval
+    assert build_field_1d(limit_params()).pos_range == (0.0, 1.0)
+    with pytest.raises(TypeError):
         build_field_1d(limit_params(), interval=(0.0, 2.0))
 
 
@@ -281,10 +286,27 @@ def test_ball_field_construction_guards():
     lambda bad: build_field_ball_harmonic(2, 2.0, 0.4, bad),
     lambda bad: radial_shell_profile(2, bad, 2.0),
     lambda bad: radial_shell_profile(2, 0.5, bad),
+    lambda bad: build_field_1d(CalibParams1D.from_traces(0.8, 1.0, bad)),
+    lambda bad: build_field_harmonic(affine_profile(0.8, 1.0), 0.8, 1.0, bad),
 ])
 def test_builders_reject_nan_parameters(build):
+    # and both infinities, each before any arithmetic can warn
+    for bad in (math.nan, math.inf, -math.inf):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                build(bad)
+
+
+def test_regions_and_graph_interfaces_declare_their_derivatives():
+    def zero(pos, t):
+        return 0.0 * t
+
+    with pytest.raises(TypeError):
+        Region("everything", "all t", lambda pos: np.inf + 0.0 * pos, zero, zero)
     with pytest.raises(ValueError):
-        build(float("nan"))
+        Interface(name="curve", kind="graph", g=lambda pos: 0.0 * pos)
+    assert Interface(name="sphere", kind="sphere", radius=2.0).g_prime is None
 
 
 def test_ball_field_regions_and_jump_identity():

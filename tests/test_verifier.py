@@ -262,11 +262,20 @@ def test_nonfinite_divergence_and_jump_samples_fail_with_a_nan_margin(case, axio
     calibrated = None
     if case == "NaN jump end":
         calibrated = dataclasses.replace(field.calibrated, jumps=((1.0, 0.0, np.nan, -1.0),))
+    elif case == "NaN at a stencil point only":
+        # psi is NaN only where the fd-mode pos stencil of one grid node reads
+        cfg = dataclasses.replace(cfg, divergence_mode="fd")
+        region = field.regions[0]
+
+        def psi(p, tt):
+            hole = (np.abs(p - (pos[5] + cfg.fd_step)) < 1e-9) & (np.abs(tt - t[7]) < 1e-9)
+            return np.where(hole, np.nan, region.psi(p, tt))
+
+        field = dataclasses.replace(field, regions=(dataclasses.replace(region, psi=psi),))
     else:
-        # phi_t is bumped at one grid node, or only where the t stencil of that node reads
-        t0 = t[7] + (cfg.fd_step if case == "NaN at a stencil point only" else 0.0)
+        # phi_t is bumped at one grid node
         amount = np.inf if case.startswith("+inf") else np.nan
-        field = perturb_phi_t(field, pos[5], t0, amount, 1e-6, 1e-6)
+        field = perturb_phi_t(field, pos[5], t[7], amount, 1e-6, 1e-6)
     report = verify_all(field, calibrated, cfg)
     result = report.results[axiom]
     assert result.status == "fail" and result.n_violations == 1
@@ -300,6 +309,28 @@ def test_psi_antiderivative_matches_quadrature():
             assert abs(got - expected) < 1e-9 + 10.0 * err
 
 
+def test_phi_t_is_quadratic_in_t():
+    # dphi_t_dt differences each region's phi_t over +-t_max, exact only
+    # if phi_t is at most quadratic in t: its third differences vanish
+    shell = radial_shell_profile(2, 0.5, 2.0)
+    for field in (limit_field(), ball_field(), build_field_indicator_const(3, 0.6, 0.8),
+                  build_field_indicator_two_piece(2, 1.0, 0.4),
+                  build_field_harmonic(shell, shell.m, shell.M, 0.5)):
+        lo, hi = field.pos_range
+        pos = np.linspace(lo + 1e-3, hi - 1e-3, 41)[:, None]
+        t = np.linspace(0.0, field.t_max, 41)[None, :]
+        ridx = field.region_index(pos, t)
+        h = field.t_max / 3.0
+        for k, region in enumerate(field.regions):
+            p, tt = np.broadcast_arrays(pos, t)
+            p, tt = p[ridx == k], tt[ridx == k]
+            assert p.size, (field.kind, region.name)
+            f = [region.phi_t(p, tt + j * h) for j in range(-1, 3)]
+            third = f[3] - 3.0 * f[2] + 3.0 * f[1] - f[0]
+            scale = 1.0 + np.max(np.abs(f), axis=0)
+            assert np.all(np.abs(third) <= 1e-12 * scale), (field.kind, region.name)
+
+
 def test_grid_doubling_keeps_the_verdict():
     field = ball_field()
     for res in (64, 128):
@@ -318,30 +349,6 @@ def test_divergence_modes_agree_on_a_smooth_field():
         assert report.results["divflux"].meta["divergence_mode"] == mode
 
 
-def test_auto_divergence_differences_regions_without_dpsi():
-    # no builder leaves dpsi_dpos out, so drop it from one region by hand
-    field = limit_field()
-    cfg = VerifyConfig(pos_res=64, t_res=64, pair_res=64)
-
-    def without_dpsi(name):
-        return dataclasses.replace(field, regions=tuple(
-            dataclasses.replace(r, dpsi_dpos=None) if r.name == name else r
-            for r in field.regions))
-
-    intact = check_divergence_and_flux(field, cfg)
-    assert intact.status == "pass"
-    # psi is constant in pos on the graph band, so the differences are
-    # exact there; stencils that leave the band are skipped
-    flat = check_divergence_and_flux(without_dpsi("graph-band"), cfg)
-    assert flat.status == "pass"
-    assert flat.meta["n_div_skipped"] > intact.meta["n_div_skipped"]
-    # above the graph the differences carry the same error as in fd mode
-    curved = check_divergence_and_flux(without_dpsi("above-graph"), cfg)
-    fd = check_divergence_and_flux(field, dataclasses.replace(cfg, divergence_mode="fd"))
-    assert curved.n_violations == fd.n_violations > 0
-    assert curved.meta["div_worst"] == fd.meta["div_worst"]
-
-
 def test_axioms_classify_each_grid_once(monkeypatch):
     field = ball_field()
     cfg = VerifyConfig(pos_res=32, t_res=32, pair_res=32)
@@ -355,12 +362,13 @@ def test_axioms_classify_each_grid_once(monkeypatch):
         return out
 
     monkeypatch.setattr(PiecewiseField, "_sample", counting)
-    # centre and both t-stencil sides; fd mode adds both pos-stencil sides
-    check_divergence_and_flux(field, cfg)
-    assert passes.count(grid) == 3
+    # the centre only; fd mode adds both pos-stencil sides
+    result = check_divergence_and_flux(field, cfg)
+    assert passes.count(grid) == 1
+    assert result.meta["n_div_checked"] == grid
     passes.clear()
     check_divergence_and_flux(field, dataclasses.replace(cfg, divergence_mode="fd"))
-    assert passes.count(grid) == 5
+    assert passes.count(grid) == 3
 
     # axiom (b) samples Psi once on the pos x pair grid: each region top
     # runs once, on the positions only
