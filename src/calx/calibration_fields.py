@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from calx.potentials import (delta_robin, delta_robin_prime, gamma, rho, rho_prime,
+from calx.potentials import (_weights, delta_robin, delta_robin_prime, gamma, rho, rho_prime,
                              robin_bracket, robin_bracket_sup, u_radial)
 
 
@@ -341,14 +341,6 @@ def affine_profile(m, M):
         grad_prime=_zero_at,
         sup_grad=slope,
     )
-
-
-def _weights(beta, gamma_=0.0):
-    """``(beta, gamma_)`` as floats, finite with ``beta > 0`` and ``gamma_ >= 0``."""
-    beta, gamma_ = float(beta), float(gamma_)
-    if not (0.0 < beta < np.inf and 0.0 <= gamma_ < np.inf):
-        raise ValueError("beta must be positive and gamma nonnegative, both finite")
-    return beta, gamma_
 
 
 def radial_shell_profile(n, beta, R):

@@ -5,8 +5,9 @@ Two families live here:
 * the one-dimensional free-discontinuity energy of piecewise-affine
   competitors with jumps (``energy_1d``),
 * the radial energy of functions supported on a ball of radius R with
-  outer trace delta (``energy_radial_general`` and the Robin-optimal
-  closed form ``energy_radial_optimal``), together with its derivative
+  outer trace delta (``energy_radial_general``, ``energy_radial_traces``
+  for an array of traces at one R, and the Robin-optimal closed form
+  ``energy_radial_optimal``), together with its derivative
   in R, critical radii, and the monotonicity margin that certifies the
   indicator regime.
 """
@@ -19,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from calx.potentials import _robin_tail, delta_robin, gamma, robin_bracket, robin_bracket_sup
+from calx.potentials import (_robin_tail, _weights, delta_robin, gamma, robin_bracket,
+                             robin_bracket_sup)
 
 __all__ = [
     "unit_ball_volume",
@@ -28,6 +30,7 @@ __all__ = [
     "RadialProfile",
     "energy_1d",
     "energy_radial_general",
+    "energy_radial_traces",
     "energy_radial_optimal",
     "dE_dR",
     "critical_radii",
@@ -67,7 +70,12 @@ def unit_ball_volume(n: int) -> float:
 
 @dataclass(frozen=True)
 class EnergyBreakdown:
-    """Dirichlet, jump and volume contributions of a competitor."""
+    """Dirichlet, jump and volume contributions of a competitor.
+
+    A term may be an array over a family of competitors (see
+    :func:`energy_radial_traces`); the check then names its first entry
+    that is not finite and nonnegative.
+    """
 
     dirichlet: float
     jump: float
@@ -76,6 +84,9 @@ class EnergyBreakdown:
     def __post_init__(self):
         for name in ("dirichlet", "jump", "volume"):
             v = getattr(self, name)
+            if isinstance(v, np.ndarray):
+                bad = v[~(np.isfinite(v) & (v >= 0.0))]
+                v = bad[0] if bad.size else 0.0
             if not math.isfinite(v) or v < 0.0:
                 raise ValueError(f"{name} term must be finite and nonnegative, got {v}")
 
@@ -250,14 +261,7 @@ class RadialProfile:
     delta: float
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise ValueError(f"dimension must be a positive integer, got {self.n!r}")
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
-        if self.gamma < 0:
-            raise ValueError("gamma must be nonnegative")
-        if self.R < 1.0:
-            raise ValueError("R must be >= 1")
+        _check_radial(self.n, self.beta, self.gamma, self.R)
         if not (0.0 < self.delta <= 1.0):
             raise ValueError("delta must lie in (0, 1]")
 
@@ -265,6 +269,34 @@ class RadialProfile:
         if self.R == 1.0:
             return True
         return abs(self.delta - delta_robin(self.n, self.beta, self.R)) <= tol
+
+
+def _check_radial(n, beta, gamma_, R):
+    """A radial profile's checks, its trace apart: a dimension n >= 1, finite
+    beta > 0 and gamma >= 0, and a finite R >= 1."""
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"dimension must be a positive integer, got {n!r}")
+    _weights(beta, gamma_)
+    if not 1.0 <= R < math.inf:
+        raise ValueError("R must be finite and >= 1")
+
+
+def _radial_terms(n, beta, gamma_, R, delta):
+    """(dirichlet, jump, volume) of the radial profile with outer trace delta,
+    a float or an array of floats.
+
+    Every factor of R alone stays a Python scalar, so an overflowing R raises
+    OverflowError and a trace in an array gets the bits it gets on its own.
+    delta is squared by a product: Python's ``float ** 2`` calls libm pow,
+    which an array's square does not match in the last ulp.
+    """
+    w = unit_ball_volume(n)
+    if R == 1.0:
+        return 0.0, beta * n * w, w * gamma_**2
+    s = 1.0 - delta
+    return (n * w * (s * s) / gamma(n, R),
+            beta * n * w * R ** (n - 1) * (delta * delta),
+            w * gamma_**2 * R**n)
 
 
 def energy_radial_general(p: RadialProfile) -> EnergyBreakdown:
@@ -275,23 +307,31 @@ def energy_radial_general(p: RadialProfile) -> EnergyBreakdown:
     At R = 1 the profile degenerates to the indicator of the unit ball,
     whose jump trace is 1 regardless of delta.
     """
-    w = unit_ball_volume(p.n)
-    if p.R == 1.0:
-        return EnergyBreakdown(
-            dirichlet=0.0,
-            jump=p.beta * p.n * w,
-            volume=w * p.gamma**2,
-        )
-    return EnergyBreakdown(
-        dirichlet=p.n * w * (1.0 - p.delta) ** 2 / gamma(p.n, p.R),
-        jump=p.beta * p.n * w * p.R ** (p.n - 1) * p.delta**2,
-        volume=w * p.gamma**2 * p.R**p.n,
-    )
+    return EnergyBreakdown(*_radial_terms(p.n, p.beta, p.gamma, p.R, p.delta))
+
+
+def energy_radial_traces(n: int, beta: float, gamma_: float, R: float, deltas) -> EnergyBreakdown:
+    """:func:`energy_radial_general` at one radius R for every trace in ``deltas``.
+
+    The parameters pass the checks of :class:`RadialProfile` once, and every
+    trace must lie in (0, 1].  The dirichlet and jump terms are arrays over
+    ``deltas`` holding, bit for bit, what ``energy_radial_general`` gives each
+    trace; the volume term, and at R = 1 every term, is a float.
+    """
+    deltas = np.asarray(deltas, dtype=float)
+    _check_radial(n, beta, gamma_, R)
+    if not np.all((deltas > 0.0) & (deltas <= 1.0)):
+        raise ValueError("delta must lie in (0, 1]")
+    # an infinite jump weight times a trace squared to 0 is NaN, as in float
+    # arithmetic, and EnergyBreakdown rejects it
+    with np.errstate(invalid="ignore"):
+        return EnergyBreakdown(*_radial_terms(n, beta, gamma_, R, deltas))
 
 
 def energy_radial_optimal(n: int, beta: float, gamma_: float, R):
     """Energy of the Robin-optimal radial profile:
     n omega_n beta R^(n-1) delta(R) + omega_n gamma^2 R^n."""
+    beta, gamma_ = _weights(beta, gamma_)
     w = unit_ball_volume(n)
     R = np.asarray(R, dtype=float)
     d = np.asarray(delta_robin(n, beta, R))
@@ -302,6 +342,7 @@ def energy_radial_optimal(n: int, beta: float, gamma_: float, R):
 def dE_dR(n: int, beta: float, gamma_: float, R):
     """Derivative in R of energy_radial_optimal:
     n omega_n R^(n-1) [gamma^2 - (beta^2 - (n-1) beta / R) delta(R)^2]."""
+    beta, gamma_ = _weights(beta, gamma_)
     w = unit_ball_volume(n)
     R = np.asarray(R, dtype=float)
     bracket = gamma_**2 - robin_bracket(n, beta, R)
@@ -319,6 +360,7 @@ def critical_radii(n: int, beta: float, gamma_: float) -> list:
     That radius can lie past the float range for a tiny gamma; its root is
     then not listed.
     """
+    beta, gamma_ = _weights(beta, gamma_)
 
     def sign_of_dE_dR(R):
         # gamma minus the bracket's signed root: gamma is not squared, so its

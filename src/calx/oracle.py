@@ -13,11 +13,14 @@ read off a table instead of trusted from a formula.
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
-from calx.energy import Competitor1D, RadialProfile, energy_1d, energy_radial_general
+from calx.energy import (Competitor1D, RadialProfile, energy_1d, energy_radial_general,
+                         energy_radial_traces)
 
 __all__ = [
     "JumpSearchSpace",
@@ -229,6 +232,7 @@ def oracle_1d_best(m, M, beta, max_jumps=2, resolution=1000, space=None):
     return best, best_energy
 
 
+# (n, step) -> (v, w): the cached RK4 trajectory from r = 1, one array per component
 _BASIS_CACHE = {}
 
 
@@ -246,22 +250,17 @@ def _rk4_step(k, r, h, v, w):
             w + h * (dw1 + 2.0 * dw2 + 2.0 * dw3 + dw4) / 6.0)
 
 
-def _rk4_extend(n, step, states, n_steps):
-    """Grow the cached RK4 trajectory of v'' = -(n-1) v'/r to n_steps."""
-
-    while len(states) <= n_steps:
-        i = len(states) - 1
-        states.append(_rk4_step(n - 1, 1.0 + i * step, step, *states[-1]))
-
-
 def _basis_at(n, R, step):
     """(v(R), v'(R)) for the solution with v(1) = 0, v'(1) = 1."""
 
     key = (int(n), float(step))
-    states = _BASIS_CACHE.setdefault(key, [(0.0, 1.0)])
+    vs, ws = _BASIS_CACHE.setdefault(key, (array("d", [0.0]), array("d", [1.0])))
     full = int((R - 1.0) / step)
-    _rk4_extend(n, step, states, full)
-    v, w = states[full]
+    while len(vs) <= full:
+        v, w = _rk4_step(n - 1, 1.0 + (len(vs) - 1) * step, step, vs[-1], ws[-1])
+        vs.append(v)
+        ws.append(w)
+    v, w = vs[full], ws[full]
     rest = R - 1.0 - full * step
     if rest > 1e-15:
         v, w = _rk4_step(n - 1, 1.0 + full * step, rest, v, w)
@@ -346,22 +345,16 @@ class RadialSweepResult:
                     row.volume, row.total)])
 
 
-def _sweep_row(n, beta, gamma_, R, delta):
-    e = energy_radial_general(RadialProfile(n=n, beta=beta, gamma=gamma_,
-                                            R=R, delta=delta))
-    return SweepRow(R=R, delta=delta, dirichlet=e.dirichlet, jump=e.jump,
-                    volume=e.volume, total=e.total)
-
-
 def oracle_radial_sweep(n, beta, gamma_, R_grid, delta_grid, threads=None):
     """Tabulate radial profile energies over a (R, delta) product grid.
 
     The degenerate radius R = 1 collapses every trace to the indicator
     of the unit ball, so the table always starts with that single row
     and any user-supplied R = 1 entries are folded into it.  Remaining
-    rows are sorted by R then delta; the best row is the first minimum
-    in scan order.  ``threads`` is accepted for compatibility and has no
-    effect: the rows are pure-Python work that threads cannot overlap.
+    rows are sorted by R then delta, computed one radius at a time over
+    the whole delta grid by :func:`calx.energy.energy_radial_traces`;
+    the best row is the first minimum in scan order.  ``threads`` is
+    accepted and has no effect.
     """
 
     Rs = sorted(set(float(R) for R in R_grid))
@@ -373,13 +366,16 @@ def oracle_radial_sweep(n, beta, gamma_, R_grid, delta_grid, threads=None):
     if deltas[0] <= 0.0 or deltas[-1] > 1.0:
         raise ValueError("delta grid must lie in (0, 1]")
 
-    tasks = [(1.0, 1.0)]
-    tasks += [(R, d) for R in Rs if R > 1.0 for d in deltas]
-    rows = [_sweep_row(n, beta, gamma_, R, d) for R, d in tasks]
-
-    best = 0
-    for i, row in enumerate(rows):
-        if row.total < rows[best].total:
-            best = i
-    return RadialSweepResult(n=n, beta=beta, gamma=gamma_,
-                             rows=tuple(rows), best_index=best)
+    unit = energy_radial_general(RadialProfile(n=n, beta=beta, gamma=gamma_, R=1.0, delta=1.0))
+    rows = [SweepRow(R=1.0, delta=1.0, dirichlet=unit.dirichlet, jump=unit.jump,
+                     volume=unit.volume, total=unit.total)]
+    traces = np.array(deltas)
+    for R in Rs:
+        if R > 1.0:
+            e = energy_radial_traces(n, beta, gamma_, R, traces)
+            with np.errstate(over="ignore"):  # past the float range a total is inf, as a float sum
+                total = e.total
+            rows += map(SweepRow, repeat(R), deltas, e.dirichlet.tolist(), e.jump.tolist(),
+                        repeat(e.volume), total.tolist())
+    best = int(np.argmin([row.total for row in rows]))
+    return RadialSweepResult(n=n, beta=beta, gamma=gamma_, rows=tuple(rows), best_index=best)

@@ -43,23 +43,46 @@ def _check_dimension(n: int) -> int:
     return int(n)
 
 
+def _radii(r, message):
+    """r as a Python float when it is a float or an int (the scalar fast path,
+    which skips np.asarray and np.any), else as a float array; r < 1 raises
+    ValueError(message) and NaN passes through."""
+    if isinstance(r, (float, int)):
+        r = float(r)
+        if r < 1.0:
+            raise ValueError(message)
+        return r
+    r = np.asarray(r, dtype=float)
+    if np.any(r < 1.0):
+        raise ValueError(message)
+    return r
+
+
 def gamma(n: int, r):
     """Exterior potential: r-1 (n=1), ln r (n=2), (1-r^(2-n))/(n-2) (n>=3).
 
     Harmonic and positive outside the closed unit ball, zero on the unit
-    sphere, strictly increasing in r.  Requires r >= 1.
+    sphere, strictly increasing in r.  Requires r >= 1.  A float r takes
+    the same numpy ufuncs as an array (math.log and float ** round
+    differently in the last ulp), so it gets the bits of a 0-d array.
     """
     n = _check_dimension(n)
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 1.0):
-        raise ValueError("gamma is defined for r >= 1")
+    r = _radii(r, "gamma is defined for r >= 1")
     if n == 1:
         out = r - 1.0
     elif n == 2:
         out = np.log(r)
     else:
-        out = (1.0 - r ** (2 - n)) / (n - 2)
-    return out if out.ndim else float(out)
+        out = (1.0 - np.power(r, 2.0 - n)) / (n - 2)
+    return out if isinstance(out, np.ndarray) else float(out)
+
+
+def _weights(beta, gamma_=0.0):
+    """``(beta, gamma_)`` as floats, finite with ``beta > 0`` and ``gamma_ >= 0``."""
+    beta, gamma_ = float(beta), float(gamma_)
+    if not (0.0 < beta < np.inf and 0.0 <= gamma_ < np.inf):
+        raise ValueError("beta must be positive and gamma nonnegative, both finite")
+    return beta, gamma_
 
 
 def gamma_scaling_identity(n: int, s: float, t: float) -> tuple[float, float]:
@@ -88,10 +111,8 @@ def delta_robin(n: int, beta: float, R):
     n = _check_dimension(n)
     if beta <= 0:
         raise ValueError("beta must be positive")
-    R = np.asarray(R, dtype=float)
-    if np.any(R < 1.0):
-        raise ValueError("delta_robin is defined for R >= 1")
-    out = 1.0 / (1.0 + beta * R ** (n - 1) * gamma(n, R))
+    R = _radii(R, "delta_robin is defined for R >= 1")
+    out = 1.0 / (1.0 + beta * np.power(R, n - 1.0) * gamma(n, R))
     return out if out.ndim else float(out)
 
 

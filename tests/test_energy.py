@@ -1,6 +1,7 @@
 """Unit tests for the 1-D and radial energy functionals."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from calx.energy import (
     energy_1d,
     energy_radial_general,
     energy_radial_optimal,
+    energy_radial_traces,
     dE_dR,
     critical_radii,
     indicator_monotonicity_margin,
@@ -40,6 +42,18 @@ def test_energy_breakdown_total_and_validation():
         EnergyBreakdown(dirichlet=-1.0, jump=0.0, volume=0.0)
     with pytest.raises(ValueError):
         EnergyBreakdown(dirichlet=float("nan"), jump=0.0, volume=0.0)
+
+
+def test_energy_breakdown_checks_arrays_entry_by_entry():
+    e = EnergyBreakdown(dirichlet=np.array([1.0, 2.0]), jump=np.array([0.5, 0.0]), volume=0.25)
+    assert e.total.tolist() == [1.75, 2.25]
+    for bad in (-1.0, math.nan, math.inf):
+        # the first offending entry, named as the scalar check names it
+        with pytest.raises(ValueError) as scalar:
+            EnergyBreakdown(dirichlet=1.0, jump=bad, volume=0.0)
+        with pytest.raises(ValueError) as arrays:
+            EnergyBreakdown(dirichlet=np.ones(3), jump=np.array([0.5, bad, -2.0]), volume=0.0)
+        assert str(arrays.value) == str(scalar.value)
 
 
 def test_competitor_affine_has_no_jumps():
@@ -108,6 +122,29 @@ def test_radial_profile_validation_and_robin_flag():
         RadialProfile(n=2, beta=3.0, gamma=0.0, R=0.5, delta=0.5)
     with pytest.raises(ValueError):
         RadialProfile(n=2, beta=3.0, gamma=0.0, R=2.0, delta=0.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda bad: RadialProfile(n=2, beta=bad, gamma=0.4, R=2.0, delta=0.5),
+    lambda bad: RadialProfile(n=2, beta=1.0, gamma=bad, R=2.0, delta=0.5),
+    lambda bad: RadialProfile(n=2, beta=1.0, gamma=0.4, R=bad, delta=0.5),
+    lambda bad: RadialProfile(n=2, beta=1.0, gamma=0.4, R=2.0, delta=bad),
+    lambda bad: energy_radial_traces(2, bad, 0.4, 2.0, [0.5]),
+    lambda bad: energy_radial_traces(2, 1.0, 0.4, bad, [0.5]),
+    lambda bad: energy_radial_traces(2, 1.0, 0.4, 2.0, [0.5, bad]),
+    lambda bad: energy_radial_optimal(2, bad, 0.4, 2.0),
+    lambda bad: energy_radial_optimal(2, 1.0, bad, 2.0),
+    lambda bad: dE_dR(2, bad, 0.4, 2.0),
+    lambda bad: dE_dR(2, 1.0, bad, 2.0),
+    lambda bad: critical_radii(2, bad, 0.4),
+    lambda bad: critical_radii(2, 1.0, bad),
+])
+def test_energies_reject_non_finite_parameters(call):
+    for bad in (math.nan, math.inf, -math.inf):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                call(bad)
 
 
 def test_indicator_energy_at_unit_radius():

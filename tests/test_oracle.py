@@ -1,11 +1,19 @@
 """Tests for the brute-force cross-check oracles."""
 
+import math
+from array import array
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from calx.energy import Competitor1D, energy_1d, energy_radial_optimal
+from calx import oracle
+from calx.energy import (Competitor1D, RadialProfile, energy_1d, energy_radial_general,
+                         energy_radial_optimal)
 from calx.oracle import (
     JumpSearchSpace,
+    SweepRow,
     oracle_1d_best,
     oracle_radial_sweep,
     oracle_robin_shooting,
@@ -153,6 +161,26 @@ def test_shooting_reproduces_the_robin_trace():
         assert got == pytest.approx(delta_robin(n, beta, R), abs=1e-9)
 
 
+def test_shooting_cache_holds_two_float_arrays():
+    oracle._BASIS_CACHE.clear()
+    # exact digits of the list-of-(v, w)-tuples cache the arrays replaced,
+    # cold and warm
+    for args, want in [((1, 2.0, 2.5), 0.25000000000001843),
+                       ((2, 3.0, 2.0), 0.19384040766994026),
+                       ((3, 0.7, 4.0), 0.10638297872340352),
+                       ((2, 1.3, 1.08), 0.902483660683136),
+                       ((2, 1.3, 1.00005), 0.9999350025999636)]:
+        got = oracle_robin_shooting(*args)
+        assert type(got) is float
+        assert repr(got) == repr(want)
+    for (n, step), steps in {(1, 1e-4): 15001, (2, 1e-4): 10001, (3, 1e-4): 30001}.items():
+        vs, ws = oracle._BASIS_CACHE[(n, step)]
+        assert isinstance(vs, array) and isinstance(ws, array)
+        assert vs.typecode == ws.typecode == "d"
+        assert len(vs) == len(ws) == steps
+        assert (vs[0], ws[0]) == (0.0, 1.0)
+
+
 def test_shooting_rejects_bad_arguments():
     with pytest.raises(ValueError):
         oracle_robin_shooting(0, 1.0, 2.0)
@@ -215,3 +243,78 @@ def test_radial_sweep_threads_and_csv(tmp_path):
     assert len(lines) == len(sweep1.rows) + 1
     sweep1.write_csv(path)
     assert path.read_text() == text
+
+
+def scalar_sweep(n, beta, gamma_, R_grid, delta_grid):
+    """The sweep as one ``energy_radial_general`` call per row, in scan order."""
+    Rs = sorted(set(float(R) for R in R_grid))
+    deltas = sorted(set(float(d) for d in delta_grid))
+    if not Rs or not deltas:
+        raise ValueError("R_grid and delta_grid must be nonempty")
+    if Rs[0] < 1.0:
+        raise ValueError("R grid must lie in [1, inf)")
+    if deltas[0] <= 0.0 or deltas[-1] > 1.0:
+        raise ValueError("delta grid must lie in (0, 1]")
+    rows = []
+    for R, d in [(1.0, 1.0)] + [(R, d) for R in Rs if R > 1.0 for d in deltas]:
+        e = energy_radial_general(RadialProfile(n=n, beta=beta, gamma=gamma_, R=R, delta=d))
+        rows.append(SweepRow(R=R, delta=d, dirichlet=e.dirichlet, jump=e.jump,
+                             volume=e.volume, total=e.total))
+    best = 0
+    for i, row in enumerate(rows):
+        if row.total < rows[best].total:
+            best = i
+    return tuple(rows), best
+
+
+def _with_repeats(values):
+    # unsorted, with the first entries repeated at the end
+    return values + values[:2]
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 10), beta=st.floats(0.05, 10.0), gamma_=st.floats(0.0, 2.0),
+       R_grid=st.lists(st.one_of(st.just(1.0), st.just(1.0 + 1e-12), st.floats(1.0, 6.0)),
+                       min_size=1, max_size=5).map(_with_repeats),
+       delta_grid=st.lists(st.one_of(st.just(1.0), st.floats(1e-9, 1.0)),
+                           min_size=1, max_size=12).map(_with_repeats),
+       seed=st.integers(0, 2**32 - 1))
+def test_radial_sweep_matches_the_scalar_loop(n, beta, gamma_, R_grid, delta_grid, seed):
+    # 200 random traces besides the drawn ones: a last-ulp mismatch in the
+    # squares shows on about one trace in 10^3
+    delta_grid = delta_grid + (1.0 - np.random.default_rng(seed).random(200)).tolist()
+    sweep = oracle_radial_sweep(n, beta, gamma_, R_grid, delta_grid)
+    rows, best = scalar_sweep(n, beta, gamma_, R_grid, delta_grid)
+    assert repr(sweep.rows) == repr(rows)
+    assert sweep.best_index == best
+
+
+@pytest.mark.parametrize("n, beta, gamma_, R_grid, delta_grid", [
+    (2, 1.0, 0.4, [0.5, 2.0], [0.5]),
+    (2, 1.0, 0.4, [2.0], [0.0, 0.5]),
+    (2, 1.0, 0.4, [2.0], [0.5, 1.5]),
+    (2, 1.0, 0.4, [], [0.5]),
+    (2, 1.0, 0.4, [2.0], []),
+    (2, 1.0, 0.4, [2.0, math.inf], [0.5]),
+    (2, 1.0, 0.4, [2.0, math.nan], [0.5]),
+    (2, 1.0, 0.4, [2.0], [0.5, math.nan]),
+    (0, 1.0, 0.4, [2.0], [0.5]),
+    (11, 1.0, 0.4, [2.0], [0.5]),
+    (2, math.nan, 0.4, [2.0], [0.5]),
+    (3, 1.0, 0.4, [2.0, 1e200], [0.5, 1.0]),   # R^2 overflows
+    (2, 1.0, 0.4, [2.0, 1e300], [0.5, 1.0]),   # R^2 in the volume overflows
+    (2, 1.0, 1e200, [2.0], [0.5]),             # gamma^2 overflows
+    (2, 1e308, 0.4, [2.0], [1e-200, 0.5]),     # infinite jump weight, and inf * 0
+    (2, 1e307, 3e153, [2.0], [0.5, 1.0]),      # finite terms whose total is inf
+])
+def test_radial_sweep_edge_grids_match_the_scalar_loop(n, beta, gamma_, R_grid, delta_grid):
+    # the same exception type, or the same rows; never a warning
+    try:
+        want = scalar_sweep(n, beta, gamma_, R_grid, delta_grid)
+    except (ValueError, OverflowError) as exc:
+        with pytest.raises(type(exc)):
+            oracle_radial_sweep(n, beta, gamma_, R_grid, delta_grid)
+    else:
+        sweep = oracle_radial_sweep(n, beta, gamma_, R_grid, delta_grid)
+        assert (repr(sweep.rows), sweep.best_index) == (repr(want[0]), want[1])
+        assert math.isinf(sweep.rows[-1].total) == (beta == 1e307)
