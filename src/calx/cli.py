@@ -38,7 +38,7 @@ from calx.calibration_fields import (
     build_field_indicator_two_piece,
     radial_shell_profile,
 )
-from calx.energy import critical_radii, dE_dR, energy_radial_optimal
+from calx.energy import critical_radii, dE_dR, energy_radial_optimal, unit_ball_volume
 from calx.potentials import gamma, robin_bracket, robin_bracket_sup
 from calx.verifier import VerificationReport, VerifyConfig, verify_all
 
@@ -133,11 +133,25 @@ def _beta_in_range(beta):
     return _in_float_range("beta", beta, "beta^2", lambda b: b * b)
 
 
+def _curve_rmax_in_range(n, beta, gamma_, rmax):
+    """A usage error naming the first term the energy curve and its derivative
+    form from R that overflows at R = rmax; each grows with R."""
+    w = unit_ball_volume(n)  # names a dimension outside [1, 10] first
+    k = n - 1
+    for term, form in (("R^{}".format(n), lambda r: r ** n),
+                       ("beta R^{} gamma(R)".format(k), lambda r: beta * r ** k * gamma(n, r)),
+                       ("n omega_n beta R^{}".format(k), lambda r: n * w * beta * r ** k),
+                       ("omega_n gamma^2 R^{}".format(n), lambda r: w * gamma_ ** 2 * r ** n),
+                       ("n omega_n gamma^2 R^{}".format(k),
+                        lambda r: n * w * gamma_ ** 2 * r ** k)):
+        _in_float_range("rmax", rmax, term, form)
+
+
 def _cmd_energy_curve(args, config):
     opt = _Options(args, config)
     n = opt.require("n", int)
     beta = _beta_in_range(opt.require("beta", float))
-    gamma_ = opt.require("gamma", float)
+    gamma_ = _in_float_range("gamma", opt.require("gamma", float), "gamma^2", lambda g: g * g)
     rmax = opt.get("rmax", 10.0, float)
     samples = opt.get("samples", 512, int)
     fmt = opt.get("format", "csv")
@@ -148,6 +162,7 @@ def _cmd_energy_curve(args, config):
         raise _UsageError("--samples must be at least 2")
     if fmt not in ("csv", "json"):
         raise _UsageError("--format must be csv or json")
+    _curve_rmax_in_range(n, beta, gamma_, rmax)
 
     Rs = np.linspace(1.0, rmax, samples)
     Es = np.asarray(energy_radial_optimal(n, beta, gamma_, Rs))

@@ -18,10 +18,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from calx.potentials import (_robin_tail, _weights, delta_robin, gamma, robin_bracket,
-                             robin_bracket_sup)
+from calx.potentials import (_bisect, _robin_tail, _weights, delta_robin, gamma,
+                             robin_bracket, robin_bracket_sup)
 
 __all__ = [
     "unit_ball_volume",
@@ -351,14 +350,13 @@ def dE_dR(n: int, beta: float, gamma_: float, R):
 
 
 def critical_radii(n: int, beta: float, gamma_: float) -> list:
-    """All roots R > 1 of dE_dR, ascending: at most two.
+    """All roots R > 1 of dE_dR, ascending: at most two, each bisected.
 
-    dE_dR has the sign of gamma^2 - robin_bracket(R), and the bracket has a
-    single peak, at r*.  Below it there is a root when gamma^2 exceeds the
-    bracket at R = 1; past it one when gamma > 0, before the radius where
-    beta delta falls to gamma (the bracket is at most beta^2 delta^2).
-    That radius can lie past the float range for a tiny gamma; its root is
-    then not listed.
+    dE_dR has the sign of gamma^2 - robin_bracket(R), whose single peak is at
+    r*.  Below r* there is a root when gamma^2 exceeds the bracket at R = 1;
+    past it one when gamma > 0, before the radius where beta delta falls to
+    gamma (the bracket is at most beta^2 delta^2), unless a tiny gamma puts
+    that radius past the float range.
     """
     beta, gamma_ = _weights(beta, gamma_)
 
@@ -371,15 +369,13 @@ def critical_radii(n: int, beta: float, gamma_: float) -> list:
     r_star = robin_bracket_sup(n, beta)[0]
     if not sign_of_dE_dR(r_star) < 0.0:
         return []
-    roots = []
-    if sign_of_dE_dR(1.0) > 0.0:
-        roots.append(brentq(sign_of_dE_dR, 1.0, r_star, xtol=1e-13))
+    roots = [_bisect(sign_of_dE_dR, 1.0, r_star)] if sign_of_dE_dR(1.0) > 0.0 else []
     if gamma_ > 0.0:
         try:
             r_hat = _robin_tail(n, beta, gamma_, 2.0 * r_star)
         except OverflowError:
             return roots
-        roots.append(brentq(sign_of_dE_dR, r_star, r_hat, xtol=1e-13))
+        roots.append(_bisect(lambda R: -sign_of_dE_dR(R), r_star, r_hat))
     return roots
 
 

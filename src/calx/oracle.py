@@ -361,6 +361,8 @@ def oracle_radial_sweep(n, beta, gamma_, R_grid, delta_grid, threads=None):
     deltas = sorted(set(float(d) for d in delta_grid))
     if not Rs or not deltas:
         raise ValueError("R_grid and delta_grid must be nonempty")
+    if not np.isfinite(Rs + deltas).all():
+        raise ValueError("R_grid and delta_grid must be finite")
     if Rs[0] < 1.0:
         raise ValueError("R grid must lie in [1, inf)")
     if deltas[0] <= 0.0 or deltas[-1] > 1.0:

@@ -8,20 +8,19 @@ The building blocks used everywhere else in the package:
 * ``robin_bracket`` -- (beta^2 - (n-1) beta / r) delta(r)^2, the term the
                       critical-radius identity sets equal to gamma^2,
 * ``robin_bracket_sup`` -- its supremum over all r >= 1 and where it is
-                      reached,
+                      reached, bisected on the sign of its slope,
 * ``u_radial``     -- the radial competitor supported on B_R,
 * ``rho``          -- the interface curve that makes the ball calibration
                       divergence-free,
 * ``lemma_gamma_bounds`` -- elementary inequalities satisfied by gamma.
 
-All functions accept scalars or numpy arrays for the radius argument and
-branch explicitly on the dimension (n = 1, n = 2, n >= 3).
+All functions accept scalars or numpy arrays for the radius argument,
+branch explicitly on the dimension (n = 1, n = 2, n >= 3) and need numpy alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 __all__ = [
     "gamma",
@@ -143,18 +142,27 @@ def robin_bracket(n: int, beta: float, r):
 
 
 _LOG_FLOAT_MAX = np.log(np.finfo(float).max) - 1.0  # a factor e of room for rounding
-_SUP_NODES = 100_001  # grid nodes of the one scan behind robin_bracket_sup
 
 
 def _robin_tail(n: int, beta: float, level: float, r: float) -> float:
     """First r 2^k (k >= 0) with beta delta <= level: the bracket, at most
     beta^2 delta^2, stays at or below level^2 from there on."""
-    while beta * delta_robin(n, beta, r) > level:
+    # stop before r^(n-1), beta r^(n-1) or beta r^(n-1) gamma(r) in delta overflows
+    while (n - 1) * np.log(r) + np.log(max(beta, 1.0) * max(gamma(n, r), 1.0)) <= _LOG_FLOAT_MAX:
+        if not beta * delta_robin(n, beta, r) > level:
+            return r
         r *= 2.0
-        # stop before r^(n-1), beta r^(n-1) or beta r^(n-1) gamma(r) in delta overflows
-        if (n - 1) * np.log(r) + np.log(max(beta, 1.0) * max(gamma(n, r), 1.0)) > _LOG_FLOAT_MAX:
-            raise OverflowError("beta delta(r) stays above {!r} within the float range".format(level))
-    return r
+    raise OverflowError("beta delta(r) stays above {!r} within the float range".format(level))
+
+
+def _bisect(f, lo, hi):
+    """Where f turns from positive to non-positive on [lo, hi]: lo if f(lo) <= 0, else
+    the upper end once the halving reaches adjacent floats (f(hi) <= 0 is taken on trust)."""
+    if f(lo) > 0.0:
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            lo, hi = (mid, hi) if f(mid) > 0.0 else (lo, mid)
+        return hi
+    return lo
 
 
 def robin_bracket_sup(n: int, beta: float) -> tuple[float, float]:
@@ -162,21 +170,16 @@ def robin_bracket_sup(n: int, beta: float) -> tuple[float, float]:
 
     The bracket is positive at r0 = max(1, 2(n-1)/beta) and stays below
     bracket(r0) past r_hat = _robin_tail(n, beta, sqrt(bracket(r0)), 2 r0).
-    So [1, r_hat] is scanned on a fixed grid, and the larger of the grid
-    maximum and its refinement on the two cells around it is returned.
+    The bracket has a single peak, so r is where its slope turns non-positive on [1, r_hat].
     """
     n = _check_dimension(n)
     r0 = max(1.0, 2.0 * (n - 1) / beta)
     r_hat = _robin_tail(n, beta, np.sqrt(robin_bracket(n, beta, r0)), 2.0 * r0)
-    grid = np.linspace(1.0, r_hat, _SUP_NODES)
-    bracket = robin_bracket(n, beta, grid)
-    k = int(np.argmax(bracket))
-    cells = (grid[max(k - 1, 0)], grid[min(k + 1, _SUP_NODES - 1)])
-    res = minimize_scalar(lambda r: -robin_bracket(n, beta, r), bounds=cells,
-                          method="bounded", options={"xatol": 1e-12 * r_hat})
-    if -res.fun > bracket[k]:
-        return float(res.x), float(-res.fun)
-    return float(grid[k]), float(bracket[k])
+    def slope(r):  # the bracket's slope times r^2 / (beta delta^2), which spares it underflow
+        return (n - 1) + 2.0 * (beta * r - (n - 1)) * (
+            r * delta_robin_prime(n, beta, r) / delta_robin(n, beta, r))
+    r = _bisect(slope, 1.0, r_hat)
+    return r, robin_bracket(n, beta, r)
 
 
 def u_radial(n: int, beta: float, R: float, r):

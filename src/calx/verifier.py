@@ -132,14 +132,17 @@ def _tally(axiom, margin, locations, tol, config, residual=None, floor=0.0):
     finite.
     """
 
-    locations = [np.broadcast_to(loc, np.shape(margin)).ravel() for loc in locations]
+    shape = np.shape(margin)
     margin = np.ravel(margin)
     residual = margin if residual is None else np.ravel(residual)
     finite = np.isfinite(margin)
     bad = np.flatnonzero(~(finite & (margin >= floor)))
-    recorded = [Violation(axiom, tuple(loc[k].item() for loc in locations),
+    first = bad[: config.max_recorded]
+    # index the few recorded points, not a full-grid copy of each location
+    locations = [np.broadcast_to(loc, shape)[np.unravel_index(first, shape)] for loc in locations]
+    recorded = [Violation(axiom, tuple(loc[i].item() for loc in locations),
                           float(residual[k]) if finite[k] else float("nan"), tol)
-                for k in bad[: config.max_recorded]]
+                for i, k in enumerate(first)]
     if not finite.all():
         worst = float("nan")
     else:

@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import calx
 from calx.cli import main
 from calx.energy import critical_radii
 from calx.potentials import gamma
@@ -22,6 +26,14 @@ def run(capsys, argv):
     code = main(argv)
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def test_calx_and_its_cli_import_no_scipy():
+    code = "import sys, calx, calx.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    env = dict(os.environ, PYTHONPATH=str(Path(calx.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert done.stdout == "[]\n"
 
 
 def test_energy_curve_csv_with_sidecar(tmp_path, capsys):
@@ -262,6 +274,10 @@ def test_non_finite_numbers_are_usage_errors(argv, capsys):
     ["check", "ball-harmonic", "--n", "2", "--beta", "1e200", "--R", "2", "--samples", "16"],
     ["phase-diagram", "--n", "2", "--beta", "1:1e200:3", "--gamma", "0.5"],
     ["energy-curve", "--n", "2", "--beta", "1e200", "--gamma", "0.5"],
+    ["energy-curve", "--n", "3", "--beta", "1", "--gamma", "0.3", "--rmax", "1e200",
+     "--samples", "4", "--format", "json"],
+    ["energy-curve", "--n", "3", "--beta", "1", "--gamma", "1e200"],
+    ["energy-curve", "--n", "3", "--beta", "1", "--gamma", "1e90", "--rmax", "1e101"],
 ])
 def test_out_of_range_dimensions_and_overflowing_numbers_are_usage_errors(argv, capsys):
     code, out, err = run(capsys, argv)
@@ -270,7 +286,7 @@ def test_out_of_range_dimensions_and_overflowing_numbers_are_usage_errors(argv, 
     assert err.startswith("error:")
     # the option that overflows is named with its value (a grid's largest)
     huge = [(flag, float(value.split(":")[1] if ":" in value else value))
-            for flag, value in zip(argv, argv[1:]) if flag in ("--R", "--beta")]
+            for flag, value in zip(argv, argv[1:]) if flag in ("--R", "--beta", "--rmax", "--gamma")]
     huge = [(flag, value) for flag, value in huge if value > 1e100]
     if huge:
         assert err.startswith("error: {} {!r} is out of range".format(*huge[0])), err

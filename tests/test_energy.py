@@ -1,10 +1,12 @@
 """Unit tests for the 1-D and radial energy functionals."""
 
+import functools
 import math
 import warnings
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from calx.energy import (
     unit_ball_volume,
@@ -19,7 +21,7 @@ from calx.energy import (
     critical_radii,
     indicator_monotonicity_margin,
 )
-from calx.potentials import delta_robin
+from calx.potentials import delta_robin, robin_bracket_sup
 
 GAMMA_EL_SQ = 0.21078627566065199313129689492651333031406165486519
 
@@ -248,3 +250,65 @@ def test_margin_sign_agrees_with_energy_monotonicity():
     E2 = energy_radial_optimal(2, 1.0, 0.34, Rs)
     assert (np.diff(E2) < 0.0).any()
     assert E2.min() == E2[0]
+
+
+def _mp_bracket(n, beta):
+    """The Robin bracket at mpmath's working precision, from its definition."""
+    beta = mp.mpf(beta)
+
+    def bracket(r):
+        g = r - 1 if n == 1 else mp.log(r) if n == 2 else (1 - r ** (2 - n)) / (n - 2)
+        delta = 1 / (1 + beta * r ** (n - 1) * g)
+        return (beta ** 2 - (n - 1) * beta / r) * delta ** 2
+
+    return bracket
+
+
+def _mp_doubled(holds, r):
+    """The first r 2^k (k >= 0) where ``holds``."""
+    while not holds(r):
+        r *= 2
+    return r
+
+
+def _mp_root(f, lo, hi):
+    """Where f changes sign on [lo, hi], bisected to 38 digits."""
+    positive = f(lo) > 0
+    assert (f(hi) > 0) != positive
+    while hi - lo > mp.mpf(10) ** -38 * hi:
+        mid = (lo + hi) / 2
+        if (f(mid) > 0) == positive:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_bracket_peak_and_critical_radii_match_40_digit_roots(n):
+    # the reference bisects the bracket's definition at 40 digits, with
+    # mpmath's numerical derivative for its slope
+    with mp.workdps(40):
+        for beta in (0.05, 0.3, 1.0, 2.5, 10.0):
+            bracket = _mp_bracket(n, beta)
+            slope = functools.partial(mp.diff, bracket)
+            peak = mp.mpf(1)
+            if slope(peak) > 0:
+                peak = _mp_root(slope, peak, _mp_doubled(lambda r: slope(r) <= 0, 2 * peak))
+            r_star, value = robin_bracket_sup(n, beta)
+            assert abs(r_star - peak) <= 1e-12 * peak, (beta, r_star, peak)
+            assert abs(value - bracket(peak)) <= 1e-14 * bracket(peak), (beta, value)
+            for gamma_ in (0.01, 0.2, 0.5, 0.9 * math.sqrt(value)):
+                def excess(r):
+                    return gamma_ ** 2 - bracket(r)
+
+                want = []
+                if excess(peak) < 0:
+                    if excess(1) > 0:
+                        want.append(_mp_root(excess, mp.mpf(1), peak))
+                    want.append(_mp_root(excess, peak,
+                                         _mp_doubled(lambda r: excess(r) > 0, 2 * peak)))
+                got = critical_radii(n, beta, gamma_)
+                assert len(got) == len(want), (beta, gamma_, got, want)
+                for g, w in zip(got, want):
+                    assert abs(g - w) <= 1e-13 * w, (beta, gamma_, g, w)

@@ -214,6 +214,11 @@ def test_radial_sweep_rejects_bad_grids():
         oracle_radial_sweep(2, 1.0, 0.4, [2.0], [0.0, 0.5])
     with pytest.raises(ValueError):
         oracle_radial_sweep(2, 1.0, 0.4, [], [0.5])
+    for R_grid, delta_grid in [([2.0, math.nan], [0.5]), ([math.nan], [0.5]),
+                               ([2.0, math.inf], [0.5]), ([2.0], [0.5, math.nan]),
+                               ([2.0], [-math.inf, 0.5])]:
+        with pytest.raises(ValueError, match="must be finite"):
+            oracle_radial_sweep(2, 1.0, 0.4, R_grid, delta_grid)
 
 
 def test_radial_sweep_tracks_the_closed_form_optimum():
@@ -251,6 +256,8 @@ def scalar_sweep(n, beta, gamma_, R_grid, delta_grid):
     deltas = sorted(set(float(d) for d in delta_grid))
     if not Rs or not deltas:
         raise ValueError("R_grid and delta_grid must be nonempty")
+    if not np.isfinite(Rs + deltas).all():
+        raise ValueError("R_grid and delta_grid must be finite")
     if Rs[0] < 1.0:
         raise ValueError("R grid must lie in [1, inf)")
     if deltas[0] <= 0.0 or deltas[-1] > 1.0:
