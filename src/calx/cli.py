@@ -10,6 +10,12 @@ Four subcommands:
                       applies,
 * ``describe``        dump the piecewise structure of a field as JSON.
 
+``check`` and ``describe`` take the same field kinds: ``1d``,
+``harmonic``, ``indicator-const``, ``indicator-two-piece`` and
+``ball-harmonic``.  ``harmonic`` calibrates the affine profile on
+[0, 1] when ``--m`` or ``--M`` is given, and the Robin-optimal radial
+shell 1 <= r <= R from ``--n --beta --R`` otherwise.
+
 Exit codes: 0 when the requested computation succeeds (for ``check``:
 the field is certified), 1 when a construction is infeasible or a
 verification fails, 2 on usage errors: a NaN or infinite number, an
@@ -31,6 +37,7 @@ import numpy as np
 from calx.calibration_fields import (
     CalibParams1D,
     HypothesisViolation,
+    affine_profile,
     build_field_1d,
     build_field_ball_harmonic,
     build_field_harmonic,
@@ -133,10 +140,12 @@ def _beta_in_range(beta):
     return _in_float_range("beta", beta, "beta^2", lambda b: b * b)
 
 
-def _curve_rmax_in_range(n, beta, gamma_, rmax):
+def _curve_in_range(n, beta, gamma_, rmax):
     """A usage error naming the first term the energy curve and its derivative
-    form from R that overflows at R = rmax; each grows with R."""
+    form that overflows: n omega_n beta^2 at R = 1, then each term that grows
+    with R at R = rmax."""
     w = unit_ball_volume(n)  # names a dimension outside [1, 10] first
+    _in_float_range("beta", beta, "n omega_n beta^2", lambda b: n * w * b * b)
     k = n - 1
     for term, form in (("R^{}".format(n), lambda r: r ** n),
                        ("beta R^{} gamma(R)".format(k), lambda r: beta * r ** k * gamma(n, r)),
@@ -162,7 +171,7 @@ def _cmd_energy_curve(args, config):
         raise _UsageError("--samples must be at least 2")
     if fmt not in ("csv", "json"):
         raise _UsageError("--format must be csv or json")
-    _curve_rmax_in_range(n, beta, gamma_, rmax)
+    _curve_in_range(n, beta, gamma_, rmax)
 
     Rs = np.linspace(1.0, rmax, samples)
     Es = np.asarray(energy_radial_optimal(n, beta, gamma_, Rs))
@@ -222,11 +231,10 @@ def _verify_config_from(opt):
     return VerifyConfig(**kwargs)
 
 
-def _affine_field(opt, notes):
-    beta = opt.require("beta", float)
-    params = CalibParams1D.from_traces(opt.require("m", float), opt.require("M", float),
-                                       beta, sup_grad=opt.get("sup_grad", cast=float))
-    return build_field_1d(params)
+def _affine_args(opt):
+    """``(m, M, beta)``; a usage error names an ``--M`` whose square overflows."""
+    beta, m, M = opt.require("beta", float), opt.require("m", float), opt.require("M", float)
+    return m, _in_float_range("M", M, "M^2", lambda v: v * v), beta
 
 
 def _radial_args(opt):
@@ -241,9 +249,14 @@ def _radial_args(opt):
     return n, beta, R
 
 
-def _radial_shell_field(opt, notes):
-    n, beta, R = _radial_args(opt)
-    profile = radial_shell_profile(n, beta, R)
+def _harmonic_field(opt, notes):
+    """The template over the affine profile if --m or --M is given, else the radial shell."""
+    if opt.get("m") is None and opt.get("M") is None:
+        n, beta, R = _radial_args(opt)
+        profile = radial_shell_profile(n, beta, R)
+    else:
+        m, M, beta = _affine_args(opt)
+        profile = affine_profile(m, M)
     return build_field_harmonic(profile, profile.m, profile.M, beta)
 
 
@@ -276,22 +289,17 @@ def _ball_field(opt, notes):
     return build_field_ball_harmonic(n, beta, gamma_, R, enforce_beta=beta >= threshold)
 
 
-# Field builders by `describe` kind: each reads its options and appends
-# notes for the report.  Infeasible constructions raise
+# Field builders by the `check` and `describe` kind: each reads its options
+# and appends notes for the report.  Infeasible constructions raise
 # HypothesisViolation, malformed options ValueError.
 _FIELDS = {
-    "1d": _affine_field,
-    "harmonic": _radial_shell_field,
+    "1d": lambda opt, notes: build_field_1d(CalibParams1D.from_traces(*_affine_args(opt))),
+    "harmonic": _harmonic_field,
     "indicator-const": lambda opt, notes: build_field_indicator_const(*_indicator_args(opt)),
     "indicator-two-piece":
         lambda opt, notes: build_field_indicator_two_piece(*_indicator_args(opt)),
     "ball-harmonic": _ball_field,
 }
-
-# `check harmonic` certifies the affine profile on the interval.
-_CHECK_FIELDS = {"harmonic": "1d", "indicator-const": "indicator-const",
-                 "indicator-two-piece": "indicator-two-piece",
-                 "ball-harmonic": "ball-harmonic"}
 
 
 def _cmd_check(args, config):
@@ -304,7 +312,7 @@ def _cmd_check(args, config):
 
     notes = []
     try:
-        field = _FIELDS[_CHECK_FIELDS[kind]](opt, notes)
+        field = _FIELDS[kind](opt, notes)
     except HypothesisViolation as exc:
         report = VerificationReport.infeasible(str(exc), kind=kind)
         if fmt == "json":
@@ -391,8 +399,6 @@ def _add_field_params(sub):
     sub.add_argument("--R", type=float, help="support radius")
     sub.add_argument("--m", type=float, help="lower boundary datum")
     sub.add_argument("--M", type=float, help="upper boundary datum")
-    sub.add_argument("--sup-grad", dest="sup_grad", type=float,
-                     help="gradient bound used by the jump-energy test")
 
 
 def _build_parser():
@@ -415,7 +421,7 @@ def _build_parser():
     curve.set_defaults(handler=_cmd_energy_curve)
 
     check = subs.add_parser("check", parents=[shared], help="verify a calibration field on a grid")
-    check.add_argument("kind", choices=tuple(_CHECK_FIELDS))
+    check.add_argument("kind", choices=tuple(_FIELDS))
     _add_field_params(check)
     check.add_argument("--samples", type=int,
                        help="grid resolution for every axis")

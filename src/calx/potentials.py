@@ -119,13 +119,14 @@ def delta_robin_prime(n: int, beta: float, r):
     """d/dr of delta_robin at radius r.
 
     With G(r) = r^(n-1) gamma(r) one has delta' = -beta G' delta^2 and
-    G'(r) = (n-1) r^(n-2) gamma(r) + 1, which covers n = 1 as well.
+    G'(r) = (n-1) r^(n-2) gamma(r) + 1, which covers n = 1 as well.  A float
+    r takes the same numpy ufuncs as a 0-d array, as in gamma.
     """
     n = _check_dimension(n)
-    r = np.asarray(r, dtype=float)
+    r = _radii(r, "delta_robin_prime is defined for r >= 1")
     d = delta_robin(n, beta, r)
-    g_prime = (n - 1) * r ** (n - 2) * gamma(n, r) + 1.0
-    out = -beta * g_prime * np.asarray(d) ** 2
+    g_prime = (n - 1) * np.power(r, n - 2.0) * gamma(n, r) + 1.0
+    out = -beta * g_prime * np.square(d)
     return out if out.ndim else float(out)
 
 

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -14,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import calx
+from calx import cli
 from calx.cli import main
 from calx.energy import critical_radii
 from calx.potentials import gamma
@@ -187,6 +189,42 @@ def test_describe_emits_field_json(kind, capsys):
     assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
 
+# `check` of every registry kind, `harmonic` over both of its profiles, and an
+# infeasible build
+CHECK_CASES = {
+    "1d": ["1d", "--m", "0.8", "--M", "1", "--beta", "3"],
+    "harmonic-affine": ["harmonic", "--m", "0.8", "--M", "1", "--beta", "3"],
+    "harmonic-radial-shell": ["harmonic", "--n", "2", "--beta", "2", "--R", "2"],
+    "indicator-const": ["indicator-const", "--n", "2", "--beta", "0.3", "--gamma", "0.4"],
+    "indicator-two-piece": ["indicator-two-piece", "--n", "2", "--beta", "1", "--gamma", "0.4"],
+    "ball-harmonic": ["ball-harmonic", "--n", "2", "--beta", "2", "--R", "2"],
+    "harmonic-infeasible": ["harmonic", "--m", "0", "--M", "1", "--beta", "1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHECK_CASES))
+def test_check_emits_the_recorded_report(case, capsys):
+    with open(Path(__file__).with_name("check_expected.json")) as handle:
+        expected = json.load(handle)[case]
+    code, out, err = run(capsys, ["check"] + CHECK_CASES[case] + ["--samples", "64",
+                                                                  "--format", "json"])
+    assert err == ""
+    assert (code, json.loads(out)) == (expected["exit"], expected["report"])
+
+
+def test_check_and_describe_share_one_kind_registry(capsys):
+    subcommands = next(action.choices for action in cli._build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    for command in ("check", "describe"):
+        kind = next(a for a in subcommands[command]._actions if a.dest == "kind")
+        assert tuple(kind.choices) == tuple(cli._FIELDS)
+    # the gradient bound comes from the profile, not from an option
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "harmonic", "--m", "0.8", "--M", "1", "--beta", "3", "--sup-grad", "0.1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
 def test_describe_reports_infeasible_construction(capsys):
     code, _, err = run(capsys, ["describe", "1d", "--m", "0", "--M", "1",
                                 "--beta", "1"])
@@ -278,6 +316,9 @@ def test_non_finite_numbers_are_usage_errors(argv, capsys):
      "--samples", "4", "--format", "json"],
     ["energy-curve", "--n", "3", "--beta", "1", "--gamma", "1e200"],
     ["energy-curve", "--n", "3", "--beta", "1", "--gamma", "1e90", "--rmax", "1e101"],
+    ["energy-curve", "--n", "1", "--beta", "1e154", "--gamma", "0"],
+    ["check", "harmonic", "--m", "0.8", "--M", "1e300", "--beta", "3"],
+    ["describe", "1d", "--m", "0.8", "--M", "1e300", "--beta", "3"],
 ])
 def test_out_of_range_dimensions_and_overflowing_numbers_are_usage_errors(argv, capsys):
     code, out, err = run(capsys, argv)
@@ -286,7 +327,8 @@ def test_out_of_range_dimensions_and_overflowing_numbers_are_usage_errors(argv, 
     assert err.startswith("error:")
     # the option that overflows is named with its value (a grid's largest)
     huge = [(flag, float(value.split(":")[1] if ":" in value else value))
-            for flag, value in zip(argv, argv[1:]) if flag in ("--R", "--beta", "--rmax", "--gamma")]
+            for flag, value in zip(argv, argv[1:])
+            if flag in ("--R", "--beta", "--rmax", "--gamma", "--M")]
     huge = [(flag, value) for flag, value in huge if value > 1e100]
     if huge:
         assert err.startswith("error: {} {!r} is out of range".format(*huge[0])), err

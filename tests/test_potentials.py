@@ -70,15 +70,16 @@ def test_scalar_fast_path_matches_the_array_path(n, beta, r, seed):
     rng = np.random.default_rng(seed)
     radii = np.concatenate([1.0 + 1e-6 * rng.random(300), 1.0 + 10.0 * rng.random(300),
                             np.exp(rng.uniform(0.0, 30.0, 300))])
-    for fn in (lambda x: gamma(n, x), lambda x: delta_robin(n, beta, x)):
+    radial = (lambda x: delta_robin(n, beta, x), lambda x: delta_robin_prime(n, beta, x))
+    for fn in (lambda x: gamma(n, x),) + radial:
         got = fn(r)
         assert type(got) is float
         assert repr(got) == repr(fn(np.asarray(r, dtype=float)))
         assert repr(got) == repr(float(fn(np.array([r], dtype=float))[0]))
     for k in range(1, 11):
         assert [repr(gamma(k, x)) for x in radii.tolist()] == [repr(x) for x in gamma(k, radii).tolist()]
-    assert ([repr(delta_robin(n, beta, x)) for x in radii.tolist()]
-            == [repr(x) for x in delta_robin(n, beta, radii).tolist()])
+    for fn in radial:
+        assert [repr(fn(x)) for x in radii.tolist()] == [repr(x) for x in fn(radii).tolist()]
 
 
 def test_scalar_fast_path_rejects_radii_below_one_and_passes_nan():
@@ -88,8 +89,11 @@ def test_scalar_fast_path_rejects_radii_below_one_and_passes_nan():
                 gamma(n, r)
             with pytest.raises(ValueError):
                 delta_robin(n, 1.0, r)
+            with pytest.raises(ValueError):
+                delta_robin_prime(n, 1.0, r)
         assert math.isnan(gamma(n, math.nan))
         assert math.isnan(delta_robin(n, 1.0, math.nan))
+        assert math.isnan(delta_robin_prime(n, 1.0, math.nan))
 
 
 def test_gamma_scaling_identity_holds_on_random_pairs():
