@@ -61,6 +61,15 @@ def _inside(R, curve):
     return top
 
 
+def _put(out, rows, cols, where, value):
+    """Write ``value`` into ``out[rows, cols]`` where ``where`` holds; ``rows`` is a
+    slice or indices, ``cols`` a slice."""
+    if isinstance(rows, slice):
+        np.copyto(out[rows, cols], value, where=where)
+    else:
+        out[rows, cols] = np.where(where, value, out[rows, cols])
+
+
 @dataclass(frozen=True)
 class Region:
     """One closed-form piece of a field.
@@ -69,14 +78,17 @@ class Region:
     points with ``t <= top(pos)`` (``t < top(pos)`` when ``strict``) that
     no earlier region owns, and a top of ``-inf`` keeps it off a position.
     ``psi``, ``phi_t`` and ``dpsi_dpos`` are vectorized callables of
-    ``(pos, t)``, defined for every ``t``.  ``psi`` is the signed
-    component of ``phi_x`` along the field direction and must be affine
-    in ``t``: the field integrates it over the region's stretch ``[a, b]``
-    of each fibre as ``(b - a) (psi(a) + psi(b)) / 2``, which is then
-    exact.  ``phi_t`` must be at most quadratic in ``t``: the field
-    differentiates it as ``(phi_t(t + h) - phi_t(t - h)) / (2 h)`` with
-    ``h = t_max``, which is then exact.  ``dpsi_dpos`` is the analytic
-    spatial derivative of ``psi``.
+    ``(pos, t)`` that may return any shape broadcasting to that of the
+    pair.  They run on whole fibres, ``pos`` of shape ``(P, 1)`` against a
+    row of ``t``, so they must be finite, and raise no warning, at every
+    ``t`` of a fibre their region touches (``phi_t`` also at ``t +-
+    t_max``).  ``psi`` is the signed component of ``phi_x`` along the
+    field direction and must be affine in ``t``: the field integrates it
+    over the region's stretch ``[a, b]`` of each fibre as ``(b - a)
+    (psi(a) + psi(b)) / 2``, which is then exact.  ``phi_t`` must be at
+    most quadratic in ``t``: the field differentiates it as ``(phi_t(t +
+    h) - phi_t(t - h)) / (2 h)`` with ``h = t_max``, which is then exact.
+    ``dpsi_dpos`` is the analytic spatial derivative of ``psi``.
     """
 
     name: str
@@ -163,14 +175,18 @@ class PiecewiseField:
         """One classification pass: ``(index, *values)`` at the given points.
 
         Each point is claimed by the first region whose top it does not
-        exceed (index -1 if none).  Every top runs once on ``pos`` as
-        given, so sampling on ``pos[:, None]`` and ``t[None, :]`` runs it
-        once per position; the other callables run only on the points
-        their region claims.  ``quantities`` names ``Region`` attributes
-        (``psi``, ``phi_t``, ``dpsi_dpos``), ``Psi`` or ``dphi_t_dt``; a
-        value is NaN where no region claims the point.  ``phi_t`` includes
-        ``phi_t_bump``, which is constant on its box and adds nothing to
-        ``dphi_t_dt``.  Arrays take the broadcast shape of ``pos`` and ``t``.
+        exceed (index -1 if none).  The pass works on a grid of fibres:
+        ``pos`` of shape ``(P, 1)`` against ``t`` of shape ``(1, N)``.  Other
+        points are taken as a grid of one-point fibres, ``pos`` and ``t``
+        broadcast and flattened to ``(K, 1)`` each.  Every top runs once on
+        the positions, and each region's callables run once on the fibres it
+        touches, ``pos[rows]`` against the span of ``t`` it claims on them,
+        so factors of ``pos`` alone are formed once per fibre; the values
+        are written through the region's mask.  ``quantities`` names ``Region`` attributes (``psi``,
+        ``phi_t``, ``dpsi_dpos``), ``Psi`` or ``dphi_t_dt``; a value is NaN
+        where no region claims the point.  ``phi_t`` includes ``phi_t_bump``,
+        which is constant on its box and adds nothing to ``dphi_t_dt``.
+        Arrays take the broadcast shape of ``pos`` and ``t``.
 
         ``dphi_t_dt`` is the central difference of the claiming region's
         own ``phi_t`` at ``t +- t_max``, exact because ``phi_t`` is at most
@@ -187,29 +203,40 @@ class PiecewiseField:
         """
         pos, t = np.asarray(pos, dtype=float), np.asarray(t, dtype=float)
         shape = np.broadcast_shapes(pos.shape, t.shape)
-        p, tt = np.broadcast_to(pos, shape), np.broadcast_to(t, shape)
-        idx = np.full(shape, -1, dtype=int)
-        values = [np.full(shape, np.nan) for _ in quantities]
-        free = np.ones(shape, dtype=bool)
+        if not (pos.ndim == t.ndim == 2 and pos.shape[1] == 1 and t.shape[0] == 1):
+            pos = np.broadcast_to(pos, shape).reshape(-1, 1)
+            t = np.broadcast_to(t, shape).reshape(-1, 1)
+        grid = (pos.shape[0], t.shape[1])
+        idx = np.full(grid, -1, dtype=int)
+        values = [np.full(grid, np.nan) for _ in quantities]
+        free = np.ones(grid, dtype=bool)
         lo, below = np.zeros(pos.shape), np.zeros(pos.shape)
         for k, region in enumerate(self.regions):
             top = region.top(pos)
-            mask = free & ((tt < top) if region.strict else (tt <= top))
-            if mask.any():
+            mask = free & ((t < top) if region.strict else (t <= top))
+            rows = np.flatnonzero(mask.any(axis=1))
+            if rows.size:
                 free &= ~mask
-                idx[mask] = k
-                pk, tk = p[mask], tt[mask]
+                if rows[-1] - rows[0] + 1 == rows.size:  # a run of fibres: write through views
+                    rows = slice(rows[0], rows[-1] + 1)
+                cols = np.flatnonzero(mask[rows].any(axis=0))
+                cols = slice(cols[0], cols[-1] + 1)
+                pk, mk = pos[rows], mask[rows, cols]
+                tk = t[:, cols] if t.shape[0] == 1 else t[rows, cols]
+                _put(idx, rows, cols, mk, k)
+                psi = region.psi(pk, tk) if {"psi", "Psi"} & set(quantities) else None
                 for name, out in zip(quantities, values):
-                    if name == "Psi":
-                        a = np.broadcast_to(lo, shape)[mask]
-                        out[mask] = (np.broadcast_to(below, shape)[mask]
-                                     + 0.5 * (tk - a) * (region.psi(pk, a) + region.psi(pk, tk)))
+                    if name == "psi":
+                        value = psi
+                    elif name == "Psi":
+                        a = lo[rows]
+                        value = below[rows] + 0.5 * (tk - a) * (region.psi(pk, a) + psi)
                     elif name == "dphi_t_dt":
                         h = self.t_max
-                        out[mask] = (region.phi_t(pk, tk + h)
-                                     - region.phi_t(pk, tk - h)) / (2.0 * h)
+                        value = (region.phi_t(pk, tk + h) - region.phi_t(pk, tk - h)) / (2.0 * h)
                     else:
-                        out[mask] = getattr(region, name)(pk, tk)
+                        value = getattr(region, name)(pk, tk)
+                    _put(out, rows, cols, mk, value)
             if "Psi" in quantities:
                 hi = np.maximum(lo, top)
                 whole = (hi > lo) & np.isfinite(hi)
@@ -219,9 +246,9 @@ class PiecewiseField:
                 lo = hi
         if "phi_t" in quantities and self.phi_t_bump is not None:
             pos0, t0, amount, hw_pos, hw_t = self.phi_t_bump
-            box = (np.abs(p - pos0) <= hw_pos) & (np.abs(tt - t0) <= hw_t)
+            box = (np.abs(pos - pos0) <= hw_pos) & (np.abs(t - t0) <= hw_t)
             values[quantities.index("phi_t")][box] += amount
-        return (idx, *values)
+        return tuple(v.reshape(shape) for v in (idx, *values))
 
     def region_index(self, pos, t):
         """Index into ``self.regions`` of the piece owning each point, -1 if none."""

@@ -5,14 +5,17 @@ Every check works on deterministic tensor grids over
 margin means the axiom holds with room to spare on the sampled points.
 Every pointwise check follows one verdict rule: a sample violates unless
 its margin is finite and at least its floor, and any NaN or infinite
-margin makes the worst margin NaN.  Divergence is checked region by
-region from one sampling pass: every region declares the analytic
-spatial derivative of ``phi_x``, used by default because several
-constructions contain factors like ``1/(r^(n-1) Gamma(r))`` whose finite
-differences are hopeless near ``r = 1``, and the field derives the time
-derivative of ``phi_t`` exactly from each region's own ``phi_t``, which
-is at most quadratic in ``t``.  ``divergence_mode='fd'`` replaces the
-spatial derivative by a central difference along ``pos``.
+margin makes the worst margin NaN.  Axioms (a), (b) and the divergence
+come from one pass over blocks of whole fibres (fixed ``pos``, every
+``t``): each block is classified and sampled once, and feeds the tallies
+of every selected group, which are merged in block order.  Every region
+declares the analytic spatial derivative of ``phi_x``, used by default
+because several constructions contain factors like ``1/(r^(n-1)
+Gamma(r))`` whose finite differences are hopeless near ``r = 1``, and the
+field derives the time derivative of ``phi_t`` exactly from each region's
+own ``phi_t``, which is at most quadratic in ``t``.
+``divergence_mode='fd'`` replaces the spatial derivative by a central
+difference along ``pos``.
 """
 
 from __future__ import annotations
@@ -119,14 +122,14 @@ def _grids(field, config):
     return pos, t
 
 
-def _tally(axiom, margin, locations, tol, config, residual=None, floor=0.0):
+def _tally(axiom, margin, locations, tol, cap, residual=None, floor=0.0):
     """The verdict rule of every pointwise check: ``(count, worst, recorded)``.
 
     A sample violates unless its margin is finite and ``margin >= floor``,
     so NaN and both infinities violate.  ``worst`` is the least margin,
     NaN when any margin is not finite, and ``floor + tol`` (the margin of
-    a zero residual) when there are no samples.  The first
-    ``config.max_recorded`` violations in C order are recorded at
+    a zero residual) when there are no samples.  The first ``cap``
+    violations in C order are recorded at
     ``locations`` (arrays that broadcast to the shape of ``margin``) with
     their ``residual`` (default: the margin), NaN where the margin is not
     finite.
@@ -137,7 +140,7 @@ def _tally(axiom, margin, locations, tol, config, residual=None, floor=0.0):
     residual = margin if residual is None else np.ravel(residual)
     finite = np.isfinite(margin)
     bad = np.flatnonzero(~(finite & (margin >= floor)))
-    first = bad[: config.max_recorded]
+    first = bad[:max(cap, 0)]
     # index the few recorded points, not a full-grid copy of each location
     locations = [np.broadcast_to(loc, shape)[np.unravel_index(first, shape)] for loc in locations]
     recorded = [Violation(axiom, tuple(loc[i].item() for loc in locations),
@@ -151,7 +154,10 @@ def _tally(axiom, margin, locations, tol, config, residual=None, floor=0.0):
 
 
 def _result(axiom, tallies, config, meta):
-    """An axiom group from the tallies of its parts, recorded in part order."""
+    """An axiom group from the tallies of its parts, recorded in part order.
+
+    A part tallied block by block gives one tally per block, in block order.
+    """
 
     count = sum(tally[0] for tally in tallies)
     recorded = [v for tally in tallies for v in tally[2]]
@@ -165,18 +171,26 @@ def _result(axiom, tallies, config, meta):
     )
 
 
+# Points per block of the grid pass: a block holds as many whole fibres as
+# fit, and at least one.
+_BLOCK_POINTS = 2 ** 15
+
+
+def _blocks(count, width):
+    """``(start, stop)`` of consecutive blocks of whole fibres of ``width`` points each."""
+    step = max(1, _BLOCK_POINTS // width)
+    return [(i, min(i + step, count)) for i in range(0, count, step)]
+
+
+def _room(config, tallies):
+    """How many violations a part may still record after its ``tallies``."""
+    return config.max_recorded - sum(len(tally[2]) for tally in tallies)
+
+
 def check_condition_a(field, gamma_sq_term, config=None):
     """Pointwise axiom (a): ``phi_t >= |phi_x|^2/4 - gamma^2 1_{(0,1]}(t)``."""
 
-    config = config or VerifyConfig()
-    pos, t = _grids(field, config)
-    P, T = pos[:, None], t[None, :]
-    psi, phit = field.evaluate(P, T)
-    residual = phit - 0.25 * psi ** 2 + gamma_sq_term * (T > 0.0)
-    tally = _tally("a", residual, (P, T), config.tol_a, config, floor=-config.tol_a)
-    return _result("a", [tally], config,
-                   {"pos_res": config.pos_res, "t_res": config.t_res,
-                    "gamma_sq_term": float(gamma_sq_term)})
+    return _grid_pass(field, config or VerifyConfig(), ("a",), gamma_sq_term=gamma_sq_term)["a"]
 
 
 # The sort proposes pairs and the exact pair expression decides every
@@ -212,8 +226,10 @@ def check_condition_b(field, beta, config=None):
     The scan covers the full triangular grid of ``t`` pairs.  For fields
     directed along a fixed direction it also records the reduced margin
     ``beta s^2 - |Psi(pos, s)|`` (the ``r = 0`` slice), which is how the
-    sharp cases are proved.  ``Psi`` is sampled once on the whole
-    ``pos x t`` pair grid, from ``pos[:, None]`` and ``t[None, :]``.
+    sharp cases are proved.  ``Psi`` is sampled block by block on whole
+    fibres of the ``pos x t`` pair grid, in the pass of :func:`verify_all`
+    when ``pair_res == t_res``, and each fibre is scanned on its own, so the
+    blocks only split the work.
 
     Each fibre costs one sort instead of an ``N x N`` pair matrix.  With
     ``a = Psi - beta t^2`` and ``b = Psi + beta t^2`` the margin of the
@@ -232,14 +248,18 @@ def check_condition_b(field, beta, config=None):
     makes the worst margin NaN.
     """
 
-    config = config or VerifyConfig()
-    if beta < 0.0:
-        raise ValueError("beta must be nonnegative")
-    tol = config.tol_b
-    pos = np.linspace(field.pos_range[0], field.pos_range[1], config.pos_res)
-    tg = np.linspace(0.0, field.t_max, config.pair_res)
+    return _grid_pass(field, config or VerifyConfig(), ("b",), beta=beta)["b"]
+
+
+def _b_block(pos, tg, Psi, beta, tol, room):
+    """Axiom (b) on the fibres at ``pos``, with ``Psi`` sampled on ``pos x tg``.
+
+    Returns the block's tally ``(count, worst, recorded)``, at most
+    ``room`` violations recorded, and its least reduced margin (inf when
+    no fibre is finite).
+    """
+
     tg2 = tg ** 2
-    Psi = field.Psi(pos[:, None], tg[None, :])
     w = beta * tg2
     scale = np.max(np.abs(Psi), axis=1) + w[-1]
     # false for NaN and inf; the thresholds below stay within 3 scales
@@ -262,9 +282,11 @@ def check_condition_b(field, beta, config=None):
     # the certain violations, and the end of the band left to the exact
     # expression
     offsets = np.stack([lowest + 2.0 * slack, -tol - slack, -tol + slack])
-    ranks = np.empty((3,) + a.shape, dtype=np.int32)
+    sorted_b = np.take_along_axis(b, order, 1)
+    queries = a[None] + offsets[:, :, None]
+    ranks = np.empty(queries.shape, dtype=np.int32)
     for f in fibres:
-        ranks[:, f] = np.searchsorted(b[f, order[f]], a[f] + offsets[:, f, None])
+        ranks[:, f] = np.searchsorted(sorted_b[f], queries[:, f])
     near, sure, band_end = ranks
 
     def exact(f, r, c):
@@ -290,8 +312,8 @@ def check_condition_b(field, beta, config=None):
     band_at = np.searchsorted(band_f, np.arange(psi.shape[0] + 1))
     violations = []
     for p in np.flatnonzero(entries):
-        room = config.max_recorded - len(violations)
-        if room <= 0:
+        left = room - len(violations)
+        if left <= 0:
             break
         if not ok[p]:
             violations.append(Violation("b", (float(pos[p]), float("nan"), float("nan")),
@@ -304,21 +326,12 @@ def check_condition_b(field, beta, config=None):
         triu = np.argsort(r * N + c)
         r, c = r[triu], c[triu]
         margin = exact(f, r, c)
-        for k in np.argsort(margin)[:room]:
+        for k in np.argsort(margin)[:left]:
             violations.append(Violation("b", (float(pos[p]), float(tg[r[k]]), float(tg[c[k]])),
                                         float(-margin[k]), tol))
 
-    count = int(entries.sum())
-    return AxiomResult(
-        axiom="b",
-        status="pass" if count == 0 else "fail",
-        violations=violations,
-        n_violations=count,
-        worst_margin=float(worst) if ok.all() else float("nan"),
-        meta={"pos_res": config.pos_res, "pair_res": config.pair_res,
-              "beta": float(beta),
-              "reduced_margin": float(reduced) if np.isfinite(reduced) else None},
-    )
+    worst = float(worst) if ok.all() else float("nan")
+    return (int(entries.sum()), worst, violations), reduced
 
 
 def check_graph_conditions(field, calibrated, config=None):
@@ -353,7 +366,8 @@ def check_graph_conditions(field, calibrated, config=None):
     residual = np.maximum(res_x, res_t)
     tol = config.tol_graph
     a_prime = _result(
-        "a_prime", [_tally("a_prime", tol - residual, (pos, u), tol, config, residual)], config,
+        "a_prime", [_tally("a_prime", tol - residual, (pos, u), tol, config.max_recorded,
+                            residual)], config,
         {"max_phi_x_residual": float(np.max(res_x, initial=0.0)),
          "max_phi_t_residual": float(np.max(res_t, initial=0.0)),
          "samples": int(pos.size)})
@@ -364,7 +378,8 @@ def check_graph_conditions(field, calibrated, config=None):
                          for jpos, lo, hi, nu in calibrated.jumps])
     jumps = np.array(calibrated.jumps, dtype=float).reshape(-1, 4)
     b_prime = _result(
-        "b_prime", [_tally("b_prime", tol - residual, jumps.T[:3], tol, config, residual)], config,
+        "b_prime", [_tally("b_prime", tol - residual, jumps.T[:3], tol, config.max_recorded,
+                            residual)], config,
         {"n_jumps": len(calibrated.jumps),
          "max_jump_residual": float(np.max(residual, initial=0.0))})
     return a_prime, b_prime
@@ -393,26 +408,29 @@ def check_divergence_and_flux(field, config=None):
     The divergence of a field directed along ``e_r`` is
     ``d(psi)/dr + (n-1) psi / r + d(phi_t)/dt`` (the middle term drops
     on an interval), checked at every grid point where ``psi`` and
-    ``phi_t`` are finite.  All terms come from one sampling pass, with
-    the regions' own derivatives.  In ``fd`` mode ``d(psi)/dr`` is a
-    central difference of step ``fd_step`` instead, two more passes, and
-    a point whose stencil leaves the domain or its region is skipped.
-    Interface flux continuity compares the two side limits of
-    ``phi . normal`` along each declared interface.
+    ``phi_t`` are finite.  All terms come from the one sampling pass of
+    :func:`verify_all`, with the regions' own derivatives.  In ``fd`` mode
+    ``d(psi)/dr`` is a central difference of step ``fd_step`` instead, two
+    more passes per block, and a point whose stencil leaves the domain or
+    its region is skipped.  Interface flux continuity compares the two
+    side limits of ``phi . normal`` along each declared interface.
     """
 
-    config = config or VerifyConfig()
-    pos, t = _grids(field, config)
-    P, T = pos[:, None], t[None, :]
-    ridx, psi, phit, dpsi, dphit = field._sample(P, T, "psi", "phi_t", "dpsi_dpos", "dphi_t_dt")
+    return _grid_pass(field, config or VerifyConfig(), ("divflux",))["divflux"]
 
+
+def _divflux_block(field, config, P, T, ridx, got, rooms):
+    """Boundedness and divergence tallies of one block sampled as ``got``, and
+    its statistics ``(max |psi|, max |phi_t|, max |div|, checked, skipped)``;
+    a maximum is -inf when the block has no finite sample."""
+
+    psi, phit, dpsi = got["psi"], got["phi_t"], got.get("dpsi_dpos")
     finite = np.isfinite(psi) & np.isfinite(phit)
-    max_phi_x = float(np.max(np.abs(psi[finite]))) if finite.any() else float("nan")
-    max_phi_t = float(np.max(np.abs(phit[finite]))) if finite.any() else float("nan")
+    stats = [np.max(np.abs(v), where=finite, initial=-np.inf) for v in (psi, phit)]
     # boundedness has no graded margin: a finite sample scores the full
     # tolerance, which no divergence margin exceeds
     bounded = _tally("bounded", np.where(finite, config.tol_div, np.nan), (P, T),
-                     config.tol_div, config)
+                     config.tol_div, rooms[0])
 
     valid = finite
     if config.divergence_mode == "fd":
@@ -420,11 +438,17 @@ def check_divergence_and_flux(field, config=None):
         valid = valid & ok
 
     # a skipped point scores divergence 0: margin tol_div, which no checked point exceeds
-    div = np.where(valid, dpsi + dphit, 0.0)
+    div = np.where(valid, dpsi + got["dphi_t_dt"], 0.0)
     if field.geometry == "radial":
         div = np.where(valid, div + (field.n - 1) * psi / P, 0.0)
     div = np.abs(div)
-    div_tally = _tally("div", config.tol_div - div, (P, T), config.tol_div, config, div)
+    div_tally = _tally("div", config.tol_div - div, (P, T), config.tol_div, rooms[1], div)
+    checked = int(valid.sum())
+    return bounded, div_tally, stats + [np.max(div), checked, valid.size - checked]
+
+
+def _flux(field, config):
+    """Flux continuity along each declared interface: its tally and its largest residual."""
 
     names, coords, flux = [], [np.zeros(0)], [np.zeros(0)]
     shift = 1e-9 * max(1.0, field.t_max)
@@ -449,19 +473,88 @@ def check_divergence_and_flux(field, config=None):
         names += [interface.name] * at.size
         coords.append(at)
     flux = np.concatenate(flux)
-    flux_tally = _tally("flux", config.tol_flux - flux, (np.array(names, dtype=str),
-                                                         np.concatenate(coords)),
-                        config.tol_flux, config, flux)
+    tally = _tally("flux", config.tol_flux - flux, (np.array(names, dtype=str),
+                                                    np.concatenate(coords)),
+                   config.tol_flux, config.max_recorded, flux)
+    return tally, float(np.max(flux, initial=0.0))
 
-    return _result("divflux", [bounded, div_tally, flux_tally], config, {
-        "divergence_mode": config.divergence_mode,
-        "div_worst": float(np.max(div)),
-        "flux_worst": float(np.max(flux, initial=0.0)),
-        "n_div_checked": int(valid.sum()),
-        "n_div_skipped": int((~valid).sum()),
-        "max_abs_phi_x": max_phi_x,
-        "max_abs_phi_t": max_phi_t,
-    })
+
+def _grid_pass(field, config, groups, gamma_sq_term=0.0, beta=0.0):
+    """The grid axiom groups among ``groups`` (``a``, ``b``, ``divflux``), by results id.
+
+    One pass over blocks of whole fibres of the ``pos x t`` grid, at most
+    ``_BLOCK_POINTS`` points a block: each block is sampled once, with
+    ``Psi`` when ``pair_res == t_res`` (else axiom (b) makes its own pass
+    over blocks of the pair grid), and feeds the tally of every selected
+    group.  The tallies of each part are merged in block order, so counts,
+    worst margins and recorded violations are those of a single whole-grid
+    tally, ``max_recorded`` included.
+    """
+
+    if "b" in groups and beta < 0.0:
+        raise ValueError("beta must be nonnegative")
+    pos, t = _grids(field, config)
+    T = t[None, :]
+    fused = "b" in groups and config.pair_res == config.t_res
+    names = ["psi", "phi_t"] if {"a", "divflux"} & set(groups) else []
+    if "divflux" in groups:
+        names += ["dphi_t_dt"] + (["dpsi_dpos"] if config.divergence_mode == "auto" else [])
+    if fused:
+        names.append("Psi")
+    a, b, reduced, bounded, div, stats = [], [], [], [], [], []
+
+    def scan_b(at, tg, Psi):
+        tally, least = _b_block(at, tg, Psi, beta, config.tol_b, _room(config, b))
+        b.append(tally)
+        reduced.append(least)
+
+    for i, j in _blocks(pos.size, t.size) if names else ():
+        P = pos[i:j, None]
+        ridx, *arrays = field._sample(P, T, *names)
+        got = dict(zip(names, arrays))
+        if "a" in groups:
+            residual = got["phi_t"] - 0.25 * got["psi"] ** 2 + gamma_sq_term * (T > 0.0)
+            a.append(_tally("a", residual, (P, T), config.tol_a, _room(config, a),
+                            floor=-config.tol_a))
+        if fused:
+            scan_b(pos[i:j], t, got["Psi"])
+        if "divflux" in groups:
+            part_bounded, part_div, block = _divflux_block(
+                field, config, P, T, ridx, got, (_room(config, bounded), _room(config, div)))
+            bounded.append(part_bounded)
+            div.append(part_div)
+            stats.append(block)
+    if "b" in groups and not fused:
+        tg = np.linspace(0.0, field.t_max, config.pair_res)
+        for i, j in _blocks(pos.size, tg.size):
+            scan_b(pos[i:j], tg, field.Psi(pos[i:j, None], tg[None, :]))
+
+    results = {}
+    if "a" in groups:
+        results["a"] = _result("a", a, config, {
+            "pos_res": config.pos_res, "t_res": config.t_res,
+            "gamma_sq_term": float(gamma_sq_term)})
+    if "b" in groups:
+        least = min(reduced)
+        results["b"] = _result("b", b, config, {
+            "pos_res": config.pos_res, "pair_res": config.pair_res, "beta": float(beta),
+            "reduced_margin": float(least) if np.isfinite(least) else None})
+    if "divflux" in groups:
+        flux_tally, flux_worst = _flux(field, config)
+        stats = np.array(stats)
+        # a maximum is -inf when no block has a finite sample
+        max_phi_x, max_phi_t = (float(m) if m >= 0.0 else float("nan")
+                                for m in np.max(stats[:, :2], axis=0))
+        results["divflux"] = _result("divflux", bounded + div + [flux_tally], config, {
+            "divergence_mode": config.divergence_mode,
+            "div_worst": float(np.max(stats[:, 2])),
+            "flux_worst": flux_worst,
+            "n_div_checked": int(np.sum(stats[:, 3])),
+            "n_div_skipped": int(np.sum(stats[:, 4])),
+            "max_abs_phi_x": max_phi_x,
+            "max_abs_phi_t": max_phi_t,
+        })
+    return results
 
 
 @dataclass
@@ -526,18 +619,18 @@ class VerificationReport:
 def verify_all(field, calibrated=None, config=None):
     """Run every selected axiom group and aggregate the outcome.
 
-    ``calibrated`` defaults to ``field.calibrated``, the function the
-    field's builder calibrates; pass one explicitly to check a different minimizer
-    against the same field.  Graph checks are skipped when no
-    calibrated function is available.
+    Axioms (a), (b) and the divergence share one pass over blocks of whole
+    fibres, each block sampled once; the graph and flux checks sample
+    their own points.  ``calibrated`` defaults to ``field.calibrated``, the
+    function the field's builder calibrates; pass one explicitly to check
+    a different minimizer against the same field.  Graph checks are
+    skipped when no calibrated function is available.
     """
 
     config = config or VerifyConfig()
-    results = {}
-    if "a" in config.axioms:
-        results["a"] = check_condition_a(field, field.gamma_sq_term, config)
-    if "b" in config.axioms:
-        results["b"] = check_condition_b(field, float(field.params["beta"]), config)
+    beta = float(field.params["beta"]) if "b" in config.axioms else 0.0
+    grid = _grid_pass(field, config, config.axioms, field.gamma_sq_term, beta)
+    results = {key: grid[key] for key in ("a", "b") if key in grid}
     if "graph" in config.axioms:
         calibrated = calibrated or field.calibrated
         if calibrated is None:
@@ -547,8 +640,8 @@ def verify_all(field, calibrated=None, config=None):
         else:
             results["a_prime"], results["b_prime"] = check_graph_conditions(
                 field, calibrated, config)
-    if "divflux" in config.axioms:
-        results["divflux"] = check_divergence_and_flux(field, config)
+    if "divflux" in grid:
+        results["divflux"] = grid["divflux"]
     grid_meta = {
         "pos_range": [float(field.pos_range[0]), float(field.pos_range[1])],
         "t_max": float(field.t_max),

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import calx
-from calx import cli
+from calx import cli, verifier
 from calx.cli import main
 from calx.energy import critical_radii
 from calx.potentials import gamma
@@ -212,6 +213,35 @@ def test_check_emits_the_recorded_report(case, capsys):
     assert (code, json.loads(out)) == (expected["exit"], expected["report"])
 
 
+@pytest.mark.parametrize("fibres", [1, 3, 5])
+def test_check_reports_do_not_depend_on_the_block_size(fibres, monkeypatch, capsys):
+    # at 64 samples: one fibre a block, then three and five, which do not divide 64
+    monkeypatch.setattr(verifier, "_BLOCK_POINTS", 64 * fibres)
+    with open(Path(__file__).with_name("check_expected.json")) as handle:
+        expected = json.load(handle)
+    for case, argv in sorted(CHECK_CASES.items()):
+        code, out, err = run(capsys, ["check"] + argv + ["--samples", "64", "--format", "json"])
+        assert err == ""
+        assert (code, json.loads(out)) == (expected[case]["exit"], expected[case]["report"]), case
+
+
+def test_a_large_check_keeps_its_peak_memory_small():
+    # the grid pass samples blocks of at most 2^15 points, so the peak does
+    # not grow with the 2048 x 2048 grid; sampling it whole peaks near 356 MB
+    code = ("import contextlib, io, resource\n"
+            "from calx.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(['check', 'ball-harmonic', '--n', '2', '--beta', '2', '--R', '2',\n"
+            "                 '--samples', '2048'])\n"
+            "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(calx.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=300, check=True)
+    exit_code, peak_kb = done.stdout.split()
+    assert exit_code == "0"
+    assert int(peak_kb) / 1024.0 < 150.0
+
+
 def test_check_and_describe_share_one_kind_registry(capsys):
     subcommands = next(action.choices for action in cli._build_parser()._actions
                        if isinstance(action, argparse._SubParsersAction))
@@ -270,6 +300,17 @@ def test_phase_diagram_scalar_specs(tmp_path, capsys):
     assert lines[1].endswith("indicator-by-beta-le-gamma")
 
 
+@pytest.mark.parametrize("beta", ["1e-100", "1e-200"])
+def test_phase_diagram_where_the_bracket_underflows(beta, capsys):
+    # the bracket's supremum rounds to 0 here, so each gamma > 0 label is decided
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["phase-diagram", "--n", "3", "--beta", beta,
+                                      "--gamma", "0.5"])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].endswith(",0.5,indicator-by-beta-le-gamma")
+
+
 def test_threads_env_variable(monkeypatch, capsys):
     # CALX_THREADS is no longer read: any value leaves the output alone
     argv = ["check", "harmonic", "--m", "0.8", "--M", "1", "--beta", "3", "--samples", "32"]
@@ -319,6 +360,9 @@ def test_non_finite_numbers_are_usage_errors(argv, capsys):
     ["energy-curve", "--n", "1", "--beta", "1e154", "--gamma", "0"],
     ["check", "harmonic", "--m", "0.8", "--M", "1e300", "--beta", "3"],
     ["describe", "1d", "--m", "0.8", "--M", "1e300", "--beta", "3"],
+    ["check", "harmonic", "--beta", "1e200", "--m", "0", "--M", "1e150"],
+    ["describe", "harmonic", "--beta", "1e200", "--m", "0", "--M", "1e150"],
+    ["check", "1d", "--beta", "1e200", "--m", "0", "--M", "1e150"],
 ])
 def test_out_of_range_dimensions_and_overflowing_numbers_are_usage_errors(argv, capsys):
     code, out, err = run(capsys, argv)

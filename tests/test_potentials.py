@@ -5,6 +5,7 @@ closed forms and are trusted to well below the asserted tolerances.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -232,6 +233,16 @@ def test_lemma_gamma_bounds_rejects_degenerate_arguments():
 def test_robin_bracket_sup_in_one_dimension_is_at_the_unit_sphere(beta):
     # n = 1: the bracket is beta^2 delta(r)^2 and delta decreases from 1
     assert robin_bracket_sup(1, beta) == (1.0, beta ** 2)
+
+
+@pytest.mark.parametrize("n, beta", [(3, 1e-100), (3, 1e-200), (10, 1e-20), (1, 1e-170)])
+def test_robin_bracket_sup_rounds_to_zero_where_the_bracket_underflows(n, beta):
+    # bracket(r0) underflows to 0, and so does the supremum itself (below
+    # 1e-370 in each case); past 1e-154 (n = 3) delta(r0) underflows too
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r, value = robin_bracket_sup(n, beta)
+    assert 1.0 <= r < math.inf and value == 0.0
 
 
 @pytest.mark.parametrize("n, beta", [(2, 1.0), (2, 0.01), (3, 0.1), (3, 1.2),

@@ -20,6 +20,7 @@ from calx.calibration_fields import (
     build_field_indicator_two_piece,
     radial_shell_profile,
 )
+from calx import verifier
 from calx.potentials import delta_robin, robin_bracket
 from calx.verifier import (
     CalibratedFunction,
@@ -385,6 +386,79 @@ def test_axioms_classify_each_grid_once(monkeypatch):
     check_condition_b(field, 2.0, cfg)
     assert passes == [grid]
     assert seen == [(r.name, cfg.pos_res) for r in field.regions]
+
+
+def criterion_8_ball():
+    # beta = 1.3 < 3/2: 2,384 axiom (b) violations at 512 samples
+    n, beta, R = 2, 1.3, 1.08
+    return build_field_ball_harmonic(n, beta, math.sqrt(robin_bracket(n, beta, R)), R,
+                                     enforce_beta=False)
+
+
+def planted_box():
+    # phi_t pushed down by 10 on a box of 11 x 3 nodes of the 96 x 96 grid
+    field = ball_field()
+    pos = np.linspace(*field.pos_range, 96)
+    t = np.linspace(0.0, field.t_max, 96)
+    return perturb_phi_t(field, pos[40], t[50], -10.0, 5.5 * (pos[1] - pos[0]),
+                         1.5 * (t[1] - t[0]))
+
+
+BLOCK_CASES = {
+    "criterion-8 ball": lambda: (criterion_8_ball(),
+                                 VerifyConfig(pos_res=512, t_res=512, pair_res=512)),
+    "criterion-8 ball, capped": lambda: (criterion_8_ball(), VerifyConfig(
+        pos_res=512, t_res=512, pair_res=512, axioms=("b",), max_recorded=1000)),
+    "criterion-8 ball, own pair grid": lambda: (criterion_8_ball(), VerifyConfig(
+        pos_res=128, t_res=128, pair_res=200, max_recorded=20)),
+    "planted (a) defect": lambda: (planted_box(), VerifyConfig(
+        pos_res=96, t_res=96, pair_res=96, axioms=("a",), max_recorded=20)),
+    "fd divflux": lambda: (ball_field(), VerifyConfig(
+        pos_res=96, t_res=96, pair_res=96, axioms=("divflux",), divergence_mode="fd")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_blocks_of_fibres_leave_the_report_unchanged(case, monkeypatch):
+    field, cfg = BLOCK_CASES[case]()
+
+    def outcome():
+        report = verify_all(field, config=cfg)
+        return report.to_json(), {key: [repr(v) for v in result.violations]
+                                  for key, result in report.results.items()}
+
+    expected = outcome()
+    counted = {key: r["n_violations"] for key, r in json.loads(expected[0])["results"].items()}
+    recorded = {key: len(v) for key, v in expected[1].items()}
+    if case == "criterion-8 ball":
+        assert recorded["b"] == counted["b"] == 2384
+    elif case == "criterion-8 ball, capped":
+        assert recorded["b"] == 1000 < counted["b"]
+    elif case == "planted (a) defect":
+        assert recorded["a"] == 20 < counted["a"] == 33
+    # one fibre a block, then three and seven, which divide no resolution here
+    for fibres in (1, 3, 7):
+        monkeypatch.setattr(verifier, "_BLOCK_POINTS", fibres * cfg.t_res)
+        assert outcome() == expected, fibres
+
+
+def test_verify_all_samples_each_block_once(monkeypatch):
+    field = ball_field()
+    cfg = VerifyConfig(pos_res=40, t_res=32, pair_res=32)
+    passes = []
+    sample = PiecewiseField._sample
+
+    def counting(self, pos, t, *quantities):
+        out = sample(self, pos, t, *quantities)
+        passes.append((np.shape(pos), np.shape(t), quantities))
+        return out
+
+    monkeypatch.setattr(PiecewiseField, "_sample", counting)
+    monkeypatch.setattr(verifier, "_BLOCK_POINTS", 16 * cfg.t_res)
+    verify_all(field, config=cfg)
+    grid = [p for p in passes if p[1] == (1, cfg.t_res)]
+    assert [p[0] for p in grid] == [(16, 1), (16, 1), (8, 1)]
+    assert all(set(p[2]) == {"psi", "phi_t", "dpsi_dpos", "dphi_t_dt", "Psi"} for p in grid)
 
 
 def test_perturbation_is_localized_to_one_node():
