@@ -233,10 +233,12 @@ def _verify_config_from(opt):
 
 def _affine_args(opt):
     """``(m, M, beta)``; a usage error names an ``--M`` whose square overflows,
-    then a ``--beta`` whose reduced weight beta (M - m) overflows."""
+    then a ``--beta`` whose reduced weight beta (M - m) or whose pair-scan
+    scale beta M^2 overflows."""
     beta, m, M = opt.require("beta", float), opt.require("m", float), opt.require("M", float)
     _in_float_range("M", M, "M^2", lambda v: v * v)
-    return m, M, _in_float_range("beta", beta, "beta (M - m)", lambda b: b * (M - m))
+    _in_float_range("beta", beta, "beta (M - m)", lambda b: b * (M - m))
+    return m, M, _in_float_range("beta", beta, "beta M^2", lambda b: b * M * M)
 
 
 def _radial_args(opt):

@@ -2,12 +2,14 @@
 
 Nothing in this module reuses the closed-form expressions it is meant
 to test.  The one-dimensional search enumerates piecewise-affine
-competitors with up to two jumps on explicit location and value grids.
+competitors with up to two jumps on explicit location and value grids,
+scanning its one-jump cost tables a block of locations at a time.
 The Robin shooting oracle integrates the radial ODE with a plain RK4
-scheme and matches the boundary condition by bisection.  The radial
-sweep tabulates the two-parameter family of profiles (support radius,
-outer trace) so the optimal trace and the indicator transition can be
-read off a table instead of trusted from a formula.
+scheme, whose steps it composes as running products and sums because
+the ODE is linear, and matches the boundary condition by bisection.
+The radial sweep tabulates the two-parameter family of profiles
+(support radius, outer trace) so the optimal trace and the indicator
+transition can be read off a table instead of trusted from a formula.
 """
 
 from __future__ import annotations
@@ -66,6 +68,9 @@ class JumpSearchSpace:
                    resolution=int(resolution))
 
 
+_JUMP_BLOCK = 256  # jump locations per block of the cost table scan
+
+
 def _one_jump_tables(locs, vals, m, M, beta):
     """Left and right part costs of a single jump at each location.
 
@@ -76,28 +81,25 @@ def _one_jump_tables(locs, vals, m, M, beta):
     trace is pinned to the datum.
     """
 
-    nx = locs.size
-    A = np.empty(nx)
-    A_arg = np.full(nx, -1, dtype=int)
-    B = np.empty(nx)
-    B_arg = np.full(nx, -1, dtype=int)
-
-    interior_left = locs > 0.0
-    if interior_left.any():
-        cost = ((vals[None, :] - m) ** 2 / locs[interior_left, None]
-                + beta * vals[None, :] ** 2)
-        A[interior_left] = cost.min(axis=1)
-        A_arg[interior_left] = cost.argmin(axis=1)
-    A[~interior_left] = beta * m * m
-
-    interior_right = locs < 1.0
-    if interior_right.any():
-        cost = ((M - vals[None, :]) ** 2 / (1.0 - locs[interior_right, None])
-                + beta * vals[None, :] ** 2)
-        B[interior_right] = cost.min(axis=1)
-        B_arg[interior_right] = cost.argmin(axis=1)
-    B[~interior_right] = beta * M * M
+    weight = beta * vals ** 2
+    A, A_arg = _cheapest_traces((vals - m) ** 2, locs, weight, beta * m * m)
+    B, B_arg = _cheapest_traces((M - vals) ** 2, 1.0 - locs, weight, beta * M * M)
     return A, A_arg, B, B_arg
+
+
+def _cheapest_traces(rise, lengths, weight, pinned):
+    """Per piece length L > 0, the least ``rise / L + weight`` over the traces
+    and its index, by blocks of lengths; for L = 0 the trace is the datum:
+    ``pinned`` and -1."""
+
+    cost_min = np.full(lengths.size, pinned)
+    arg = np.full(lengths.size, -1, dtype=int)
+    for lo in range(0, lengths.size, _JUMP_BLOCK):
+        rows = lo + np.flatnonzero(lengths[lo:lo + _JUMP_BLOCK] > 0.0)
+        cost = rise / lengths[rows, None] + weight
+        arg[rows] = cost.argmin(axis=1)
+        cost_min[rows] = cost[np.arange(rows.size), arg[rows]]
+    return cost_min, arg
 
 
 def _piece_through(x0, y0, x1, y1):
@@ -232,8 +234,11 @@ def oracle_1d_best(m, M, beta, max_jumps=2, resolution=1000, space=None):
     return best, best_energy
 
 
-# (n, step) -> (v, w): the cached RK4 trajectory from r = 1, one array per component
+# (n, step) -> (v, w): the RK4 trajectory from r = 1 at nodes 1 + j step, one
+# array("d") per component, extended in place by _basis_at
 _BASIS_CACHE = {}
+
+_FILL_BLOCK = 1 << 16  # nodes per block of the cache fill, which bounds its temporaries
 
 
 def _rk4_step(k, r, h, v, w):
@@ -251,15 +256,25 @@ def _rk4_step(k, r, h, v, w):
 
 
 def _basis_at(n, R, step):
-    """(v(R), v'(R)) for the solution with v(1) = 0, v'(1) = 1."""
+    """(v(R), v'(R)) for the solution with v(1) = 0, v'(1) = 1.
+
+    The ODE is linear, so the RK4 step from node r_j is the map
+    w_{j+1} = b_j w_j, v_{j+1} = v_j + a_j w_j, with (a_j, b_j) the step
+    from (0, 1).  A block of nodes is filled by a running product of the
+    b_j and a running sum of the a_j w_j, both strictly in node order, so
+    the cache does not depend on how its fills were split.
+    """
 
     key = (int(n), float(step))
     vs, ws = _BASIS_CACHE.setdefault(key, (array("d", [0.0]), array("d", [1.0])))
     full = int((R - 1.0) / step)
     while len(vs) <= full:
-        v, w = _rk4_step(n - 1, 1.0 + (len(vs) - 1) * step, step, vs[-1], ws[-1])
-        vs.append(v)
-        ws.append(w)
+        j = np.arange(len(vs) - 1, min(full, len(vs) - 1 + _FILL_BLOCK))
+        a, b = _rk4_step(n - 1, 1.0 + j * step, step, 0.0, 1.0)
+        w = np.multiply.accumulate(np.concatenate(([ws[-1]], b)))
+        v = np.add.accumulate(np.concatenate(([vs[-1]], a * w[:-1])))
+        vs.frombytes(v[1:].tobytes())
+        ws.frombytes(w[1:].tobytes())
     v, w = vs[full], ws[full]
     rest = R - 1.0 - full * step
     if rest > 1e-15:
@@ -272,9 +287,10 @@ def oracle_robin_shooting(n, beta, R, step=1e-4):
 
     Integrates the radial Laplace equation u'' + (n-1) u'/r = 0 with
     u(1) = 1 as u = 1 + a v, where v solves the same ODE with v(1) = 0,
-    v'(1) = 1 (computed by RK4, cached per (n, step)).  The slope a is
-    found by bisection on the Robin residual u'(R) + beta u(R) and the
-    returned value is u(R).
+    v'(1) = 1, by RK4 steps applied as running products and sums (see
+    ``_basis_at``; cached per (n, step)).  The slope a is found by
+    bisection on the Robin residual u'(R) + beta u(R) and the returned
+    value is u(R), a float.
     """
 
     if not isinstance(n, (int, np.integer)) or n < 1:

@@ -111,7 +111,16 @@ def delta_robin(n: int, beta: float, R):
     if beta <= 0:
         raise ValueError("beta must be positive")
     R = _radii(R, "delta_robin is defined for R >= 1")
-    out = 1.0 / (1.0 + beta * np.power(R, n - 1.0) * gamma(n, R))
+    top = R if isinstance(R, float) else np.fmax.reduce(R, axis=None, initial=1.0)
+    if n < 3 or not top > 2.0 ** (1000 / (n - 1)):
+        out = 1.0 / (1.0 + beta * np.power(R, n - 1.0) * gamma(n, R))
+        return out if out.ndim else float(out)
+    # R^(n-1) may overflow; wherever beta R^(n-1) gamma(R) does, it is taken
+    # from its logarithm (about 1e-13 relative), elsewhere formed as above
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        G = beta * np.power(R, n - 1.0) * gamma(n, R)
+        e = np.exp(-(np.log(beta) + (n - 1) * np.log(R) + np.log(gamma(n, R))))
+        out = np.where(np.isinf(G), e / (1.0 + e), 1.0 / (1.0 + G))
     return out if out.ndim else float(out)
 
 

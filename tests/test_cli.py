@@ -311,6 +311,16 @@ def test_phase_diagram_where_the_bracket_underflows(beta, capsys):
     assert out.splitlines()[1].endswith(",0.5,indicator-by-beta-le-gamma")
 
 
+def test_energy_curve_where_the_bracket_peak_is_past_r_to_the_n_minus_1_overflow(capsys):
+    # the bracket's supremum sits at r0 = 4e200 here, where r0^2 overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["energy-curve", "--n", "3", "--beta", "1e-200",
+                                      "--gamma", "0.5", "--samples", "4", "--format", "json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["critical_radii"] == []
+
+
 def test_threads_env_variable(monkeypatch, capsys):
     # CALX_THREADS is no longer read: any value leaves the output alone
     argv = ["check", "harmonic", "--m", "0.8", "--M", "1", "--beta", "3", "--samples", "32"]
@@ -363,6 +373,7 @@ def test_non_finite_numbers_are_usage_errors(argv, capsys):
     ["check", "harmonic", "--beta", "1e200", "--m", "0", "--M", "1e150"],
     ["describe", "harmonic", "--beta", "1e200", "--m", "0", "--M", "1e150"],
     ["check", "1d", "--beta", "1e200", "--m", "0", "--M", "1e150"],
+    ["check", "1d", "--beta", "1e100", "--m", "0", "--M", "1e150", "--samples", "16"],
 ])
 def test_out_of_range_dimensions_and_overflowing_numbers_are_usage_errors(argv, capsys):
     code, out, err = run(capsys, argv)
@@ -373,7 +384,7 @@ def test_out_of_range_dimensions_and_overflowing_numbers_are_usage_errors(argv, 
     huge = [(flag, float(value.split(":")[1] if ":" in value else value))
             for flag, value in zip(argv, argv[1:])
             if flag in ("--R", "--beta", "--rmax", "--gamma", "--M")]
-    huge = [(flag, value) for flag, value in huge if value > 1e100]
+    huge = [(flag, value) for flag, value in huge if value >= 1e100]
     if huge:
         assert err.startswith("error: {} {!r} is out of range".format(*huge[0])), err
 

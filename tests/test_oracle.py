@@ -139,6 +139,27 @@ def test_oracle_handles_spaces_without_zero_value():
     assert energy == pytest.approx(naive, abs=1e-12)
 
 
+@pytest.mark.parametrize("locs, vals", [
+    (np.linspace(0.0, 1.0, 301), np.linspace(0.0, 1.0, 301)),
+    (np.linspace(0.0, 1.0, 778), np.linspace(0.05, 1.0, 40)),
+    (np.sort(np.random.default_rng(3).random(513)), np.linspace(0.0, 1.0, 17)),
+])
+def test_one_jump_tables_match_an_unblocked_scan(locs, vals):
+    # the unblocked scan as the reference, at location counts that are not
+    # multiples of the block size
+    assert locs.size % oracle._JUMP_BLOCK
+    for m, M, beta in [(0.0, 1.0, 1.0), (0.2, 0.7, 0.3), (0.4, 0.4, 5.0)]:
+        want = []
+        for rise, lengths, datum in [((vals - m) ** 2, locs, m), ((M - vals) ** 2, 1.0 - locs, M)]:
+            inside = lengths > 0.0
+            cost = rise / lengths[inside, None] + beta * vals ** 2
+            table, arg = np.full(locs.size, beta * datum * datum), np.full(locs.size, -1)
+            table[inside], arg[inside] = cost.min(axis=1), cost.argmin(axis=1)
+            want += [table, arg]
+        for got, ref in zip(oracle._one_jump_tables(locs, vals, m, M, beta), want):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
 def test_oracle_zero_jump_budget():
     best, energy = oracle_1d_best(0.0, 1.0, 0.01, max_jumps=0)
     assert best.breakpoints == ()
@@ -163,22 +184,72 @@ def test_shooting_reproduces_the_robin_trace():
 
 def test_shooting_cache_holds_two_float_arrays():
     oracle._BASIS_CACHE.clear()
-    # exact digits of the list-of-(v, w)-tuples cache the arrays replaced,
-    # cold and warm
-    for args, want in [((1, 2.0, 2.5), 0.25000000000001843),
-                       ((2, 3.0, 2.0), 0.19384040766994026),
-                       ((3, 0.7, 4.0), 0.10638297872340352),
-                       ((2, 1.3, 1.08), 0.902483660683136),
-                       ((2, 1.3, 1.00005), 0.9999350025999636)]:
+    # exact digits of the accumulated step maps, cold and warm, each next to
+    # the digits of the one-step-at-a-time loop they replaced
+    for args, want, loop in [((1, 2.0, 2.5), 0.25000000000001843, 0.25000000000001843),
+                             ((2, 3.0, 2.0), 0.19384040766993949, 0.19384040766994026),
+                             ((3, 0.7, 4.0), 0.10638297872340419, 0.10638297872340352),
+                             ((2, 1.3, 1.08), 0.902483660683136, 0.902483660683136),
+                             ((2, 1.3, 1.00005), 0.9999350025999636, 0.9999350025999636)]:
         got = oracle_robin_shooting(*args)
         assert type(got) is float
         assert repr(got) == repr(want)
+        assert abs(got - loop) <= 1e-14
     for (n, step), steps in {(1, 1e-4): 15001, (2, 1e-4): 10001, (3, 1e-4): 30001}.items():
         vs, ws = oracle._BASIS_CACHE[(n, step)]
         assert isinstance(vs, array) and isinstance(ws, array)
         assert vs.typecode == ws.typecode == "d"
         assert len(vs) == len(ws) == steps
         assert (vs[0], ws[0]) == (0.0, 1.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_shooting_cache_does_not_depend_on_fill_order_or_blocks(n, monkeypatch):
+    step = 1e-3
+    radii = [1.0005, 1.7, 2.25, 2.2501, 2.6, 3.0]
+
+    def fill(order):
+        oracle._BASIS_CACHE.pop((n, step), None)
+        for R in order:
+            oracle._basis_at(n, R, step)
+        vs, ws = oracle._BASIS_CACHE.pop((n, step))
+        return vs.tobytes(), ws.tobytes()
+
+    cold = fill([max(radii)])
+    assert len(cold[0]) == 8 * 2001
+    shuffled = [radii[k] for k in (3, 0, 5, 1, 4, 2)]
+    for block in (1, 7, 4096, 1 << 16):
+        monkeypatch.setattr(oracle, "_FILL_BLOCK", block)
+        assert fill([max(radii)]) == cold
+        assert fill(radii) == cold
+        assert fill(shuffled) == cold
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_shooting_cache_follows_a_plain_rk4_loop(n):
+    step, nodes = 1e-4, 30001
+    oracle._BASIS_CACHE.pop((n, step), None)
+    oracle._basis_at(n, 1.0 + (nodes - 1) * step, step)
+    vs, ws = oracle._BASIS_CACHE.pop((n, step))
+    k, h = n - 1, step
+    v, w = 0.0, 1.0
+    ref_v, ref_w = [v], [w]
+    for j in range(len(vs) - 1):
+        r = 1.0 + j * h
+        dv1, dw1 = w, -k * w / r
+        dv2 = w + 0.5 * h * dw1
+        dw2 = -k * dv2 / (r + 0.5 * h)
+        dv3 = w + 0.5 * h * dw2
+        dw3 = -k * dv3 / (r + 0.5 * h)
+        dv4 = w + h * dw3
+        dw4 = -k * dv4 / (r + h)
+        v, w = (v + h * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4) / 6.0,
+                w + h * (dw1 + 2.0 * dw2 + 2.0 * dw3 + dw4) / 6.0)
+        ref_v.append(v)
+        ref_w.append(w)
+    assert len(vs) == len(ws) == nodes
+    np.testing.assert_allclose(np.asarray(vs), ref_v, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(np.asarray(ws), ref_w, rtol=1e-13, atol=0.0)
 
 
 def test_shooting_rejects_bad_arguments():

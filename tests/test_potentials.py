@@ -112,6 +112,24 @@ def test_delta_robin_reference_values():
     assert delta_robin(2, 0.7, 1.0) == 1.0
 
 
+def test_delta_robin_where_R_to_the_n_minus_1_overflows():
+    # reference digits from 40-digit arithmetic on the same closed form
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n, beta, R, want in [(3, 1e-200, 4e200, 6.25e-202),
+                                 (4, 1e-250, 1e120, 2.0e-110),
+                                 (10, 1e-100, 1e40, 8.0e-260),
+                                 (3, 5e-324, 1e170, 2.024022533073106e-17)]:
+            assert delta_robin(n, beta, R) == pytest.approx(want, rel=1e-12, abs=0.0)
+        # where the product stays finite, the bits are those of the plain formula
+        Rs = np.array([1.0, 2.0, 1e150, 4e200, np.inf, np.nan])
+        got = delta_robin(3, 2.0, Rs)
+        plain = 1.0 / (1.0 + 2.0 * np.power(Rs[:3], 2.0) * gamma(3, Rs[:3]))
+        assert np.array_equal(got[:3], plain)
+        assert got[3] == 0.0 and got[4] == 0.0 and np.isnan(got[5])
+        assert delta_robin(3, 1e-200, Rs)[3] == delta_robin(3, 1e-200, 4e200)
+
+
 def test_delta_robin_decreases_in_R():
     Rs = np.linspace(1.0, 6.0, 400)
     for n in (1, 2, 3):
