@@ -10,115 +10,15 @@ The package is organised around six modules:
 * ``cli``                 the ``calx`` command line tool.
 """
 
-from calx.potentials import (
-    gamma,
-    gamma_scaling_identity,
-    delta_robin,
-    delta_robin_prime,
-    robin_bracket,
-    robin_bracket_sup,
-    u_radial,
-    rho,
-    rho_prime,
-    lemma_gamma_bounds,
-)
-from calx.energy import (
-    Competitor1D,
-    RadialProfile,
-    EnergyBreakdown,
-    unit_ball_volume,
-    energy_1d,
-    energy_radial_general,
-    energy_radial_traces,
-    energy_radial_optimal,
-    dE_dR,
-    critical_radii,
-    indicator_monotonicity_margin,
-)
-from calx.calibration_fields import (
-    PiecewiseField,
-    Region,
-    Interface,
-    CalibParams1D,
-    CalibratedFunction,
-    HarmonicProfile,
-    HypothesisViolation,
-    affine_profile,
-    radial_shell_profile,
-    choose_lambda,
-    build_field_1d,
-    build_field_harmonic,
-    build_field_indicator_const,
-    build_field_indicator_two_piece,
-    build_field_ball_harmonic,
-)
-from calx.verifier import (
-    VerifyConfig,
-    VerificationReport,
-    check_condition_a,
-    check_condition_b,
-    check_graph_conditions,
-    check_divergence_and_flux,
-    verify_all,
-    perturb_phi_t,
-)
-from calx.oracle import (
-    JumpSearchSpace,
-    oracle_1d_best,
-    oracle_robin_shooting,
-    oracle_radial_sweep,
-)
+from calx import calibration_fields, energy, oracle, potentials, verifier
+from calx.potentials import *  # noqa: F401,F403
+from calx.energy import *  # noqa: F401,F403
+from calx.calibration_fields import *  # noqa: F401,F403
+from calx.verifier import *  # noqa: F401,F403
+from calx.oracle import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "gamma",
-    "gamma_scaling_identity",
-    "delta_robin",
-    "delta_robin_prime",
-    "robin_bracket",
-    "robin_bracket_sup",
-    "u_radial",
-    "rho",
-    "rho_prime",
-    "lemma_gamma_bounds",
-    "Competitor1D",
-    "RadialProfile",
-    "EnergyBreakdown",
-    "unit_ball_volume",
-    "energy_1d",
-    "energy_radial_general",
-    "energy_radial_traces",
-    "energy_radial_optimal",
-    "dE_dR",
-    "critical_radii",
-    "indicator_monotonicity_margin",
-    "PiecewiseField",
-    "Region",
-    "Interface",
-    "CalibParams1D",
-    "HarmonicProfile",
-    "HypothesisViolation",
-    "affine_profile",
-    "radial_shell_profile",
-    "choose_lambda",
-    "build_field_1d",
-    "build_field_harmonic",
-    "build_field_indicator_const",
-    "build_field_indicator_two_piece",
-    "build_field_ball_harmonic",
-    "VerifyConfig",
-    "VerificationReport",
-    "CalibratedFunction",
-    "check_condition_a",
-    "check_condition_b",
-    "check_graph_conditions",
-    "check_divergence_and_flux",
-    "verify_all",
-    "perturb_phi_t",
-    "JumpSearchSpace",
-    "oracle_1d_best",
-    "oracle_robin_shooting",
-    "oracle_radial_sweep",
-    "__version__",
-]
+# each module's __all__ is the one list of its public names
+__all__ = [name for module in (potentials, energy, calibration_fields, verifier, oracle)
+           for name in module.__all__] + ["__version__"]

@@ -28,8 +28,26 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from calx.potentials import (_weights, delta_robin, delta_robin_prime, gamma, rho, rho_prime,
-                             robin_bracket, robin_bracket_sup, u_radial)
+from calx.potentials import (_G_prime, _K_factor, _weights, delta_robin, delta_robin_prime, rho,
+                             rho_prime, robin_bracket, robin_bracket_sup, u_radial)
+
+__all__ = [
+    "PiecewiseField",
+    "Region",
+    "Interface",
+    "CalibParams1D",
+    "CalibratedFunction",
+    "HarmonicProfile",
+    "HypothesisViolation",
+    "affine_profile",
+    "radial_shell_profile",
+    "choose_lambda",
+    "build_field_1d",
+    "build_field_harmonic",
+    "build_field_indicator_const",
+    "build_field_indicator_two_piece",
+    "build_field_ball_harmonic",
+]
 
 
 def _scalar_or_array(out, cast=float):
@@ -306,7 +324,6 @@ class HarmonicProfile:
     ``sup_grad`` is ``sup |grad u|`` over the domain.
     """
 
-    name: str
     geometry: str
     n: int
     pos_range: tuple
@@ -357,7 +374,6 @@ def affine_profile(m, M):
         return np.full_like(np.asarray(x, dtype=float), slope)
 
     return HarmonicProfile(
-        name="affine",
         geometry="interval",
         n=1,
         pos_range=(0.0, 1.0),
@@ -395,7 +411,6 @@ def radial_shell_profile(n, beta, R):
         return (n - 1) * amp * rr ** (-n)
 
     return HarmonicProfile(
-        name="radial-shell",
         geometry="radial",
         n=int(n),
         pos_range=(1.0, R),
@@ -406,6 +421,13 @@ def radial_shell_profile(n, beta, R):
         grad_prime=grad_prime,
         sup_grad=amp,
     )
+
+
+def _gradient_band(profile):
+    """``psi = 2 grad(u)`` and its spatial derivative: the field of the band up to
+    the graph of ``profile``, as ``(psi, dpsi_dpos)``."""
+    return (lambda pos, t: 2.0 * profile.grad_component(pos),
+            lambda pos, t: 2.0 * profile.grad_prime(pos))
 
 
 def _jump_energy(m, M, beta0):
@@ -520,7 +542,7 @@ class CalibParams1D:
         if sup_grad is None:
             sup_grad = M - m
         sup_grad = float(sup_grad)
-        if M == m:
+        if M <= m:  # equal traces need no gradient, and choose_lambda rejects reversed ones
             beta0 = beta
         else:
             if sup_grad <= 0.0:
@@ -622,14 +644,10 @@ def _template_field(params, profile, kind):
     def lower_dpsi(pos, t):
         return -2.0 * lam * m * gprime(pos) / tau
 
-    def band_psi(pos, t):
-        return 2.0 * gcomp(pos)
+    band_psi, band_dpsi = _gradient_band(profile)
 
     def band_phi_t(pos, t):
         return gcomp(pos) ** 2
-
-    def band_dpsi(pos, t):
-        return 2.0 * gprime(pos)
 
     def above_psi(pos, t):
         w = w_of(pos)
@@ -722,12 +740,6 @@ _INDICATOR_POS_MAX = 4.0
 _EL_TOL = 1e-9
 
 
-def _K_factor(n, r):
-    """Robin trace ratio ``beta delta / (1 - delta) = 1 / (r^(n-1) Gamma(r))``."""
-    rr = np.asarray(r, dtype=float)
-    return 1.0 / (rr ** (n - 1) * gamma(n, rr))
-
-
 def build_field_indicator_const(n, beta, gamma_):
     """Single-piece calibration of the unit-ball indicator for ``beta <= gamma``.
 
@@ -797,10 +809,7 @@ def _trace_pieces(n, beta, pos_range):
         return (1.0 - t) ** 2 * _K_factor(n, pos) ** 2 - robin_bracket(n, beta, pos)
 
     def upper_dpsi(pos, t):
-        pos = np.asarray(pos, dtype=float)
-        K = _K_factor(n, pos)
-        gp = (n - 1) * pos ** (n - 2) * gamma(n, pos) + 1.0
-        return 2.0 * (1.0 - t) * K ** 2 * gp
+        return 2.0 * (1.0 - t) * _K_factor(n, pos) ** 2 * _G_prime(n, pos)
 
     return (
         Region("below-trace", "t <= delta(r)", g_trace, lower_psi, lower_phi_t, _zero,
@@ -903,14 +912,10 @@ def build_field_ball_harmonic(n, beta, gamma_, R, enforce_beta=True):
     def b_phi_t(pos, t):
         return (n - 1) * beta * dR * (2.0 * t - dR) / np.asarray(pos, dtype=float)
 
-    def c_psi(pos, t):
-        return -2.0 * amp * np.asarray(pos, dtype=float) ** (1 - n)
+    c_psi, c_dpsi = _gradient_band(profile)
 
     def c_phi_t(pos, t):
         return amp ** 2 * np.asarray(pos, dtype=float) ** (2 - 2 * n) - gamma_sq
-
-    def c_dpsi(pos, t):
-        return 2.0 * (n - 1) * amp * np.asarray(pos, dtype=float) ** (-n)
 
     def d_phi_t(pos, t):
         return (1.0 - t) ** 2 * _K_factor(n, pos) ** 2 - gamma_sq

@@ -131,6 +131,10 @@ def _parse_grid(spec):
 
 
 def _write_text(path, text):
+    """Write ``text`` to the file ``path``, or to stdout when there is no path."""
+    if not path:
+        sys.stdout.write(text)
+        return
     with open(path, "w") as handle:
         handle.write(text)
 
@@ -195,22 +199,15 @@ def _cmd_energy_curve(args, config):
         doc["columns"] = ["R", "E", "dE_dR"]
         doc["rows"] = [[float(r), float(e), float(d)]
                        for r, e, d in zip(Rs, Es, Ds)]
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        if out:
-            _write_text(out, text)
-        else:
-            sys.stdout.write(text)
+        _write_text(out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
         return 0
 
     lines = ["R,E,dE_dR"]
     for r, e, d in zip(Rs, Es, Ds):
         lines.append(",".join((_fmt(r), _fmt(e), _fmt(d))))
-    text = "\n".join(lines) + "\n"
+    _write_text(out, "\n".join(lines) + "\n")
     if out:
-        _write_text(out, text)
         _write_text(out + ".json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    else:
-        sys.stdout.write(text)
     return 0
 
 
@@ -378,11 +375,7 @@ def _cmd_phase_diagram(args, config):
         for gamma_ in gammas:
             regime = _classify_cell(n, float(beta), float(gamma_), bracket_sup)
             lines.append(",".join((_fmt(beta), _fmt(gamma_), regime)))
-    text = "\n".join(lines) + "\n"
-    if out:
-        _write_text(out, text)
-    else:
-        sys.stdout.write(text)
+    _write_text(out, "\n".join(lines) + "\n")
     return 0
 
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from calx.potentials import (_bisect, _robin_tail, _weights, delta_robin, gamma,
-                             robin_bracket, robin_bracket_sup)
+from calx.potentials import (_bisect, _check_dimension, _robin_tail, _weights, delta_robin,
+                             gamma, robin_bracket, robin_bracket_sup)
 
 __all__ = [
     "unit_ball_volume",
@@ -273,8 +273,7 @@ class RadialProfile:
 def _check_radial(n, beta, gamma_, R):
     """A radial profile's checks, its trace apart: a dimension n >= 1, finite
     beta > 0 and gamma >= 0, and a finite R >= 1."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"dimension must be a positive integer, got {n!r}")
+    _check_dimension(n)
     _weights(beta, gamma_)
     if not 1.0 <= R < math.inf:
         raise ValueError("R must be finite and >= 1")

@@ -6,7 +6,8 @@ competitors with up to two jumps on explicit location and value grids,
 scanning its one-jump cost tables a block of locations at a time.
 The Robin shooting oracle integrates the radial ODE with a plain RK4
 scheme, whose steps it composes as running products and sums because
-the ODE is linear, and matches the boundary condition by bisection.
+the ODE is linear, and solves the Robin condition, which is linear in the
+unknown slope, for the outer trace.
 The radial sweep tabulates the two-parameter family of profiles
 (support radius, outer trace) so the optimal trace and the indicator
 transition can be read off a table instead of trusted from a formula.
@@ -46,7 +47,6 @@ class JumpSearchSpace:
     locations: tuple
     values: tuple
     max_jumps: int = 2
-    resolution: int = 0
 
     def __post_init__(self):
         locs = tuple(sorted(set(float(x) for x in self.locations)))
@@ -64,8 +64,7 @@ class JumpSearchSpace:
     def uniform(cls, resolution=1000, max_jumps=2):
         """resolution + 1 equispaced nodes on [0, 1] for both grids."""
         grid = tuple(np.linspace(0.0, 1.0, resolution + 1))
-        return cls(locations=grid, values=grid, max_jumps=max_jumps,
-                   resolution=int(resolution))
+        return cls(locations=grid, values=grid, max_jumps=max_jumps)
 
 
 _JUMP_BLOCK = 256  # jump locations per block of the cost table scan
@@ -100,6 +99,14 @@ def _cheapest_traces(rise, lengths, weight, pinned):
         arg[rows] = cost.argmin(axis=1)
         cost_min[rows] = cost[np.arange(rows.size), arg[rows]]
     return cost_min, arg
+
+
+def _prefix_minima(values):
+    """The minimum of each prefix of ``values`` and the index of its first occurrence,
+    which is the last place the running minimum fell."""
+    prefix = np.minimum.accumulate(values)
+    fell = np.r_[True, prefix[1:] < prefix[:-1]]
+    return prefix, np.maximum.accumulate(np.where(fell, np.arange(values.size), 0))
 
 
 def _piece_through(x0, y0, x1, y1):
@@ -184,13 +191,13 @@ def oracle_1d_best(m, M, beta, max_jumps=2, resolution=1000, space=None):
     vals = np.asarray(space.values)
     A, A_arg, B, B_arg = _one_jump_tables(locs, vals, m, M, beta)
 
+    def trace(arg, datum):  # -1 in the one-jump tables stands for the boundary datum
+        return datum if arg < 0 else float(vals[arg])
+
     E1 = A + B
     i1 = int(np.argmin(E1))
     if E1[i1] < best_energy:
-        x0 = locs[i1]
-        ell = m if A_arg[i1] < 0 else float(vals[A_arg[i1]])
-        q = M if B_arg[i1] < 0 else float(vals[B_arg[i1]])
-        cand = _build_jump_competitor(m, M, [(x0, ell, q)])
+        cand = _build_jump_competitor(m, M, [(locs[i1], trace(A_arg[i1], m), trace(B_arg[i1], M))])
         cand_energy = energy_1d(cand, beta).total
         if cand_energy < best_energy:
             best, best_energy = cand, cand_energy
@@ -199,10 +206,7 @@ def oracle_1d_best(m, M, beta, max_jumps=2, resolution=1000, space=None):
         if 0.0 in space.values:
             # The middle piece can sit at zero, so the two jumps decouple:
             # cheapest pair is a prefix minimum of A against B.
-            prefix = np.minimum.accumulate(A)
-            prefix_arg = np.zeros(locs.size, dtype=int)
-            for i in range(1, locs.size):
-                prefix_arg[i] = i if A[i] < A[prefix_arg[i - 1]] else prefix_arg[i - 1]
+            prefix, prefix_arg = _prefix_minima(A)
             totals = prefix[:-1] + B[1:]
             j2 = int(np.argmin(totals)) + 1
             i2 = int(prefix_arg[j2 - 1])
@@ -222,11 +226,8 @@ def oracle_1d_best(m, M, beta, max_jumps=2, resolution=1000, space=None):
             mid_l = float(vals[carg[k, 1]])
             E2 = float(totals[i2, j2])
         if E2 < best_energy:
-            x1, x2 = float(locs[i2]), float(locs[j2])
-            ell1 = m if A_arg[i2] < 0 else float(vals[A_arg[i2]])
-            q2 = M if B_arg[j2] < 0 else float(vals[B_arg[j2]])
-            cand = _build_jump_competitor(
-                m, M, [(x1, ell1, mid_q), (x2, mid_l, q2)])
+            cand = _build_jump_competitor(m, M, [(float(locs[i2]), trace(A_arg[i2], m), mid_q),
+                                                 (float(locs[j2]), mid_l, trace(B_arg[j2], M))])
             cand_energy = energy_1d(cand, beta).total
             if cand_energy < best_energy:
                 best, best_energy = cand, cand_energy
@@ -239,6 +240,7 @@ def oracle_1d_best(m, M, beta, max_jumps=2, resolution=1000, space=None):
 _BASIS_CACHE = {}
 
 _FILL_BLOCK = 1 << 16  # nodes per block of the cache fill, which bounds its temporaries
+_MAX_NODES = 1 << 24  # nodes per (n, step) trajectory: 256 MiB for its two arrays
 
 
 def _rk4_step(k, r, h, v, w):
@@ -262,9 +264,14 @@ def _basis_at(n, R, step):
     w_{j+1} = b_j w_j, v_{j+1} = v_j + a_j w_j, with (a_j, b_j) the step
     from (0, 1).  A block of nodes is filled by a running product of the
     b_j and a running sum of the a_j w_j, both strictly in node order, so
-    the cache does not depend on how its fills were split.
+    the cache does not depend on how its fills were split.  A radius whose
+    trajectory would need more than ``_MAX_NODES`` nodes raises ValueError
+    before anything is stored.
     """
 
+    if not (R - 1.0) / step < _MAX_NODES:
+        raise ValueError("R = {!r} needs more than {} RK4 nodes at step {!r}".format(
+            R, _MAX_NODES, step))
     key = (int(n), float(step))
     vs, ws = _BASIS_CACHE.setdefault(key, (array("d", [0.0]), array("d", [1.0])))
     full = int((R - 1.0) / step)
@@ -288,37 +295,18 @@ def oracle_robin_shooting(n, beta, R, step=1e-4):
     Integrates the radial Laplace equation u'' + (n-1) u'/r = 0 with
     u(1) = 1 as u = 1 + a v, where v solves the same ODE with v(1) = 0,
     v'(1) = 1, by RK4 steps applied as running products and sums (see
-    ``_basis_at``; cached per (n, step)).  The slope a is found by
-    bisection on the Robin residual u'(R) + beta u(R) and the returned
-    value is u(R), a float.
+    ``_basis_at``; cached per (n, step)).  The Robin residual
+    a v'(R) + beta (1 + a v(R)) is linear in the slope a, so the returned
+    outer trace is u(R) = v'(R) / (v'(R) + beta v(R)), a float; v and v' are
+    positive on (1, R], so the denominator is too.
     """
 
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError("dimension must be a positive integer")
-    if beta <= 0.0 or R <= 1.0:
+    if not (beta > 0.0 and R > 1.0):
         raise ValueError("need beta > 0 and R > 1")
     vR, wR = _basis_at(int(n), float(R), float(step))
-
-    def residual(a):
-        return a * wR + beta * (1.0 + a * vR)
-
-    lo, hi = -1.0, 0.0
-    while residual(lo) > 0.0:
-        lo *= 2.0
-        if lo < -1e18:
-            raise RuntimeError(
-                "no bracket for the Robin slope: v(R)={}, v'(R)={}, "
-                "residual({})={}".format(vR, wR, lo, residual(lo)))
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if residual(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    a = 0.5 * (lo + hi)
-    return 1.0 + a * vR
+    return wR / (wR + float(beta) * vR)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ The building blocks used everywhere else in the package:
                       reached, bisected on the sign of its slope,
 * ``u_radial``     -- the radial competitor supported on B_R,
 * ``rho``          -- the interface curve that makes the ball calibration
-                      divergence-free,
+                      divergence-free, and ``rho_prime`` its slope,
 * ``lemma_gamma_bounds`` -- elementary inequalities satisfied by gamma.
 
 All functions accept scalars or numpy arrays for the radius argument,
@@ -124,18 +124,43 @@ def delta_robin(n: int, beta: float, R):
     return out if out.ndim else float(out)
 
 
+def _G_prime(n: int, r):
+    """G'(r) = (n-1) r^(n-2) gamma(r) + 1 for G(r) = r^(n-1) gamma(r); 1 when n = 1."""
+    return (n - 1) * np.power(r, n - 2.0) * gamma(n, r) + 1.0
+
+
+def _K_factor(n: int, r):
+    """Robin trace ratio ``beta delta / (1 - delta) = 1 / (r^(n-1) gamma(r))``."""
+    rr = np.asarray(r, dtype=float)
+    return 1.0 / (rr ** (n - 1) * gamma(n, rr))
+
+
+_TINY = np.finfo(float).tiny
+
+
 def delta_robin_prime(n: int, beta: float, r):
     """d/dr of delta_robin at radius r.
 
-    With G(r) = r^(n-1) gamma(r) one has delta' = -beta G' delta^2 and
-    G'(r) = (n-1) r^(n-2) gamma(r) + 1, which covers n = 1 as well.  A float
-    r takes the same numpy ufuncs as a 0-d array, as in gamma.
+    With G(r) = r^(n-1) gamma(r) one has delta' = -beta G' delta^2 (see
+    _G_prime).  A float r takes the same numpy ufuncs as a 0-d array, as in
+    gamma.  Where G' overflows or delta^2 falls below the normal float range,
+    the same value is formed as -(G'/G) (1 - delta) delta.
     """
     n = _check_dimension(n)
     r = _radii(r, "delta_robin_prime is defined for r >= 1")
     d = delta_robin(n, beta, r)
-    g_prime = (n - 1) * np.power(r, n - 2.0) * gamma(n, r) + 1.0
-    out = -beta * g_prime * np.square(d)
+    top = r if isinstance(r, float) else np.fmax.reduce(r, axis=None, initial=1.0)
+    low = d if isinstance(d, float) else np.fmin.reduce(d, axis=None, initial=1.0)
+    # the plain product unless G' may overflow (r^(n-2) past 2^1000) or delta^2 is not normal
+    if (n < 3 or not top > 2.0 ** (1000 / (n - 2))) and not low * low < _TINY:
+        out = -beta * _G_prime(n, r) * np.square(d)
+        return out if out.ndim else float(out)
+    # beta G delta = 1 - delta, so -beta G' delta^2 = -(G'/G) (1 - delta) delta with
+    # G'/G = (n-1)/r + K, whose factors stay in range where G' overflows or delta^2 is not normal
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        out = -beta * _G_prime(n, r) * np.square(d)
+        tail = -((n - 1) / r + _K_factor(n, r)) * (1.0 - d) * d
+        out = np.where(np.isfinite(out) & (np.square(d) >= _TINY), out, tail)
     return out if out.ndim else float(out)
 
 
@@ -231,12 +256,23 @@ def u_radial(n: int, beta: float, R: float, r):
     return float(value), float(grad)
 
 
-def _rho_series(n: int, beta: float, R: float, d: float, s):
-    """First-order expansion of rho around r = R, in s = R/r - 1."""
-    return d * (1.0 + 0.5 * (beta * R - 0.5) * s)
+# R/r - 1 below which rho and rho_prime take their expansions around r = R
+_RHO_GUARD = 1e-8
+_RHO_PRIME_GUARD = 1e-6
 
 
-def rho(n: int, beta: float, R: float, r, *, guard: float = 1e-8):
+def _rho_pieces(n: int, R: float, r, guard: float):
+    """``(t, near, tt, g, a_num, b_num, den)`` for rho and rho_prime: t = R/r, near where
+    t - 1 < guard, tt = t with 2 at the near points (which keeps the 0/0 form finite),
+    and at tt: gamma, t^(2n-2) gamma, t^n - 1 and t^(n-1) - 1."""
+    t = R / r
+    near = t - 1.0 < guard
+    tt = np.where(near, 2.0, t)
+    g = gamma(n, tt)
+    return t, near, tt, g, tt ** (2 * n - 2) * g, tt ** n - 1.0, tt ** (n - 1) - 1.0
+
+
+def rho(n: int, beta: float, R: float, r):
     """Interface curve of the ball calibration on 1 <= r < R.
 
     For n = 1 the curve is the constant delta(R).  For n >= 2 it is, with
@@ -246,10 +282,10 @@ def rho(n: int, beta: float, R: float, r, *, guard: float = 1e-8):
                + (beta delta(R) r / 2) * t^(2n-2) gamma(t) / (t^(n-1) - 1)
                - (delta(R) r / (2n)) (beta - (n-1)/R) (t^n - 1) / (t^(n-1) - 1).
 
-    The formula is 0/0 at r = R; within ``guard`` of that point the value is
-    taken from the first-order expansion around the limit delta(R), which
-    avoids catastrophic cancellation.  Radii r in [1, R) are accepted, plus
-    r = R itself as the explicit limit.
+    The formula is 0/0 at r = R; for R/r - 1 < 1e-8 the value is taken from
+    the first-order expansion delta(R) (1 + (beta R - 1/2) (R/r - 1) / 2)
+    around the limit delta(R), which avoids catastrophic cancellation.  Radii
+    r in [1, R) are accepted, plus r = R itself as the explicit limit.
     """
     n = _check_dimension(n)
     R = float(R)
@@ -262,23 +298,18 @@ def rho(n: int, beta: float, R: float, r, *, guard: float = 1e-8):
     if n == 1:
         out = np.full_like(r, d)
         return out if out.ndim else float(out)
-    t = R / r
-    s = t - 1.0
-    near = s < guard
-    tt = np.where(near, 2.0, t)  # placeholder to keep the formula finite
-    a_num = tt ** (2 * n - 2) * gamma(n, tt)
-    b_num = tt ** n - 1.0
-    den = tt ** (n - 1) - 1.0
+    t, near, _, _, a_num, b_num, den = _rho_pieces(n, R, r, _RHO_GUARD)
     direct = (
         0.5 * d
         + 0.5 * beta * d * r * a_num / den
         - (d * r / (2.0 * n)) * (beta - (n - 1) / R) * b_num / den
     )
-    out = np.where(near, _rho_series(n, beta, R, d, s), direct)
+    series = d * (1.0 + 0.5 * (beta * R - 0.5) * (t - 1.0))
+    out = np.where(near, series, direct)
     return out if out.ndim else float(out)
 
 
-def rho_prime(n: int, beta: float, R: float, r, *, guard: float = 1e-6):
+def rho_prime(n: int, beta: float, R: float, r):
     """d/dr of rho on [1, R).
 
     Differentiates the closed form through t = R/r:
@@ -287,7 +318,7 @@ def rho_prime(n: int, beta: float, R: float, r, *, guard: float = 1e-6):
                 - (delta(R)/(2n)) (beta - (n-1)/R) [B(t) - t B'(t)]
 
     with A(t) = t^(2n-2) gamma(t) / (t^(n-1) - 1) and
-    B(t) = (t^n - 1) / (t^(n-1) - 1).  Near r = R the expansion
+    B(t) = (t^n - 1) / (t^(n-1) - 1).  For R/r - 1 < 1e-6 the expansion
     rho'(r) -> -delta(R) (beta R - 1/2) t^2 / (2R) is used instead.
     For n = 1 the curve is constant so the derivative is 0.
     """
@@ -302,22 +333,14 @@ def rho_prime(n: int, beta: float, R: float, r, *, guard: float = 1e-6):
         out = np.zeros_like(r)
         return out if out.ndim else float(out)
     d = delta_robin(n, beta, R)
-    t = R / r
-    s = t - 1.0
-    near = s < guard
-    tt = np.where(near, 2.0, t)
-
-    g = gamma(n, tt)
+    t, near, tt, g, a_num, b_num, den = _rho_pieces(n, R, r, _RHO_PRIME_GUARD)
     g_pr = tt ** (1 - n)
-    den = tt ** (n - 1) - 1.0
     den_pr = (n - 1) * tt ** (n - 2)
 
-    a_num = tt ** (2 * n - 2) * g
     a_num_pr = (2 * n - 2) * tt ** (2 * n - 3) * g + tt ** (2 * n - 2) * g_pr
     A = a_num / den
     A_pr = a_num_pr / den - a_num * den_pr / den**2
 
-    b_num = tt**n - 1.0
     b_num_pr = n * tt ** (n - 1)
     B = b_num / den
     B_pr = b_num_pr / den - b_num * den_pr / den**2
@@ -330,14 +353,14 @@ def rho_prime(n: int, beta: float, R: float, r, *, guard: float = 1e-6):
     return out if out.ndim else float(out)
 
 
-def lemma_gamma_bounds(n: int, t: float, *, step: float = 1e-6):
+def lemma_gamma_bounds(n: int, t: float):
     """Boolean evaluations of the elementary gamma inequalities at t > 1.
 
     Returns ``(lower_ok, upper_ok, ratio_monotone_sample, estimate2_ok)``:
 
     * lower_ok / upper_ok: the two-sided bound
       (t^(n-1)-1)/((n-1) t^(n-1)) <= gamma(t) <= (t^n-1)/(n t^(n-1)),
-    * ratio_monotone_sample: a forward difference of
+    * ratio_monotone_sample: a forward difference, with step 1e-6, of
       t -> t^(n-1) gamma(t) / (t^(n-1) - 1) is nonnegative,
     * estimate2_ok: the sharper estimate
       (n - 1/2) (t^(2n-2) gamma(t)/(t^n - 1) - 1/n)
@@ -360,7 +383,7 @@ def lemma_gamma_bounds(n: int, t: float, *, step: float = 1e-6):
     def ratio(x):
         return x ** (n - 1) * gamma(n, x) / (x ** (n - 1) - 1.0)
 
-    ratio_monotone_sample = bool(ratio(t + step) - ratio(t) >= -1e-12)
+    ratio_monotone_sample = bool(ratio(t + 1e-6) - ratio(t) >= -1e-12)
 
     lhs = (n - 0.5) * (t ** (2 * n - 2) * g / (t**n - 1.0) - 1.0 / n)
     rhs = t ** (n - 1) * (t ** (n - 1) - 1.0) / (t**n - 1.0) - (n - 1) / (n * t)

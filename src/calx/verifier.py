@@ -29,6 +29,17 @@ import numpy as np
 
 from calx.calibration_fields import CalibratedFunction  # noqa: F401  (re-exported)
 
+__all__ = [
+    "VerifyConfig",
+    "VerificationReport",
+    "check_condition_a",
+    "check_condition_b",
+    "check_graph_conditions",
+    "check_divergence_and_flux",
+    "verify_all",
+    "perturb_phi_t",
+]
+
 _AXIOMS = ("a", "b", "graph", "divflux")
 
 

@@ -389,6 +389,14 @@ def test_out_of_range_dimensions_and_overflowing_numbers_are_usage_errors(argv, 
         assert err.startswith("error: {} {!r} is out of range".format(*huge[0])), err
 
 
+@pytest.mark.parametrize("command", ["check", "describe"])
+def test_reversed_traces_are_a_usage_error_that_says_so(command, capsys):
+    for kind in ("1d", "harmonic"):
+        code, out, err = run(capsys, [command, kind, "--m", "0.9", "--M", "0.5", "--beta", "1"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: traces must satisfy") and err.endswith("m <= M\n"), err
+
+
 def test_a_shell_trace_that_squares_to_zero_takes_no_multiplier(capsys):
     # the trace is about 2.5e-201, so m^2 underflows to 0
     code, out, err = run(capsys, ["describe", "harmonic", "--n", "1", "--beta", "2",
@@ -502,3 +510,56 @@ def test_phase_diagram_labels_are_reproduced_by_check(n, beta, gamma_):
         assert code == 1 and report["construction_error"], (label, report)
     if label == "harmonic-certified":
         _check_ball_at_the_largest_critical_radius(n, beta, gamma_)
+
+
+# numbers the argv fuzz draws from: non-finite, zero, negative, huge and tiny ones,
+# and ordinary ones, drawn three times as often
+_FUZZ_EDGES = ("nan", "inf", "-inf", "0", "-0.5", "-2", "1e300", "-1e300", "1e-300", "-1e-300")
+_FUZZ_ORDINARY = ("0.3", "0.8", "1", "1.08", "1.5", "2", "3")
+
+
+@st.composite
+def _fuzz_argv(draw):
+    ordinary = st.sampled_from(_FUZZ_ORDINARY)
+    number = st.one_of(ordinary, ordinary, ordinary, st.sampled_from(_FUZZ_EDGES))
+    dims = st.integers(1, 4)
+    command = draw(st.sampled_from(["check", "describe", "phase-diagram", "energy-curve"]))
+    argv = [command]
+    if command in ("check", "describe"):
+        argv.append(draw(st.sampled_from(sorted(cli._FIELDS))))
+        names = ("n", "beta", "gamma", "R", "m", "M")
+    elif command == "phase-diagram":
+        names = ("n", "beta", "gamma")
+    else:
+        names = ("n", "beta", "gamma", "rmax")
+    for name in names:
+        if draw(st.integers(0, 9)) == 9:
+            continue  # leave an option out now and then, which may make it missing
+        if name == "n":
+            value = str(draw(st.one_of(dims, dims, dims, st.sampled_from([-1, 0, 10, 11]))))
+        elif command == "phase-diagram" and draw(st.booleans()):
+            value = "{}:{}:{}".format(draw(number), draw(number), draw(st.integers(1, 3)))
+        else:
+            value = draw(number)
+        argv.append("--{}={}".format(name, value))
+    if command in ("check", "energy-curve"):
+        argv.append("--samples=16")
+    if command in ("check", "energy-curve") and draw(st.booleans()):
+        argv.append("--format=json")
+    return argv
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(argv=_fuzz_argv())
+def test_fuzzed_argv_exits_cleanly(argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _main_output(argv)
+    assert code in (0, 1, 2), (argv, code)
+    if code == 2:
+        assert out == "" and err.startswith("error:"), (argv, out, err)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], (argv, caught)
+    if argv[0] == "check" and "--format=json" in argv and code != 2:
+        doc = json.loads(out)
+        certified = doc["passed"] and doc["grid"].get("certified", False)
+        assert (code == 0) == certified, (argv, code, doc["passed"], doc["grid"])

@@ -160,6 +160,18 @@ def test_one_jump_tables_match_an_unblocked_scan(locs, vals):
             assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
 
+def test_prefix_minima_take_the_first_index_as_the_loop_did():
+    rng = np.random.default_rng(7)
+    for values in [rng.integers(0, 4, 300).astype(float), rng.random(257), np.ones(5),
+                   np.arange(6.0), np.arange(6.0)[::-1], np.array([2.0])]:
+        want = [0]  # the loop the scan replaced, as the reference
+        for i in range(1, values.size):
+            want.append(i if values[i] < values[want[-1]] else want[-1])
+        prefix, arg = oracle._prefix_minima(values)
+        assert np.array_equal(prefix, np.minimum.accumulate(values))
+        assert arg.tolist() == want
+
+
 def test_oracle_zero_jump_budget():
     best, energy = oracle_1d_best(0.0, 1.0, 0.01, max_jumps=0)
     assert best.breakpoints == ()
@@ -186,10 +198,10 @@ def test_shooting_cache_holds_two_float_arrays():
     oracle._BASIS_CACHE.clear()
     # exact digits of the accumulated step maps, cold and warm, each next to
     # the digits of the one-step-at-a-time loop they replaced
-    for args, want, loop in [((1, 2.0, 2.5), 0.25000000000001843, 0.25000000000001843),
-                             ((2, 3.0, 2.0), 0.19384040766993949, 0.19384040766994026),
-                             ((3, 0.7, 4.0), 0.10638297872340419, 0.10638297872340352),
-                             ((2, 1.3, 1.08), 0.902483660683136, 0.902483660683136),
+    for args, want, loop in [((1, 2.0, 2.5), 0.2500000000000186, 0.25000000000001843),
+                             ((2, 3.0, 2.0), 0.19384040766993946, 0.19384040766994026),
+                             ((3, 0.7, 4.0), 0.10638297872340406, 0.10638297872340352),
+                             ((2, 1.3, 1.08), 0.9024836606831361, 0.902483660683136),
                              ((2, 1.3, 1.00005), 0.9999350025999636, 0.9999350025999636)]:
         got = oracle_robin_shooting(*args)
         assert type(got) is float
@@ -201,6 +213,50 @@ def test_shooting_cache_holds_two_float_arrays():
         assert vs.typecode == ws.typecode == "d"
         assert len(vs) == len(ws) == steps
         assert (vs[0], ws[0]) == (0.0, 1.0)
+
+
+def _bisected_trace(n, beta, R, step=1e-4):
+    """u(R) from bisection on the Robin residual, as the oracle once solved it."""
+    vR, wR = oracle._basis_at(n, R, step)
+
+    def residual(a):
+        return a * wR + beta * (1.0 + a * vR)
+
+    lo, hi = -1.0, 0.0
+    while residual(lo) > 0.0:
+        lo *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        lo, hi = (lo, mid) if residual(mid) > 0.0 else (mid, hi)
+    return 1.0 + 0.5 * (lo + hi) * vR
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_shooting_solves_the_robin_condition_as_bisection_did(n):
+    rng = np.random.default_rng(n)
+    draws = [(0.05, 1.0000001), (40.0, 4.9), (1e-3, 3.0)]
+    draws += zip(rng.uniform(0.05, 5.0, 20), rng.uniform(1.001, 5.0, 20))
+    for beta, R in draws:
+        got = oracle_robin_shooting(n, float(beta), float(R))
+        assert got == pytest.approx(_bisected_trace(n, float(beta), float(R)), rel=1e-12, abs=0.0)
+
+
+def test_shooting_rejects_a_radius_past_the_node_cap():
+    step = 1e-4
+    oracle._BASIS_CACHE.pop((2, step), None)
+    oracle_robin_shooting(2, 1.0, 1.5, step=step)
+    vs, ws = oracle._BASIS_CACHE[(2, step)]
+    before = (len(vs), len(ws))
+    for R in (1e6, np.inf):
+        with pytest.raises(ValueError, match="RK4 nodes"):
+            oracle_robin_shooting(2, 1.0, R, step=step)
+    assert (len(vs), len(ws)) == before
+    oracle._BASIS_CACHE.pop((3, step), None)
+    with pytest.raises(ValueError, match="RK4 nodes"):
+        oracle_robin_shooting(3, 1.0, 1e6, step=step)
+    assert (3, step) not in oracle._BASIS_CACHE
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -259,6 +315,9 @@ def test_shooting_rejects_bad_arguments():
         oracle_robin_shooting(2, -1.0, 2.0)
     with pytest.raises(ValueError):
         oracle_robin_shooting(2, 1.0, 1.0)
+    for beta, R in ((1.0, np.nan), (np.nan, 2.0)):
+        with pytest.raises(ValueError, match="need beta > 0 and R > 1"):
+            oracle_robin_shooting(2, beta, R)
 
 
 def test_radial_sweep_layout_and_best_row():

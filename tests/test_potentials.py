@@ -7,6 +7,7 @@ closed forms and are trusted to well below the asserted tolerances.
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -145,6 +146,35 @@ def test_delta_robin_prime_matches_finite_differences():
         for R in (1.2, 1.9, 3.4):
             fd = (delta_robin(n, 2.2, R + h) - delta_robin(n, 2.2, R - h)) / (2 * h)
             assert abs(delta_robin_prime(n, 2.2, R) - fd) < 1e-7
+
+
+
+def _mp_delta_robin_prime(n, beta, r):
+    """-beta G'(r) delta(r)^2 in 40-digit arithmetic, from the closed form."""
+    with mpmath.workdps(40):
+        beta, r = mpmath.mpf(beta), mpmath.mpf(r)
+        g = r - 1 if n == 1 else mpmath.log(r) if n == 2 else (1 - r ** (2 - n)) / (n - 2)
+        delta = 1 / (1 + beta * r ** (n - 1) * g)
+        return float(-beta * ((n - 1) * r ** (n - 2) * g + 1) * delta ** 2)
+
+
+def test_delta_robin_prime_where_the_product_overflows_or_underflows():
+    # G' overflows (n = 10, 6) or delta^2 falls below the normal range (n = 2),
+    # while the derivative itself is a normal float
+    cases = [(10, 1e-100, 1e40), (6, 1e-180, 1e80), (2, 1e148, 1e50), (3, 2.0, 1.5),
+             (4, 1e-250, 1e120)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n, beta, r in cases:
+            want = _mp_delta_robin_prime(n, beta, r)
+            assert delta_robin_prime(n, beta, r) == pytest.approx(want, rel=1e-12, abs=0.0)
+        # an array takes each entry's own path, and the plain formula keeps its bits
+        rs = np.array([1.0, 2.0, 1e40, 1e60])
+        got = delta_robin_prime(10, 1e-100, rs)
+        assert [float(v) for v in got] == [delta_robin_prime(10, 1e-100, float(r)) for r in rs]
+        d = delta_robin(10, 1e-100, rs[:2])
+        plain = -1e-100 * (9 * np.power(rs[:2], 8.0) * gamma(10, rs[:2]) + 1.0) * np.square(d)
+        assert np.array_equal(got[:2], plain)
 
 
 def test_u_radial_boundary_and_interior_values():
