@@ -77,6 +77,9 @@ class _Options:
     def __init__(self, args, config):
         self.args = args
         self.config = config
+        for name in {**config, **vars(args)}:  # a NaN or inf is an error even if not read
+            if isinstance(self.get(name), float):
+                self.get(name, cast=float)
 
     def get(self, name, default=None, cast=None):
         value = getattr(self.args, name, None)

@@ -1,9 +1,10 @@
 """Independent cross-checks for the closed-form results.
 
 Nothing in this module reuses the closed-form expressions it is meant
-to test.  The one-dimensional search enumerates piecewise-affine
-competitors with up to two jumps on explicit location and value grids,
-scanning its one-jump cost tables a block of locations at a time.
+to test.  The one-dimensional search minimizes over piecewise-affine
+competitors with up to two jumps on explicit location and value grids;
+its one-jump tables compare only the traces around the minimum of each
+piece's convex quadratic cost, and equal the full scan bit for bit.
 The Robin shooting oracle integrates the radial ODE with a plain RK4
 scheme, whose steps it composes as running products and sums because
 the ODE is linear, and solves the Robin condition, which is linear in the
@@ -49,8 +50,8 @@ class JumpSearchSpace:
     max_jumps: int = 2
 
     def __post_init__(self):
-        locs = tuple(sorted(set(float(x) for x in self.locations)))
-        vals = tuple(sorted(set(float(v) for v in self.values)))
+        locs = tuple(sorted(set(map(float, self.locations))))
+        vals = tuple(sorted(set(map(float, self.values))))
         if not locs or not vals:
             raise ValueError("locations and values must be nonempty")
         if locs[0] < 0.0 or locs[-1] > 1.0:
@@ -63,11 +64,8 @@ class JumpSearchSpace:
     @classmethod
     def uniform(cls, resolution=1000, max_jumps=2):
         """resolution + 1 equispaced nodes on [0, 1] for both grids."""
-        grid = tuple(np.linspace(0.0, 1.0, resolution + 1))
+        grid = np.linspace(0.0, 1.0, resolution + 1).tolist()
         return cls(locations=grid, values=grid, max_jumps=max_jumps)
-
-
-_JUMP_BLOCK = 256  # jump locations per block of the cost table scan
 
 
 def _one_jump_tables(locs, vals, m, M, beta):
@@ -77,28 +75,32 @@ def _one_jump_tables(locs, vals, m, M, beta):
     at ``locs[i]`` plus the left-trace cost (the trace is the datum m
     when the jump sits on the boundary).  ``B[i]`` is the mirror image
     on the right with datum M.  Argmin trace indices use -1 when the
-    trace is pinned to the datum.
+    trace is pinned to the datum, and are otherwise the first argmin of
+    a scan over every trace, bit for bit.
+
+    A piece of length L > 0 costs (v - datum)^2 / L + beta v^2, strictly convex
+    in v and least at datum / (1 + beta L), with insertion index k in the sorted
+    traces: traces k - 2 ... k + 1 are compared, and a row is scanned in full
+    where k - 3 or k + 2 is within a relative 1e-9 of their minimum (a near tie).
     """
 
-    weight = beta * vals ** 2
-    A, A_arg = _cheapest_traces((vals - m) ** 2, locs, weight, beta * m * m)
-    B, B_arg = _cheapest_traces((M - vals) ** 2, 1.0 - locs, weight, beta * M * M)
-    return A, A_arg, B, B_arg
+    def cost(v, L, datum):
+        return (v - datum) ** 2 / L + beta * v ** 2
 
-
-def _cheapest_traces(rise, lengths, weight, pinned):
-    """Per piece length L > 0, the least ``rise / L + weight`` over the traces
-    and its index, by blocks of lengths; for L = 0 the trace is the datum:
-    ``pinned`` and -1."""
-
-    cost_min = np.full(lengths.size, pinned)
-    arg = np.full(lengths.size, -1, dtype=int)
-    for lo in range(0, lengths.size, _JUMP_BLOCK):
-        rows = lo + np.flatnonzero(lengths[lo:lo + _JUMP_BLOCK] > 0.0)
-        cost = rise / lengths[rows, None] + weight
-        arg[rows] = cost.argmin(axis=1)
-        cost_min[rows] = cost[np.arange(rows.size), arg[rows]]
-    return cost_min, arg
+    datum = np.repeat([float(m), float(M)], locs.size)  # float tables for integer data too
+    lengths = np.concatenate((locs, 1.0 - locs))
+    rows = np.flatnonzero(lengths > 0.0)
+    L, d = lengths[rows], datum[rows]
+    k = np.searchsorted(vals, d / (1.0 + beta * L))
+    padded = np.concatenate(([np.inf] * 3, vals, [np.inf] * 3))
+    near_cost = cost(padded[k + np.arange(6)[:, None]], L, d)  # traces k - 3 ... k + 2
+    window, lowest = near_cost[1:5], near_cost[1:5].min(axis=0)
+    best = k - 2 + np.logical_and.accumulate(window > lowest, axis=0).sum(axis=0)  # first argmin
+    near_tie = np.minimum(near_cost[0], near_cost[5]) <= lowest * (1.0 + 1e-9)
+    best[near_tie] = cost(vals, L[near_tie, None], d[near_tie, None]).argmin(axis=1)
+    cost_min, arg = beta * datum * datum, np.full(lengths.size, -1)
+    cost_min[rows], arg[rows] = cost(vals[best], L, d), best
+    return cost_min[:locs.size], arg[:locs.size], cost_min[locs.size:], arg[locs.size:]
 
 
 def _prefix_minima(values):
@@ -165,7 +167,7 @@ def _coupling_table(lengths, vals, beta):
 
 
 def oracle_1d_best(m, M, beta, max_jumps=2, resolution=1000, space=None):
-    """Exhaustive search over piecewise-affine competitors with jumps.
+    """Grid search over piecewise-affine competitors with jumps.
 
     Minimizes the one-dimensional energy with boundary data ``u(0) = m``
     and ``u(1) = M`` over all competitors with at most ``max_jumps``
@@ -176,8 +178,8 @@ def oracle_1d_best(m, M, beta, max_jumps=2, resolution=1000, space=None):
 
     if not (0.0 <= m <= M <= 1.0):
         raise ValueError("need 0 <= m <= M <= 1, got m={}, M={}".format(m, M))
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
+    if not 0.0 < beta < np.inf:
+        raise ValueError("beta must be positive and finite, got {!r}".format(beta))
     if space is None:
         space = JumpSearchSpace.uniform(resolution=resolution, max_jumps=max_jumps)
     max_jumps = min(int(max_jumps), space.max_jumps)
@@ -309,7 +311,7 @@ def oracle_robin_shooting(n, beta, R, step=1e-4):
     return wR / (wR + float(beta) * vR)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepRow:
     """One tabulated radial profile with its energy split."""
 
@@ -342,11 +344,9 @@ class RadialSweepResult:
     def write_csv(self, path):
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
-            writer.writerow(["R", "delta", "dirichlet", "jump", "volume", "total"])
+            writer.writerow(SweepRow.__slots__)
             for row in self.rows:
-                writer.writerow(["%.17g" % v for v in (
-                    row.R, row.delta, row.dirichlet, row.jump,
-                    row.volume, row.total)])
+                writer.writerow(["%.17g" % getattr(row, name) for name in SweepRow.__slots__])
 
 
 def oracle_radial_sweep(n, beta, gamma_, R_grid, delta_grid, threads=None):
@@ -375,13 +375,14 @@ def oracle_radial_sweep(n, beta, gamma_, R_grid, delta_grid, threads=None):
     unit = energy_radial_general(RadialProfile(n=n, beta=beta, gamma=gamma_, R=1.0, delta=1.0))
     rows = [SweepRow(R=1.0, delta=1.0, dirichlet=unit.dirichlet, jump=unit.jump,
                      volume=unit.volume, total=unit.total)]
+    totals = [[unit.total]]
     traces = np.array(deltas)
     for R in Rs:
         if R > 1.0:
             e = energy_radial_traces(n, beta, gamma_, R, traces)
             with np.errstate(over="ignore"):  # past the float range a total is inf, as a float sum
-                total = e.total
+                totals.append(e.total)
             rows += map(SweepRow, repeat(R), deltas, e.dirichlet.tolist(), e.jump.tolist(),
-                        repeat(e.volume), total.tolist())
-    best = int(np.argmin([row.total for row in rows]))
+                        repeat(e.volume), totals[-1].tolist())
+    best = int(np.argmin(np.concatenate(totals)))
     return RadialSweepResult(n=n, beta=beta, gamma=gamma_, rows=tuple(rows), best_index=best)

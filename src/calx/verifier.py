@@ -310,7 +310,8 @@ def _b_block(pos, tg, Psi, beta, tol, room):
     # certain set in the other, because b >= a at every node and rounding
     # is monotone
     f, r, c = _b_pairs(order, sure, band_end)
-    f, r = np.divmod(np.unique((f * N + r) * N + c), N * N)
+    keys = np.sort((f * N + r) * N + c)  # np.unique would import numpy.ma
+    f, r = np.divmod(keys[np.diff(keys, prepend=-1) > 0], N * N)
     r, c = np.divmod(r, N)
     bad = exact(f, r, c) < -tol
     band_f, band_r, band_c = f[bad], r[bad], c[bad]

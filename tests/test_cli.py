@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -37,6 +38,19 @@ def test_calx_and_its_cli_import_no_scipy():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120, check=True)
     assert done.stdout == "[]\n"
+
+
+def test_a_check_does_not_load_numpy_ma():
+    # importing numpy.ma is a cost every fresh `calx check` process would pay
+    code = ("import sys, contextlib, io; from calx.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(['check', 'ball-harmonic', '--n', '2', '--beta', '1.3', '--R', '1.08',"
+            " '--samples', '64', '--format', 'json'])\n"
+            "print(code, 'numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(calx.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert done.stdout == "1 False\n"
 
 
 def test_energy_curve_csv_with_sidecar(tmp_path, capsys):
@@ -342,12 +356,29 @@ def test_threads_env_variable(monkeypatch, capsys):
     ["phase-diagram", "--n", "2", "--beta", "1", "--gamma", "0:inf:3"],
     ["phase-diagram", "--n", "2", "--beta", "inf", "--gamma", "0.4"],
     ["describe", "indicator-const", "--n", "2", "--beta", "0.3", "--gamma", "nan"],
+    # options the chosen kind does not read
+    ["describe", "harmonic", "--m", "0", "--M", "2", "--beta", "1", "--R=-inf"],
+    ["check", "harmonic", "--m", "0.8", "--M", "1", "--beta", "3", "--gamma", "nan"],
+    ["check", "harmonic", "--n", "2", "--beta", "2", "--R", "2", "--gamma", "inf"],
+    ["check", "1d", "--m", "0.2", "--M", "0.9", "--beta", "1", "--R", "nan"],
+    ["describe", "1d", "--m", "0.2", "--M", "0.9", "--beta", "1", "--gamma=-inf"],
+    ["check", "indicator-const", "--n", "2", "--beta", "1", "--gamma", "0.4", "--R", "inf"],
+    ["describe", "indicator-two-piece", "--n", "2", "--beta", "1", "--gamma", "0.4",
+     "--m", "nan"],
+    ["check", "indicator-two-piece", "--n", "2", "--beta", "1", "--gamma", "0.4", "--M=-inf"],
+    ["check", "ball-harmonic", "--n", "2", "--beta", "2", "--R", "2", "--m", "inf"],
 ])
 def test_non_finite_numbers_are_usage_errors(argv, capsys):
     code, out, err = run(capsys, argv + ["--samples", "16"] if argv[0] == "check" else argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "finite" in err
+    if argv[0] in ("check", "describe"):
+        # the message names the option
+        flags = [a.split("=") if "=" in a else [a, b] for a, b in zip(argv, argv[1:] + [""])
+                 if a.startswith("--")]
+        name = next(flag for flag, value in flags if not math.isfinite(float(value)))
+        assert err.startswith("error: {} must be finite".format(name[2:])), err
 
 
 @pytest.mark.parametrize("argv", [
@@ -421,6 +452,10 @@ def test_non_finite_config_values_are_usage_errors(tmp_path, capsys):
     cfg.write_text('{"n": 2, "beta": NaN, "gamma": 0.4}')
     code, _, err = run(capsys, ["check", "indicator-const", "--config", str(cfg)])
     assert code == 2 and "finite" in err
+    # also in an option the chosen kind does not read
+    cfg.write_text('{"m": 0.8, "M": 1, "beta": 3, "R": -Infinity, "samples": 16}')
+    code, out, err = run(capsys, ["check", "harmonic", "--config", str(cfg)])
+    assert (code, out, err) == (2, "", "error: R must be finite, got -inf\n")
 
 
 @pytest.mark.parametrize("rmax", ["2", "100"])
@@ -556,6 +591,9 @@ def test_fuzzed_argv_exits_cleanly(argv):
         warnings.simplefilter("always")
         code, out, err = _main_output(argv)
     assert code in (0, 1, 2), (argv, code)
+    numbers = [value for arg in argv for value in arg.split("=")[-1].split(":")]
+    if {"nan", "inf", "-inf"} & set(numbers):
+        assert code == 2, argv
     if code == 2:
         assert out == "" and err.startswith("error:"), (argv, out, err)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], (argv, caught)

@@ -1,6 +1,8 @@
 """Tests for the brute-force cross-check oracles."""
 
+import dataclasses
 import math
+import pickle
 from array import array
 
 import numpy as np
@@ -139,25 +141,58 @@ def test_oracle_handles_spaces_without_zero_value():
     assert energy == pytest.approx(naive, abs=1e-12)
 
 
+def full_scan_tables(locs, vals, m, M, beta):
+    """The one-jump tables from every trace of every length, as the reference."""
+    want = []
+    for rise, lengths, datum in [((vals - m) ** 2, locs, m), ((M - vals) ** 2, 1.0 - locs, M)]:
+        inside = lengths > 0.0
+        cost = rise / lengths[inside, None] + beta * vals ** 2
+        table, arg = np.full(locs.size, float(beta * datum * datum)), np.full(locs.size, -1)
+        table[inside], arg[inside] = cost.min(axis=1), cost.argmin(axis=1)
+        want += [table, arg]
+    return want
+
+
+def assert_tables_match_the_full_scan(locs, vals, m, M, beta):
+    with np.errstate(over="ignore"):  # a tiny length overflows a cost to inf in both
+        got = oracle._one_jump_tables(locs, vals, m, M, beta)
+        want = full_scan_tables(locs, vals, m, M, beta)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
 @pytest.mark.parametrize("locs, vals", [
     (np.linspace(0.0, 1.0, 301), np.linspace(0.0, 1.0, 301)),
     (np.linspace(0.0, 1.0, 778), np.linspace(0.05, 1.0, 40)),
     (np.sort(np.random.default_rng(3).random(513)), np.linspace(0.0, 1.0, 17)),
 ])
 def test_one_jump_tables_match_an_unblocked_scan(locs, vals):
-    # the unblocked scan as the reference, at location counts that are not
-    # multiples of the block size
-    assert locs.size % oracle._JUMP_BLOCK
-    for m, M, beta in [(0.0, 1.0, 1.0), (0.2, 0.7, 0.3), (0.4, 0.4, 5.0)]:
-        want = []
-        for rise, lengths, datum in [((vals - m) ** 2, locs, m), ((M - vals) ** 2, 1.0 - locs, M)]:
-            inside = lengths > 0.0
-            cost = rise / lengths[inside, None] + beta * vals ** 2
-            table, arg = np.full(locs.size, beta * datum * datum), np.full(locs.size, -1)
-            table[inside], arg[inside] = cost.min(axis=1), cost.argmin(axis=1)
-            want += [table, arg]
-        for got, ref in zip(oracle._one_jump_tables(locs, vals, m, M, beta), want):
-            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    # integer data too, whose tables must still hold float costs
+    for m, M, beta in [(0.0, 1.0, 1.0), (0.2, 0.7, 0.3), (0.4, 0.4, 5.0), (0, 1, 1)]:
+        assert_tables_match_the_full_scan(locs, vals, m, M, beta)
+
+
+@st.composite
+def _jump_tables_case(draw):
+    """Irregular sorted traces, with or without 0, and locations clustered at 0 and 1."""
+    vals = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=40))
+    if draw(st.booleans()):
+        vals.append(0.0)
+    locs = draw(st.lists(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1e-6),
+                                   st.floats(1.0 - 1e-6, 1.0), st.floats(0.0, 1.0)),
+                         min_size=1, max_size=40))
+    m = draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)))
+    M = draw(st.one_of(st.just(m), st.just(1.0), st.floats(m, 1.0)))
+    beta = draw(st.floats(1e-6, 1e6))
+    return np.unique(locs), np.unique(vals), m, M, beta
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_jump_tables_case())
+def test_one_jump_tables_match_the_full_scan_on_irregular_grids(case):
+    # near ties in rounding, such as adjacent or subnormal traces, are where a
+    # window around the convex minimum could miss the scan's first argmin
+    assert_tables_match_the_full_scan(*case)
 
 
 def test_prefix_minima_take_the_first_index_as_the_loop_did():
@@ -183,8 +218,9 @@ def test_oracle_rejects_bad_data():
         oracle_1d_best(0.5, 0.4, 1.0)
     with pytest.raises(ValueError):
         oracle_1d_best(0.0, 1.2, 1.0)
-    with pytest.raises(ValueError):
-        oracle_1d_best(0.0, 1.0, 0.0)
+    for beta in (0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            oracle_1d_best(0.0, 1.0, beta)
 
 
 def test_shooting_reproduces_the_robin_trace():
@@ -329,6 +365,17 @@ def test_radial_sweep_layout_and_best_row():
     # every scanned row with R > 1 loses to the indicator here
     others = [row.total for row in sweep.rows[1:]]
     assert min(others) >= sweep.best.total
+
+
+def test_sweep_rows_stay_frozen_hashable_and_picklable_without_a_dict():
+    row = oracle_radial_sweep(2, 1.0, 0.4, [2.0], [0.5]).rows[1]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        row.total = 0.0
+    assert not hasattr(row, "__dict__")
+    assert hash(row) == hash(dataclasses.replace(row)) and row == dataclasses.replace(row)
+    moved = dataclasses.replace(row, total=row.total + 1.0)
+    assert (moved.R, moved.delta, moved.total) == (row.R, row.delta, row.total + 1.0)
+    assert pickle.loads(pickle.dumps(row)) == row
 
 
 def test_radial_sweep_folds_explicit_unit_radius():
