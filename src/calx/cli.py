@@ -77,9 +77,16 @@ class _Options:
     def __init__(self, args, config):
         self.args = args
         self.config = config
-        for name in {**config, **vars(args)}:  # a NaN or inf is an error even if not read
-            if isinstance(self.get(name), float):
-                self.get(name, cast=float)
+        for name in {**config, **vars(args)}:  # an error even if the chosen kind never reads it
+            value = self.get(name)
+            if isinstance(value, float):
+                self.get(name, cast=float)  # a NaN or inf
+            if not isinstance(value, (int, float)):
+                continue  # a grid spec, which phase-diagram checks itself
+            if name == "beta" and not value > 0.0:
+                raise _UsageError("beta must be positive, got {!r}".format(value))
+            if name == "gamma" and not value >= 0.0:
+                raise _UsageError("gamma must be nonnegative, got {!r}".format(value))
 
     def get(self, name, default=None, cast=None):
         value = getattr(self.args, name, None)

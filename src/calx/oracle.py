@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 from array import array
+from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -42,7 +43,7 @@ class JumpSearchSpace:
 
     ``locations`` are candidate jump positions in [0, 1] (the endpoints
     mean a jump against the boundary datum).  ``values`` are candidate
-    one-sided traces.  ``max_jumps`` caps the number of jumps tried.
+    one-sided traces, finite.  ``max_jumps`` caps the number of jumps tried.
     """
 
     locations: tuple
@@ -54,6 +55,8 @@ class JumpSearchSpace:
         vals = tuple(sorted(set(map(float, self.values))))
         if not locs or not vals:
             raise ValueError("locations and values must be nonempty")
+        if not np.isfinite(locs + vals).all():
+            raise ValueError("locations and values must be finite")
         if locs[0] < 0.0 or locs[-1] > 1.0:
             raise ValueError("jump locations must lie in [0, 1]")
         if self.max_jumps not in (0, 1, 2):
@@ -359,6 +362,11 @@ def oracle_radial_sweep(n, beta, gamma_, R_grid, delta_grid, threads=None):
     the whole delta grid by :func:`calx.energy.energy_radial_traces`;
     the best row is the first minimum in scan order.  ``threads`` is
     accepted and has no effect.
+
+    Each radius's rows are built by column: allocated bare, then each
+    field stored over the whole block through its slot descriptor, the
+    same store the frozen ``__init__`` makes one row at a time.  The rows
+    are ordinary ``SweepRow`` instances, equal to per-row construction.
     """
 
     Rs = sorted(set(float(R) for R in R_grid))
@@ -377,12 +385,17 @@ def oracle_radial_sweep(n, beta, gamma_, R_grid, delta_grid, threads=None):
                      volume=unit.volume, total=unit.total)]
     totals = [[unit.total]]
     traces = np.array(deltas)
+    stores = [getattr(SweepRow, name).__set__ for name in SweepRow.__slots__]
     for R in Rs:
         if R > 1.0:
             e = energy_radial_traces(n, beta, gamma_, R, traces)
             with np.errstate(over="ignore"):  # past the float range a total is inf, as a float sum
                 totals.append(e.total)
-            rows += map(SweepRow, repeat(R), deltas, e.dirichlet.tolist(), e.jump.tolist(),
-                        repeat(e.volume), totals[-1].tolist())
+            block = list(map(object.__new__, repeat(SweepRow, len(deltas))))
+            columns = (repeat(R), deltas, e.dirichlet.tolist(), e.jump.tolist(),
+                       repeat(e.volume), totals[-1].tolist())
+            for store, column in zip(stores, columns):
+                deque(map(store, block, column), maxlen=0)
+            rows += block
     best = int(np.argmin(np.concatenate(totals)))
     return RadialSweepResult(n=n, beta=beta, gamma=gamma_, rows=tuple(rows), best_index=best)

@@ -458,6 +458,36 @@ def test_non_finite_config_values_are_usage_errors(tmp_path, capsys):
     assert (code, out, err) == (2, "", "error: R must be finite, got -inf\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    # options the chosen kind does not read
+    (["describe", "harmonic", "--m", "0", "--M", "0.5", "--beta", "1", "--gamma=-1"],
+     "gamma must be nonnegative, got -1.0"),
+    (["check", "1d", "--m", "0.2", "--M", "0.9", "--beta", "1", "--gamma=-1e-300"],
+     "gamma must be nonnegative, got -1e-300"),
+    # a zero beta, which the affine builders met only after their jump-energy test
+    (["check", "harmonic", "--m", "0", "--M", "1", "--beta", "0"], "beta must be positive, got 0.0"),
+    (["describe", "1d", "--m", "0.2", "--M", "0.9", "--beta=-0.0"],
+     "beta must be positive, got -0.0"),
+    (["energy-curve", "--n", "2", "--beta", "1", "--gamma=-0.5"],
+     "gamma must be nonnegative, got -0.5"),
+])
+def test_out_of_domain_signs_are_usage_errors(argv, message, capsys):
+    code, out, err = run(capsys, argv + ["--samples", "16"] if argv[0] == "check" else argv)
+    assert (code, out, err) == (2, "", "error: {}\n".format(message))
+
+
+def test_sign_domains_in_config_values(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"m": 0.2, "M": 0.9, "beta": 0}')
+    code, out, err = run(capsys, ["describe", "1d", "--config", str(cfg)])
+    assert (code, out, err) == (2, "", "error: beta must be positive, got 0\n")
+    # a signed zero gamma is zero, in domain
+    code, want, _ = run(capsys, ["describe", "harmonic", "--n", "2", "--beta", "2", "--R", "1.5"])
+    assert code == 0
+    assert run(capsys, ["describe", "harmonic", "--n", "2", "--beta", "2", "--R", "1.5",
+                        "--gamma=-0.0"]) == (0, want, "")
+
+
 @pytest.mark.parametrize("rmax", ["2", "100"])
 def test_phase_diagram_label_does_not_depend_on_rmax(rmax, capsys):
     # phase-diagram takes no search range
@@ -594,6 +624,12 @@ def test_fuzzed_argv_exits_cleanly(argv):
     numbers = [value for arg in argv for value in arg.split("=")[-1].split(":")]
     if {"nan", "inf", "-inf"} & set(numbers):
         assert code == 2, argv
+    # a beta <= 0 or gamma < 0 is out of every reader's domain, read or not
+    signs = {"--beta": lambda v: v <= 0.0, "--gamma": lambda v: v < 0.0}
+    for arg in argv:
+        name, _, value = arg.partition("=")
+        if name in signs and any(signs[name](float(v)) for v in value.split(":")):
+            assert code == 2, argv
     if code == 2:
         assert out == "" and err.startswith("error:"), (argv, out, err)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], (argv, caught)

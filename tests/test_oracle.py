@@ -1,9 +1,12 @@
 """Tests for the brute-force cross-check oracles."""
 
 import dataclasses
+import itertools
 import math
 import pickle
+import tempfile
 from array import array
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +37,10 @@ def test_search_space_validation():
         JumpSearchSpace(locations=(), values=(0.0, 1.0))
     with pytest.raises(ValueError):
         JumpSearchSpace(locations=(0.0, 1.0), values=(0.0, 1.0), max_jumps=3)
+    for locations, values in [((0.5, math.nan, 1.0), (0.0, 0.5)), ((0.0, 1.0), (0.0, math.inf)),
+                              ((0.0, 1.0), (-math.inf, 0.5)), ((0.0, 1.0), (math.nan,))]:
+        with pytest.raises(ValueError, match="must be finite"):
+            JumpSearchSpace(locations=locations, values=values)
     messy = JumpSearchSpace(locations=(1.0, 0.5, 0.5, 0.0),
                             values=(0.3, 0.3, 0.1))
     assert messy.locations == (0.0, 0.5, 1.0)
@@ -451,6 +458,27 @@ def scalar_sweep(n, beta, gamma_, R_grid, delta_grid):
     return tuple(rows), best
 
 
+def assert_same_rows(sweep, rows, best):
+    """The sweep's rows are plain frozen ``SweepRow`` values that behave as the
+    per-row ``rows`` do: equal, hashing alike, replaceable, picklable, and
+    written to the same CSV bytes."""
+    assert (repr(sweep.rows), sweep.best_index) == (repr(rows), best)
+    assert all(type(row) is SweepRow for row in sweep.rows)
+    assert sweep.rows == rows
+    assert list(map(hash, sweep.rows)) == list(map(hash, rows))
+    assert tuple(map(dataclasses.replace, sweep.rows)) == rows
+    assert pickle.loads(pickle.dumps(sweep.rows)) == rows
+    for row, name in zip(sweep.rows, itertools.cycle(SweepRow.__slots__)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(row, name, 0.0)
+    want = dataclasses.replace(sweep, rows=rows, best_index=best)
+    with tempfile.TemporaryDirectory() as folder:
+        got_csv, want_csv = Path(folder, "got.csv"), Path(folder, "want.csv")
+        sweep.write_csv(got_csv)
+        want.write_csv(want_csv)
+        assert got_csv.read_bytes() == want_csv.read_bytes()
+
+
 def _with_repeats(values):
     # unsorted, with the first entries repeated at the end
     return values + values[:2]
@@ -469,8 +497,7 @@ def test_radial_sweep_matches_the_scalar_loop(n, beta, gamma_, R_grid, delta_gri
     delta_grid = delta_grid + (1.0 - np.random.default_rng(seed).random(200)).tolist()
     sweep = oracle_radial_sweep(n, beta, gamma_, R_grid, delta_grid)
     rows, best = scalar_sweep(n, beta, gamma_, R_grid, delta_grid)
-    assert repr(sweep.rows) == repr(rows)
-    assert sweep.best_index == best
+    assert_same_rows(sweep, rows, best)
 
 
 @pytest.mark.parametrize("n, beta, gamma_, R_grid, delta_grid", [
@@ -500,5 +527,5 @@ def test_radial_sweep_edge_grids_match_the_scalar_loop(n, beta, gamma_, R_grid, 
             oracle_radial_sweep(n, beta, gamma_, R_grid, delta_grid)
     else:
         sweep = oracle_radial_sweep(n, beta, gamma_, R_grid, delta_grid)
-        assert (repr(sweep.rows), sweep.best_index) == (repr(want[0]), want[1])
+        assert_same_rows(sweep, *want)
         assert math.isinf(sweep.rows[-1].total) == (beta == 1e307)
