@@ -501,7 +501,7 @@ class CalibParams1D:
             object.__setattr__(self, name, float(getattr(self, name)))
         if not (0.0 <= self.m <= self.M) or not np.isfinite(self.M):
             raise ValueError("traces must satisfy 0 <= m <= M")
-        if self.beta <= 0.0:
+        if not 0.0 < self.beta < np.inf:  # false for NaN
             raise ValueError("beta must be positive")
         if self.beta0 < 0.0:
             raise ValueError("beta0 must be nonnegative")
@@ -539,6 +539,8 @@ class CalibParams1D:
         m = float(m)
         M = float(M)
         beta = float(beta)
+        if not 0.0 < beta < np.inf:  # before choose_lambda reads it as beta0
+            raise ValueError("beta must be positive")
         if sup_grad is None:
             sup_grad = M - m
         sup_grad = float(sup_grad)

@@ -51,7 +51,8 @@ class VerifyConfig:
     the number of ``t`` nodes used for the pairwise axiom (b) scan.
     ``axioms`` selects which groups run.  ``threads`` is accepted and
     validated for compatibility and has no effect: the axiom (b) scan
-    sorts each fibre once, and a thread pool around it does not pay.
+    reads each fibre's extremes and sorts only the fibres that can fail,
+    and a thread pool around it does not pay.
     """
 
     pos_res: int = 128
@@ -204,12 +205,23 @@ def check_condition_a(field, gamma_sq_term, config=None):
     return _grid_pass(field, config or VerifyConfig(), ("a",), gamma_sq_term=gamma_sq_term)["a"]
 
 
-# The sort proposes pairs and the exact pair expression decides every
-# pair whose sorted margin lies within this slack of -tol or of the worst
-# margin.  The slack is relative to the fibre scale max|Psi| + beta t_max^2
-# (plus tol); rounding moves a sorted margin by about 20 units of 2^-53 of
-# that scale at most, so 2^-46 leaves a wide safety factor.
+# Sorted margins b_j - a_i only propose pairs: the exact pair expression
+# decides every pair whose sorted margin lies within this slack of -tol or
+# of the worst margin.  The slack is relative to the fibre scale max|Psi| +
+# beta t_max^2 (plus tol); rounding moves a sorted margin by about 20 units
+# of 2^-53 of that scale at most, so 2^-46 leaves a wide safety factor.
 _B_SLACK = 2.0 ** -46
+
+
+def _runs(first, counts):
+    """Runs of consecutive indices, ``counts[k]`` of them from ``first[k]``.
+
+    Returns the run of each index and the indices, concatenated in run order.
+    """
+
+    owner = np.repeat(np.arange(counts.size), counts)
+    ends = np.cumsum(counts)
+    return owner, np.arange(owner.size) + np.repeat(first - ends + counts, counts)
 
 
 def _b_pairs(order, start, stop):
@@ -219,13 +231,11 @@ def _b_pairs(order, start, stop):
     the pair of a node with itself is dropped.
     """
 
-    counts = (stop - start).ravel()
-    cell = np.flatnonzero(counts)
-    counts = counts[cell]
-    cell = np.repeat(cell, counts)
-    step = np.arange(cell.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    f, i = np.divmod(cell, order.shape[1])
-    j = order[f, start.ravel()[cell] + step]
+    N = order.shape[1]
+    cell, at = _runs((start + np.arange(0, order.size, N)[:, None]).ravel(),
+                     (stop - start).ravel())
+    f, i = np.divmod(cell, N)
+    j = order.ravel()[at]
     keep = i != j
     f, i, j = f[keep], i[keep], j[keep]
     return f, np.minimum(i, j), np.maximum(i, j)
@@ -242,21 +252,25 @@ def check_condition_b(field, beta, config=None):
     when ``pair_res == t_res``, and each fibre is scanned on its own, so the
     blocks only split the work.
 
-    Each fibre costs one sort instead of an ``N x N`` pair matrix.  With
-    ``a = Psi - beta t^2`` and ``b = Psi + beta t^2`` the margin of the
-    pair ``i < j`` is ``min(b_j - a_i, b_i - a_j)``, and for ``beta >= 0``
-    the two one-sided failures never happen together.  So a fibre has
-    ``sum_i #{j : b_j < a_i - tol}`` violations, counted by one
-    ``argsort`` of ``b`` and one ``searchsorted``, and its worst margin
-    pairs the smallest ``b`` with the largest ``a`` (or a runner-up when
-    both sit at the same node).  The sort only proposes pairs: every pair
-    whose sorted margin lies within a few ulps of ``max|Psi| + beta
-    t_max^2`` of ``-tol`` or of the worst margin is decided by the exact
-    expression ``beta (t_r^2 + t_c^2) - |Psi_c - Psi_r|``, which also
-    gives every recorded residual, so counts and margins are those of the
-    full pair scan bit for bit.  Each fibre records its violations worst
-    first.  A fibre with a non-finite sample counts as one violation and
-    makes the worst margin NaN.
+    No fibre forms its ``N x N`` pair matrix.  With ``a = Psi - beta t^2``
+    and ``b = Psi + beta t^2`` the margin of the pair ``i < j`` is
+    ``min(b_j - a_i, b_i - a_j)``, and for ``beta >= 0`` the two one-sided
+    failures never happen together.  A fibre's least sorted margin pairs
+    its smallest ``b`` with its largest ``a`` (or a runner-up when both sit
+    at the same node), read in O(N) without a sort.  The worst margin lies
+    on a fibre whose least sorted margin is within a few ulps of the
+    block's, in a pair of nodes within a few ulps of that fibre's extremes.
+    Only a fibre whose least sorted margin is below ``-tol`` plus a few
+    ulps can fail, and only those fibres are sorted, O(N log N) each:
+    such a fibre has ``sum_i #{j : b_j < a_i - tol}`` violations, counted by
+    ranking each ``a_i - tol`` among its sorted ``b``.  The extremes and the
+    sort only propose pairs: every pair whose sorted margin lies within a
+    few ulps of ``max|Psi| + beta t_max^2`` of ``-tol`` or of the worst
+    margin is decided by the exact expression ``beta (t_r^2 + t_c^2) -
+    |Psi_c - Psi_r|``, which also gives every recorded residual, so counts
+    and margins are those of the full pair scan bit for bit.  Each fibre
+    records its violations worst first.  A fibre with a non-finite sample
+    counts as one violation and makes the worst margin NaN.
     """
 
     return _grid_pass(field, config or VerifyConfig(), ("b",), beta=beta)["b"]
@@ -272,38 +286,69 @@ def _b_block(pos, tg, Psi, beta, tol, room):
 
     tg2 = tg ** 2
     w = beta * tg2
-    scale = np.max(np.abs(Psi), axis=1) + w[-1]
+    # here, and in the reduced margins below, no block-sized temporary: a
+    # fresh one costs more than the arithmetic
+    scale = np.maximum(np.max(Psi, axis=1), -np.min(Psi, axis=1)) + w[-1]
     # false for NaN and inf; the thresholds below stay within 3 scales
     ok = scale <= np.finfo(float).max / 4.0
     psi = Psi[ok]
-    reduced = beta * (tg2 + tg2[0]) - np.abs(psi - psi[:, :1])
+    reduced = psi - psi[:, :1]
+    np.abs(reduced, out=reduced)
+    np.subtract(beta * (tg2 + tg2[0]), reduced, out=reduced)
     reduced = float(np.min(reduced[:, 1:])) if psi.size else np.inf
 
     N = tg.size
     a, b = psi - w, psi + w
     slack = _B_SLACK * (scale[ok] + tol)
-    order = np.argsort(b, axis=1)
     fibres = np.arange(psi.shape[0])
-    top = np.argmax(a, axis=1)
-    b1, b2 = b[fibres, order[:, 0]], b[fibres, order[:, 1]]
-    a1, a2 = a[fibres, top], np.partition(a, -2, axis=1)[:, -2]
-    lowest = np.where(top == order[:, 0], np.minimum(b2 - a1, b1 - a2), b1 - a1)
+    low, top = np.argmin(b, axis=1), np.argmax(a, axis=1)
+    b1, a1 = b[fibres, low], a[fibres, top]
+    # the least b_j - a_i over i != j: where both extremes sit at one node,
+    # one of them pairs with the other's runner-up, read with that node set
+    # aside
+    one = np.flatnonzero(low == top)
+    b[one, low[one]], a[one, low[one]] = np.inf, -np.inf
+    lowest = np.minimum(np.min(b, axis=1) - a1, b1 - np.max(a, axis=1))
+    b[one, low[one]], a[one, low[one]] = b1[one], a1[one]
 
-    # ranks in sorted b below a_i + offset: the worst-margin candidates,
-    # the certain violations, and the end of the band left to the exact
-    # expression
-    offsets = np.stack([lowest + 2.0 * slack, -tol - slack, -tol + slack])
-    sorted_b = np.take_along_axis(b, order, 1)
-    queries = a[None] + offsets[:, :, None]
-    ranks = np.empty(queries.shape, dtype=np.int32)
-    for f in fibres:
-        ranks[:, f] = np.searchsorted(sorted_b[f], queries[:, f])
-    near, sure, band_end = ranks
+    flat = psi.ravel()
 
-    def exact(f, r, c):
-        return beta * (tg2[c] + tg2[r]) - np.abs(psi[f, c] - psi[f, r])
+    def exact(r, c):
+        """The margins of the pairs of flat indices ``r`` and ``c`` into ``psi``."""
+        return beta * (tg2[c % N] + tg2[r % N]) - np.abs(flat[c] - flat[r])
 
-    worst = np.min(exact(*_b_pairs(order, np.zeros_like(near), near)), initial=np.inf)
+    # the worst margin: exact and sorted margins differ by rounding, far
+    # below slack, so the worst pair has b_j - a_i < lowest + 2 slack in one
+    # orientation, on a fibre whose lowest is within 2 slack of the least
+    # lowest + 2 slack.  With one slack more for rounding, a_i > min b -
+    # reach and b_j < max a + reach, reach = lowest + 3 slack; every pair of
+    # these two node sets is a pair of the fibre, so the least exact margin
+    # over all of them is the worst
+    near = (lowest - 2.0 * slack <= np.min(lowest + 2.0 * slack, initial=np.inf))[:, None]
+    reach = (lowest + 3.0 * slack)[:, None]
+    rows = np.flatnonzero((a > b1[:, None] - reach) & near)
+    cols = (b < a1[:, None] + reach) & near
+    counts = np.count_nonzero(cols, axis=1)
+    f = rows // N
+    owner, col = _runs((np.cumsum(counts) - counts)[f], counts[f])
+    r, c = rows[owner], np.flatnonzero(cols)[col]
+    worst = np.min(exact(r, c), where=r != c, initial=np.inf)
+
+    # only a fibre whose lowest is below -tol + 2 slack can hold a certain
+    # or a band violation.  One stable sort per such fibre orders b and
+    # ranks in it a_i - tol - slack (the certain violations) and a_i - tol
+    # + slack (the end of the band left to the exact expression): a query
+    # sorts before an equal b, so the b entries ahead of it are those below.
+    fail = np.flatnonzero(lowest < -tol + 2.0 * slack)
+    merged = np.argsort(np.concatenate([a[fail] + (-tol - slack[fail])[:, None],
+                                        a[fail] + (-tol + slack[fail])[:, None],
+                                        b[fail]], axis=1), axis=1, kind="stable")
+    is_b = merged >= 2 * N
+    order = merged[is_b].reshape(-1, N) - 2 * N
+    ranks = np.empty((fail.size, 2 * N), dtype=np.intp)
+    np.put_along_axis(ranks, merged[~is_b].reshape(-1, 2 * N),
+                      np.cumsum(is_b, axis=1)[~is_b].reshape(-1, 2 * N), axis=1)
+    sure, band_end = ranks[:, :N], ranks[:, N:]
 
     # both orientations of a pair can fall in the band, so merge them; a
     # pair certain in one orientation is in neither the band nor the
@@ -313,15 +358,17 @@ def _b_block(pos, tg, Psi, beta, tol, room):
     keys = np.sort((f * N + r) * N + c)  # np.unique would import numpy.ma
     f, r = np.divmod(keys[np.diff(keys, prepend=-1) > 0], N * N)
     r, c = np.divmod(r, N)
-    bad = exact(f, r, c) < -tol
+    bad = exact(fail[f] * N + r, fail[f] * N + c) < -tol
     band_f, band_r, band_c = f[bad], r[bad], c[bad]
 
     # per position: its violations, or one for a non-finite fibre; the
     # recorded list follows positions in order, each fibre worst first
-    entries = np.ones(pos.size, dtype=np.int64)
-    entries[ok] = sure.sum(axis=1) + np.bincount(band_f, minlength=psi.shape[0])
-    fibre_of = np.cumsum(ok) - 1
-    band_at = np.searchsorted(band_f, np.arange(psi.shape[0] + 1))
+    at = np.flatnonzero(ok)[fail]
+    entries = (~ok).astype(np.int64)
+    entries[at] = sure.sum(axis=1) + np.bincount(band_f, minlength=fail.size)
+    fibre_of = np.zeros(pos.size, dtype=np.intp)
+    fibre_of[at] = np.arange(fail.size)
+    band_at = np.searchsorted(band_f, np.arange(fail.size + 1))
     violations = []
     for p in np.flatnonzero(entries):
         left = room - len(violations)
@@ -337,7 +384,7 @@ def _b_block(pos, tg, Psi, beta, tol, room):
         c = np.concatenate([c, band_c[band_at[f]:band_at[f + 1]]])
         triu = np.argsort(r * N + c)
         r, c = r[triu], c[triu]
-        margin = exact(f, r, c)
+        margin = exact(fail[f] * N + r, fail[f] * N + c)
         for k in np.argsort(margin)[:left]:
             violations.append(Violation("b", (float(pos[p]), float(tg[r[k]]), float(tg[c[k]])),
                                         float(-margin[k]), tol))

@@ -100,6 +100,13 @@ def test_params_limit_case_is_exactly_dyadic():
     assert p.sigma == 0.25
 
 
+@pytest.mark.parametrize("beta", [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_from_traces_rejects_a_beta_out_of_its_domain(beta):
+    # not as an infeasible jump-energy test, nor by the name beta0
+    with pytest.raises(ValueError, match="^beta must be positive$"):
+        CalibParams1D.from_traces(0.3, 1.0, beta)
+
+
 def test_from_traces_reports_infeasible_jump_energy():
     with pytest.raises(HypothesisViolation) as exc:
         CalibParams1D.from_traces(0.0, 1.0, 1.0)
@@ -110,8 +117,9 @@ def test_from_traces_reports_infeasible_jump_energy():
 def test_params_validation():
     with pytest.raises(ValueError):
         CalibParams1D(m=0.5, M=0.4, beta=1.0, beta0=1.0, lam=0.0)
-    with pytest.raises(ValueError):
-        CalibParams1D(m=0.1, M=0.9, beta=-1.0, beta0=1.0, lam=0.0)
+    for beta in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^beta must be positive$"):
+            CalibParams1D(m=0.1, M=0.9, beta=beta, beta0=1.0, lam=0.0)
     with pytest.raises(ValueError):
         CalibParams1D(m=0.1, M=0.9, beta=1.0, beta0=1.0, lam=5.0)
 

@@ -13,6 +13,7 @@ from scipy import integrate
 from calx.calibration_fields import (
     CalibParams1D,
     PiecewiseField,
+    affine_profile,
     build_field_1d,
     build_field_ball_harmonic,
     build_field_harmonic,
@@ -179,17 +180,41 @@ def pair_scans(draw):
         rows = np.round(rows * 2.0) / 2.0
     if draw(st.booleans()):
         rows += beta * tg ** 2 * rng.choice([-1.0, 0.0, 1.0], size=(P, 1))
-    # pairs planted a few ulps from margin -tol
-    for _ in range(draw(st.integers(0, 12))):
+    planted, nonfinite = draw(st.integers(0, 12)), draw(st.booleans())
+    max_recorded = draw(st.sampled_from([1, 3, 17, 60, 10000]))
+    # some or all fibres shaped as in real fields: "flat run" makes b (or a)
+    # flat over a run of nodes only, as in the two-piece and ball fields;
+    # "sharp" gives a least margin of exactly 0, |Psi_j - Psi_0| = beta t_j^2
+    # at some nodes j and at most that elsewhere; "constant" holds Psi fixed
+    # along the fibre, as outside the ball's support
+    shape = draw(st.sampled_from(["noise", "flat run", "sharp", "constant"]))
+    share = draw(st.sampled_from([0.5, 1.0]))
+    for f in np.flatnonzero(rng.random(P) < share) if shape != "noise" else ():
+        if shape == "flat run":
+            lo = rng.integers(N - 1)
+            hi = rng.integers(lo + 2, N + 1)
+            rows[f, lo:hi] = rows[f, lo] + rng.choice([-1.0, 1.0]) * beta * tg[lo:hi] ** 2
+        elif shape == "sharp":
+            scale = np.where(rng.random(N) < 0.3, 1.0, rng.random(N))
+            scale[-1] = 1.0
+            rows[f] = rng.choice([-1.0, 1.0]) * beta * tg ** 2 * scale
+        else:
+            rows[f] = rows[f, 0]
+    # pairs planted a few ulps from margin -tol, or also from -tol -/+ 2
+    # slack, where the scan prunes fibres
+    shifts = draw(st.sampled_from([[0.0], [-2.0, 0.0, 2.0]]))
+    for _ in range(planted):
         f = rng.integers(P)
         r, c = sorted(rng.choice(N, size=2, replace=False))
-        value = rows[f, r] + (beta * (tg[c] ** 2 + tg[r] ** 2) + tol)
+        base = beta * (tg[c] ** 2 + tg[r] ** 2) + tol
+        rows[f, c] = rows[f, r] + base
+        slack = verifier._B_SLACK * (np.max(np.abs(rows[f])) + beta * tg[-1] ** 2 + tol)
+        value = rows[f, r] + (base + rng.choice(shifts) * slack)
         for _ in range(abs(int(rng.integers(-4, 5)))):
             value = np.nextafter(value, np.inf if rng.integers(2) else -np.inf)
         rows[f, c] = value
-    if draw(st.booleans()):
+    if nonfinite:
         rows[rng.integers(P), rng.integers(N)] = rng.choice([np.nan, np.inf, -np.inf])
-    max_recorded = draw(st.sampled_from([1, 3, 17, 60, 10000]))
     return rows, t_max, beta, tol, max_recorded
 
 
@@ -223,6 +248,42 @@ def test_condition_b_matches_the_full_pair_scan_on_a_failing_ball():
     assert got.n_violations == count == 52
     assert got.worst_margin == worst < 0.0
     assert got.meta["reduced_margin"] == reduced
+    assert [repr(v) for v in got.violations] == [repr(v) for v in kept]
+
+
+def harmonic_field(profile, beta):
+    return build_field_harmonic(profile, profile.m, profile.M, beta)
+
+
+# the README cell of each `check` kind, and the criterion-8 ball
+CHECK_FIELDS = {
+    "1d": lambda: build_field_1d(CalibParams1D.from_traces(0.8, 1.0, 3.0)),
+    "harmonic": lambda: harmonic_field(affine_profile(0.8, 1.0), 3.0),
+    "harmonic radial shell": lambda: harmonic_field(radial_shell_profile(2, 2.0, 2.0), 2.0),
+    "indicator-const": lambda: build_field_indicator_const(2, 0.3, 0.4),
+    "indicator-two-piece": lambda: build_field_indicator_two_piece(2, 1.0, 0.4),
+    "ball-harmonic": ball_field,
+    "criterion-8 ball": lambda: build_field_ball_harmonic(2, 1.3, 0.62934651086470002, 1.08,
+                                                          enforce_beta=False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHECK_FIELDS))
+def test_condition_b_matches_the_full_pair_scan_on_check_fields(case):
+    # real fields hold the least margin at exactly 0 on runs of tied nodes,
+    # which random rows rarely do
+    field = CHECK_FIELDS[case]()
+    beta = float(field.params["beta"])
+    cfg = VerifyConfig(pos_res=64, t_res=64, pair_res=64)
+    got = check_condition_b(field, beta, cfg)
+    pos = np.linspace(*field.pos_range, 64)
+    tg = np.linspace(0.0, field.t_max, 64)
+    Psi = field.Psi(*np.meshgrid(pos, tg, indexing="ij"))
+    count, worst, reduced, kept = reference_condition_b(pos, Psi, tg, beta, cfg.tol_b,
+                                                        cfg.max_recorded)
+    assert got.n_violations == count
+    assert repr(got.worst_margin) == repr(worst)
+    assert repr(got.meta["reduced_margin"]) == repr(reduced)
     assert [repr(v) for v in got.violations] == [repr(v) for v in kept]
 
 
