@@ -95,6 +95,9 @@ class Region:
     ``top`` is a vectorized callable of ``pos``: the region owns the
     points with ``t <= top(pos)`` (``t < top(pos)`` when ``strict``) that
     no earlier region owns, and a top of ``-inf`` keeps it off a position.
+    It must be elementwise in ``pos``, its value at a position independent
+    of the other positions it is given: the grid pass evaluates it once on
+    every position of the grid and hands each block of fibres its slice.
     ``psi``, ``phi_t`` and ``dpsi_dpos`` are vectorized callables of
     ``(pos, t)`` that may return any shape broadcasting to that of the
     pair.  They run on whole fibres, ``pos`` of shape ``(P, 1)`` against a
@@ -189,7 +192,7 @@ class PiecewiseField:
     calibrated: Optional[CalibratedFunction] = None
     phi_t_bump: Optional[tuple] = None
 
-    def _sample(self, pos, t, *quantities):
+    def _sample(self, pos, t, *quantities, out=None, tops=None):
         """One classification pass: ``(index, *values)`` at the given points.
 
         Each point is claimed by the first region whose top it does not
@@ -197,7 +200,8 @@ class PiecewiseField:
         ``pos`` of shape ``(P, 1)`` against ``t`` of shape ``(1, N)``.  Other
         points are taken as a grid of one-point fibres, ``pos`` and ``t``
         broadcast and flattened to ``(K, 1)`` each.  Every top runs once on
-        the positions, and each region's callables run once on the fibres it
+        the positions, unless ``tops`` gives each region's top at ``pos``
+        already, and each region's callables run once on the fibres it
         touches, ``pos[rows]`` against the span of ``t`` it claims on them,
         so factors of ``pos`` alone are formed once per fibre; the values
         are written through the region's mask.  ``quantities`` names ``Region`` attributes (``psi``,
@@ -205,6 +209,12 @@ class PiecewiseField:
         where no region claims the point.  ``phi_t`` includes ``phi_t_bump``,
         which is constant on its box and adds nothing to ``dphi_t_dt``.
         Arrays take the broadcast shape of ``pos`` and ``t``.
+
+        ``out``, for a grid of fibres, holds the arrays to write into: the
+        index (int), the ``free`` mask (bool) and one float array per
+        quantity, each with ``N`` columns and at least ``P`` rows.  Their
+        leading ``P`` rows are reset and filled, and returned; without
+        ``out`` the pass allocates them.
 
         ``dphi_t_dt`` is the central difference of the claiming region's
         own ``phi_t`` at ``t +- t_max``, exact because ``phi_t`` is at most
@@ -225,12 +235,17 @@ class PiecewiseField:
             pos = np.broadcast_to(pos, shape).reshape(-1, 1)
             t = np.broadcast_to(t, shape).reshape(-1, 1)
         grid = (pos.shape[0], t.shape[1])
-        idx = np.full(grid, -1, dtype=int)
-        values = [np.full(grid, np.nan) for _ in quantities]
-        free = np.ones(grid, dtype=bool)
+        if out is None:
+            out = (np.empty(grid, dtype=int), np.empty(grid, dtype=bool),
+                   *(np.empty(grid) for _ in quantities))
+        idx, free, *values = (array[:grid[0]] for array in out)
+        idx.fill(-1)
+        free.fill(True)
+        for array in values:
+            array.fill(np.nan)
         lo, below = np.zeros(pos.shape), np.zeros(pos.shape)
         for k, region in enumerate(self.regions):
-            top = region.top(pos)
+            top = region.top(pos) if tops is None else tops[k]
             mask = free & ((t < top) if region.strict else (t <= top))
             rows = np.flatnonzero(mask.any(axis=1))
             if rows.size:

@@ -8,7 +8,10 @@ its margin is finite and at least its floor, and any NaN or infinite
 margin makes the worst margin NaN.  Axioms (a), (b) and the divergence
 come from one pass over blocks of whole fibres (fixed ``pos``, every
 ``t``): each block is classified and sampled once, and feeds the tallies
-of every selected group, which are merged in block order.  Every region
+of every selected group, which are merged in block order.  The pass
+allocates one set of block buffers, which every block samples and forms
+its margins into, and runs each region top once on every position.  The
+flux check samples both sides of every interface in one more pass.  Every region
 declares the analytic spatial derivative of ``phi_x``, used by default
 because several constructions contain factors like ``1/(r^(n-1)
 Gamma(r))`` whose finite differences are hopeless near ``r = 1``, and the
@@ -144,11 +147,17 @@ def _tally(axiom, margin, locations, tol, cap, residual=None, floor=0.0):
     violations in C order are recorded at
     ``locations`` (arrays that broadcast to the shape of ``margin``) with
     their ``residual`` (default: the margin), NaN where the margin is not
-    finite.
+    finite.  Two reductions settle a tally with no violation: its least
+    margin is at least ``floor`` and its largest below inf, and NaN
+    fails both tests.
     """
 
     shape = np.shape(margin)
     margin = np.ravel(margin)
+    if margin.size:
+        least = np.min(margin)
+        if least >= floor and np.max(margin) < np.inf:
+            return 0, float(least), []
     residual = margin if residual is None else np.ravel(residual)
     finite = np.isfinite(margin)
     bad = np.flatnonzero(~(finite & (margin >= floor)))
@@ -276,29 +285,32 @@ def check_condition_b(field, beta, config=None):
     return _grid_pass(field, config or VerifyConfig(), ("b",), beta=beta)["b"]
 
 
-def _b_block(pos, tg, Psi, beta, tol, room):
+def _b_block(pos, tg, Psi, beta, tol, room, work):
     """Axiom (b) on the fibres at ``pos``, with ``Psi`` sampled on ``pos x tg``.
 
     Returns the block's tally ``(count, worst, recorded)``, at most
     ``room`` violations recorded, and its least reduced margin (inf when
-    no fibre is finite).
+    no fibre is finite).  ``work`` holds three scratch arrays with as many
+    columns as ``tg`` and at least as many rows as ``pos``.
     """
 
     tg2 = tg ** 2
     w = beta * tg2
-    # here, and in the reduced margins below, no block-sized temporary: a
-    # fresh one costs more than the arithmetic
+    # no block-sized temporary: a fresh one costs more than the arithmetic,
+    # so the reduced margins, a and b are formed in the rows of ``work``
     scale = np.maximum(np.max(Psi, axis=1), -np.min(Psi, axis=1)) + w[-1]
     # false for NaN and inf; the thresholds below stay within 3 scales
     ok = scale <= np.finfo(float).max / 4.0
-    psi = Psi[ok]
-    reduced = psi - psi[:, :1]
+    psi = Psi if ok.all() else Psi[ok]
+    reduced, a, b = work[:, :psi.shape[0]]
+    np.subtract(psi, psi[:, :1], out=reduced)
     np.abs(reduced, out=reduced)
     np.subtract(beta * (tg2 + tg2[0]), reduced, out=reduced)
     reduced = float(np.min(reduced[:, 1:])) if psi.size else np.inf
 
     N = tg.size
-    a, b = psi - w, psi + w
+    np.subtract(psi, w, out=a)
+    np.add(psi, w, out=b)
     slack = _B_SLACK * (scale[ok] + tol)
     fibres = np.arange(psi.shape[0])
     low, top = np.argmin(b, axis=1), np.argmax(a, axis=1)
@@ -323,16 +335,25 @@ def _b_block(pos, tg, Psi, beta, tol, room):
     # lowest + 2 slack.  With one slack more for rounding, a_i > min b -
     # reach and b_j < max a + reach, reach = lowest + 3 slack; every pair of
     # these two node sets is a pair of the fibre, so the least exact margin
-    # over all of them is the worst
+    # over all of them is the worst.  The rows are crossed in chunks of at
+    # most _BLOCK_POINTS pairs (and at least one row): where Psi is constant
+    # along a fibre and beta = 0, every node ties both extremes and the
+    # fibre crosses all N^2 pairs
     near = (lowest - 2.0 * slack <= np.min(lowest + 2.0 * slack, initial=np.inf))[:, None]
     reach = (lowest + 3.0 * slack)[:, None]
     rows = np.flatnonzero((a > b1[:, None] - reach) & near)
     cols = (b < a1[:, None] + reach) & near
     counts = np.count_nonzero(cols, axis=1)
-    f = rows // N
-    owner, col = _runs((np.cumsum(counts) - counts)[f], counts[f])
-    r, c = rows[owner], np.flatnonzero(cols)[col]
-    worst = np.min(exact(r, c), where=r != c, initial=np.inf)
+    first, pairs = (np.cumsum(counts) - counts)[rows // N], counts[rows // N]
+    ends, cols = np.cumsum(pairs), np.flatnonzero(cols)
+    worst, start = np.inf, 0
+    while start < rows.size:
+        stop = max(start + 1, int(np.searchsorted(ends, ends[start] - pairs[start] + _BLOCK_POINTS,
+                                                  side="right")))
+        owner, col = _runs(first[start:stop], pairs[start:stop])
+        r, c = rows[start:stop][owner], cols[col]
+        worst = min(worst, np.min(exact(r, c), where=r != c, initial=np.inf))
+        start = stop
 
     # only a fibre whose lowest is below -tol + 2 slack can hold a certain
     # or a band violation.  One stable sort per such fibre orders b and
@@ -478,38 +499,54 @@ def check_divergence_and_flux(field, config=None):
     return _grid_pass(field, config or VerifyConfig(), ("divflux",))["divflux"]
 
 
-def _divflux_block(field, config, P, T, ridx, got, rooms):
+def _divflux_block(field, config, P, T, ridx, got, rooms, work, flags):
     """Boundedness and divergence tallies of one block sampled as ``got``, and
     its statistics ``(max |psi|, max |phi_t|, max |div|, checked, skipped)``;
-    a maximum is -inf when the block has no finite sample."""
+    a maximum is -inf when the block has no finite sample.  ``work`` (three
+    float arrays) and ``flags`` (two bool arrays) are scratch of the block's
+    shape."""
 
     psi, phit, dpsi = got["psi"], got["phi_t"], got.get("dpsi_dpos")
-    finite = np.isfinite(psi) & np.isfinite(phit)
-    stats = [np.max(np.abs(v), where=finite, initial=-np.inf) for v in (psi, phit)]
+    margin, div, term = work
+    # valid: the finite samples, then, in fd mode, those whose stencil counts
+    valid, invalid = flags
+    np.isfinite(psi, out=valid)
+    valid &= np.isfinite(phit, out=invalid)
+    stats = [np.max(np.abs(v, out=margin), where=valid, initial=-np.inf) for v in (psi, phit)]
     # boundedness has no graded margin: a finite sample scores the full
     # tolerance, which no divergence margin exceeds
-    bounded = _tally("bounded", np.where(finite, config.tol_div, np.nan), (P, T),
-                     config.tol_div, rooms[0])
+    margin.fill(np.nan)
+    np.copyto(margin, config.tol_div, where=valid)
+    bounded = _tally("bounded", margin, (P, T), config.tol_div, rooms[0])
 
-    valid = finite
     if config.divergence_mode == "fd":
         dpsi, ok = _central_difference(field, P, T, ridx, config.fd_step)
-        valid = valid & ok
+        valid &= ok
+    np.logical_not(valid, out=invalid)
 
-    # a skipped point scores divergence 0: margin tol_div, which no checked point exceeds
-    div = np.where(valid, dpsi + got["dphi_t_dt"], 0.0)
+    # a skipped point scores divergence 0: margin tol_div, which no checked
+    # point exceeds.  Each term is zeroed there before the next is added
+    np.add(dpsi, got["dphi_t_dt"], out=div)
+    np.copyto(div, 0.0, where=invalid)
     if field.geometry == "radial":
-        div = np.where(valid, div + (field.n - 1) * psi / P, 0.0)
-    div = np.abs(div)
-    div_tally = _tally("div", config.tol_div - div, (P, T), config.tol_div, rooms[1], div)
-    checked = int(valid.sum())
+        np.multiply(field.n - 1, psi, out=term)
+        np.divide(term, P, out=term)
+        div += term
+        np.copyto(div, 0.0, where=invalid)
+    np.abs(div, out=div)
+    np.subtract(config.tol_div, div, out=margin)
+    div_tally = _tally("div", margin, (P, T), config.tol_div, rooms[1], div)
+    checked = int(np.count_nonzero(valid))
     return bounded, div_tally, stats + [np.max(div), checked, valid.size - checked]
 
 
 def _flux(field, config):
-    """Flux continuity along each declared interface: its tally and its largest residual."""
+    """Flux continuity along each declared interface: its tally and its largest residual.
 
-    names, coords, flux = [], [np.zeros(0)], [np.zeros(0)]
+    The points on both sides of every interface are sampled in one pass.
+    """
+
+    names, coords, sides, slopes = [], [np.zeros(0)], [], []
     shift = 1e-9 * max(1.0, field.t_max)
     for interface in field.interfaces:
         if interface.kind == "graph":
@@ -517,20 +554,29 @@ def _flux(field, config):
             margin = 1e-4 * (hi - lo)
             at = np.linspace(lo + margin, hi - margin, config.pos_res)
             curve = np.asarray(interface.g(at), dtype=float)
-            slope = np.asarray(interface.g_prime(at), dtype=float)
-            psi_lo, phit_lo = field.evaluate(at, curve - shift)
-            psi_hi, phit_hi = field.evaluate(at, curve + shift)
-            flux.append(np.abs((phit_hi - phit_lo) - slope * (psi_hi - psi_lo)))
+            slopes.append(np.asarray(interface.g_prime(at), dtype=float))
+            sides += [(at, curve - shift), (at, curve + shift)]
         else:
             r0 = interface.radius
             tmargin = 1e-6 * field.t_max
             at = np.linspace(tmargin, field.t_max - tmargin, config.t_res)
             dr = 1e-9 * max(1.0, r0)
-            psi_in = field.evaluate(np.full_like(at, r0 - dr), at)[0]
-            psi_out = field.evaluate(np.full_like(at, r0 + dr), at)[0]
-            flux.append(np.abs(psi_out - psi_in))
+            slopes.append(None)
+            sides += [(np.full_like(at, r0 - dr), at), (np.full_like(at, r0 + dr), at)]
         names += [interface.name] * at.size
         coords.append(at)
+    flux = [np.zeros(0)]
+    if sides:
+        _, psi, phit = field._sample(*(np.concatenate(points) for points in zip(*sides)),
+                                     "psi", "phi_t")
+        split = np.cumsum([side[0].size for side in sides])[:-1]
+        psi, phit = np.split(psi, split), np.split(phit, split)
+        for k, slope in enumerate(slopes):
+            lo, hi = 2 * k, 2 * k + 1
+            if slope is None:
+                flux.append(np.abs(psi[hi] - psi[lo]))
+            else:
+                flux.append(np.abs((phit[hi] - phit[lo]) - slope * (psi[hi] - psi[lo])))
     flux = np.concatenate(flux)
     tally = _tally("flux", config.tol_flux - flux, (np.array(names, dtype=str),
                                                     np.concatenate(coords)),
@@ -547,7 +593,12 @@ def _grid_pass(field, config, groups, gamma_sq_term=0.0, beta=0.0):
     over blocks of the pair grid), and feeds the tally of every selected
     group.  The tallies of each part are merged in block order, so counts,
     worst margins and recorded violations are those of a single whole-grid
-    tally, ``max_recorded`` included.
+    tally, ``max_recorded`` included.  The pass allocates the sampled
+    arrays and the scratch its margins are formed in once, for its largest
+    block, and evaluates each region top once on every position; each
+    block samples into those buffers (a shorter last block into their
+    leading rows) with its slice of the tops.  The ``fd`` stencil samples
+    into arrays of its own, because the block's are still in use.
     """
 
     if "b" in groups and beta < 0.0:
@@ -562,31 +613,49 @@ def _grid_pass(field, config, groups, gamma_sq_term=0.0, beta=0.0):
         names.append("Psi")
     a, b, reduced, bounded, div, stats = [], [], [], [], [], []
 
-    def scan_b(at, tg, Psi):
-        tally, least = _b_block(at, tg, Psi, beta, config.tol_b, _room(config, b))
+    def scan_b(at, tg, Psi, work):
+        tally, least = _b_block(at, tg, Psi, beta, config.tol_b, _room(config, b), work)
         b.append(tally)
         reduced.append(least)
 
-    for i, j in _blocks(pos.size, t.size) if names else ():
+    blocks = _blocks(pos.size, t.size) if names else []
+    if blocks:
+        # the pass owns one set of block buffers, a shorter last block their
+        # leading rows, and runs each region top once on every position
+        grid = (blocks[0][1], t.size)
+        out = (np.empty(grid, dtype=int), np.empty(grid, dtype=bool),
+               *(np.empty(grid) for _ in names))
+        work, flags = np.empty((3,) + grid), np.empty((2,) + grid, dtype=bool)
+        tops = [np.broadcast_to(region.top(pos[:, None]), (pos.size, 1))
+                for region in field.regions]
+        gamma_row = gamma_sq_term * (T > 0.0)
+    for i, j in blocks:
         P = pos[i:j, None]
-        ridx, *arrays = field._sample(P, T, *names)
+        ridx, *arrays = field._sample(P, T, *names, out=out, tops=[top[i:j] for top in tops])
         got = dict(zip(names, arrays))
         if "a" in groups:
-            residual = got["phi_t"] - 0.25 * got["psi"] ** 2 + gamma_sq_term * (T > 0.0)
+            # phi_t - 0.25 psi^2 + gamma^2 1_{t > 0}, in that order
+            residual = np.square(got["psi"], out=work[0, :j - i])
+            residual *= 0.25
+            np.subtract(got["phi_t"], residual, out=residual)
+            residual += gamma_row
             a.append(_tally("a", residual, (P, T), config.tol_a, _room(config, a),
                             floor=-config.tol_a))
         if fused:
-            scan_b(pos[i:j], t, got["Psi"])
+            scan_b(pos[i:j], t, got["Psi"], work)
         if "divflux" in groups:
             part_bounded, part_div, block = _divflux_block(
-                field, config, P, T, ridx, got, (_room(config, bounded), _room(config, div)))
+                field, config, P, T, ridx, got, (_room(config, bounded), _room(config, div)),
+                work[:, :j - i], flags[:, :j - i])
             bounded.append(part_bounded)
             div.append(part_div)
             stats.append(block)
     if "b" in groups and not fused:
         tg = np.linspace(0.0, field.t_max, config.pair_res)
-        for i, j in _blocks(pos.size, tg.size):
-            scan_b(pos[i:j], tg, field.Psi(pos[i:j, None], tg[None, :]))
+        blocks = _blocks(pos.size, tg.size)
+        work = np.empty((3, blocks[0][1], tg.size))
+        for i, j in blocks:
+            scan_b(pos[i:j], tg, field.Psi(pos[i:j, None], tg[None, :]), work)
 
     results = {}
     if "a" in groups:

@@ -227,6 +227,26 @@ def test_check_emits_the_recorded_report(case, capsys):
     assert (code, json.loads(out)) == (expected["exit"], expected["report"])
 
 
+# reports recorded before the grid pass reused its block buffers: fd mode
+# samples its stencil while the block's buffers are in use, and at 200
+# samples the grid splits into blocks of 163 and 37 fibres
+BLOCK_REUSE_CASES = {
+    "ball-harmonic-fd": CHECK_CASES["ball-harmonic"] + ["--samples", "64",
+                                                        "--divergence-mode", "fd"],
+    "ball-harmonic-200": CHECK_CASES["ball-harmonic"] + ["--samples", "200"],
+    "indicator-two-piece-200": CHECK_CASES["indicator-two-piece"] + ["--samples", "200"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_REUSE_CASES))
+def test_check_reuses_block_buffers_without_changing_the_report(case, capsys):
+    with open(Path(__file__).with_name("check_expected.json")) as handle:
+        expected = json.load(handle)[case]
+    code, out, err = run(capsys, ["check"] + BLOCK_REUSE_CASES[case] + ["--format", "json"])
+    assert err == ""
+    assert (code, json.loads(out)) == (expected["exit"], expected["report"])
+
+
 @pytest.mark.parametrize("fibres", [1, 3, 5])
 def test_check_reports_do_not_depend_on_the_block_size(fibres, monkeypatch, capsys):
     # at 64 samples: one fibre a block, then three and five, which do not divide 64

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -235,6 +236,83 @@ def test_condition_b_matches_the_full_pair_scan(scan):
     assert [repr(v) for v in got.violations] == [repr(v) for v in kept]
 
 
+def test_condition_b_at_zero_beta_on_a_constant_field_keeps_its_memory_small():
+    # with beta = 0 and Psi = 0 every node ties both extremes of its fibre,
+    # so each of the 16 fibres crosses all 256^2 node pairs
+    cfg = VerifyConfig(pos_res=16, pair_res=256)
+    tracemalloc.start()
+    try:
+        got = check_condition_b(RowsField(np.zeros((16, 256)), 1.0), 0.0, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.status == "pass"
+    assert repr(got.worst_margin) == repr(got.meta["reduced_margin"]) == "0.0"
+    assert peak < 8 * 2 ** 20
+
+
+def reference_tally(axiom, margin, locations, tol, cap, residual, floor):
+    """The verdict rule, sample by sample: ``(count, worst, recorded)``."""
+
+    shape = np.shape(margin)
+    residual = margin if residual is None else residual
+    count, recorded = 0, []
+    for at in np.ndindex(*shape):
+        m = float(margin[at])
+        if math.isfinite(m) and m >= floor:
+            continue
+        count += 1
+        if len(recorded) < cap:
+            recorded.append(Violation(
+                axiom, tuple(np.broadcast_to(loc, shape)[at].item() for loc in locations),
+                float(residual[at]) if math.isfinite(m) else float("nan"), tol))
+    values = [float(m) for m in np.ravel(margin)]
+    if not all(math.isfinite(m) for m in values):
+        worst = float("nan")
+    else:
+        worst = min(values) if values else floor + tol
+    return count, worst, recorded
+
+
+@st.composite
+def tallies(draw):
+    floor = draw(st.sampled_from([0.0, -1e-9, 1e-3]))
+    shape = draw(st.sampled_from([(0,), (0, 5), (1, 1), (3, 4), (6, 7)]))
+    # margins all finite and at least floor, the same with one inf planted, or any
+    mode = draw(st.sampled_from(["at least floor", "one inf", "any"]))
+    if mode == "any":
+        values = st.one_of(
+            st.sampled_from([np.nan, np.inf, -np.inf, floor, np.nextafter(floor, -np.inf),
+                             np.nextafter(floor, np.inf)]),
+            st.floats(-10.0, 10.0))
+    else:
+        values = st.one_of(st.just(floor), st.floats(floor, 1e300))
+    size = int(np.prod(shape))
+    # + 0.0 turns -0.0 into 0.0, whose least value min and np.min may pick apart
+    margin = np.array(draw(st.lists(values, min_size=size, max_size=size)),
+                      dtype=float).reshape(shape) + 0.0
+    if mode == "one inf" and size:
+        margin.flat[draw(st.integers(0, size - 1))] = np.inf
+    locations = ((np.arange(shape[0], dtype=float),) if len(shape) == 1 else
+                 (np.arange(shape[0], dtype=float)[:, None],
+                  np.linspace(0.0, 1.0, shape[1])[None, :]))
+    residual = -margin if draw(st.booleans()) else None
+    cap = draw(st.sampled_from([0, 1, 10 ** 4]))
+    tol = draw(st.sampled_from([1e-9, 1e-5]))
+    return margin, locations, tol, cap, residual, floor
+
+
+@settings(max_examples=300, deadline=None)
+@given(tallies())
+def test_tally_matches_the_verdict_rule(case):
+    margin, locations, tol, cap, residual, floor = case
+    got = verifier._tally("x", margin, locations, tol, cap, residual, floor)
+    count, worst, recorded = reference_tally("x", margin, locations, tol, cap, residual, floor)
+    assert got[0] == count
+    assert repr(got[1]) == repr(worst)
+    assert [repr(v) for v in got[2]] == [repr(v) for v in recorded]
+
+
 def test_condition_b_matches_the_full_pair_scan_on_a_failing_ball():
     # criterion 8: beta below n - 1/2 breaks axiom (b) on many fibres
     field = build_field_ball_harmonic(2, 1.3, 0.62934651086470002, 1.08,
@@ -418,8 +496,8 @@ def test_axioms_classify_each_grid_once(monkeypatch):
     passes = []
     sample = PiecewiseField._sample
 
-    def counting(self, pos, t, *quantities):
-        out = sample(self, pos, t, *quantities)
+    def counting(self, pos, t, *quantities, **options):
+        out = sample(self, pos, t, *quantities, **options)
         passes.append(out[0].size)
         return out
 
@@ -428,6 +506,10 @@ def test_axioms_classify_each_grid_once(monkeypatch):
     result = check_divergence_and_flux(field, cfg)
     assert passes.count(grid) == 1
     assert result.meta["n_div_checked"] == grid
+    # one pass for the one block, one for both sides of every interface
+    flux_points = 2 * sum(cfg.pos_res if i.kind == "graph" else cfg.t_res
+                          for i in field.interfaces)
+    assert passes == [grid, flux_points]
     passes.clear()
     check_divergence_and_flux(field, dataclasses.replace(cfg, divergence_mode="fd"))
     assert passes.count(grid) == 3
@@ -447,6 +529,17 @@ def test_axioms_classify_each_grid_once(monkeypatch):
     check_condition_b(field, 2.0, cfg)
     assert passes == [grid]
     assert seen == [(r.name, cfg.pos_res) for r in field.regions]
+
+    # and still once per pass, on every position, when the pass takes
+    # blocks of 8 fibres
+    monkeypatch.setattr(verifier, "_BLOCK_POINTS", 8 * cfg.t_res)
+    for check in (lambda: check_condition_b(field, 2.0, cfg),
+                  lambda: check_condition_a(field, field.gamma_sq_term, cfg)):
+        passes.clear()
+        seen.clear()
+        check()
+        assert passes == [8 * cfg.t_res] * 4
+        assert seen == [(r.name, cfg.pos_res) for r in field.regions]
 
 
 def criterion_8_ball():
@@ -509,8 +602,8 @@ def test_verify_all_samples_each_block_once(monkeypatch):
     passes = []
     sample = PiecewiseField._sample
 
-    def counting(self, pos, t, *quantities):
-        out = sample(self, pos, t, *quantities)
+    def counting(self, pos, t, *quantities, **options):
+        out = sample(self, pos, t, *quantities, **options)
         passes.append((np.shape(pos), np.shape(t), quantities))
         return out
 
