@@ -101,15 +101,18 @@ class Region:
     ``psi``, ``phi_t`` and ``dpsi_dpos`` are vectorized callables of
     ``(pos, t)`` that may return any shape broadcasting to that of the
     pair.  They run on whole fibres, ``pos`` of shape ``(P, 1)`` against a
-    row of ``t``, so they must be finite, and raise no warning, at every
-    ``t`` of a fibre their region touches (``phi_t`` also at ``t +-
-    t_max``).  ``psi`` is the signed component of ``phi_x`` along the
-    field direction and must be affine in ``t``: the field integrates it
-    over the region's stretch ``[a, b]`` of each fibre as ``(b - a)
-    (psi(a) + psi(b)) / 2``, which is then exact.  ``phi_t`` must be at
-    most quadratic in ``t``: the field differentiates it as ``(phi_t(t +
-    h) - phi_t(t - h)) / (2 h)`` with ``h = t_max``, which is then exact.
-    ``dpsi_dpos`` is the analytic spatial derivative of ``psi``.
+    row of ``t``, or against the two ends ``(P, 2)`` of the region's
+    stretch of each fibre, so they must be finite, and raise no warning,
+    at every ``t`` of a fibre their region touches, both ends included
+    (``phi_t`` also at ``t +- t_max``).  ``psi`` is the signed component
+    of ``phi_x`` along the field direction and must be affine in ``t``:
+    the field integrates it over the region's stretch ``[a, b]`` of each
+    fibre as ``(b - a) (psi(a) + psi(b)) / 2``, which is then exact.
+    ``phi_t`` must be at most quadratic in ``t``: the verifier
+    differentiates it as ``(phi_t(t + h) - phi_t(t - h)) / (2 h)`` with
+    ``h = t_max``, which is then exact, and checks the divergence, affine
+    in ``t`` on the stretch, at its two ends.  ``dpsi_dpos`` is the
+    analytic spatial derivative of ``psi``.
     """
 
     name: str
@@ -192,91 +195,103 @@ class PiecewiseField:
     calibrated: Optional[CalibratedFunction] = None
     phi_t_bump: Optional[tuple] = None
 
+    def _stretches(self, tops):
+        """Each region's stretch ``(lo, hi)`` on fibres whose tops are ``tops``:
+        the running maxima of the tops below the region and up to it, clipped
+        to ``[0, t_max]``.  A NaN top claims no point but leaves the
+        stretches from its own up NaN."""
+        lo, out = np.zeros(np.shape(tops[0])), []
+        for top in tops:
+            hi = np.minimum(np.maximum(lo, top), self.t_max)
+            out.append((lo, hi))
+            lo = hi
+        return out
+
     def _sample(self, pos, t, *quantities, out=None, tops=None):
         """One classification pass: ``(index, *values)`` at the given points.
 
         Each point is claimed by the first region whose top it does not
         exceed (index -1 if none).  The pass works on a grid of fibres:
-        ``pos`` of shape ``(P, 1)`` against ``t`` of shape ``(1, N)``.  Other
-        points are taken as a grid of one-point fibres, ``pos`` and ``t``
-        broadcast and flattened to ``(K, 1)`` each.  Every top runs once on
-        the positions, unless ``tops`` gives each region's top at ``pos``
-        already, and each region's callables run once on the fibres it
-        touches, ``pos[rows]`` against the span of ``t`` it claims on them,
-        so factors of ``pos`` alone are formed once per fibre; the values
-        are written through the region's mask.  ``quantities`` names ``Region`` attributes (``psi``,
-        ``phi_t``, ``dpsi_dpos``), ``Psi`` or ``dphi_t_dt``; a value is NaN
-        where no region claims the point.  ``phi_t`` includes ``phi_t_bump``,
-        which is constant on its box and adds nothing to ``dphi_t_dt``.
-        Arrays take the broadcast shape of ``pos`` and ``t``.
+        ``pos`` of shape ``(P, 1)`` against one sorted row ``t`` of shape
+        ``(1, N)``.  Other points, a row that is unsorted or holds NaN among
+        them, are taken as one-point fibres, ``pos`` and ``t`` broadcast and
+        flattened to ``(K, 1)`` each.  Every top runs once on the positions,
+        unless ``tops`` gives each region's top at ``pos``.  A region claims
+        a run of columns of each fibre, found by a binary search of its top
+        in the row; its callables run once on the fibres it touches,
+        ``pos[rows]`` against the span of ``t`` of its runs, so factors of
+        ``pos`` alone are formed once per fibre, and the values are written
+        through the mask of the runs.  ``quantities`` names ``Region``
+        attributes (``psi``, ``phi_t``, ``dpsi_dpos``) or ``Psi``; a value is
+        NaN where no region claims the point.  ``phi_t`` includes
+        ``phi_t_bump``.  Arrays take the broadcast shape of ``pos`` and ``t``.
 
-        ``out``, for a grid of fibres, holds the arrays to write into: the
-        index (int), the ``free`` mask (bool) and one float array per
-        quantity, each with ``N`` columns and at least ``P`` rows.  Their
-        leading ``P`` rows are reset and filled, and returned; without
-        ``out`` the pass allocates them.
+        ``out``, for a grid of fibres, holds the arrays to fill and return:
+        the index (int) and one float array per quantity, each with ``N``
+        columns and at least ``P`` rows, of which the leading ``P`` are used.
 
-        ``dphi_t_dt`` is the central difference of the claiming region's
-        own ``phi_t`` at ``t +- t_max``, exact because ``phi_t`` is at most
-        quadratic in ``t``.
-
-        ``Psi`` integrates ``psi`` from 0.  Along a fibre region ``k``
-        spans ``[lo, hi]``, ``hi`` the running maximum of the tops up to
-        ``k`` (at least 0) and ``lo`` that of the tops below it.  A point
-        of region ``k`` takes the integral over the stretches below ``lo``
-        plus the trapezoid ``(t - lo) (psi(lo) + psi(t)) / 2``, and each
-        finite stretch adds ``(hi - lo) (psi(lo) + psi(hi)) / 2`` per
-        position; both are exact because ``psi`` is affine in ``t``, and
-        ``psi`` never runs where its region is empty.
+        ``Psi`` integrates ``psi`` from 0 over the stretches of
+        :meth:`_stretches`: a point of region ``k`` takes the trapezoids
+        ``(hi - lo) (psi(lo) + psi(hi)) / 2`` of the stretches below plus
+        ``(t - lo) (psi(lo) + psi(t)) / 2``, exact because ``psi`` is affine
+        in ``t``.
         """
         pos, t = np.asarray(pos, dtype=float), np.asarray(t, dtype=float)
         shape = np.broadcast_shapes(pos.shape, t.shape)
-        if not (pos.ndim == t.ndim == 2 and pos.shape[1] == 1 and t.shape[0] == 1):
+        if not (pos.ndim == t.ndim == 2 and pos.shape[1] == 1 and t.shape[0] == 1
+                and np.all(t[0, 1:] >= t[0, :-1])):  # NaN fails the test
             pos = np.broadcast_to(pos, shape).reshape(-1, 1)
             t = np.broadcast_to(t, shape).reshape(-1, 1)
-        grid = (pos.shape[0], t.shape[1])
+            tops = None
+        P, N = pos.shape[0], t.shape[1]
         if out is None:
-            out = (np.empty(grid, dtype=int), np.empty(grid, dtype=bool),
-                   *(np.empty(grid) for _ in quantities))
-        idx, free, *values = (array[:grid[0]] for array in out)
-        idx.fill(-1)
-        free.fill(True)
+            out = (np.empty((P, N), dtype=int), *(np.empty((P, N)) for _ in quantities))
+        idx, *values = (array[:P] for array in out)
+        if tops is None:
+            tops = [region.top(pos) for region in self.regions]
+        tops = [top if top.shape == (P, 1) else np.broadcast_to(top, (P, 1))
+                for top in (np.asarray(top, dtype=float) for top in tops)]
+        stretches = self._stretches(tops) if "Psi" in quantities else None
+        # the columns a region's condition holds on form a prefix of each
+        # fibre, so region k claims the run [start, end) past those below
+        counts = [np.searchsorted(t[0], np.fmax(top[:, 0], -np.inf),  # a NaN top claims nothing
+                                  "left" if region.strict else "right") if t.shape[0] == 1
+                  else ((t < top) if region.strict else (t <= top))[:, 0]
+                  for region, top in zip(self.regions, tops)]
+        unclaimed = np.max(counts, axis=0, initial=0) < N
+        idx[unclaimed] = -1
         for array in values:
-            array.fill(np.nan)
-        lo, below = np.zeros(pos.shape), np.zeros(pos.shape)
-        for k, region in enumerate(self.regions):
-            top = region.top(pos) if tops is None else tops[k]
-            mask = free & ((t < top) if region.strict else (t <= top))
-            rows = np.flatnonzero(mask.any(axis=1))
+            array[unclaimed] = np.nan
+        below, columns, end = np.zeros((P, 1)), np.arange(N), np.zeros(P, dtype=np.intp)
+        for k, (region, count) in enumerate(zip(self.regions, counts)):
+            start, end = end, np.maximum(end, count)
+            rows = np.flatnonzero(end > start)
             if rows.size:
-                free &= ~mask
                 if rows[-1] - rows[0] + 1 == rows.size:  # a run of fibres: write through views
                     rows = slice(rows[0], rows[-1] + 1)
-                cols = np.flatnonzero(mask[rows].any(axis=0))
-                cols = slice(cols[0], cols[-1] + 1)
-                pk, mk = pos[rows], mask[rows, cols]
-                tk = t[:, cols] if t.shape[0] == 1 else t[rows, cols]
+                a, b = start[rows, None], end[rows, None]
+                cols = slice(a.min(), b.max())
+                pk, tk = pos[rows], t[:, cols] if t.shape[0] == 1 else t[rows, cols]
+                # no mask where every run covers the whole span
+                mk = (b.min() - a.max() == cols.stop - cols.start
+                      or (columns[cols] >= a) & (columns[cols] < b))
                 _put(idx, rows, cols, mk, k)
                 psi = region.psi(pk, tk) if {"psi", "Psi"} & set(quantities) else None
-                for name, out in zip(quantities, values):
+                for name, array in zip(quantities, values):
                     if name == "psi":
                         value = psi
                     elif name == "Psi":
-                        a = lo[rows]
-                        value = below[rows] + 0.5 * (tk - a) * (region.psi(pk, a) + psi)
-                    elif name == "dphi_t_dt":
-                        h = self.t_max
-                        value = (region.phi_t(pk, tk + h) - region.phi_t(pk, tk - h)) / (2.0 * h)
+                        lo = stretches[k][0][rows]
+                        value = below[rows] + 0.5 * (tk - lo) * (region.psi(pk, lo) + psi)
                     else:
                         value = getattr(region, name)(pk, tk)
-                    _put(out, rows, cols, mk, value)
-            if "Psi" in quantities:
-                hi = np.maximum(lo, top)
-                whole = (hi > lo) & np.isfinite(hi)
+                    _put(array, rows, cols, mk, value)
+            if stretches is not None:
+                lo, hi = stretches[k]
+                whole = (hi > lo) & (end < N)[:, None]  # where a region above claims a point
                 if whole.any():
                     pw, a, b = pos[whole], lo[whole], hi[whole]
                     below[whole] += 0.5 * (b - a) * (region.psi(pw, a) + region.psi(pw, b))
-                lo = hi
         if "phi_t" in quantities and self.phi_t_bump is not None:
             pos0, t0, amount, hw_pos, hw_t = self.phi_t_bump
             box = (np.abs(pos - pos0) <= hw_pos) & (np.abs(t - t0) <= hw_t)

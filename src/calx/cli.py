@@ -16,6 +16,10 @@ Four subcommands:
 [0, 1] when ``--m`` or ``--M`` is given, and the Robin-optimal radial
 shell 1 <= r <= R from ``--n --beta --R`` otherwise.
 
+``check --format json`` of a construction whose hypothesis fails keeps
+where it failed (``construction_location``) and the numbers behind it
+(``construction_details``) next to ``construction_error``.
+
 Exit codes: 0 when the requested computation succeeds (for ``check``:
 the field is certified), 1 when a construction is infeasible or a
 verification fails, 2 on usage errors: a NaN or infinite number, an
@@ -232,9 +236,6 @@ def _verify_config_from(opt):
         value = opt.get(name, cast=float)
         if value is not None:
             kwargs[name] = value
-    mode = opt.get("divergence_mode")
-    if mode is not None:
-        kwargs["divergence_mode"] = mode
     return VerifyConfig(**kwargs)
 
 
@@ -325,7 +326,7 @@ def _cmd_check(args, config):
     try:
         field = _FIELDS[kind](opt, notes)
     except HypothesisViolation as exc:
-        report = VerificationReport.infeasible(str(exc), kind=kind)
+        report = VerificationReport.infeasible(exc, kind, exc.location, exc.details)
         if fmt == "json":
             sys.stdout.write(report.to_json() + "\n")
         else:
@@ -437,8 +438,6 @@ def _build_parser():
     check.add_argument("--tol-div", dest="tol_div", type=float)
     check.add_argument("--tol-flux", dest="tol_flux", type=float)
     check.add_argument("--tol-graph", dest="tol_graph", type=float)
-    check.add_argument("--divergence-mode", dest="divergence_mode",
-                       choices=("auto", "fd"))
     check.add_argument("--format", choices=("text", "json"))
     check.set_defaults(handler=_cmd_check)
 

@@ -5,20 +5,20 @@ Every check works on deterministic tensor grids over
 margin means the axiom holds with room to spare on the sampled points.
 Every pointwise check follows one verdict rule: a sample violates unless
 its margin is finite and at least its floor, and any NaN or infinite
-margin makes the worst margin NaN.  Axioms (a), (b) and the divergence
+margin makes the worst margin NaN.  Axioms (a), (b) and boundedness
 come from one pass over blocks of whole fibres (fixed ``pos``, every
 ``t``): each block is classified and sampled once, and feeds the tallies
 of every selected group, which are merged in block order.  The pass
 allocates one set of block buffers, which every block samples and forms
 its margins into, and runs each region top once on every position.  The
-flux check samples both sides of every interface in one more pass.  Every region
-declares the analytic spatial derivative of ``phi_x``, used by default
-because several constructions contain factors like ``1/(r^(n-1)
-Gamma(r))`` whose finite differences are hopeless near ``r = 1``, and the
-field derives the time derivative of ``phi_t`` exactly from each region's
-own ``phi_t``, which is at most quadratic in ``t``.
-``divergence_mode='fd'`` replaces the spatial derivative by a central
-difference along ``pos``.
+divergence is affine in ``t`` on each region's stretch of a fibre, so it
+is checked at the two ends of every stretch, from the regions' own
+derivatives: every region declares the analytic spatial derivative of
+``phi_x``, because several constructions contain factors like
+``1/(r^(n-1) Gamma(r))`` whose finite differences are hopeless near
+``r = 1``, and the time derivative of ``phi_t`` is exact from each
+region's own ``phi_t``, which is at most quadratic in ``t``.  The flux
+check samples both sides of every interface in one more pass.
 """
 
 from __future__ import annotations
@@ -48,11 +48,13 @@ _AXIOMS = ("a", "b", "graph", "divflux")
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    """Grid resolutions, tolerances and mode switches for verification.
+    """Grid resolutions and tolerances for verification.
 
     ``pos_res`` and ``t_res`` control the pointwise grids, ``pair_res``
-    the number of ``t`` nodes used for the pairwise axiom (b) scan.
-    ``axioms`` selects which groups run.  ``threads`` is accepted and
+    the number of ``t`` nodes used for the pairwise axiom (b) scan.  The
+    divergence is checked on the ``pos_res`` fibres at the two ends of
+    each region's stretch, whatever ``t_res``.  ``axioms`` selects which
+    groups run.  ``threads`` is accepted and
     validated for compatibility and has no effect: the axiom (b) scan
     reads each fibre's extremes and sorts only the fibres that can fail,
     and a thread pool around it does not pay.
@@ -66,9 +68,7 @@ class VerifyConfig:
     tol_div: float = 1e-5
     tol_flux: float = 1e-5
     tol_graph: float = 1e-9
-    fd_step: float = 1e-3
     axioms: tuple = _AXIOMS
-    divergence_mode: str = "auto"
     threads: int = 1
     max_recorded: int = 10000
 
@@ -77,12 +77,10 @@ class VerifyConfig:
             if int(getattr(self, name)) < 16:
                 raise ValueError("{} must be at least 16".format(name))
             object.__setattr__(self, name, int(getattr(self, name)))
-        for name in ("tol_a", "tol_b", "tol_div", "tol_flux", "tol_graph", "fd_step"):
+        for name in ("tol_a", "tol_b", "tol_div", "tol_flux", "tol_graph"):
             if float(getattr(self, name)) <= 0.0:
                 raise ValueError("{} must be positive".format(name))
             object.__setattr__(self, name, float(getattr(self, name)))
-        if self.divergence_mode not in ("auto", "fd"):
-            raise ValueError("divergence_mode must be 'auto' or 'fd'")
         if int(self.threads) < 1:
             raise ValueError("threads must be at least 1")
         object.__setattr__(self, "threads", int(self.threads))
@@ -465,79 +463,54 @@ def check_graph_conditions(field, calibrated, config=None):
     return a_prime, b_prime
 
 
-def _central_difference(field, P, T, ridx, h):
-    """Central difference of ``psi`` along ``pos``, one sampling pass per stencil side.
-
-    Also returns where the stencil stays inside the domain and in the
-    region ``ridx`` of its centre.
-    """
-
-    lo, hi = field.pos_range
-    ok = (P - h >= lo) & (P + h <= hi)
-    sides = []
-    for step in (h, -h):
-        idx, psi = field._sample(np.clip(P + step, lo, hi), T, "psi")
-        ok = ok & (idx == ridx)
-        sides.append(psi)
-    return (sides[0] - sides[1]) / (2.0 * h), ok
-
-
 def check_divergence_and_flux(field, config=None):
     """Interior divergence, interface flux continuity and boundedness.
 
     The divergence of a field directed along ``e_r`` is
-    ``d(psi)/dr + (n-1) psi / r + d(phi_t)/dt`` (the middle term drops
-    on an interval), checked at every grid point where ``psi`` and
-    ``phi_t`` are finite.  All terms come from the one sampling pass of
-    :func:`verify_all`, with the regions' own derivatives.  In ``fd`` mode
-    ``d(psi)/dr`` is a central difference of step ``fd_step`` instead, two
-    more passes per block, and a point whose stencil leaves the domain or
-    its region is skipped.  Interface flux continuity compares the two
-    side limits of ``phi . normal`` along each declared interface.
+    ``d(psi)/dr + (n-1) psi / r + d(phi_t)/dt`` (the middle term drops on
+    an interval), from the regions' own ``dpsi_dpos`` and ``phi_t``.  Along
+    a fibre it is affine in ``t`` on each region's stretch (``psi`` is
+    affine and ``phi_t`` at most quadratic), so its largest magnitude there
+    lies at an end: it is checked at both ends of every stretch a region
+    owns on each of the ``pos_res`` fibres.  ``n_div_checked`` counts those
+    ends and ``n_div_skipped`` the ends of the empty stretches, two per
+    fibre and region in all.  Boundedness asks for finite ``psi`` and
+    ``phi_t`` at every grid point.  Interface flux continuity compares the
+    two side limits of ``phi . normal`` along each declared interface.
     """
 
     return _grid_pass(field, config or VerifyConfig(), ("divflux",))["divflux"]
 
 
-def _divflux_block(field, config, P, T, ridx, got, rooms, work, flags):
-    """Boundedness and divergence tallies of one block sampled as ``got``, and
-    its statistics ``(max |psi|, max |phi_t|, max |div|, checked, skipped)``;
-    a maximum is -inf when the block has no finite sample.  ``work`` (three
-    float arrays) and ``flags`` (two bool arrays) are scratch of the block's
-    shape."""
+def _divergence(field, config, pos, tops):
+    """The divergence tally at both ends of every region's stretch of the
+    fibres at ``pos``, whose region tops are ``tops``, and its statistics
+    ``(max |div|, ends checked, ends skipped)``.  A stretch is checked where
+    its region claims a point of ``[0, t_max]``; an end of an empty stretch
+    scores divergence 0: margin ``tol_div``, which no checked end exceeds."""
 
-    psi, phit, dpsi = got["psi"], got["phi_t"], got.get("dpsi_dpos")
-    margin, div, term = work
-    # valid: the finite samples, then, in fd mode, those whose stencil counts
-    valid, invalid = flags
-    np.isfinite(psi, out=valid)
-    valid &= np.isfinite(phit, out=invalid)
-    stats = [np.max(np.abs(v, out=margin), where=valid, initial=-np.inf) for v in (psi, phit)]
-    # boundedness has no graded margin: a finite sample scores the full
-    # tolerance, which no divergence margin exceeds
-    margin.fill(np.nan)
-    np.copyto(margin, config.tol_div, where=valid)
-    bounded = _tally("bounded", margin, (P, T), config.tol_div, rooms[0])
-
-    if config.divergence_mode == "fd":
-        dpsi, ok = _central_difference(field, P, T, ridx, config.fd_step)
-        valid &= ok
-    np.logical_not(valid, out=invalid)
-
-    # a skipped point scores divergence 0: margin tol_div, which no checked
-    # point exceeds.  Each term is zeroed there before the next is added
-    np.add(dpsi, got["dphi_t_dt"], out=div)
-    np.copyto(div, 0.0, where=invalid)
-    if field.geometry == "radial":
-        np.multiply(field.n - 1, psi, out=term)
-        np.divide(term, P, out=term)
-        div += term
-        np.copyto(div, 0.0, where=invalid)
-    np.abs(div, out=div)
-    np.subtract(config.tol_div, div, out=margin)
-    div_tally = _tally("div", margin, (P, T), config.tol_div, rooms[1], div)
-    checked = int(np.count_nonzero(valid))
-    return bounded, div_tally, stats + [np.max(div), checked, valid.size - checked]
+    P, h = pos[:, None], field.t_max
+    div = np.zeros((pos.size, len(tops), 2))
+    ends = np.empty_like(div)
+    checked, closed = 0, np.False_  # closed: where a region below claims lo itself
+    for k, (region, top, (lo, hi)) in enumerate(zip(field.regions, tops, field._stretches(tops))):
+        ends[:, k, 0], ends[:, k, 1] = lo[:, 0], hi[:, 0]
+        # the region claims a point where hi > lo, and lo alone where hi == lo
+        # and its condition holds at lo; a NaN end leaves the stretch unknown
+        at_lo, at_hi = (lo < top, hi < top) if region.strict else (lo <= top, hi <= top)
+        rows = np.flatnonzero(~(hi <= lo) | (at_lo & ~closed))
+        closed = at_hi | (closed & (hi == lo))
+        if rows.size:
+            p, t = P[rows], ends[rows, k]
+            value = (region.dpsi_dpos(p, t)
+                     + (region.phi_t(p, t + h) - region.phi_t(p, t - h)) / (2.0 * h))
+            if field.geometry == "radial":
+                value = value + (field.n - 1) * region.psi(p, t) / p
+            div[rows, k] = np.abs(value)
+            checked += 2 * rows.size
+    tally = _tally("div", config.tol_div - div, (pos[:, None, None], ends), config.tol_div,
+                   config.max_recorded, div)
+    return tally, (float(np.max(div)), checked, div.size - checked)
 
 
 def _flux(field, config):
@@ -597,8 +570,8 @@ def _grid_pass(field, config, groups, gamma_sq_term=0.0, beta=0.0):
     arrays and the scratch its margins are formed in once, for its largest
     block, and evaluates each region top once on every position; each
     block samples into those buffers (a shorter last block into their
-    leading rows) with its slice of the tops.  The ``fd`` stencil samples
-    into arrays of its own, because the block's are still in use.
+    leading rows) with its slice of the tops.  The divergence reads the
+    same tops once for every position, at the ends of each stretch.
     """
 
     if "b" in groups and beta < 0.0:
@@ -607,11 +580,9 @@ def _grid_pass(field, config, groups, gamma_sq_term=0.0, beta=0.0):
     T = t[None, :]
     fused = "b" in groups and config.pair_res == config.t_res
     names = ["psi", "phi_t"] if {"a", "divflux"} & set(groups) else []
-    if "divflux" in groups:
-        names += ["dphi_t_dt"] + (["dpsi_dpos"] if config.divergence_mode == "auto" else [])
     if fused:
         names.append("Psi")
-    a, b, reduced, bounded, div, stats = [], [], [], [], [], []
+    a, b, reduced, bounded, stats = [], [], [], [], []
 
     def scan_b(at, tg, Psi, work):
         tally, least = _b_block(at, tg, Psi, beta, config.tol_b, _room(config, b), work)
@@ -623,15 +594,14 @@ def _grid_pass(field, config, groups, gamma_sq_term=0.0, beta=0.0):
         # the pass owns one set of block buffers, a shorter last block their
         # leading rows, and runs each region top once on every position
         grid = (blocks[0][1], t.size)
-        out = (np.empty(grid, dtype=int), np.empty(grid, dtype=bool),
-               *(np.empty(grid) for _ in names))
-        work, flags = np.empty((3,) + grid), np.empty((2,) + grid, dtype=bool)
+        out = (np.empty(grid, dtype=int), *(np.empty(grid) for _ in names))
+        work = np.empty((3,) + grid)
         tops = [np.broadcast_to(region.top(pos[:, None]), (pos.size, 1))
                 for region in field.regions]
         gamma_row = gamma_sq_term * (T > 0.0)
     for i, j in blocks:
         P = pos[i:j, None]
-        ridx, *arrays = field._sample(P, T, *names, out=out, tops=[top[i:j] for top in tops])
+        _, *arrays = field._sample(P, T, *names, out=out, tops=[top[i:j] for top in tops])
         got = dict(zip(names, arrays))
         if "a" in groups:
             # phi_t - 0.25 psi^2 + gamma^2 1_{t > 0}, in that order
@@ -644,12 +614,20 @@ def _grid_pass(field, config, groups, gamma_sq_term=0.0, beta=0.0):
         if fused:
             scan_b(pos[i:j], t, got["Psi"], work)
         if "divflux" in groups:
-            part_bounded, part_div, block = _divflux_block(
-                field, config, P, T, ridx, got, (_room(config, bounded), _room(config, div)),
-                work[:, :j - i], flags[:, :j - i])
-            bounded.append(part_bounded)
-            div.append(part_div)
-            stats.append(block)
+            # boundedness has no graded margin: a finite sample scores the
+            # full tolerance, which no divergence margin exceeds
+            extremes = [(np.max(got[name]), np.min(got[name])) for name in ("psi", "phi_t")]
+            if np.isfinite(extremes).all():  # the tally without a violation, as _tally settles it
+                stats.append([max(most, -least) for most, least in extremes])
+                bounded.append((0, config.tol_div, []))
+                continue
+            margin, valid = work[0, :j - i], np.isfinite(got["psi"]) & np.isfinite(got["phi_t"])
+            stats.append([np.max(np.abs(got[name], out=margin), where=valid, initial=-np.inf)
+                          for name in ("psi", "phi_t")])
+            margin.fill(np.nan)
+            np.copyto(margin, config.tol_div, where=valid)
+            bounded.append(_tally("bounded", margin, (P, T), config.tol_div,
+                                  _room(config, bounded)))
     if "b" in groups and not fused:
         tg = np.linspace(0.0, field.t_max, config.pair_res)
         blocks = _blocks(pos.size, tg.size)
@@ -668,17 +646,16 @@ def _grid_pass(field, config, groups, gamma_sq_term=0.0, beta=0.0):
             "pos_res": config.pos_res, "pair_res": config.pair_res, "beta": float(beta),
             "reduced_margin": float(least) if np.isfinite(least) else None})
     if "divflux" in groups:
+        div_tally, (div_worst, checked, skipped) = _divergence(field, config, pos, tops)
         flux_tally, flux_worst = _flux(field, config)
-        stats = np.array(stats)
         # a maximum is -inf when no block has a finite sample
         max_phi_x, max_phi_t = (float(m) if m >= 0.0 else float("nan")
-                                for m in np.max(stats[:, :2], axis=0))
-        results["divflux"] = _result("divflux", bounded + div + [flux_tally], config, {
-            "divergence_mode": config.divergence_mode,
-            "div_worst": float(np.max(stats[:, 2])),
+                                for m in np.max(stats, axis=0))
+        results["divflux"] = _result("divflux", bounded + [div_tally, flux_tally], config, {
+            "div_worst": div_worst,
             "flux_worst": flux_worst,
-            "n_div_checked": int(np.sum(stats[:, 3])),
-            "n_div_skipped": int(np.sum(stats[:, 4])),
+            "n_div_checked": checked,
+            "n_div_skipped": skipped,
             "max_abs_phi_x": max_phi_x,
             "max_abs_phi_t": max_phi_t,
         })
@@ -692,18 +669,23 @@ class VerificationReport:
     ``results`` maps axiom group ids (``a``, ``b``, ``a_prime``,
     ``b_prime``, ``divflux``) to :class:`AxiomResult`.  A report built
     from a failed construction carries the reason in
-    ``construction_error`` and no results.
+    ``construction_error``, where the hypothesis failed and its numbers
+    in ``construction_location`` and ``construction_details`` (the
+    ``location`` and ``details`` of a :class:`HypothesisViolation`), and
+    no results.
     """
 
     field_kind: str
     results: dict
     grid_meta: dict
     construction_error: Optional[str] = None
+    construction_location: Optional[float] = None
+    construction_details: Optional[dict] = None
 
     @classmethod
-    def infeasible(cls, reason, kind="unknown"):
-        return cls(field_kind=kind, results={}, grid_meta={},
-                   construction_error=str(reason))
+    def infeasible(cls, reason, kind="unknown", location=None, details=None):
+        return cls(field_kind=kind, results={}, grid_meta={}, construction_error=str(reason),
+                   construction_location=location, construction_details=dict(details or {}))
 
     @property
     def passed(self):
@@ -724,6 +706,9 @@ class VerificationReport:
             "grid": self.grid_meta,
             "results": {k: r.to_dict() for k, r in sorted(self.results.items())},
         }
+        if self.construction_error is not None:
+            payload.update(construction_location=self.construction_location,
+                           construction_details=self.construction_details)
         return json.dumps(payload, indent=indent, sort_keys=True)
 
     def summary_table(self):
@@ -776,7 +761,6 @@ def verify_all(field, calibrated=None, config=None):
         "pos_res": config.pos_res,
         "t_res": config.t_res,
         "pair_res": config.pair_res,
-        "divergence_mode": config.divergence_mode,
     }
     return VerificationReport(field_kind=field.kind, results=results,
                               grid_meta=grid_meta)

@@ -6,11 +6,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from calx.calibration_fields import (
     CalibParams1D,
     HypothesisViolation,
     Interface,
+    PiecewiseField,
     Region,
     affine_profile,
     build_field_1d,
@@ -391,3 +394,70 @@ def test_field_description_is_json_serializable():
         doc = json.loads(text)
         assert doc["kind"] == field.kind
         assert len(doc["regions"]) == len(field.regions)
+
+
+def table_field(tops, strict):
+    """Regions whose tops are read from ``tops[k][i]`` at position ``i``, with
+    ``psi`` affine and ``phi_t`` quadratic in ``t``."""
+
+    def region(k):
+        def top(pos):
+            return np.asarray(tops[k], dtype=float)[np.asarray(pos, dtype=int)]
+
+        def psi(pos, t):
+            return (k + 1.0) * np.asarray(pos) - (2.0 * k - 1.0) * np.asarray(t)
+
+        def phi_t(pos, t):
+            return (k - 1.5) * np.asarray(t) ** 2 + np.asarray(pos)
+
+        return Region("r{}".format(k), "", top, psi, phi_t, phi_t, strict=strict[k])
+
+    return PiecewiseField(
+        kind="table", geometry="interval", n=1, pos_range=(0.0, 1.0), t_max=1.0,
+        gamma_sq_term=0.0, params={}, regions=tuple(region(k) for k in range(len(tops))))
+
+
+def sample_point(field, p, t):
+    """``(index, psi, phi_t, Psi)`` at one point, by the claim rule and the
+    stretch integrals written out."""
+
+    tops = [np.float64(region.top(p)) for region in field.regions]
+    for k, (region, top) in enumerate(zip(field.regions, tops)):
+        if (t < top) if region.strict else (t <= top):
+            break
+    else:
+        return -1, np.nan, np.nan, np.nan
+    lo, below = np.float64(0.0), np.float64(0.0)
+    for below_region, top in zip(field.regions[:k], tops):
+        hi = np.minimum(np.maximum(lo, top), field.t_max)
+        if hi > lo:
+            below += 0.5 * (hi - lo) * (below_region.psi(p, lo) + below_region.psi(p, hi))
+        lo = hi
+    psi = region.psi(p, t)
+    return k, psi, region.phi_t(p, t), below + 0.5 * (t - lo) * (region.psi(p, lo) + psi)
+
+
+_TOPS = [np.nan, np.inf, -np.inf, -0.5, 0.0, 0.25, 0.5, 1.0, 1.5]
+_TS = [np.nan, -0.25, 0.0, 0.1, 0.25, 0.5, 0.75, 1.0, 1.5]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_sample_matches_a_per_point_reference_on_awkward_inputs(data):
+    # NaN and infinite tops, t rows unsorted, with NaN, or sorted: the column
+    # runs of a sorted row and the one-point fibres of any other row agree
+    # with the claim rule point by point
+    K, P, N = (data.draw(st.integers(1, hi)) for hi in (4, 5, 7))
+    tops = data.draw(st.lists(st.lists(st.sampled_from(_TOPS), min_size=P, max_size=P),
+                              min_size=K, max_size=K))
+    strict = data.draw(st.lists(st.booleans(), min_size=K, max_size=K))
+    t = np.array(data.draw(st.lists(st.sampled_from(_TS), min_size=N, max_size=N)))
+    if data.draw(st.booleans()):
+        t = np.sort(t)  # NaN sorts last
+    field = table_field(tops, strict)
+    pos = np.arange(P, dtype=float)[:, None]
+    got = field._sample(pos, t[None, :], "psi", "phi_t", "Psi")
+    want = np.array([[sample_point(field, p, s) for s in t] for p in pos[:, 0]])
+    assert np.array_equal(got[0], want[..., 0])
+    for value, expected in zip(got[1:], np.moveaxis(want[..., 1:], -1, 0)):
+        assert np.array_equal(value, expected, equal_nan=True)

@@ -131,7 +131,22 @@ def test_check_reports_infeasible_construction(capsys):
     code, out, _ = run(capsys, ["check", "harmonic", "--m", "0",
                                 "--M", "1", "--beta", "1"])
     assert code == 1
-    assert "jump-energy test violated" in out
+    assert out == "construction failed: jump-energy test violated: 0.75 > 0.25\n"
+
+    # the JSON report keeps where the hypothesis failed and its numbers
+    code, out, _ = run(capsys, ["check", "indicator-two-piece", "--n", "2", "--beta", "1",
+                                "--gamma", "0.34", "--format", "json"])
+    doc = json.loads(out)
+    assert code == 1 and doc["construction_error"].startswith("monotonicity certificate fails")
+    assert doc["construction_location"] > 1.0
+    assert set(doc["construction_details"]) == {"excess", "gamma"}
+    assert doc["construction_details"]["gamma"] == 0.34
+    assert doc["construction_details"]["excess"] > 0.0
+    # a violation raised without them
+    code, out, _ = run(capsys, ["check", "ball-harmonic", "--n", "3", "--beta", "1", "--R", "1.5",
+                                "--format", "json"])
+    doc = json.loads(out)
+    assert (code, doc["construction_location"], doc["construction_details"]) == (1, None, {})
 
 
 def test_check_flags_uncertified_grid_runs(capsys):
@@ -142,6 +157,16 @@ def test_check_flags_uncertified_grid_runs(capsys):
                                 "--samples", "64"])
     assert code == 1
     assert "below n - 1/2" in out
+
+
+def test_divergence_mode_option_is_gone(capsys):
+    # the divergence has one mode, exact at the stretch ends
+    for mode in ("auto", "fd"):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "indicator-const", "--n", "2", "--beta", "0.3", "--gamma", "0.4",
+                  "--divergence-mode", mode])
+        assert exc.value.code == 2
+    assert "--divergence-mode" in capsys.readouterr().err
 
 
 def test_check_json_format(capsys):
@@ -227,12 +252,9 @@ def test_check_emits_the_recorded_report(case, capsys):
     assert (code, json.loads(out)) == (expected["exit"], expected["report"])
 
 
-# reports recorded before the grid pass reused its block buffers: fd mode
-# samples its stencil while the block's buffers are in use, and at 200
-# samples the grid splits into blocks of 163 and 37 fibres
+# at 200 samples the grid splits into blocks of 163 and 37 fibres, which
+# reuse the block buffers of the first
 BLOCK_REUSE_CASES = {
-    "ball-harmonic-fd": CHECK_CASES["ball-harmonic"] + ["--samples", "64",
-                                                        "--divergence-mode", "fd"],
     "ball-harmonic-200": CHECK_CASES["ball-harmonic"] + ["--samples", "200"],
     "indicator-two-piece-200": CHECK_CASES["indicator-two-piece"] + ["--samples", "200"],
 }

@@ -1,18 +1,22 @@
 """Unit tests for the grid verifier."""
 
+import argparse
 import dataclasses
 import json
 import math
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
 from calx.calibration_fields import (
     CalibParams1D,
+    HypothesisViolation,
     PiecewiseField,
     affine_profile,
     build_field_1d,
@@ -22,7 +26,7 @@ from calx.calibration_fields import (
     build_field_indicator_two_piece,
     radial_shell_profile,
 )
-from calx import verifier
+from calx import cli, verifier
 from calx.potentials import delta_robin, robin_bracket
 from calx.verifier import (
     CalibratedFunction,
@@ -35,6 +39,10 @@ from calx.verifier import (
     perturb_phi_t,
     verify_all,
 )
+from grid_reference import central_difference, grid_divergence
+
+sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
+from workloads import CERTIFY_CELLS, REFUTE_CELLS  # noqa: E402
 
 GAMMA_EL_SQ_2_2_2 = 0.21078627566065199313129689492651333031406165486519
 
@@ -52,8 +60,10 @@ def test_config_validation():
         VerifyConfig(pos_res=4)
     with pytest.raises(ValueError):
         VerifyConfig(tol_a=0.0)
-    with pytest.raises(ValueError):
-        VerifyConfig(divergence_mode="magic")
+    # the divergence has one mode, exact at the stretch ends
+    for removed in ({"divergence_mode": "fd"}, {"fd_step": 1e-3}):
+        with pytest.raises(TypeError):
+            VerifyConfig(**removed)
     with pytest.raises(ValueError):
         VerifyConfig(axioms=("a", "c"))
     with pytest.raises(ValueError):
@@ -390,7 +400,7 @@ def test_nonfinite_samples_fail_with_a_nan_margin():
 
 @pytest.mark.parametrize("case, axiom, part", [
     ("NaN at a grid node", "divflux", "bounded"),
-    ("NaN at a stencil point only", "divflux", "div"),
+    ("NaN in dpsi_dpos at a stretch end only", "divflux", "div"),
     ("NaN jump end", "b_prime", "b_prime"),
     ("+inf at a grid node", "a", "a"),
 ])
@@ -402,16 +412,15 @@ def test_nonfinite_divergence_and_jump_samples_fail_with_a_nan_margin(case, axio
     calibrated = None
     if case == "NaN jump end":
         calibrated = dataclasses.replace(field.calibrated, jumps=((1.0, 0.0, np.nan, -1.0),))
-    elif case == "NaN at a stencil point only":
-        # psi is NaN only where the fd-mode pos stencil of one grid node reads
-        cfg = dataclasses.replace(cfg, divergence_mode="fd")
+    elif case == "NaN in dpsi_dpos at a stretch end only":
+        # the grid samples psi and phi_t only: dpsi_dpos is read at the ends
+        # of the one region's stretch [0, t_max] of each fibre
         region = field.regions[0]
 
-        def psi(p, tt):
-            hole = (np.abs(p - (pos[5] + cfg.fd_step)) < 1e-9) & (np.abs(tt - t[7]) < 1e-9)
-            return np.where(hole, np.nan, region.psi(p, tt))
+        def dpsi(p, tt):
+            return np.where((p == pos[5]) & (tt == field.t_max), np.nan, region.dpsi_dpos(p, tt))
 
-        field = dataclasses.replace(field, regions=(dataclasses.replace(region, psi=psi),))
+        field = dataclasses.replace(field, regions=(dataclasses.replace(region, dpsi_dpos=dpsi),))
     else:
         # phi_t is bumped at one grid node
         amount = np.inf if case.startswith("+inf") else np.nan
@@ -471,6 +480,87 @@ def test_phi_t_is_quadratic_in_t():
             assert np.all(np.abs(third) <= 1e-12 * scale), (field.kind, region.name)
 
 
+@pytest.mark.parametrize("case", sorted(CHECK_FIELDS))
+def test_every_check_field_declares_the_derivative_of_its_psi(case):
+    # each region's dpsi_dpos against a central difference of psi along pos,
+    # wherever the stencil stays in the region of its centre
+    field = CHECK_FIELDS[case]()
+    P = np.linspace(*field.pos_range, 97)[:, None]
+    T = np.linspace(0.0, field.t_max, 97)[None, :]
+    P, T = np.broadcast_arrays(P, T)
+    idx = field.region_index(P, T)
+    fd, ok = central_difference(field, P, T, 1e-6)
+    assert ok.sum() > 0.95 * ok.size
+    for k, region in enumerate(field.regions):
+        at = ok & (idx == k)
+        exact = region.dpsi_dpos(P[at], T[at])
+        assert np.all(np.abs(fd[at] - exact) <= 1e-7 * (1.0 + np.abs(exact))), region.name
+
+
+BENCHMARK_CELLS = [(kind, cell) for kind, cells in sorted(CERTIFY_CELLS.items())
+                   for cell in cells] + list(REFUTE_CELLS)
+
+
+@st.composite
+def divergence_fields(draw):
+    """A field of a benchmark cell, or one built from random parameters."""
+    source = draw(st.sampled_from(["benchmark", "1d", "shell", "indicator-const",
+                                   "indicator-two-piece", "ball-harmonic"]))
+    n, beta = draw(st.integers(1, 3)), draw(st.floats(0.2, 5.0))
+    gamma_, R = draw(st.floats(0.0, 2.0)), draw(st.floats(1.05, 3.0))
+    try:
+        if source == "benchmark":
+            kind, cell = draw(st.sampled_from(BENCHMARK_CELLS))
+            return cli._FIELDS[kind](cli._Options(argparse.Namespace(**cell), {}), [])
+        if source == "1d":
+            return build_field_1d(CalibParams1D.from_traces(draw(st.floats(0.0, 0.95)), 1.0, beta))
+        if source == "shell":
+            return harmonic_field(radial_shell_profile(n, beta, R), beta)
+        if source == "indicator-const":
+            return build_field_indicator_const(n, beta, max(beta, gamma_))
+        if source == "indicator-two-piece":
+            return build_field_indicator_two_piece(n, beta, gamma_)
+        bracket = robin_bracket(n, beta, R)
+        assume(bracket >= 0.0)
+        return build_field_ball_harmonic(n, beta, math.sqrt(bracket), R, enforce_beta=False)
+    except HypothesisViolation:
+        assume(False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(divergence_fields(), st.sampled_from([16, 37, 64]), st.data())
+def test_stretch_ends_bound_the_divergence_at_every_grid_point(field, res, data):
+    # the divergence is affine in t on each region's stretch, so no grid
+    # point of a fibre exceeds the larger of its region's two stretch ends
+    cfg = VerifyConfig(pos_res=res, t_res=res, pair_res=res, axioms=("divflux",))
+    result = check_divergence_and_flux(field, cfg)
+    P = np.linspace(*field.pos_range, res)[:, None]
+    T = np.linspace(0.0, field.t_max, res)[None, :]
+    div, valid, scale = grid_divergence(field, P, T)
+    assert valid.all()
+    ulps = 64.0 * np.finfo(float).eps
+    assert np.max(div) <= result.meta["div_worst"] + ulps * (1.0 + np.max(scale))
+
+    # a dpsi_dpos off by shift (1 + slope t) in one region that owns a
+    # stretch fails at both ends of each of its stretches, and its stretch
+    # ends still bound the grid
+    ridx = field.region_index(P, T)
+    k = data.draw(st.sampled_from(sorted(set(ridx.ravel()) - {-1})))
+    shift = data.draw(st.sampled_from([-0.5, 1e-4, 2e-3]))
+    slope = data.draw(st.sampled_from([0.0, 1.0]))
+    region = field.regions[k]
+    mutated = dataclasses.replace(
+        region, dpsi_dpos=lambda p, t: region.dpsi_dpos(p, t) + shift * (1.0 + slope * t))
+    field = dataclasses.replace(field, regions=field.regions[:k] + (mutated,)
+                                + field.regions[k + 1:])
+    result = check_divergence_and_flux(field, cfg)
+    assert result.status == "fail"
+    assert result.n_violations >= 2 * np.count_nonzero((ridx == k).any(axis=1))
+    assert "div" in {v.axiom for v in result.violations}
+    div, _, scale = grid_divergence(field, P, T)
+    assert np.max(div) <= result.meta["div_worst"] + ulps * (1.0 + np.max(scale))
+
+
 def test_grid_doubling_keeps_the_verdict():
     field = ball_field()
     for res in (64, 128):
@@ -480,13 +570,18 @@ def test_grid_doubling_keeps_the_verdict():
 
 
 def test_divergence_modes_agree_on_a_smooth_field():
+    # the stretch-end check and the divergence at every grid point with a
+    # central difference of psi along pos both pass
     field = build_field_indicator_const(2, 0.3, 0.4)
-    for mode in ("auto", "fd"):
-        cfg = VerifyConfig(pos_res=64, t_res=64, pair_res=64,
-                           divergence_mode=mode)
-        report = verify_all(field, config=cfg)
-        assert report.passed, (mode, report.summary_table())
-        assert report.results["divflux"].meta["divergence_mode"] == mode
+    cfg = VerifyConfig(pos_res=64, t_res=64, pair_res=64)
+    report = verify_all(field, config=cfg)
+    assert report.passed, report.summary_table()
+    assert report.results["divflux"].meta["div_worst"] <= cfg.tol_div
+    P, T = np.linspace(*field.pos_range, 64)[:, None], np.linspace(0.0, field.t_max, 64)[None, :]
+    dpsi, ok = central_difference(field, P, T, 1e-3)
+    div, valid, _ = grid_divergence(field, P, T, dpsi)
+    assert ok.sum() == 62 * 64
+    assert np.max(div, where=ok & valid, initial=0.0) <= cfg.tol_div
 
 
 def test_axioms_classify_each_grid_once(monkeypatch):
@@ -502,17 +597,15 @@ def test_axioms_classify_each_grid_once(monkeypatch):
         return out
 
     monkeypatch.setattr(PiecewiseField, "_sample", counting)
-    # the centre only; fd mode adds both pos-stencil sides
     result = check_divergence_and_flux(field, cfg)
-    assert passes.count(grid) == 1
-    assert result.meta["n_div_checked"] == grid
+    # the divergence reads both ends of each region's stretch of every fibre
+    ends = result.meta["n_div_checked"] + result.meta["n_div_skipped"]
+    assert ends == 2 * cfg.pos_res * len(field.regions)
+    assert 2 * cfg.pos_res <= result.meta["n_div_checked"] < ends
     # one pass for the one block, one for both sides of every interface
     flux_points = 2 * sum(cfg.pos_res if i.kind == "graph" else cfg.t_res
                           for i in field.interfaces)
     assert passes == [grid, flux_points]
-    passes.clear()
-    check_divergence_and_flux(field, dataclasses.replace(cfg, divergence_mode="fd"))
-    assert passes.count(grid) == 3
 
     # axiom (b) samples Psi once on the pos x pair grid: each region top
     # runs once, on the positions only
@@ -567,8 +660,8 @@ BLOCK_CASES = {
         pos_res=128, t_res=128, pair_res=200, max_recorded=20)),
     "planted (a) defect": lambda: (planted_box(), VerifyConfig(
         pos_res=96, t_res=96, pair_res=96, axioms=("a",), max_recorded=20)),
-    "fd divflux": lambda: (ball_field(), VerifyConfig(
-        pos_res=96, t_res=96, pair_res=96, axioms=("divflux",), divergence_mode="fd")),
+    "divflux": lambda: (ball_field(), VerifyConfig(
+        pos_res=96, t_res=96, pair_res=96, axioms=("divflux",))),
 }
 
 
@@ -612,7 +705,7 @@ def test_verify_all_samples_each_block_once(monkeypatch):
     verify_all(field, config=cfg)
     grid = [p for p in passes if p[1] == (1, cfg.t_res)]
     assert [p[0] for p in grid] == [(16, 1), (16, 1), (8, 1)]
-    assert all(set(p[2]) == {"psi", "phi_t", "dpsi_dpos", "dphi_t_dt", "Psi"} for p in grid)
+    assert all(set(p[2]) == {"psi", "phi_t", "Psi"} for p in grid)
 
 
 def test_perturbation_is_localized_to_one_node():
