@@ -54,8 +54,12 @@ def _scalar_or_array(out, cast=float):
     return cast(out) if out.ndim == 0 else out
 
 
-def _zero(pos, t):
-    return np.zeros_like(np.asarray(t, dtype=float))
+def _poly(coeffs, s, s2=None):
+    """``sum_k coeffs[k] s^k`` for up to three coefficients, ``s2`` being ``s^2``;
+    a coefficient that is the scalar 0 is skipped."""
+    terms = [c if k == 0 else c * (s if k == 1 else s2) for k, c in enumerate(coeffs)
+             if not (isinstance(c, (int, float)) and c == 0)]
+    return sum(terms[1:], terms[0]) if terms else 0.0
 
 
 def _zero_at(pos):
@@ -98,32 +102,28 @@ class Region:
     It must be elementwise in ``pos``, its value at a position independent
     of the other positions it is given: the grid pass evaluates it once on
     every position of the grid and hands each block of fibres its slice.
-    ``psi``, ``phi_t`` and ``dpsi_dpos`` are vectorized callables of
-    ``(pos, t)`` that may return any shape broadcasting to that of the
-    pair.  They run on whole fibres, ``pos`` of shape ``(P, 1)`` against a
-    row of ``t``, or against the two ends ``(P, 2)`` of the region's
-    stretch of each fibre, so they must be finite, and raise no warning,
-    at every ``t`` of a fibre their region touches, both ends included
-    (``phi_t`` also at ``t +- t_max``).  ``psi`` is the signed component
-    of ``phi_x`` along the field direction and must be affine in ``t``:
-    the field integrates it over the region's stretch ``[a, b]`` of each
-    fibre as ``(b - a) (psi(a) + psi(b)) / 2``, which is then exact.
-    ``phi_t`` must be at most quadratic in ``t``: the verifier
-    differentiates it as ``(phi_t(t + h) - phi_t(t - h)) / (2 h)`` with
-    ``h = t_max``, which is then exact, and checks the divergence, affine
-    in ``t`` on the stretch, at its two ends.  ``dpsi_dpos`` is the
-    analytic spatial derivative of ``psi``.
+    ``coeffs`` is a vectorized callable of ``pos`` that returns the
+    region's polynomials in ``s = t - anchor``, ``(p0, p1, c0, c1, c2, d0,
+    d1)``: ``psi = p0 + p1 s`` is the signed component of ``phi_x`` along
+    the field direction, ``phi_t = c0 + c1 s + c2 s^2``, and ``d0 + d1 s``
+    is the analytic spatial derivative of ``psi``.  Each coefficient is an
+    array that broadcasts against ``pos`` or a scalar, and a scalar 0 is
+    skipped.  ``coeffs`` runs only on the fibres the region touches, ``pos``
+    of shape ``(P, 1)`` or flat, so it must be finite, and raise no
+    warning, there.  ``anchor`` is the level at which the factors of the
+    polynomials vanish, if any (a top such as ``t = M``): expanded about it,
+    ``(M - t)^2 q^2`` is ``q^2 s^2`` and keeps its relative precision near
+    that top.
     """
 
     name: str
     condition: str
     top: Callable
-    psi: Callable
-    phi_t: Callable
-    dpsi_dpos: Callable
+    coeffs: Callable
     psi_formula: str = ""
     phi_t_formula: str = ""
     strict: bool = False
+    anchor: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -218,13 +218,13 @@ class PiecewiseField:
         flattened to ``(K, 1)`` each.  Every top runs once on the positions,
         unless ``tops`` gives each region's top at ``pos``.  A region claims
         a run of columns of each fibre, found by a binary search of its top
-        in the row; its callables run once on the fibres it touches,
-        ``pos[rows]`` against the span of ``t`` of its runs, so factors of
-        ``pos`` alone are formed once per fibre, and the values are written
-        through the mask of the runs.  ``quantities`` names ``Region``
-        attributes (``psi``, ``phi_t``, ``dpsi_dpos``) or ``Psi``; a value is
-        NaN where no region claims the point.  ``phi_t`` includes
-        ``phi_t_bump``.  Arrays take the broadcast shape of ``pos`` and ``t``.
+        in the row; its ``coeffs`` run once on the fibres it touches,
+        ``pos[rows]``, and each quantity is formed as ``sum_k c_k s^k`` with
+        the powers of ``s = t - anchor`` taken on the span of ``t`` of its
+        runs, then written through the mask of the runs.  ``quantities``
+        names ``psi``, ``phi_t`` or ``Psi``; a value is NaN where no region
+        claims the point.  ``phi_t`` includes ``phi_t_bump``.  Arrays take
+        the broadcast shape of ``pos`` and ``t``.
 
         ``out``, for a grid of fibres, holds the arrays to fill and return:
         the index (int) and one float array per quantity, each with ``N``
@@ -276,22 +276,26 @@ class PiecewiseField:
                 mk = (b.min() - a.max() == cols.stop - cols.start
                       or (columns[cols] >= a) & (columns[cols] < b))
                 _put(idx, rows, cols, mk, k)
-                psi = region.psi(pk, tk) if {"psi", "Psi"} & set(quantities) else None
+                if quantities:
+                    coeffs, s = region.coeffs(pk), tk - region.anchor
+                    psi = _poly(coeffs[:2], s)
                 for name, array in zip(quantities, values):
                     if name == "psi":
                         value = psi
                     elif name == "Psi":
                         lo = stretches[k][0][rows]
-                        value = below[rows] + 0.5 * (tk - lo) * (region.psi(pk, lo) + psi)
+                        value = below[rows] + 0.5 * (tk - lo) * (
+                            _poly(coeffs[:2], lo - region.anchor) + psi)
                     else:
-                        value = getattr(region, name)(pk, tk)
+                        value = _poly(coeffs[2:5], s, s * s)
                     _put(array, rows, cols, mk, value)
             if stretches is not None:
                 lo, hi = stretches[k]
                 whole = (hi > lo) & (end < N)[:, None]  # where a region above claims a point
                 if whole.any():
-                    pw, a, b = pos[whole], lo[whole], hi[whole]
-                    below[whole] += 0.5 * (b - a) * (region.psi(pw, a) + region.psi(pw, b))
+                    a, b, affine = lo[whole], hi[whole], region.coeffs(pos[whole])[:2]
+                    below[whole] += 0.5 * (b - a) * (_poly(affine, a - region.anchor)
+                                                     + _poly(affine, b - region.anchor))
         if "phi_t" in quantities and self.phi_t_bump is not None:
             pos0, t0, amount, hw_pos, hw_t = self.phi_t_bump
             box = (np.abs(pos - pos0) <= hw_pos) & (np.abs(t - t0) <= hw_t)
@@ -453,11 +457,11 @@ def radial_shell_profile(n, beta, R):
     )
 
 
-def _gradient_band(profile):
-    """``psi = 2 grad(u)`` and its spatial derivative: the field of the band up to
-    the graph of ``profile``, as ``(psi, dpsi_dpos)``."""
-    return (lambda pos, t: 2.0 * profile.grad_component(pos),
-            lambda pos, t: 2.0 * profile.grad_prime(pos))
+def _gradient_band(profile, phi_t):
+    """The coefficients of the band up to the graph of ``profile``: ``psi = 2
+    grad(u)`` and ``phi_t(pos)``, both constant in ``t``."""
+    return lambda pos: (2.0 * profile.grad_component(pos), 0, phi_t(pos), 0, 0,
+                        2.0 * profile.grad_prime(pos), 0)
 
 
 def _jump_energy(m, M, beta0):
@@ -596,7 +600,7 @@ class CalibParams1D:
 def _zero_field(kind, profile, params_dict, calibrated):
     """Degenerate field for a constant profile: identically (0, 0)."""
 
-    region = Region("everything", "all t", _unbounded, _zero, _zero, _zero, "0", "0")
+    region = Region("everything", "all t", _unbounded, lambda pos: (0,) * 7, "0", "0")
     return PiecewiseField(
         kind=kind,
         geometry=profile.geometry,
@@ -661,50 +665,30 @@ def _template_field(params, profile, kind):
     def g_sigma_prime(pos):
         return sigma * gcomp(pos) / tau
 
-    def below_psi(pos, t):
-        return -2.0 * lam * t * factor(pos)
+    def below_coeffs(pos):
+        f = factor(pos)
+        return 0, -2.0 * lam * f, (lam * m) ** 2 * f ** 2, 0, 0, 0, -2.0 * lam * gprime(pos) / tau
 
-    def below_phi_t(pos, t):
-        return (lam * m) ** 2 * factor(pos) ** 2
+    def lower_coeffs(pos):
+        f = factor(pos)
+        return (-2.0 * lam * m * f, 0, (lam * m) ** 2 * f ** 2, 0, 0,
+                -2.0 * lam * m * gprime(pos) / tau, 0)
 
-    def below_dpsi(pos, t):
-        return -2.0 * lam * t * gprime(pos) / tau
-
-    def lower_psi(pos, t):
-        return -2.0 * lam * m * factor(pos)
-
-    def lower_dpsi(pos, t):
-        return -2.0 * lam * m * gprime(pos) / tau
-
-    band_psi, band_dpsi = _gradient_band(profile)
-
-    def band_phi_t(pos, t):
-        return gcomp(pos) ** 2
-
-    def above_psi(pos, t):
-        w = w_of(pos)
-        return 2.0 * (M - t) / (1.0 - w) * factor(pos)
-
-    def above_phi_t(pos, t):
-        w = w_of(pos)
-        return ((M - t) / (1.0 - w)) ** 2 * factor(pos) ** 2
-
-    def above_dpsi(pos, t):
-        w = w_of(pos)
-        g = gcomp(pos)
-        return (2.0 * (M - t) / (1.0 - w) ** 2 * (g / tau) ** 2
-                + 2.0 * (M - t) / (1.0 - w) * gprime(pos) / tau)
+    def above_coeffs(pos):
+        # in s = t - M: psi = -2 q s and phi_t = q^2 s^2, with q = grad(u)/(M-u)
+        gap = 1.0 - w_of(pos)
+        q = factor(pos) / gap
+        return 0, -2.0 * q, 0, 0, q * q, 0, -2.0 * (q * q + gprime(pos) / tau / gap)
 
     regions = (
-        Region("below-data", "t < m", g_data, below_psi, below_phi_t, below_dpsi,
+        Region("below-data", "t < m", g_data, below_coeffs,
                "-2 lam t grad(u)/(M-m)", "(lam m)^2 |grad(u)/(M-m)|^2", strict=True),
-        Region("lower-band", "m <= t < m + sigma w", g_sigma, lower_psi,
-               below_phi_t, lower_dpsi,
+        Region("lower-band", "m <= t < m + sigma w", g_sigma, lower_coeffs,
                "-2 lam m grad(u)/(M-m)", "(lam m)^2 |grad(u)/(M-m)|^2", strict=True),
-        Region("graph-band", "m + sigma w <= t <= u", value, band_psi,
-               band_phi_t, band_dpsi, "2 grad(u)", "|grad(u)|^2"),
-        Region("above-graph", "t > u", _unbounded, above_psi, above_phi_t, above_dpsi,
-               "2 (M-t)/(M-u) grad(u)", "((M-t)/(M-u))^2 |grad(u)|^2"),
+        Region("graph-band", "m + sigma w <= t <= u", value,
+               _gradient_band(profile, lambda pos: gcomp(pos) ** 2), "2 grad(u)", "|grad(u)|^2"),
+        Region("above-graph", "t > u", _unbounded, above_coeffs,
+               "2 (M-t)/(M-u) grad(u)", "((M-t)/(M-u))^2 |grad(u)|^2", anchor=M),
     )
 
     interfaces = []
@@ -790,14 +774,11 @@ def build_field_indicator_const(n, beta, gamma_):
             details={"beta": beta, "gamma": gamma_},
         )
 
-    def psi(pos, t):
-        return -2.0 * beta * t * np.asarray(pos, dtype=float) ** (1 - n)
+    def coeffs(pos):
+        r = np.asarray(pos, dtype=float)
+        return 0, -2.0 * beta * r ** (1 - n), 0, 0, 0, 0, 2.0 * (n - 1) * beta * r ** (-n)
 
-    def dpsi(pos, t):
-        return 2.0 * (n - 1) * beta * t * np.asarray(pos, dtype=float) ** (-n)
-
-    region = Region("whole-domain", "0 <= t <= 1", _unbounded, psi, _zero, dpsi,
-                    "-2 beta t r^(1-n)", "0")
+    region = Region("whole-domain", "0 <= t <= 1", _unbounded, coeffs, "-2 beta t r^(1-n)", "0")
     return PiecewiseField(
         kind="indicator-const",
         geometry="radial",
@@ -810,6 +791,17 @@ def build_field_indicator_const(n, beta, gamma_):
         interfaces=(),
         calibrated=_unit_ball_indicator(gamma_ ** 2),
     )
+
+
+def _above_trace(n, level):
+    """The coefficients in ``s = t - 1`` of ``psi = -2 (1-t) K(r)`` and ``phi_t =
+    (1-t)^2 K(r)^2 - level(r)``, ``K = 1 / (r^(n-1) gamma(r))``."""
+
+    def coeffs(pos):
+        K = _K_factor(n, pos)
+        return 0, 2.0 * K, -level(pos), 0, K * K, 0, -2.0 * K * K * _G_prime(n, pos)
+
+    return coeffs
 
 
 def _trace_pieces(n, beta, pos_range):
@@ -828,26 +820,15 @@ def _trace_pieces(n, beta, pos_range):
     def g_trace_prime(pos):
         return delta_robin_prime(n, beta, pos)
 
-    def lower_psi(pos, t):
-        return -2.0 * beta * t
-
-    def lower_phi_t(pos, t):
-        return (n - 1) * beta * t ** 2 / np.asarray(pos, dtype=float)
-
-    def upper_psi(pos, t):
-        return -2.0 * (1.0 - t) * _K_factor(n, pos)
-
-    def upper_phi_t(pos, t):
-        return (1.0 - t) ** 2 * _K_factor(n, pos) ** 2 - robin_bracket(n, beta, pos)
-
-    def upper_dpsi(pos, t):
-        return 2.0 * (1.0 - t) * _K_factor(n, pos) ** 2 * _G_prime(n, pos)
+    def lower_coeffs(pos):
+        return 0, -2.0 * beta, 0, 0, (n - 1) * beta / np.asarray(pos, dtype=float), 0, 0
 
     return (
-        Region("below-trace", "t <= delta(r)", g_trace, lower_psi, lower_phi_t, _zero,
+        Region("below-trace", "t <= delta(r)", g_trace, lower_coeffs,
                "-2 beta t", "(n-1) beta t^2 / r"),
-        Region("above-trace", "t > delta(r)", _unbounded, upper_psi, upper_phi_t, upper_dpsi,
-               "-2 (1-t) K(r)", "(1-t)^2 K(r)^2 - (beta^2-(n-1)beta/r) delta(r)^2"),
+        Region("above-trace", "t > delta(r)", _unbounded,
+               _above_trace(n, lambda pos: robin_bracket(n, beta, pos)),
+               "-2 (1-t) K(r)", "(1-t)^2 K(r)^2 - (beta^2-(n-1)beta/r) delta(r)^2", anchor=1.0),
         Interface(name="trace-curve", kind="graph", pos_range=pos_range,
                   g=g_trace, g_prime=g_trace_prime, description="t = delta(r)"),
     )
@@ -938,32 +919,24 @@ def build_field_ball_harmonic(n, beta, gamma_, R, enforce_beta=True):
     def g_level(pos):
         return np.full_like(np.asarray(pos, dtype=float), dR)
 
-    def b_psi(pos, t):
-        return np.full_like(np.asarray(t, dtype=float), -2.0 * beta * dR)
+    def b_coeffs(pos):
+        k = (n - 1) * beta * dR / np.asarray(pos, dtype=float)
+        return -2.0 * beta * dR, 0, -k * dR, 2.0 * k, 0, 0, 0
 
-    def b_phi_t(pos, t):
-        return (n - 1) * beta * dR * (2.0 * t - dR) / np.asarray(pos, dtype=float)
-
-    c_psi, c_dpsi = _gradient_band(profile)
-
-    def c_phi_t(pos, t):
+    def c_phi_t(pos):
         return amp ** 2 * np.asarray(pos, dtype=float) ** (2 - 2 * n) - gamma_sq
-
-    def d_phi_t(pos, t):
-        return (1.0 - t) ** 2 * _K_factor(n, pos) ** 2 - gamma_sq
 
     regions = (
         replace(below, name="inner-below-trace", condition="r <= R, t <= delta(R)",
                 top=_inside(R, g_level)),
         Region("inner-transition", "r <= R, delta(R) < t <= rho(r)", _inside(R, rho_of),
-               b_psi, b_phi_t, _zero,
-               "-2 beta delta(R)", "(n-1) beta delta(R)(2t - delta(R))/r"),
-        Region("inner-gradient", "r <= R, rho(r) < t <= u(r)", _inside(R, u_of), c_psi,
-               c_phi_t, c_dpsi,
+               b_coeffs, "-2 beta delta(R)", "(n-1) beta delta(R)(2t - delta(R))/r"),
+        Region("inner-gradient", "r <= R, rho(r) < t <= u(r)", _inside(R, u_of),
+               _gradient_band(profile, c_phi_t),
                "-2 beta delta(R) (R/r)^(n-1)",
                "(beta delta(R))^2 (R/r)^(2n-2) - gamma^2"),
         replace(above, name="inner-above-graph", condition="r <= R, t > u(r)",
-                top=_inside(R, _unbounded), phi_t=d_phi_t,
+                top=_inside(R, _unbounded), coeffs=_above_trace(n, lambda pos: gamma_sq),
                 phi_t_formula="(1-t)^2 K(r)^2 - gamma^2"),
         replace(below, name="outer-below-trace", condition="r > R, t <= delta(r)"),
         replace(above, name="outer-above-trace", condition="r > R, t > delta(r)"),

@@ -26,7 +26,8 @@ verification fails, 2 on usage errors: a NaN or infinite number, an
 out-of-range dimension, or a number that overflows a float.  Options
 may also be supplied through ``--config FILE`` (a flat JSON object
 keyed by option name); explicit flags win over the file, the file wins
-over defaults.
+over defaults, and a key that names no flag of the command is a usage
+error.
 """
 
 from __future__ import annotations
@@ -81,6 +82,10 @@ class _Options:
     def __init__(self, args, config):
         self.args = args
         self.config = config
+        # the keys of the command's flags; any other key would go unread
+        unknown = set(config) - (set(vars(args)) - {"command", "config", "handler", "kind"})
+        if unknown:
+            raise _UsageError("unknown option in config: {}".format(", ".join(sorted(unknown))))
         for name in {**config, **vars(args)}:  # an error even if the chosen kind never reads it
             value = self.get(name)
             if isinstance(value, float):

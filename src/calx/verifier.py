@@ -11,14 +11,14 @@ come from one pass over blocks of whole fibres (fixed ``pos``, every
 of every selected group, which are merged in block order.  The pass
 allocates one set of block buffers, which every block samples and forms
 its margins into, and runs each region top once on every position.  The
-divergence is affine in ``t`` on each region's stretch of a fibre, so it
-is checked at the two ends of every stretch, from the regions' own
-derivatives: every region declares the analytic spatial derivative of
-``phi_x``, because several constructions contain factors like
+divergence comes from the polynomials in ``t`` each region declares, with
+no difference quotient: ``d0 + d1 s`` is the analytic spatial derivative
+of ``phi_x``, because several constructions contain factors like
 ``1/(r^(n-1) Gamma(r))`` whose finite differences are hopeless near
-``r = 1``, and the time derivative of ``phi_t`` is exact from each
-region's own ``phi_t``, which is at most quadratic in ``t``.  The flux
-check samples both sides of every interface in one more pass.
+``r = 1``, and ``c1 + 2 c2 s`` the time derivative of ``phi_t``.  It is
+affine in ``t`` on each region's stretch of a fibre, so it is checked at
+the two ends of every stretch.  The flux check samples both sides of
+every interface in one more pass.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from typing import Optional
 import numpy as np
 
 from calx.calibration_fields import CalibratedFunction  # noqa: F401  (re-exported)
+from calx.calibration_fields import _poly
 
 __all__ = [
     "VerifyConfig",
@@ -468,13 +469,13 @@ def check_divergence_and_flux(field, config=None):
 
     The divergence of a field directed along ``e_r`` is
     ``d(psi)/dr + (n-1) psi / r + d(phi_t)/dt`` (the middle term drops on
-    an interval), from the regions' own ``dpsi_dpos`` and ``phi_t``.  Along
-    a fibre it is affine in ``t`` on each region's stretch (``psi`` is
-    affine and ``phi_t`` at most quadratic), so its largest magnitude there
-    lies at an end: it is checked at both ends of every stretch a region
-    owns on each of the ``pos_res`` fibres.  ``n_div_checked`` counts those
-    ends and ``n_div_skipped`` the ends of the empty stretches, two per
-    fibre and region in all.  Boundedness asks for finite ``psi`` and
+    an interval).  In a region's coefficients in ``s = t - anchor`` it is
+    ``d0 + c1 + (d1 + 2 c2) s``, with ``(n-1) p0 / r`` and ``(n-1) p1 / r``
+    added to ``d0`` and ``d1`` on a radial field.  Affine in ``t``, its
+    largest magnitude on a region's stretch lies at an end: it is checked
+    at both ends of every stretch a region owns on each of the ``pos_res``
+    fibres.  ``n_div_checked`` counts those ends and ``n_div_skipped`` the
+    ends of the empty stretches, two per fibre and region in all.  Boundedness asks for finite ``psi`` and
     ``phi_t`` at every grid point.  Interface flux continuity compares the
     two side limits of ``phi . normal`` along each declared interface.
     """
@@ -489,7 +490,6 @@ def _divergence(field, config, pos, tops):
     its region claims a point of ``[0, t_max]``; an end of an empty stretch
     scores divergence 0: margin ``tol_div``, which no checked end exceeds."""
 
-    P, h = pos[:, None], field.t_max
     div = np.zeros((pos.size, len(tops), 2))
     ends = np.empty_like(div)
     checked, closed = 0, np.False_  # closed: where a region below claims lo itself
@@ -501,12 +501,11 @@ def _divergence(field, config, pos, tops):
         rows = np.flatnonzero(~(hi <= lo) | (at_lo & ~closed))
         closed = at_hi | (closed & (hi == lo))
         if rows.size:
-            p, t = P[rows], ends[rows, k]
-            value = (region.dpsi_dpos(p, t)
-                     + (region.phi_t(p, t + h) - region.phi_t(p, t - h)) / (2.0 * h))
+            p = pos[rows, None]
+            p0, p1, _, c1, c2, d0, d1 = region.coeffs(p)
             if field.geometry == "radial":
-                value = value + (field.n - 1) * region.psi(p, t) / p
-            div[rows, k] = np.abs(value)
+                d0, d1 = d0 + (field.n - 1) * p0 / p, d1 + (field.n - 1) * p1 / p
+            div[rows, k] = np.abs(_poly((d0 + c1, d1 + 2.0 * c2), ends[rows, k] - region.anchor))
             checked += 2 * rows.size
     tally = _tally("div", config.tol_div - div, (pos[:, None, None], ends), config.tol_div,
                    config.max_recorded, div)

@@ -310,11 +310,9 @@ def test_builders_reject_nan_parameters(build):
 
 
 def test_regions_and_graph_interfaces_declare_their_derivatives():
-    def zero(pos, t):
-        return 0.0 * t
-
+    # a region declares its coefficients, the derivative of psi among them
     with pytest.raises(TypeError):
-        Region("everything", "all t", lambda pos: np.inf + 0.0 * pos, zero, zero)
+        Region("everything", "all t", lambda pos: np.inf + 0.0 * pos)
     with pytest.raises(ValueError):
         Interface(name="curve", kind="graph", g=lambda pos: 0.0 * pos)
     assert Interface(name="sphere", kind="sphere", radius=2.0).g_prime is None
@@ -396,21 +394,28 @@ def test_field_description_is_json_serializable():
         assert len(doc["regions"]) == len(field.regions)
 
 
+def table_psi(k, pos, t):
+    """``psi`` of region ``k`` of :func:`table_field`."""
+    return (k + 1.0) * pos - (2.0 * k - 1.0) * t
+
+
+def table_phi_t(k, pos, t):
+    """``phi_t`` of region ``k`` of :func:`table_field`."""
+    return pos + (k - 1.5) * t ** 2
+
+
 def table_field(tops, strict):
     """Regions whose tops are read from ``tops[k][i]`` at position ``i``, with
-    ``psi`` affine and ``phi_t`` quadratic in ``t``."""
+    ``psi`` and ``phi_t`` those of :func:`table_psi` and :func:`table_phi_t`."""
 
     def region(k):
         def top(pos):
             return np.asarray(tops[k], dtype=float)[np.asarray(pos, dtype=int)]
 
-        def psi(pos, t):
-            return (k + 1.0) * np.asarray(pos) - (2.0 * k - 1.0) * np.asarray(t)
+        def coeffs(pos):
+            return (k + 1.0) * pos, -(2.0 * k - 1.0), pos, 0, k - 1.5, 0, 0
 
-        def phi_t(pos, t):
-            return (k - 1.5) * np.asarray(t) ** 2 + np.asarray(pos)
-
-        return Region("r{}".format(k), "", top, psi, phi_t, phi_t, strict=strict[k])
+        return Region("r{}".format(k), "", top, coeffs, strict=strict[k])
 
     return PiecewiseField(
         kind="table", geometry="interval", n=1, pos_range=(0.0, 1.0), t_max=1.0,
@@ -418,8 +423,8 @@ def table_field(tops, strict):
 
 
 def sample_point(field, p, t):
-    """``(index, psi, phi_t, Psi)`` at one point, by the claim rule and the
-    stretch integrals written out."""
+    """``(index, psi, phi_t, Psi)`` at one point of a :func:`table_field`, by the claim
+    rule and the stretch integrals written out."""
 
     tops = [np.float64(region.top(p)) for region in field.regions]
     for k, (region, top) in enumerate(zip(field.regions, tops)):
@@ -428,13 +433,13 @@ def sample_point(field, p, t):
     else:
         return -1, np.nan, np.nan, np.nan
     lo, below = np.float64(0.0), np.float64(0.0)
-    for below_region, top in zip(field.regions[:k], tops):
+    for j, top in enumerate(tops[:k]):
         hi = np.minimum(np.maximum(lo, top), field.t_max)
         if hi > lo:
-            below += 0.5 * (hi - lo) * (below_region.psi(p, lo) + below_region.psi(p, hi))
+            below += 0.5 * (hi - lo) * (table_psi(j, p, lo) + table_psi(j, p, hi))
         lo = hi
-    psi = region.psi(p, t)
-    return k, psi, region.phi_t(p, t), below + 0.5 * (t - lo) * (region.psi(p, lo) + psi)
+    psi = table_psi(k, p, t)
+    return k, psi, table_phi_t(k, p, t), below + 0.5 * (t - lo) * (table_psi(k, p, lo) + psi)
 
 
 _TOPS = [np.nan, np.inf, -np.inf, -0.5, 0.0, 0.25, 0.5, 1.0, 1.5]

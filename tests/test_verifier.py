@@ -39,7 +39,7 @@ from calx.verifier import (
     perturb_phi_t,
     verify_all,
 )
-from grid_reference import central_difference, grid_divergence
+from grid_reference import central_difference, grid_divergence, region_callables
 
 sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
 from workloads import CERTIFY_CELLS, REFUTE_CELLS  # noqa: E402
@@ -400,7 +400,7 @@ def test_nonfinite_samples_fail_with_a_nan_margin():
 
 @pytest.mark.parametrize("case, axiom, part", [
     ("NaN at a grid node", "divflux", "bounded"),
-    ("NaN in dpsi_dpos at a stretch end only", "divflux", "div"),
+    ("NaN d1 on one fibre", "divflux", "div"),
     ("NaN jump end", "b_prime", "b_prime"),
     ("+inf at a grid node", "a", "a"),
 ])
@@ -412,25 +412,30 @@ def test_nonfinite_divergence_and_jump_samples_fail_with_a_nan_margin(case, axio
     calibrated = None
     if case == "NaN jump end":
         calibrated = dataclasses.replace(field.calibrated, jumps=((1.0, 0.0, np.nan, -1.0),))
-    elif case == "NaN in dpsi_dpos at a stretch end only":
-        # the grid samples psi and phi_t only: dpsi_dpos is read at the ends
-        # of the one region's stretch [0, t_max] of each fibre
+    elif case == "NaN d1 on one fibre":
+        # the grid samples psi and phi_t only: d0 + d1 s is read at the two
+        # ends of the one region's stretch [0, t_max] of each fibre, and
+        # NaN times s is NaN at both, s = 0 included
         region = field.regions[0]
 
-        def dpsi(p, tt):
-            return np.where((p == pos[5]) & (tt == field.t_max), np.nan, region.dpsi_dpos(p, tt))
+        def coeffs(p):
+            *rest, d1 = region.coeffs(p)
+            return (*rest, np.where(p == pos[5], np.nan, d1))
 
-        field = dataclasses.replace(field, regions=(dataclasses.replace(region, dpsi_dpos=dpsi),))
+        field = dataclasses.replace(field, regions=(dataclasses.replace(region, coeffs=coeffs),))
     else:
         # phi_t is bumped at one grid node
         amount = np.inf if case.startswith("+inf") else np.nan
         field = perturb_phi_t(field, pos[5], t[7], amount, 1e-6, 1e-6)
     report = verify_all(field, calibrated, cfg)
     result = report.results[axiom]
-    assert result.status == "fail" and result.n_violations == 1
+    count = 2 if case == "NaN d1 on one fibre" else 1
+    assert result.status == "fail" and result.n_violations == count
     assert math.isnan(result.worst_margin)
-    assert result.violations[0].axiom == part
-    assert math.isnan(result.violations[0].residual)
+    assert [v.axiom for v in result.violations] == [part] * count
+    assert all(math.isnan(v.residual) for v in result.violations)
+    if case == "NaN d1 on one fibre":
+        assert [v.location for v in result.violations] == [(pos[5], 0.0), (pos[5], field.t_max)]
     assert report.passed is False
 
 
@@ -458,31 +463,9 @@ def test_psi_antiderivative_matches_quadrature():
             assert abs(got - expected) < 1e-9 + 10.0 * err
 
 
-def test_phi_t_is_quadratic_in_t():
-    # dphi_t_dt differences each region's phi_t over +-t_max, exact only
-    # if phi_t is at most quadratic in t: its third differences vanish
-    shell = radial_shell_profile(2, 0.5, 2.0)
-    for field in (limit_field(), ball_field(), build_field_indicator_const(3, 0.6, 0.8),
-                  build_field_indicator_two_piece(2, 1.0, 0.4),
-                  build_field_harmonic(shell, shell.m, shell.M, 0.5)):
-        lo, hi = field.pos_range
-        pos = np.linspace(lo + 1e-3, hi - 1e-3, 41)[:, None]
-        t = np.linspace(0.0, field.t_max, 41)[None, :]
-        ridx = field.region_index(pos, t)
-        h = field.t_max / 3.0
-        for k, region in enumerate(field.regions):
-            p, tt = np.broadcast_arrays(pos, t)
-            p, tt = p[ridx == k], tt[ridx == k]
-            assert p.size, (field.kind, region.name)
-            f = [region.phi_t(p, tt + j * h) for j in range(-1, 3)]
-            third = f[3] - 3.0 * f[2] + 3.0 * f[1] - f[0]
-            scale = 1.0 + np.max(np.abs(f), axis=0)
-            assert np.all(np.abs(third) <= 1e-12 * scale), (field.kind, region.name)
-
-
 @pytest.mark.parametrize("case", sorted(CHECK_FIELDS))
 def test_every_check_field_declares_the_derivative_of_its_psi(case):
-    # each region's dpsi_dpos against a central difference of psi along pos,
+    # each region's d0 + d1 s against a central difference of psi along pos,
     # wherever the stencil stays in the region of its centre
     field = CHECK_FIELDS[case]()
     P = np.linspace(*field.pos_range, 97)[:, None]
@@ -493,8 +476,48 @@ def test_every_check_field_declares_the_derivative_of_its_psi(case):
     assert ok.sum() > 0.95 * ok.size
     for k, region in enumerate(field.regions):
         at = ok & (idx == k)
-        exact = region.dpsi_dpos(P[at], T[at])
+        _, _, _, _, _, d0, d1 = region.coeffs(P[at])
+        exact = d0 + d1 * (T[at] - region.anchor)
         assert np.all(np.abs(fd[at] - exact) <= 1e-7 * (1.0 + np.abs(exact))), region.name
+
+
+def assert_coefficients_match_the_closed_forms(field, res=97):
+    """``psi`` and ``phi_t`` as sampled, and ``d0 + d1 s``, against each region's
+    closed-form callables at the grid points the region claims, to within a
+    few ulps of the largest term of either side."""
+
+    P = np.linspace(*field.pos_range, res)[:, None]
+    T = np.linspace(0.0, field.t_max, res)[None, :]
+    P, T = np.broadcast_arrays(P, T)
+    idx = field.region_index(P, T)
+    psi, phi_t = field.evaluate(P, T)
+    for k, (region, closed) in enumerate(zip(field.regions, region_callables(field))):
+        at = idx == k
+        p, t = P[at], T[at]
+        s = t - region.anchor
+        p0, p1, c0, c1, c2, d0, d1 = region.coeffs(p)
+        for name, got, terms, want in (
+                ("psi", psi[at], (p0, p1 * s), closed[0](p, t)),
+                ("phi_t", phi_t[at], (c0, c1 * s, c2 * s * s), closed[1](p, t)),
+                ("dpsi_dpos", d0 + d1 * s, (d0, d1 * s), closed[2](p, t))):
+            got, want, *terms = np.broadcast_arrays(got, want, *terms)
+            scale = np.maximum(np.max(np.abs(terms), axis=0), np.abs(want))
+            assert np.all(np.abs(got - want) <= 8.0 * np.finfo(float).eps * scale), (
+                field.kind, region.name, name)
+
+
+THIN_FIELDS = {
+    "harmonic shell, R = 1.001": lambda: harmonic_field(radial_shell_profile(2, 2.0, 1.001), 2.0),
+    "ball, R = 1.001": lambda: build_field_ball_harmonic(
+        3, 3.0, math.sqrt(robin_bracket(3, 3.0, 1.001)), 1.001),
+    "constant profile": lambda: build_field_1d(CalibParams1D.from_traces(1.0, 1.0, 2.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHECK_FIELDS) + sorted(THIN_FIELDS))
+def test_coefficients_match_the_closed_forms_on_check_fields(case):
+    field = {**CHECK_FIELDS, **THIN_FIELDS}[case]()
+    assert_coefficients_match_the_closed_forms(field, 1000 if "1.001" in case else 97)
 
 
 BENCHMARK_CELLS = [(kind, cell) for kind, cells in sorted(CERTIFY_CELLS.items())
@@ -528,6 +551,12 @@ def divergence_fields(draw):
 
 
 @settings(max_examples=60, deadline=None)
+@given(divergence_fields())
+def test_coefficients_match_the_closed_forms_on_random_fields(field):
+    assert_coefficients_match_the_closed_forms(field)
+
+
+@settings(max_examples=60, deadline=None)
 @given(divergence_fields(), st.sampled_from([16, 37, 64]), st.data())
 def test_stretch_ends_bound_the_divergence_at_every_grid_point(field, res, data):
     # the divergence is affine in t on each region's stretch, so no grid
@@ -541,7 +570,7 @@ def test_stretch_ends_bound_the_divergence_at_every_grid_point(field, res, data)
     ulps = 64.0 * np.finfo(float).eps
     assert np.max(div) <= result.meta["div_worst"] + ulps * (1.0 + np.max(scale))
 
-    # a dpsi_dpos off by shift (1 + slope t) in one region that owns a
+    # a d0 + d1 s off by shift (1 + slope t) in one region that owns a
     # stretch fails at both ends of each of its stretches, and its stretch
     # ends still bound the grid
     ridx = field.region_index(P, T)
@@ -549,8 +578,12 @@ def test_stretch_ends_bound_the_divergence_at_every_grid_point(field, res, data)
     shift = data.draw(st.sampled_from([-0.5, 1e-4, 2e-3]))
     slope = data.draw(st.sampled_from([0.0, 1.0]))
     region = field.regions[k]
-    mutated = dataclasses.replace(
-        region, dpsi_dpos=lambda p, t: region.dpsi_dpos(p, t) + shift * (1.0 + slope * t))
+
+    def coeffs(p):
+        *rest, d0, d1 = region.coeffs(p)
+        return (*rest, d0 + shift * (1.0 + slope * region.anchor), d1 + shift * slope)
+
+    mutated = dataclasses.replace(region, coeffs=coeffs)
     field = dataclasses.replace(field, regions=field.regions[:k] + (mutated,)
                                 + field.regions[k + 1:])
     result = check_divergence_and_flux(field, cfg)
