@@ -54,12 +54,32 @@ def _scalar_or_array(out, cast=float):
     return cast(out) if out.ndim == 0 else out
 
 
-def _poly(coeffs, s, s2=None):
-    """``sum_k coeffs[k] s^k`` for up to three coefficients, ``s2`` being ``s^2``;
-    a coefficient that is the scalar 0 is skipped."""
-    terms = [c if k == 0 else c * (s if k == 1 else s2) for k, c in enumerate(coeffs)
-             if not (isinstance(c, (int, float)) and c == 0)]
-    return sum(terms[1:], terms[0]) if terms else 0.0
+def _poly(coeffs, s, s2=None, out=None):
+    """``sum_k coeffs[k] s^k`` for up to three coefficients, ``s2`` being ``s^2``,
+    into ``out`` if given; a coefficient that is the scalar 0 is skipped.  The
+    first two terms are added the other way round, a power first, which changes
+    no bit (``x + y`` is ``y + x``), and then the third."""
+    terms = [(c, (None, s, s2)[k]) for k, c in enumerate(coeffs)
+             if not (isinstance(c, (int, float)) and c == 0)] or [(0.0, None)]
+    (c, power), *rest = terms[1::-1] + terms[2:]
+    out = np.multiply(c, 1.0 if power is None else power, out=out)
+    for c, power in rest:
+        out += c if power is None else c * power
+    return out
+
+
+def _pick(values, keep):
+    """Each array of ``values``, a row per fibre, on the fibres ``keep``; a scalar as it is."""
+    return tuple(v[keep] if isinstance(v, np.ndarray) else v for v in values)
+
+
+def _block(fibres, i, j):
+    """Fibres ``i`` to ``j - 1`` of the table of a grid made by ``PiecewiseField._fibres``."""
+    pos, t, tops, unclaimed, runs = fibres
+    spans = [(run, slice(*np.searchsorted(run[0], (i, j)))) for run in runs]
+    return (pos[i:j], t, [top[i:j] for top in tops], unclaimed[i:j],
+            [(rows[at] - i, a[at], b[at], _pick(coeffs, at), terms and _pick(terms, at))
+             for (rows, a, b, coeffs, terms), at in spans])
 
 
 def _zero_at(pos):
@@ -83,15 +103,6 @@ def _inside(R, curve):
     return top
 
 
-def _put(out, rows, cols, where, value):
-    """Write ``value`` into ``out[rows, cols]`` where ``where`` holds; ``rows`` is a
-    slice or indices, ``cols`` a slice."""
-    if isinstance(rows, slice):
-        np.copyto(out[rows, cols], value, where=where)
-    else:
-        out[rows, cols] = np.where(where, value, out[rows, cols])
-
-
 @dataclass(frozen=True)
 class Region:
     """One closed-form piece of a field.
@@ -99,21 +110,19 @@ class Region:
     ``top`` is a vectorized callable of ``pos``: the region owns the
     points with ``t <= top(pos)`` (``t < top(pos)`` when ``strict``) that
     no earlier region owns, and a top of ``-inf`` keeps it off a position.
-    It must be elementwise in ``pos``, its value at a position independent
-    of the other positions it is given: the grid pass evaluates it once on
-    every position of the grid and hands each block of fibres its slice.
     ``coeffs`` is a vectorized callable of ``pos`` that returns the
     region's polynomials in ``s = t - anchor``, ``(p0, p1, c0, c1, c2, d0,
     d1)``: ``psi = p0 + p1 s`` is the signed component of ``phi_x`` along
     the field direction, ``phi_t = c0 + c1 s + c2 s^2``, and ``d0 + d1 s``
     is the analytic spatial derivative of ``psi``.  Each coefficient is an
     array that broadcasts against ``pos`` or a scalar, and a scalar 0 is
-    skipped.  ``coeffs`` runs only on the fibres the region touches, ``pos``
-    of shape ``(P, 1)`` or flat, so it must be finite, and raise no
-    warning, there.  ``anchor`` is the level at which the factors of the
-    polynomials vanish, if any (a top such as ``t = M``): expanded about it,
-    ``(M - t)^2 q^2`` is ``q^2 s^2`` and keeps its relative precision near
-    that top.
+    skipped.  A pass runs ``top`` once on every position and ``coeffs`` once
+    on the fibres the region touches or ``Psi`` integrates it over, ``pos``
+    of shape ``(P, 1)``, and hands each block of fibres its slice: both must
+    be elementwise in ``pos``, and ``coeffs`` finite, raising no warning,
+    there.  ``anchor`` is the level at which the factors of the polynomials
+    vanish, if any (a top such as ``t = M``): expanded about it, ``(M -
+    t)^2 q^2`` is ``q^2 s^2`` and keeps its relative precision near that top.
     """
 
     name: str
@@ -207,112 +216,119 @@ class PiecewiseField:
             lo = hi
         return out
 
-    def _sample(self, pos, t, *quantities, out=None, tops=None):
-        """One classification pass: ``(index, *values)`` at the given points.
+    def _fibres(self, pos, t, Psi=False):
+        """The table of the fibres of ``pos x t``: ``(pos, t, tops, unclaimed, runs)``.
 
-        Each point is claimed by the first region whose top it does not
-        exceed (index -1 if none).  The pass works on a grid of fibres:
-        ``pos`` of shape ``(P, 1)`` against one sorted row ``t`` of shape
-        ``(1, N)``.  Other points, a row that is unsorted or holds NaN among
-        them, are taken as one-point fibres, ``pos`` and ``t`` broadcast and
-        flattened to ``(K, 1)`` each.  Every top runs once on the positions,
-        unless ``tops`` gives each region's top at ``pos``.  A region claims
-        a run of columns of each fibre, found by a binary search of its top
-        in the row; its ``coeffs`` run once on the fibres it touches,
-        ``pos[rows]``, and each quantity is formed as ``sum_k c_k s^k`` with
-        the powers of ``s = t - anchor`` taken on the span of ``t`` of its
-        runs, then written through the mask of the runs.  ``quantities``
-        names ``psi``, ``phi_t`` or ``Psi``; a value is NaN where no region
-        claims the point.  ``phi_t`` includes ``phi_t_bump``.  Arrays take
-        the broadcast shape of ``pos`` and ``t``.
-
-        ``out``, for a grid of fibres, holds the arrays to fill and return:
-        the index (int) and one float array per quantity, each with ``N``
-        columns and at least ``P`` rows, of which the leading ``P`` are used.
-
-        ``Psi`` integrates ``psi`` from 0 over the stretches of
-        :meth:`_stretches`: a point of region ``k`` takes the trapezoids
-        ``(hi - lo) (psi(lo) + psi(hi)) / 2`` of the stretches below plus
-        ``(t - lo) (psi(lo) + psi(t)) / 2``, exact because ``psi`` is affine
-        in ``t``.
+        A grid is ``pos`` of shape ``(P, 1)`` against one sorted row ``t``
+        of shape ``(1, N)``; any other points are one-point fibres, ``(K, 1)``
+        each.  Every top runs once, and region ``k`` claims the run ``[a,
+        b)`` of columns of a fibre past those below (its condition holds on
+        a prefix), found by a binary search of its top in the row.  Its run
+        ``(rows, a, b, coeffs, terms)`` lists the fibres it touches, its
+        ``coeffs`` evaluated once on them, and with ``Psi`` the ``terms``
+        ``(lo, below, psi(lo))``: its stretch's lower end and the
+        trapezoids of the stretches below it (:meth:`_stretches`).
         """
         pos, t = np.asarray(pos, dtype=float), np.asarray(t, dtype=float)
-        shape = np.broadcast_shapes(pos.shape, t.shape)
         if not (pos.ndim == t.ndim == 2 and pos.shape[1] == 1 and t.shape[0] == 1
                 and np.all(t[0, 1:] >= t[0, :-1])):  # NaN fails the test
+            shape = np.broadcast_shapes(pos.shape, t.shape)
             pos = np.broadcast_to(pos, shape).reshape(-1, 1)
             t = np.broadcast_to(t, shape).reshape(-1, 1)
-            tops = None
         P, N = pos.shape[0], t.shape[1]
-        if out is None:
-            out = (np.empty((P, N), dtype=int), *(np.empty((P, N)) for _ in quantities))
-        idx, *values = (array[:P] for array in out)
-        if tops is None:
-            tops = [region.top(pos) for region in self.regions]
-        tops = [top if top.shape == (P, 1) else np.broadcast_to(top, (P, 1))
-                for top in (np.asarray(top, dtype=float) for top in tops)]
-        stretches = self._stretches(tops) if "Psi" in quantities else None
-        # the columns a region's condition holds on form a prefix of each
-        # fibre, so region k claims the run [start, end) past those below
+        tops = [np.broadcast_to(np.asarray(region.top(pos), dtype=float), (P, 1))
+                for region in self.regions]
         counts = [np.searchsorted(t[0], np.fmax(top[:, 0], -np.inf),  # a NaN top claims nothing
                                   "left" if region.strict else "right") if t.shape[0] == 1
                   else ((t < top) if region.strict else (t <= top))[:, 0]
                   for region, top in zip(self.regions, tops)]
-        unclaimed = np.max(counts, axis=0, initial=0) < N
-        idx[unclaimed] = -1
-        for array in values:
-            array[unclaimed] = np.nan
-        below, columns, end = np.zeros((P, 1)), np.arange(N), np.zeros(P, dtype=np.intp)
-        for k, (region, count) in enumerate(zip(self.regions, counts)):
+        below, end, runs = np.zeros((P, 1)), np.zeros(P, dtype=np.intp), []
+        for region, count, (lo, hi) in zip(self.regions, counts, self._stretches(tops)):
             start, end = end, np.maximum(end, count)
-            rows = np.flatnonzero(end > start)
-            if rows.size:
-                if rows[-1] - rows[0] + 1 == rows.size:  # a run of fibres: write through views
-                    rows = slice(rows[0], rows[-1] + 1)
-                a, b = start[rows, None], end[rows, None]
-                cols = slice(a.min(), b.max())
-                pk, tk = pos[rows], t[:, cols] if t.shape[0] == 1 else t[rows, cols]
-                # no mask where every run covers the whole span
-                mk = (b.min() - a.max() == cols.stop - cols.start
-                      or (columns[cols] >= a) & (columns[cols] < b))
-                _put(idx, rows, cols, mk, k)
-                if quantities:
-                    coeffs, s = region.coeffs(pk), tk - region.anchor
-                    psi = _poly(coeffs[:2], s)
-                for name, array in zip(quantities, values):
-                    if name == "psi":
-                        value = psi
-                    elif name == "Psi":
-                        lo = stretches[k][0][rows]
-                        value = below[rows] + 0.5 * (tk - lo) * (
-                            _poly(coeffs[:2], lo - region.anchor) + psi)
-                    else:
-                        value = _poly(coeffs[2:5], s, s * s)
-                    _put(array, rows, cols, mk, value)
-            if stretches is not None:
-                lo, hi = stretches[k]
-                whole = (hi > lo) & (end < N)[:, None]  # where a region above claims a point
-                if whole.any():
-                    a, b, affine = lo[whole], hi[whole], region.coeffs(pos[whole])[:2]
-                    below[whole] += 0.5 * (b - a) * (_poly(affine, a - region.anchor)
-                                                     + _poly(affine, b - region.anchor))
+            # whole: with Psi, where a point of a region above reads the trapezoid
+            touched, whole = end > start, (hi > lo)[:, 0] & (end < N) & Psi
+            rows = np.flatnonzero(touched | whole)
+            coeffs = tuple(np.broadcast_to(c, (rows.size, 1)) if isinstance(c, np.ndarray) else c
+                           for c in region.coeffs(pos[rows])) if rows.size else ()
+            run, at = rows[touched[rows]], rows[whole[rows]]
+            affine, coeffs = _pick(coeffs[:2], whole[rows]), _pick(coeffs, touched[rows])
+            terms = (lo[run], below[run], _poly(coeffs[:2], lo[run] - region.anchor)) if Psi else None
+            runs.append((run, start[run, None], end[run, None], coeffs, terms))
+            if at.size:
+                a, b = lo[at], hi[at]
+                below[at] += 0.5 * (b - a) * (_poly(affine, a - region.anchor)
+                                              + _poly(affine, b - region.anchor))
+        return pos, t, tops, np.max(counts, axis=0, initial=0) < N, runs
+
+    def _sample(self, pos, t, *quantities, out=None, fibres=None):
+        """Each of ``quantities`` at the points ``pos x t``, in their broadcast shape.
+
+        ``quantities`` names ``index`` (of the region owning a point, -1 if
+        none), ``psi``, ``phi_t`` (with ``phi_t_bump``) or ``Psi``, NaN where
+        no region claims the point.  ``fibres`` is :meth:`_fibres` of these
+        points or a block of a pass's table.  Each region forms ``sum_k c_k
+        s^k`` over the columns its runs span, in the array itself where they
+        fill the span on consecutive fibres, else aside and then through
+        their mask.  ``out`` holds one array per quantity with ``N`` columns
+        and ``P`` or more rows.  ``Psi`` integrates ``psi`` from 0, adding
+        ``(t - lo) (psi(lo) + psi(t)) / 2`` to the trapezoids below: exact,
+        as ``psi`` is affine in ``t``.
+        """
+        shape = np.broadcast_shapes(np.shape(pos), np.shape(t))
+        pos, t, _, unclaimed, runs = fibres or self._fibres(pos, t, "Psi" in quantities)
+        P, N = pos.shape[0], t.shape[1]
+        if out is None:
+            out = [np.empty((P, N), dtype=int if name == "index" else float) for name in quantities]
+        values = [array[:P] for array in out]
+        for name, array in zip(quantities, values):
+            array[unclaimed] = -1 if name == "index" else np.nan
+        columns = np.arange(N)
+        for k, (region, (rows, a, b, coeffs, terms)) in enumerate(zip(self.regions, runs)):
+            if not rows.size:
+                continue
+            if rows[-1] - rows[0] + 1 == rows.size:  # consecutive fibres: write through views
+                rows = slice(rows[0], rows[-1] + 1)
+            cols = slice(a.min(), b.max())
+            tk = t[:, cols] if t.shape[0] == 1 else t[rows, cols]
+            s, span = tk - region.anchor, (a.shape[0], cols.stop - cols.start)
+            full = bool(b.min() - a.max() == span[1])  # every run covers the whole span
+            mask, psi = full or (columns[cols] >= a) & (columns[cols] < b), None
+            inside = full and isinstance(rows, slice)  # formed in the array itself
+            for name, array in zip(quantities, values):
+                value = array[rows, cols] if inside else np.empty(span, dtype=array.dtype)
+                if name == "index":
+                    value.fill(k)
+                elif name == "psi" or psi is None and name == "Psi":
+                    psi = _poly(coeffs[:2], s, out=value if name == "psi" else np.empty(span))
+                if name == "phi_t":
+                    _poly(coeffs[2:5], s, s * s, out=value)
+                elif name == "Psi":
+                    lo, below, psi_lo = terms
+                    np.subtract(tk, lo, out=value)
+                    value *= 0.5
+                    value *= psi_lo + psi
+                    value += below
+                if isinstance(rows, slice) and not inside:
+                    np.copyto(array[rows, cols], value, where=mask)
+                elif not inside:
+                    array[rows, cols] = np.where(mask, value, array[rows, cols])
         if "phi_t" in quantities and self.phi_t_bump is not None:
             pos0, t0, amount, hw_pos, hw_t = self.phi_t_bump
             box = (np.abs(pos - pos0) <= hw_pos) & (np.abs(t - t0) <= hw_t)
             values[quantities.index("phi_t")][box] += amount
-        return tuple(v.reshape(shape) for v in (idx, *values))
+        return tuple(v.reshape(shape) for v in values)
 
     def region_index(self, pos, t):
         """Index into ``self.regions`` of the piece owning each point, -1 if none."""
-        return _scalar_or_array(self._sample(pos, t)[0], int)
+        return _scalar_or_array(self._sample(pos, t, "index")[0], int)
 
     def evaluate(self, pos, t):
         """Return ``(psi, phi_t)`` at the given points."""
-        return tuple(_scalar_or_array(v) for v in self._sample(pos, t, "psi", "phi_t")[1:])
+        return tuple(_scalar_or_array(v) for v in self._sample(pos, t, "psi", "phi_t"))
 
     def Psi(self, pos, t):
         """Antiderivative ``integral_0^t phi_x dt'`` (signed component)."""
-        return _scalar_or_array(self._sample(pos, t, "Psi")[1])
+        return _scalar_or_array(self._sample(pos, t, "Psi")[0])
 
     def region_names(self):
         return tuple(region.name for region in self.regions)

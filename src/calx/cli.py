@@ -33,6 +33,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -52,7 +53,7 @@ from calx.calibration_fields import (
 )
 from calx.energy import critical_radii, dE_dR, energy_radial_optimal, unit_ball_volume
 from calx.potentials import gamma, robin_bracket, robin_bracket_sup
-from calx.verifier import VerificationReport, VerifyConfig, verify_all
+from calx.verifier import PRINTED_VIOLATIONS, VerificationReport, VerifyConfig, verify_all
 
 
 class _UsageError(ValueError):
@@ -96,6 +97,8 @@ class _Options:
                 raise _UsageError("beta must be positive, got {!r}".format(value))
             if name == "gamma" and not value >= 0.0:
                 raise _UsageError("gamma must be nonnegative, got {!r}".format(value))
+            if name in ("n", "R") and not value >= 1:
+                raise _UsageError("{} must be at least 1, got {!r}".format(name, value))
 
     def get(self, name, default=None, cast=None):
         value = getattr(self.args, name, None)
@@ -231,7 +234,7 @@ def _cmd_energy_curve(args, config):
 
 
 def _verify_config_from(opt):
-    kwargs = {}
+    kwargs = {"max_recorded": PRINTED_VIOLATIONS}  # the report prints no more
     samples = opt.get("samples", cast=int)
     if samples is not None:
         kwargs["pos_res"] = samples
@@ -414,6 +417,7 @@ def _add_field_params(sub):
     sub.add_argument("--M", type=float, help="upper boundary datum")
 
 
+@functools.lru_cache(maxsize=None)  # once per process: parsing leaves it as it was
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="calx",

@@ -7,10 +7,10 @@ Every pointwise check follows one verdict rule: a sample violates unless
 its margin is finite and at least its floor, and any NaN or infinite
 margin makes the worst margin NaN.  Axioms (a), (b) and boundedness
 come from one pass over blocks of whole fibres (fixed ``pos``, every
-``t``): each block is classified and sampled once, and feeds the tallies
-of every selected group, which are merged in block order.  The pass
-allocates one set of block buffers, which every block samples and forms
-its margins into, and runs each region top once on every position.  The
+``t``): each block is sampled once into the pass's one set of buffers,
+from one table of the fibres (each region's run of ``t`` and its
+coefficients) built once per pass, and feeds the tallies of every
+selected group, which are merged in block order.  The
 divergence comes from the polynomials in ``t`` each region declares, with
 no difference quotient: ``d0 + d1 s`` is the analytic spatial derivative
 of ``phi_x``, because several constructions contain factors like
@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from calx.calibration_fields import CalibratedFunction  # noqa: F401  (re-exported)
-from calx.calibration_fields import _poly
+from calx.calibration_fields import _block, _poly
 
 __all__ = [
     "VerifyConfig",
@@ -45,6 +45,8 @@ __all__ = [
 ]
 
 _AXIOMS = ("a", "b", "graph", "divflux")
+
+PRINTED_VIOLATIONS = 50  # per axiom group in a report
 
 
 @dataclass(frozen=True)
@@ -123,7 +125,7 @@ class AxiomResult:
                               for v in viol.location],
                  "residual": viol.residual,
                  "tol": viol.tol}
-                for viol in self.violations[:50]
+                for viol in self.violations[:PRINTED_VIOLATIONS]
             ],
             "meta": {k: (float(v) if isinstance(v, (int, float, np.floating)) else v)
                      for k, v in self.meta.items()},
@@ -289,8 +291,9 @@ def _b_block(pos, tg, Psi, beta, tol, room, work):
 
     Returns the block's tally ``(count, worst, recorded)``, at most
     ``room`` violations recorded, and its least reduced margin (inf when
-    no fibre is finite).  ``work`` holds three scratch arrays with as many
-    columns as ``tg`` and at least as many rows as ``pos``.
+    no fibre is finite), before any sort when no fibre can fail.  ``work``
+    holds three scratch arrays with as many columns as ``tg`` and at least
+    as many rows as ``pos``.
     """
 
     tg2 = tg ** 2
@@ -338,10 +341,13 @@ def _b_block(pos, tg, Psi, beta, tol, room, work):
     # most _BLOCK_POINTS pairs (and at least one row): where Psi is constant
     # along a fibre and beta = 0, every node ties both extremes and the
     # fibre crosses all N^2 pairs
-    near = (lowest - 2.0 * slack <= np.min(lowest + 2.0 * slack, initial=np.inf))[:, None]
+    near = lowest - 2.0 * slack <= np.min(lowest + 2.0 * slack, initial=np.inf)
     reach = (lowest + 3.0 * slack)[:, None]
-    rows = np.flatnonzero((a > b1[:, None] - reach) & near)
-    cols = (b < a1[:, None] + reach) & near
+    rows, cols = a > b1[:, None] - reach, b < a1[:, None] + reach
+    if not near.all():
+        rows &= near[:, None]
+        cols &= near[:, None]
+    rows = np.flatnonzero(rows)
     counts = np.count_nonzero(cols, axis=1)
     first, pairs = (np.cumsum(counts) - counts)[rows // N], counts[rows // N]
     ends, cols = np.cumsum(pairs), np.flatnonzero(cols)
@@ -355,11 +361,14 @@ def _b_block(pos, tg, Psi, beta, tol, room, work):
         start = stop
 
     # only a fibre whose lowest is below -tol + 2 slack can hold a certain
-    # or a band violation.  One stable sort per such fibre orders b and
-    # ranks in it a_i - tol - slack (the certain violations) and a_i - tol
-    # + slack (the end of the band left to the exact expression): a query
-    # sorts before an equal b, so the b entries ahead of it are those below.
+    # or a band violation, and a block with none is done.  One stable sort
+    # per such fibre orders b and ranks in it a_i - tol - slack (the certain
+    # violations) and a_i - tol + slack (the end of the band left to the
+    # exact expression): a query sorts before an equal b, so the b entries
+    # ahead of it are those below.
     fail = np.flatnonzero(lowest < -tol + 2.0 * slack)
+    if not fail.size and ok.all():
+        return (0, float(worst), []), reduced
     merged = np.argsort(np.concatenate([a[fail] + (-tol - slack[fail])[:, None],
                                         a[fail] + (-tol + slack[fail])[:, None],
                                         b[fail]], axis=1), axis=1, kind="stable")
@@ -539,8 +548,8 @@ def _flux(field, config):
         coords.append(at)
     flux = [np.zeros(0)]
     if sides:
-        _, psi, phit = field._sample(*(np.concatenate(points) for points in zip(*sides)),
-                                     "psi", "phi_t")
+        psi, phit = field._sample(*(np.concatenate(points) for points in zip(*sides)),
+                                  "psi", "phi_t")
         split = np.cumsum([side[0].size for side in sides])[:-1]
         psi, phit = np.split(psi, split), np.split(phit, split)
         for k, slope in enumerate(slopes):
@@ -566,11 +575,11 @@ def _grid_pass(field, config, groups, gamma_sq_term=0.0, beta=0.0):
     group.  The tallies of each part are merged in block order, so counts,
     worst margins and recorded violations are those of a single whole-grid
     tally, ``max_recorded`` included.  The pass allocates the sampled
-    arrays and the scratch its margins are formed in once, for its largest
-    block, and evaluates each region top once on every position; each
-    block samples into those buffers (a shorter last block into their
-    leading rows) with its slice of the tops.  The divergence reads the
-    same tops once for every position, at the ends of each stretch.
+    arrays and the margins' scratch once, for its largest block, and builds
+    the table of its fibres once (``PiecewiseField._fibres``: each top and
+    each region's coefficients run once, and no region index is formed);
+    each block samples its slice of the table into those buffers.  The
+    divergence reads the table's tops, at the ends of each stretch.
     """
 
     if "b" in groups and beta < 0.0:
@@ -590,18 +599,15 @@ def _grid_pass(field, config, groups, gamma_sq_term=0.0, beta=0.0):
 
     blocks = _blocks(pos.size, t.size) if names else []
     if blocks:
-        # the pass owns one set of block buffers, a shorter last block their
-        # leading rows, and runs each region top once on every position
+        # one set of block buffers, a shorter last block their leading rows
         grid = (blocks[0][1], t.size)
-        out = (np.empty(grid, dtype=int), *(np.empty(grid) for _ in names))
+        out = tuple(np.empty(grid) for _ in names)
         work = np.empty((3,) + grid)
-        tops = [np.broadcast_to(region.top(pos[:, None]), (pos.size, 1))
-                for region in field.regions]
+        fibres = field._fibres(pos[:, None], T, fused)
         gamma_row = gamma_sq_term * (T > 0.0)
     for i, j in blocks:
         P = pos[i:j, None]
-        _, *arrays = field._sample(P, T, *names, out=out, tops=[top[i:j] for top in tops])
-        got = dict(zip(names, arrays))
+        got = dict(zip(names, field._sample(P, T, *names, out=out, fibres=_block(fibres, i, j))))
         if "a" in groups:
             # phi_t - 0.25 psi^2 + gamma^2 1_{t > 0}, in that order
             residual = np.square(got["psi"], out=work[0, :j - i])
@@ -645,7 +651,7 @@ def _grid_pass(field, config, groups, gamma_sq_term=0.0, beta=0.0):
             "pos_res": config.pos_res, "pair_res": config.pair_res, "beta": float(beta),
             "reduced_margin": float(least) if np.isfinite(least) else None})
     if "divflux" in groups:
-        div_tally, (div_worst, checked, skipped) = _divergence(field, config, pos, tops)
+        div_tally, (div_worst, checked, skipped) = _divergence(field, config, pos, fibres[2])
         flux_tally, flux_worst = _flux(field, config)
         # a maximum is -inf when no block has a finite sample
         max_phi_x, max_phi_t = (float(m) if m >= 0.0 else float("nan")

@@ -4,9 +4,11 @@ The verifier checks the divergence at the ends of each region's stretch
 of a fibre, from the polynomials in ``t`` that each region declares.
 These helpers compute what it checks the direct way, to test it against:
 the divergence at every point of a ``pos x t`` grid, a central
-difference of ``psi`` along ``pos``, and each region's ``psi``,
-``phi_t`` and ``dpsi_dpos`` written out as closed-form callables of
-``(pos, t)``.
+difference of ``psi`` along ``pos``, each region's ``psi``, ``phi_t`` and
+``dpsi_dpos`` written out as closed-form callables of ``(pos, t)``, and
+the field's values sampled block by block, the region index with them,
+the way the verifier's grid pass did before it built one table of its
+fibres per pass.
 """
 
 import numpy as np
@@ -27,9 +29,9 @@ def central_difference(field, P, T, h):
     ok = (P - h >= lo) & (P + h <= hi)
     sides = []
     for step in (h, -h):
-        idx, psi = field._sample(np.clip(P + step, lo, hi), T, "psi")
-        ok = ok & (idx == ridx)
-        sides.append(psi)
+        at = np.clip(P + step, lo, hi)
+        ok = ok & (field.region_index(at, T) == ridx)
+        sides.append(field.evaluate(at, T)[0])
     return (sides[0] - sides[1]) / (2.0 * h), ok
 
 
@@ -151,3 +153,94 @@ def region_callables(field):
     else:
         table = _radial_callables(field)
     return [table[region.name] for region in field.regions]
+
+
+def _poly(coeffs, s, s2=None):
+    """``sum_k coeffs[k] s^k`` for up to three coefficients, ``s2`` being ``s^2``;
+    a coefficient that is the scalar 0 is skipped."""
+    terms = [c if k == 0 else c * (s if k == 1 else s2) for k, c in enumerate(coeffs)
+             if not (isinstance(c, (int, float)) and c == 0)]
+    return sum(terms[1:], terms[0]) if terms else 0.0
+
+
+def _put(out, rows, cols, where, value):
+    """Write ``value`` into ``out[rows, cols]`` where ``where`` holds."""
+    if isinstance(rows, slice):
+        np.copyto(out[rows, cols], value, where=where)
+    else:
+        out[rows, cols] = np.where(where, value, out[rows, cols])
+
+
+def _stretches(field, tops):
+    """Each region's stretch ``(lo, hi)``: the running maxima of the tops below
+    it and up to it, clipped to ``[0, t_max]``."""
+    lo, out = np.zeros(np.shape(tops[0])), []
+    for top in tops:
+        hi = np.minimum(np.maximum(lo, top), field.t_max)
+        out.append((lo, hi))
+        lo = hi
+    return out
+
+
+def reference_sample(field, pos, t, *quantities):
+    """``(index, *values)`` of ``quantities`` (``psi``, ``phi_t``, ``Psi``) at
+    ``pos x t``, each region's ``coeffs`` run on the fibres it touches and the
+    integrals of the stretches below formed anew at every call."""
+
+    pos, t = np.asarray(pos, dtype=float), np.asarray(t, dtype=float)
+    shape = np.broadcast_shapes(pos.shape, t.shape)
+    if not (pos.ndim == t.ndim == 2 and pos.shape[1] == 1 and t.shape[0] == 1
+            and np.all(t[0, 1:] >= t[0, :-1])):
+        pos = np.broadcast_to(pos, shape).reshape(-1, 1)
+        t = np.broadcast_to(t, shape).reshape(-1, 1)
+    P, N = pos.shape[0], t.shape[1]
+    idx, *values = (np.empty((P, N), dtype=int), *(np.empty((P, N)) for _ in quantities))
+    tops = [np.broadcast_to(np.asarray(region.top(pos), dtype=float), (P, 1))
+            for region in field.regions]
+    stretches = _stretches(field, tops) if "Psi" in quantities else None
+    counts = [np.searchsorted(t[0], np.fmax(top[:, 0], -np.inf),
+                              "left" if region.strict else "right") if t.shape[0] == 1
+              else ((t < top) if region.strict else (t <= top))[:, 0]
+              for region, top in zip(field.regions, tops)]
+    unclaimed = np.max(counts, axis=0, initial=0) < N
+    idx[unclaimed] = -1
+    for array in values:
+        array[unclaimed] = np.nan
+    below, columns, end = np.zeros((P, 1)), np.arange(N), np.zeros(P, dtype=np.intp)
+    for k, (region, count) in enumerate(zip(field.regions, counts)):
+        start, end = end, np.maximum(end, count)
+        rows = np.flatnonzero(end > start)
+        if rows.size:
+            if rows[-1] - rows[0] + 1 == rows.size:
+                rows = slice(rows[0], rows[-1] + 1)
+            a, b = start[rows, None], end[rows, None]
+            cols = slice(a.min(), b.max())
+            pk, tk = pos[rows], t[:, cols] if t.shape[0] == 1 else t[rows, cols]
+            mk = (b.min() - a.max() == cols.stop - cols.start
+                  or (columns[cols] >= a) & (columns[cols] < b))
+            _put(idx, rows, cols, mk, k)
+            if quantities:
+                coeffs, s = region.coeffs(pk), tk - region.anchor
+                psi = _poly(coeffs[:2], s)
+            for name, array in zip(quantities, values):
+                if name == "psi":
+                    value = psi
+                elif name == "Psi":
+                    lo = stretches[k][0][rows]
+                    value = below[rows] + 0.5 * (tk - lo) * (
+                        _poly(coeffs[:2], lo - region.anchor) + psi)
+                else:
+                    value = _poly(coeffs[2:5], s, s * s)
+                _put(array, rows, cols, mk, value)
+        if stretches is not None:
+            lo, hi = stretches[k]
+            whole = (hi > lo) & (end < N)[:, None]
+            if whole.any():
+                a, b, affine = lo[whole], hi[whole], region.coeffs(pos[whole])[:2]
+                below[whole] += 0.5 * (b - a) * (_poly(affine, a - region.anchor)
+                                                 + _poly(affine, b - region.anchor))
+    if "phi_t" in quantities and field.phi_t_bump is not None:
+        pos0, t0, amount, hw_pos, hw_t = field.phi_t_bump
+        box = (np.abs(pos - pos0) <= hw_pos) & (np.abs(t - t0) <= hw_t)
+        values[quantities.index("phi_t")][box] += amount
+    return tuple(v.reshape(shape) for v in (idx, *values))

@@ -1,14 +1,18 @@
 """Unit tests for the piecewise calibration field constructions."""
 
+import argparse
 import json
 import math
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from calx import calibration_fields
 from calx.calibration_fields import (
     CalibParams1D,
     HypothesisViolation,
@@ -23,14 +27,25 @@ from calx.calibration_fields import (
     build_field_indicator_two_piece,
     choose_lambda,
     radial_shell_profile,
+    _block,
 )
+from calx import cli
 from calx.potentials import delta_robin, u_radial
 from calx.verifier import (
     CalibratedFunction,
     VerifyConfig,
     check_graph_conditions,
+    perturb_phi_t,
     verify_all,
 )
+from grid_reference import reference_sample
+
+sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
+from workloads import (CERTIFY_CELLS, PLANTED_AMOUNT, PLANTED_CELL, REFUTE_CELLS,  # noqa: E402
+                       SAMPLES, critical_gamma)
+
+BENCHMARK_CELLS = [(kind, cell) for kind, cells in sorted(CERTIFY_CELLS.items())
+                   for cell in cells] + list(REFUTE_CELLS)
 
 GAMMA_EL_SQ_2_2_2 = 0.21078627566065199313129689492651333031406165486519
 
@@ -400,8 +415,8 @@ def table_psi(k, pos, t):
 
 
 def table_phi_t(k, pos, t):
-    """``phi_t`` of region ``k`` of :func:`table_field`."""
-    return pos + (k - 1.5) * t ** 2
+    """``phi_t`` of region ``k`` of :func:`table_field`, all three terms nonzero."""
+    return pos + (0.5 - k) * t + (k - 1.5) * t ** 2
 
 
 def table_field(tops, strict):
@@ -413,7 +428,7 @@ def table_field(tops, strict):
             return np.asarray(tops[k], dtype=float)[np.asarray(pos, dtype=int)]
 
         def coeffs(pos):
-            return (k + 1.0) * pos, -(2.0 * k - 1.0), pos, 0, k - 1.5, 0, 0
+            return (k + 1.0) * pos, -(2.0 * k - 1.0), pos, 0.5 - k, k - 1.5, 0, 0
 
         return Region("r{}".format(k), "", top, coeffs, strict=strict[k])
 
@@ -463,6 +478,124 @@ def test_sample_matches_a_per_point_reference_on_awkward_inputs(data):
     pos = np.arange(P, dtype=float)[:, None]
     got = field._sample(pos, t[None, :], "psi", "phi_t", "Psi")
     want = np.array([[sample_point(field, p, s) for s in t] for p in pos[:, 0]])
-    assert np.array_equal(got[0], want[..., 0])
-    for value, expected in zip(got[1:], np.moveaxis(want[..., 1:], -1, 0)):
+    assert np.array_equal(field.region_index(pos, t[None, :]), want[..., 0])
+    for value, expected in zip(got, np.moveaxis(want[..., 1:], -1, 0)):
         assert np.array_equal(value, expected, equal_nan=True)
+
+
+def assert_same_bits(got, want):
+    """Equal arrays, bit for bit where a value is not NaN and NaN at the same places."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+def assert_sampling_matches_the_block_reference(field, pos, t, fibres_a_block=None):
+    """Index, ``psi``, ``phi_t`` and ``Psi`` at ``pos x t`` as the field samples
+    them, by a call of its own and, on a grid, block by block from one table of
+    its fibres into reused buffers, equal the block reference bit for bit."""
+
+    names = ("psi", "phi_t", "Psi")
+    want = reference_sample(field, pos, t, *names)
+    assert np.array_equal(field.region_index(pos, t), want[0])
+    for got, expected in zip(field._sample(pos, t, *names), want[1:]):
+        assert_same_bits(got, expected)
+    for got, expected in zip((field.evaluate(pos, t), (field.Psi(pos, t),)),
+                             (want[1:3], want[3:])):
+        for value, value_expected in zip(got, expected):
+            assert_same_bits(value, value_expected)
+    if fibres_a_block is None:
+        return
+    P = pos.shape[0]
+    fibres = field._fibres(pos, t, True)
+    out = tuple(np.full((fibres_a_block, t.shape[1]), -7.0) for _ in names)
+    for i in range(0, P, fibres_a_block):
+        j = min(i + fibres_a_block, P)
+        got = field._sample(pos[i:j], t, *names, out=out, fibres=_block(fibres, i, j))
+        for value, expected in zip(got, want[1:]):
+            assert_same_bits(value, expected[i:j])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_table_sampling_matches_the_block_reference_bit_for_bit(data):
+    # the awkward inputs of the per-point test, on grids of more fibres, in
+    # blocks of any size
+    K, P, N = (data.draw(st.integers(1, hi)) for hi in (4, 9, 7))
+    tops = data.draw(st.lists(st.lists(st.sampled_from(_TOPS), min_size=P, max_size=P),
+                              min_size=K, max_size=K))
+    strict = data.draw(st.lists(st.booleans(), min_size=K, max_size=K))
+    t = np.array(data.draw(st.lists(st.sampled_from(_TS), min_size=N, max_size=N)))
+    if data.draw(st.booleans()):
+        t = np.sort(t)  # NaN sorts last
+    pos = np.arange(P, dtype=float)[:, None]
+    # the fibres of a grid come in blocks; any other row is one-point fibres
+    grid = np.all(t[1:] >= t[:-1])
+    assert_sampling_matches_the_block_reference(table_field(tops, strict), pos, t[None, :],
+                                                data.draw(st.integers(1, P)) if grid else None)
+
+
+def test_values_are_formed_in_their_buffers_where_runs_fill_their_span(monkeypatch):
+    # a region whose runs cover the same columns on consecutive fibres is
+    # formed in the output arrays themselves, with no copy through a mask;
+    # a region whose runs differ is formed aside and copied through its mask
+    masked = []
+
+    class Numpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def copyto(self, *args, **kwargs):
+            masked.append("copyto")
+            return np.copyto(*args, **kwargs)
+
+        def where(self, *args, **kwargs):
+            masked.append("where")
+            return np.where(*args, **kwargs)
+
+    monkeypatch.setattr(calibration_fields, "np", Numpy())
+    pos, t = np.arange(5.0)[:, None], np.linspace(0.0, 1.0, 7)[None, :]
+    names = ("index", "psi", "phi_t", "Psi")
+    for tops, copies in (([[0.5] * 5, [np.inf] * 5], 0),
+                         ([[0.1, 0.3, 0.5, 0.7, 0.9], [np.inf] * 5], 2 * len(names))):
+        field, masked[:] = table_field(tops, [False, False]), []
+        want = reference_sample(field, pos, t, *names[1:])
+        out = (np.empty((5, 7), dtype=int),) + tuple(np.empty((5, 7)) for _ in names[1:])
+        got = field._sample(pos, t, *names, out=out)
+        assert all(value.base is buffer for value, buffer in zip(got, out))
+        assert np.array_equal(got[0], want[0])
+        for value, expected in zip(got[1:], want[1:]):
+            assert_same_bits(value, expected)
+        assert masked == ["copyto"] * copies
+
+
+def benchmark_field(kind, cell):
+    """The field of a benchmark cell, or of its planted defect, as the benchmark builds it."""
+    if kind != "planted defect":
+        return cli._FIELDS[kind](cli._Options(argparse.Namespace(**cell), {}), [])
+    n, beta, R = (cell[key] for key in ("n", "beta", "R"))
+    ball = build_field_ball_harmonic(n, beta, critical_gamma(n, beta, R), R)
+    pos, t = np.linspace(*ball.pos_range, SAMPLES), np.linspace(0.0, ball.t_max, SAMPLES)
+    return perturb_phi_t(ball, pos[200], t[300], PLANTED_AMOUNT,
+                         0.4 * (pos[1] - pos[0]), 0.4 * (t[1] - t[0]))
+
+
+@pytest.mark.parametrize("kind, cell", BENCHMARK_CELLS + [("planted defect", PLANTED_CELL)],
+                         ids=lambda value: str(value))
+def test_benchmark_field_sampling_matches_the_block_reference_bit_for_bit(kind, cell):
+    if (kind, cell) in REFUTE_CELLS[1:]:  # these stop in the constructor
+        with pytest.raises(HypothesisViolation):
+            benchmark_field(kind, cell)
+        return
+    field = benchmark_field(kind, cell)
+    for res, fibres_a_block in ((64, 7), (SAMPLES, 64)):
+        pos = np.linspace(*field.pos_range, res)[:, None]
+        t = np.linspace(0.0, field.t_max, res)[None, :]
+        assert_sampling_matches_the_block_reference(field, pos, t, fibres_a_block)
+    # and at scattered points, one-point fibres
+    rng = np.random.default_rng(0)
+    pos = rng.uniform(*field.pos_range, 300)
+    t = rng.uniform(0.0, field.t_max, 300)
+    assert_sampling_matches_the_block_reference(field, pos, t)

@@ -23,6 +23,9 @@ from calx.energy import critical_radii
 from calx.potentials import gamma
 from calx.verifier import VerifyConfig
 
+sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
+from workloads import REFUTE_CELLS, check_argv  # noqa: E402
+
 FROZEN_CRITICAL_RADII = (1.21447196960909539611985, 1.67947004206913789542485)
 
 
@@ -365,6 +368,48 @@ def test_a_large_check_keeps_its_peak_memory_small():
     assert int(peak_kb) / 1024.0 < 150.0
 
 
+@pytest.mark.parametrize("kind, cell", REFUTE_CELLS)
+def test_check_records_only_the_violations_it_prints(kind, cell, monkeypatch, capsys):
+    # each group's recorded list is a prefix of its full one, so recording
+    # every violation prints the same report
+    argv = check_argv(kind, cell)
+    want = run(capsys, argv)
+    monkeypatch.setattr(cli, "VerifyConfig",
+                        lambda **options: VerifyConfig(**{**options, "max_recorded": 10000}))
+    assert run(capsys, argv) == want
+    report = json.loads(want[1])
+    if report["construction_error"] is None:  # the criterion-8 ball
+        assert report["results"]["b"]["n_violations"] > verifier.PRINTED_VIOLATIONS
+
+
+def test_the_parser_carries_no_state_between_calls(tmp_path, capsys):
+    # the parser is built once per process: each call gives what a fresh
+    # process gives, whatever ran before it, and the help text stays
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"samples": 16, "format": "json"}')
+    cell = ["indicator-const", "--n", "2", "--beta", "0.3", "--gamma", "0.4"]
+    calls = [["check"] + cell + ["--config", str(cfg)], ["describe"] + cell,
+             ["check"] + cell + ["--samples", "16"]]
+
+    def helps():
+        texts = []
+        for argv in (["--help"], ["check", "--help"], ["describe", "--help"]):
+            with pytest.raises(SystemExit):
+                main(argv)
+            texts.append(capsys.readouterr())
+        return texts
+
+    before = helps()
+    got = [run(capsys, argv) for argv in calls]
+    env = dict(os.environ, PYTHONPATH=str(Path(calx.__file__).parents[1]))
+    fresh = [subprocess.run([sys.executable, "-m", "calx.cli"] + argv, env=env,
+                            capture_output=True, text=True, timeout=120) for argv in calls]
+    assert got == [(done.returncode, done.stdout, done.stderr) for done in fresh]
+    assert got[0][1] != got[2][1]  # the config's json format did not stay
+    assert helps() == before
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_check_and_describe_share_one_kind_registry(capsys):
     subcommands = next(action.choices for action in cli._build_parser()._actions
                        if isinstance(action, argparse._SubParsersAction))
@@ -579,6 +624,15 @@ def test_non_finite_config_values_are_usage_errors(tmp_path, capsys):
      "beta must be positive, got -0.0"),
     (["energy-curve", "--n", "2", "--beta", "1", "--gamma=-0.5"],
      "gamma must be nonnegative, got -0.5"),
+    # a dimension or a radius below 1, also where the chosen kind does not read it
+    (["describe", "harmonic", "--m", "0.8", "--M", "1", "--beta", "3", "--n", "0"],
+     "n must be at least 1, got 0"),
+    (["check", "harmonic", "--m", "0.8", "--M", "1", "--beta", "3", "--n", "0"],
+     "n must be at least 1, got 0"),
+    (["describe", "indicator-const", "--n", "2", "--beta", "0.3", "--gamma", "0.4", "--R", "0.5"],
+     "R must be at least 1, got 0.5"),
+    (["check", "indicator-const", "--n", "2", "--beta", "0.3", "--gamma", "0.4", "--R", "0.5"],
+     "R must be at least 1, got 0.5"),
 ])
 def test_out_of_domain_signs_are_usage_errors(argv, message, capsys):
     code, out, err = run(capsys, argv + ["--samples", "16"] if argv[0] == "check" else argv)
