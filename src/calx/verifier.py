@@ -76,17 +76,18 @@ class VerifyConfig:
     max_recorded: int = 10000
 
     def __post_init__(self):
-        for name in ("pos_res", "t_res", "pair_res"):
-            if int(getattr(self, name)) < 16:
-                raise ValueError("{} must be at least 16".format(name))
+        for name, least in (("pos_res", 16), ("t_res", 16), ("pair_res", 16), ("threads", 1),
+                            ("max_recorded", 0)):
+            if int(getattr(self, name)) < least:
+                raise ValueError("{} must be at least {}".format(name, least))
             object.__setattr__(self, name, int(getattr(self, name)))
         for name in ("tol_a", "tol_b", "tol_div", "tol_flux", "tol_graph"):
-            if float(getattr(self, name)) <= 0.0:
-                raise ValueError("{} must be positive".format(name))
+            if not 0.0 < float(getattr(self, name)) < np.inf:  # false for NaN
+                raise ValueError("{} must be positive and finite".format(name))
             object.__setattr__(self, name, float(getattr(self, name)))
-        if int(self.threads) < 1:
-            raise ValueError("threads must be at least 1")
-        object.__setattr__(self, "threads", int(self.threads))
+        if isinstance(self.axioms, str):
+            raise ValueError("axioms must be a sequence of axiom ids, not the string {!r}"
+                             .format(self.axioms))
         unknown = set(self.axioms) - set(_AXIOMS)
         if unknown:
             raise ValueError("unknown axiom ids: {}".format(sorted(unknown)))
@@ -234,23 +235,6 @@ def _runs(first, counts):
     return owner, np.arange(owner.size) + np.repeat(first - ends + counts, counts)
 
 
-def _b_pairs(order, start, stop):
-    """Unordered pairs ``(fibre, r, c)``, ``r < c``, read off sorted rows.
-
-    Node ``i`` of fibre ``f`` pairs with ``order[f, start[f, i]:stop[f, i]]``;
-    the pair of a node with itself is dropped.
-    """
-
-    N = order.shape[1]
-    cell, at = _runs((start + np.arange(0, order.size, N)[:, None]).ravel(),
-                     (stop - start).ravel())
-    f, i = np.divmod(cell, N)
-    j = order.ravel()[at]
-    keep = i != j
-    f, i, j = f[keep], i[keep], j[keep]
-    return f, np.minimum(i, j), np.maximum(i, j)
-
-
 def check_condition_b(field, beta, config=None):
     """Pairwise axiom (b): ``|Psi(pos, s) - Psi(pos, r)| <= beta (r^2 + s^2)``.
 
@@ -271,16 +255,19 @@ def check_condition_b(field, beta, config=None):
     on a fibre whose least sorted margin is within a few ulps of the
     block's, in a pair of nodes within a few ulps of that fibre's extremes.
     Only a fibre whose least sorted margin is below ``-tol`` plus a few
-    ulps can fail, and only those fibres are sorted, O(N log N) each:
-    such a fibre has ``sum_i #{j : b_j < a_i - tol}`` violations, counted by
-    ranking each ``a_i - tol`` among its sorted ``b``.  The extremes and the
-    sort only propose pairs: every pair whose sorted margin lies within a
-    few ulps of ``max|Psi| + beta t_max^2`` of ``-tol`` or of the worst
-    margin is decided by the exact expression ``beta (t_r^2 + t_c^2) -
-    |Psi_c - Psi_r|``, which also gives every recorded residual, so counts
-    and margins are those of the full pair scan bit for bit.  Each fibre
-    records its violations worst first.  A fibre with a non-finite sample
-    counts as one violation and makes the worst margin NaN.
+    ulps can fail.  Those and the non-finite fibres are decided one by one,
+    in position order: each finite one sorts its ``b`` and ranks every
+    ``a_i - tol`` among them by binary search, which counts its ``sum_i
+    #{j : b_j < a_i - tol}`` violations in O(N log N) however many there
+    are, and lists its pairs only while violations may still be recorded.
+    The extremes and the sort only propose pairs: every pair whose sorted
+    margin lies within a few ulps of ``max|Psi| + beta t_max^2`` of
+    ``-tol`` or of the worst margin is decided by the exact expression
+    ``beta (t_r^2 + t_c^2) - |Psi_c - Psi_r|``, which also gives every
+    recorded residual, so counts and margins are those of the full pair
+    scan bit for bit.  Each fibre records its violations worst first.  A
+    fibre with a non-finite sample counts as one violation and makes the
+    worst margin NaN.
     """
 
     return _grid_pass(field, config or VerifyConfig(), ("b",), beta=beta)["b"]
@@ -291,9 +278,10 @@ def _b_block(pos, tg, Psi, beta, tol, room, work):
 
     Returns the block's tally ``(count, worst, recorded)``, at most
     ``room`` violations recorded, and its least reduced margin (inf when
-    no fibre is finite), before any sort when no fibre can fail.  ``work``
-    holds three scratch arrays with as many columns as ``tg`` and at least
-    as many rows as ``pos``.
+    no fibre is finite), before any sort when no fibre can fail.  The
+    fibres that can fail are decided in one loop, in position order.
+    ``work`` holds three scratch arrays with as many columns as ``tg`` and
+    at least as many rows as ``pos``.
     """
 
     tg2 = tg ** 2
@@ -361,65 +349,49 @@ def _b_block(pos, tg, Psi, beta, tol, room, work):
         start = stop
 
     # only a fibre whose lowest is below -tol + 2 slack can hold a certain
-    # or a band violation, and a block with none is done.  One stable sort
-    # per such fibre orders b and ranks in it a_i - tol - slack (the certain
-    # violations) and a_i - tol + slack (the end of the band left to the
-    # exact expression): a query sorts before an equal b, so the b entries
-    # ahead of it are those below.
-    fail = np.flatnonzero(lowest < -tol + 2.0 * slack)
-    if not fail.size and ok.all():
-        return (0, float(worst), []), reduced
-    merged = np.argsort(np.concatenate([a[fail] + (-tol - slack[fail])[:, None],
-                                        a[fail] + (-tol + slack[fail])[:, None],
-                                        b[fail]], axis=1), axis=1, kind="stable")
-    is_b = merged >= 2 * N
-    order = merged[is_b].reshape(-1, N) - 2 * N
-    ranks = np.empty((fail.size, 2 * N), dtype=np.intp)
-    np.put_along_axis(ranks, merged[~is_b].reshape(-1, 2 * N),
-                      np.cumsum(is_b, axis=1)[~is_b].reshape(-1, 2 * N), axis=1)
-    sure, band_end = ranks[:, :N], ranks[:, N:]
-
-    # both orientations of a pair can fall in the band, so merge them; a
-    # pair certain in one orientation is in neither the band nor the
-    # certain set in the other, because b >= a at every node and rounding
-    # is monotone
-    f, r, c = _b_pairs(order, sure, band_end)
-    keys = np.sort((f * N + r) * N + c)  # np.unique would import numpy.ma
-    f, r = np.divmod(keys[np.diff(keys, prepend=-1) > 0], N * N)
-    r, c = np.divmod(r, N)
-    bad = exact(fail[f] * N + r, fail[f] * N + c) < -tol
-    band_f, band_r, band_c = f[bad], r[bad], c[bad]
-
-    # per position: its violations, or one for a non-finite fibre; the
-    # recorded list follows positions in order, each fibre worst first
-    at = np.flatnonzero(ok)[fail]
-    entries = (~ok).astype(np.int64)
-    entries[at] = sure.sum(axis=1) + np.bincount(band_f, minlength=fail.size)
-    fibre_of = np.zeros(pos.size, dtype=np.intp)
-    fibre_of[at] = np.arange(fail.size)
-    band_at = np.searchsorted(band_f, np.arange(fail.size + 1))
-    violations = []
-    for p in np.flatnonzero(entries):
-        left = room - len(violations)
-        if left <= 0:
-            break
+    # or a band violation
+    can = ~ok
+    can[np.flatnonzero(ok)[lowest < -tol + 2.0 * slack]] = True
+    count, violations = 0, []
+    for p in np.flatnonzero(can):
+        left = max(room - len(violations), 0)
         if not ok[p]:
-            violations.append(Violation("b", (float(pos[p]), float("nan"), float("nan")),
-                                        float("nan"), tol))
+            count += 1
+            violations += [Violation("b", (float(pos[p]), float("nan"), float("nan")),
+                                     float("nan"), tol)][:left]
             continue
-        f = fibre_of[p]
-        _, r, c = _b_pairs(order[f:f + 1], np.zeros_like(sure[f:f + 1]), sure[f:f + 1])
-        r = np.concatenate([r, band_r[band_at[f]:band_at[f + 1]]])
-        c = np.concatenate([c, band_c[band_at[f]:band_at[f + 1]]])
-        triu = np.argsort(r * N + c)
-        r, c = r[triu], c[triu]
-        margin = exact(fail[f] * N + r, fail[f] * N + c)
-        for k in np.argsort(margin)[:left]:
+        # one stable sort orders b, and one search ranks in it a_i - tol -
+        # slack (the certain violations) and a_i - tol + slack (the end of
+        # the band left to the exact expression): a query sorts before an
+        # equal b, so the b entries ahead of it are those below
+        f = np.count_nonzero(ok[:p])  # the row of psi: the finite fibres before p
+        order = np.argsort(b[f], kind="stable")
+        sure, band_end = np.searchsorted(b[f, order], a[f] + np.array([[-tol - slack[f]],
+                                                                       [-tol + slack[f]]]))
+        if left == 0 and np.array_equal(sure, band_end):  # no band: the ranks count it
+            count += int(sure.sum())
+            continue
+        # node r pairs with order[start_r:band_end_r]: the certain pairs are
+        # counted by their ranks and enumerated only while there is room to
+        # record them.  Both orientations of a pair can fall in the band, so
+        # merge them (np.unique would import numpy.ma); a pair certain in one
+        # orientation is in neither the band nor the certain set in the
+        # other, because b >= a at every node and rounding is monotone
+        start = sure if left == 0 else np.zeros_like(sure)
+        r, c = _runs(start, band_end - start)  # reused names free pair-sized arrays
+        c = order[c]
+        keys = np.sort((np.minimum(r, c) * N + np.maximum(r, c))[r != c])
+        r, c = np.divmod(keys[np.diff(keys, prepend=-1) > 0], N)
+        margin = exact(f * N + r, f * N + c)
+        bad = margin < -tol
+        count += int(start.sum() + np.count_nonzero(bad))
+        r, c, margin = r[bad], c[bad], margin[bad]
+        for k in np.argsort(margin)[:left]:  # worst first
             violations.append(Violation("b", (float(pos[p]), float(tg[r[k]]), float(tg[c[k]])),
                                         float(-margin[k]), tol))
 
     worst = float(worst) if ok.all() else float("nan")
-    return (int(entries.sum()), worst, violations), reduced
+    return (count, worst, violations), reduced
 
 
 def check_graph_conditions(field, calibrated, config=None):

@@ -72,6 +72,21 @@ def test_config_validation():
     assert cfg.pos_res == 32 and isinstance(cfg.pos_res, int)
 
 
+def test_config_rejects_tolerances_that_are_not_positive_and_finite():
+    for name in ("tol_a", "tol_b", "tol_div", "tol_flux", "tol_graph"):
+        for value in (float("nan"), float("inf"), -float("inf"), 0.0, -1e-9):
+            with pytest.raises(ValueError, match="^{} must be positive and finite$".format(name)):
+                VerifyConfig(**{name: value})
+        assert getattr(VerifyConfig(**{name: 1e300}), name) == 1e300
+    # a bare string is not a sequence of axiom ids, and no count is negative
+    for axioms in ("divflux", "ab", "a"):
+        with pytest.raises(ValueError, match="^axioms must be a sequence of axiom ids"):
+            VerifyConfig(axioms=axioms)
+    with pytest.raises(ValueError, match="^max_recorded must be at least 0$"):
+        VerifyConfig(max_recorded=-5)
+    assert VerifyConfig(max_recorded=0).max_recorded == 0
+
+
 def test_calibrated_function_for_each_kind():
     field = limit_field()
     cal = field.calibrated
@@ -191,8 +206,8 @@ def pair_scans(draw):
         rows = np.round(rows * 2.0) / 2.0
     if draw(st.booleans()):
         rows += beta * tg ** 2 * rng.choice([-1.0, 0.0, 1.0], size=(P, 1))
-    planted, nonfinite = draw(st.integers(0, 12)), draw(st.booleans())
-    max_recorded = draw(st.sampled_from([1, 3, 17, 60, 10000]))
+    planted, nonfinite = draw(st.integers(0, 12)), draw(st.integers(0, 3))
+    max_recorded = draw(st.sampled_from([0, 1, 3, 17, 60, 10000]))
     # some or all fibres shaped as in real fields: "flat run" makes b (or a)
     # flat over a run of nodes only, as in the two-piece and ball fields;
     # "sharp" gives a least margin of exactly 0, |Psi_j - Psi_0| = beta t_j^2
@@ -224,8 +239,10 @@ def pair_scans(draw):
         for _ in range(abs(int(rng.integers(-4, 5)))):
             value = np.nextafter(value, np.inf if rng.integers(2) else -np.inf)
         rows[f, c] = value
-    if nonfinite:
-        rows[rng.integers(P), rng.integers(N)] = rng.choice([np.nan, np.inf, -np.inf])
+    # up to three non-finite fibres, so that the recorded list must follow
+    # positions across them and the failing finite fibres
+    for f in rng.choice(P, size=nonfinite, replace=False):
+        rows[f, rng.integers(N)] = rng.choice([np.nan, np.inf, -np.inf])
     return rows, t_max, beta, tol, max_recorded
 
 
@@ -323,20 +340,26 @@ def test_tally_matches_the_verdict_rule(case):
     assert [repr(v) for v in got[2]] == [repr(v) for v in recorded]
 
 
-def test_condition_b_matches_the_full_pair_scan_on_a_failing_ball():
-    # criterion 8: beta below n - 1/2 breaks axiom (b) on many fibres
+@pytest.mark.parametrize("max_recorded", [0, 1, 7, 20, 52, 10000])
+def test_condition_b_matches_the_full_pair_scan_on_a_failing_ball(max_recorded):
+    # criterion 8: beta below n - 1/2 breaks axiom (b) on many fibres, 52
+    # pairs on 8 of them; the room runs out before, inside or after them
     field = build_field_ball_harmonic(2, 1.3, 0.62934651086470002, 1.08,
                                       enforce_beta=False)
-    cfg = VerifyConfig(pos_res=128, t_res=128, pair_res=128, max_recorded=20)
+    cfg = VerifyConfig(pos_res=128, t_res=128, pair_res=128, max_recorded=max_recorded)
     got = check_condition_b(field, 1.3, cfg)
     pos = np.linspace(*field.pos_range, 128)
     tg = np.linspace(0.0, field.t_max, 128)
     Psi = field.Psi(*np.meshgrid(pos, tg, indexing="ij"))
-    count, worst, reduced, kept = reference_condition_b(pos, Psi, tg, 1.3, cfg.tol_b, 20)
+    count, worst, reduced, kept = reference_condition_b(pos, Psi, tg, 1.3, cfg.tol_b,
+                                                        max_recorded)
     assert got.n_violations == count == 52
     assert got.worst_margin == worst < 0.0
     assert got.meta["reduced_margin"] == reduced
     assert [repr(v) for v in got.violations] == [repr(v) for v in kept]
+    assert len(got.violations) == min(max_recorded, 52)
+    if max_recorded >= 52:
+        assert len({v.location[0] for v in got.violations}) == 8
 
 
 def harmonic_field(profile, beta):
