@@ -263,27 +263,26 @@ class PiecewiseField:
     def _sample(self, pos, t, *quantities, out=None, fibres=None):
         """Each of ``quantities`` at the points ``pos x t``, in their broadcast shape.
 
-        ``quantities`` names ``index`` (of the region owning a point, -1 if
-        none), ``psi``, ``phi_t`` (with ``phi_t_bump``) or ``Psi``, NaN where
-        no region claims the point.  ``fibres`` is :meth:`_fibres` of these
-        points or a block of a pass's table.  Each region forms ``sum_k c_k
-        s^k`` over the columns its runs span, in the array itself where they
-        fill the span on consecutive fibres, else aside and then through
-        their mask.  ``out`` holds one array per quantity with ``N`` columns
-        and ``P`` or more rows.  ``Psi`` integrates ``psi`` from 0, adding
-        ``(t - lo) (psi(lo) + psi(t)) / 2`` to the trapezoids below: exact,
-        as ``psi`` is affine in ``t``.
+        ``quantities`` names ``psi``, ``phi_t`` (with ``phi_t_bump``) or
+        ``Psi``, NaN where no region claims the point.  ``fibres`` is
+        :meth:`_fibres` of these points or a block of a pass's table.  Each
+        region forms ``sum_k c_k s^k`` over the columns its runs span, in the
+        array itself where they fill the span on consecutive fibres, else
+        aside and then through their mask.  ``out`` holds one array per
+        quantity with ``N`` columns and ``P`` or more rows.  ``Psi``
+        integrates ``psi`` from 0, adding ``(t - lo) (psi(lo) + psi(t)) / 2``
+        to the trapezoids below: exact, as ``psi`` is affine in ``t``.
         """
         shape = np.broadcast_shapes(np.shape(pos), np.shape(t))
         pos, t, _, unclaimed, runs = fibres or self._fibres(pos, t, "Psi" in quantities)
         P, N = pos.shape[0], t.shape[1]
         if out is None:
-            out = [np.empty((P, N), dtype=int if name == "index" else float) for name in quantities]
+            out = [np.empty((P, N)) for _ in quantities]
         values = [array[:P] for array in out]
-        for name, array in zip(quantities, values):
-            array[unclaimed] = -1 if name == "index" else np.nan
+        for array in values:
+            array[unclaimed] = np.nan
         columns = np.arange(N)
-        for k, (region, (rows, a, b, coeffs, terms)) in enumerate(zip(self.regions, runs)):
+        for region, (rows, a, b, coeffs, terms) in zip(self.regions, runs):
             if not rows.size:
                 continue
             if rows[-1] - rows[0] + 1 == rows.size:  # consecutive fibres: write through views
@@ -295,10 +294,8 @@ class PiecewiseField:
             mask, psi = full or (columns[cols] >= a) & (columns[cols] < b), None
             inside = full and isinstance(rows, slice)  # formed in the array itself
             for name, array in zip(quantities, values):
-                value = array[rows, cols] if inside else np.empty(span, dtype=array.dtype)
-                if name == "index":
-                    value.fill(k)
-                elif name == "psi" or psi is None and name == "Psi":
+                value = array[rows, cols] if inside else np.empty(span)
+                if name == "psi" or psi is None and name == "Psi":
                     psi = _poly(coeffs[:2], s, out=value if name == "psi" else np.empty(span))
                 if name == "phi_t":
                     _poly(coeffs[2:5], s, s * s, out=value)
@@ -319,8 +316,14 @@ class PiecewiseField:
         return tuple(v.reshape(shape) for v in values)
 
     def region_index(self, pos, t):
-        """Index into ``self.regions`` of the piece owning each point, -1 if none."""
-        return _scalar_or_array(self._sample(pos, t, "index")[0], int)
+        """Index into ``self.regions`` of the first region whose condition holds at
+        each point (``t < top(pos)`` if ``strict``, else ``t <= top(pos)``), else -1."""
+        pos, t = np.asarray(pos, dtype=float), np.asarray(t, dtype=float)
+        index = np.full(np.broadcast_shapes(pos.shape, t.shape), -1)
+        for k, region in enumerate(self.regions):
+            top = region.top(pos)
+            index[((t < top) if region.strict else (t <= top)) & (index < 0)] = k
+        return _scalar_or_array(index, int)
 
     def evaluate(self, pos, t):
         """Return ``(psi, phi_t)`` at the given points."""

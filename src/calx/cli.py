@@ -23,10 +23,12 @@ where it failed (``construction_location``) and the numbers behind it
 Exit codes: 0 when the requested computation succeeds (for ``check``:
 the field is certified), 1 when a construction is infeasible or a
 verification fails, 2 on usage errors: a NaN or infinite number, an
-out-of-range dimension, or a number that overflows a float.  Options
-may also be supplied through ``--config FILE`` (a flat JSON object
-keyed by option name); explicit flags win over the file, the file wins
-over defaults, and a key that names no flag of the command is a usage
+out-of-range dimension, a number that overflows a float, or an output
+file that cannot be written.  Options may also be supplied through
+``--config FILE`` (a flat JSON object keyed by option name); explicit
+flags win over the file, the file wins over defaults, and a key that
+names no flag of the command, or a value its flag would not read (a
+boolean, a fraction for an integer, a number for a path), is a usage
 error.
 """
 
@@ -89,8 +91,10 @@ class _Options:
             raise _UsageError("unknown option in config: {}".format(", ".join(sorted(unknown))))
         for name in {**config, **vars(args)}:  # an error even if the chosen kind never reads it
             value = self.get(name)
-            if isinstance(value, float):
-                self.get(name, cast=float)  # a NaN or inf
+            if isinstance(value, (bool, float)):
+                self.get(name, cast=float)  # a boolean, NaN or inf
+            if name in ("n", "samples"):
+                value = self.get(name, cast=int)  # a fraction
             if not isinstance(value, (int, float)):
                 continue  # a grid spec, which phase-diagram checks itself
             if name == "beta" and not value > 0.0:
@@ -106,6 +110,10 @@ class _Options:
             value = self.config.get(name, default)
         if value is None or cast is None:
             return value
+        # a config value as its flag reads text: no boolean, and no fraction for an integer
+        fraction = cast is int and isinstance(value, float) and not value.is_integer()
+        if isinstance(value, bool) or fraction:
+            raise _UsageError("invalid value for {}: {!r}".format(name, value))
         try:
             value = cast(value)
         except (TypeError, ValueError):
@@ -152,13 +160,23 @@ def _parse_grid(spec):
     return np.linspace(start, stop, count)
 
 
+def _path(value):
+    """``value`` if it is a string, as a flag reads a path."""
+    if not isinstance(value, str):
+        raise TypeError("a path is a string")
+    return value
+
+
 def _write_text(path, text):
     """Write ``text`` to the file ``path``, or to stdout when there is no path."""
     if not path:
         sys.stdout.write(text)
         return
-    with open(path, "w") as handle:
-        handle.write(text)
+    try:
+        with open(path, "w") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise _UsageError("cannot write {}: {}".format(path, exc.strerror or exc))
 
 
 def _beta_in_range(beta):
@@ -190,7 +208,7 @@ def _cmd_energy_curve(args, config):
     rmax = opt.get("rmax", 10.0, float)
     samples = opt.get("samples", 512, int)
     fmt = opt.get("format", "csv")
-    out = opt.get("out")
+    out = opt.get("out", cast=_path)
     if rmax <= 1.0:
         raise _UsageError("--rmax must be greater than 1")
     if samples < 2:
@@ -237,12 +255,15 @@ def _verify_config_from(opt):
     kwargs = {"max_recorded": PRINTED_VIOLATIONS}  # the report prints no more
     samples = opt.get("samples", cast=int)
     if samples is not None:
+        if samples < 16:  # the least resolution VerifyConfig takes
+            raise _UsageError("samples must be at least 16, got {!r}".format(samples))
         kwargs["pos_res"] = samples
         kwargs["t_res"] = samples
-        kwargs["pair_res"] = samples
     for name in ("tol_a", "tol_b", "tol_div", "tol_flux", "tol_graph"):
         value = opt.get(name, cast=float)
         if value is not None:
+            if not value > 0.0:
+                raise _UsageError("{} must be positive, got {!r}".format(name, value))
             kwargs[name] = value
     return VerifyConfig(**kwargs)
 
@@ -381,7 +402,7 @@ def _cmd_phase_diagram(args, config):
     n = opt.require("n", int)
     betas = _parse_grid(opt.require("beta"))
     gammas = _parse_grid(opt.require("gamma"))
-    out = opt.get("out")
+    out = opt.get("out", cast=_path)
     if (betas <= 0.0).any():
         raise _UsageError("beta grid must be positive")
     if (gammas < 0.0).any():

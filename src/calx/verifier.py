@@ -53,19 +53,20 @@ PRINTED_VIOLATIONS = 50  # per axiom group in a report
 class VerifyConfig:
     """Grid resolutions and tolerances for verification.
 
-    ``pos_res`` and ``t_res`` control the pointwise grids, ``pair_res``
-    the number of ``t`` nodes used for the pairwise axiom (b) scan.  The
-    divergence is checked on the ``pos_res`` fibres at the two ends of
-    each region's stretch, whatever ``t_res``.  ``axioms`` selects which
-    groups run.  ``threads`` is accepted and
-    validated for compatibility and has no effect: the axiom (b) scan
-    reads each fibre's extremes and sorts only the fibres that can fail,
-    and a thread pool around it does not pay.
+    ``pos_res`` and ``t_res`` give the one ``pos x t`` grid of the pass,
+    whose ``t`` nodes axiom (b) pairs on each fibre.  ``pair_res`` is
+    accepted for compatibility: it defaults to ``t_res``, the number of
+    those nodes, and any other value is an error.  The divergence is
+    checked on the ``pos_res`` fibres at the two ends of each region's
+    stretch, whatever ``t_res``.  ``axioms`` selects which groups run.
+    ``threads`` is accepted and validated for compatibility and has no
+    effect: the axiom (b) scan reads each fibre's extremes and sorts only
+    the fibres that can fail, and a thread pool around it does not pay.
     """
 
     pos_res: int = 128
     t_res: int = 128
-    pair_res: int = 128
+    pair_res: Optional[int] = None
     tol_a: float = 1e-9
     tol_b: float = 1e-9
     tol_div: float = 1e-5
@@ -76,11 +77,14 @@ class VerifyConfig:
     max_recorded: int = 10000
 
     def __post_init__(self):
-        for name, least in (("pos_res", 16), ("t_res", 16), ("pair_res", 16), ("threads", 1),
-                            ("max_recorded", 0)):
+        for name, least in (("pos_res", 16), ("t_res", 16), ("threads", 1), ("max_recorded", 0)):
             if int(getattr(self, name)) < least:
                 raise ValueError("{} must be at least {}".format(name, least))
             object.__setattr__(self, name, int(getattr(self, name)))
+        if self.pair_res not in (None, self.t_res):
+            raise ValueError("pair_res must equal t_res, got pair_res = {!r} and t_res = {}"
+                             .format(self.pair_res, self.t_res))
+        object.__setattr__(self, "pair_res", self.t_res)
         for name in ("tol_a", "tol_b", "tol_div", "tol_flux", "tol_graph"):
             if not 0.0 < float(getattr(self, name)) < np.inf:  # false for NaN
                 raise ValueError("{} must be positive and finite".format(name))
@@ -131,12 +135,6 @@ class AxiomResult:
             "meta": {k: (float(v) if isinstance(v, (int, float, np.floating)) else v)
                      for k, v in self.meta.items()},
         }
-
-
-def _grids(field, config):
-    pos = np.linspace(field.pos_range[0], field.pos_range[1], config.pos_res)
-    t = np.linspace(0.0, field.t_max, config.t_res)
-    return pos, t
 
 
 def _tally(axiom, margin, locations, tol, cap, residual=None, floor=0.0):
@@ -242,9 +240,8 @@ def check_condition_b(field, beta, config=None):
     directed along a fixed direction it also records the reduced margin
     ``beta s^2 - |Psi(pos, s)|`` (the ``r = 0`` slice), which is how the
     sharp cases are proved.  ``Psi`` is sampled block by block on whole
-    fibres of the ``pos x t`` pair grid, in the pass of :func:`verify_all`
-    when ``pair_res == t_res``, and each fibre is scanned on its own, so the
-    blocks only split the work.
+    fibres of the ``pos x t`` grid, in the pass of :func:`verify_all`, and
+    each fibre is scanned on its own, so the blocks only split the work.
 
     No fibre forms its ``N x N`` pair matrix.  With ``a = Psi - beta t^2``
     and ``b = Psi + beta t^2`` the margin of the pair ``i < j`` is
@@ -542,8 +539,7 @@ def _grid_pass(field, config, groups, gamma_sq_term=0.0, beta=0.0):
 
     One pass over blocks of whole fibres of the ``pos x t`` grid, at most
     ``_BLOCK_POINTS`` points a block: each block is sampled once, with
-    ``Psi`` when ``pair_res == t_res`` (else axiom (b) makes its own pass
-    over blocks of the pair grid), and feeds the tally of every selected
+    ``Psi`` when axiom (b) runs, and feeds the tally of every selected
     group.  The tallies of each part are merged in block order, so counts,
     worst margins and recorded violations are those of a single whole-grid
     tally, ``max_recorded`` included.  The pass allocates the sampled
@@ -556,26 +552,20 @@ def _grid_pass(field, config, groups, gamma_sq_term=0.0, beta=0.0):
 
     if "b" in groups and beta < 0.0:
         raise ValueError("beta must be nonnegative")
-    pos, t = _grids(field, config)
+    pos = np.linspace(field.pos_range[0], field.pos_range[1], config.pos_res)
+    t = np.linspace(0.0, field.t_max, config.t_res)
     T = t[None, :]
-    fused = "b" in groups and config.pair_res == config.t_res
     names = ["psi", "phi_t"] if {"a", "divflux"} & set(groups) else []
-    if fused:
+    if "b" in groups:
         names.append("Psi")
     a, b, reduced, bounded, stats = [], [], [], [], []
-
-    def scan_b(at, tg, Psi, work):
-        tally, least = _b_block(at, tg, Psi, beta, config.tol_b, _room(config, b), work)
-        b.append(tally)
-        reduced.append(least)
-
     blocks = _blocks(pos.size, t.size) if names else []
     if blocks:
         # one set of block buffers, a shorter last block their leading rows
         grid = (blocks[0][1], t.size)
         out = tuple(np.empty(grid) for _ in names)
         work = np.empty((3,) + grid)
-        fibres = field._fibres(pos[:, None], T, fused)
+        fibres = field._fibres(pos[:, None], T, "b" in groups)
         gamma_row = gamma_sq_term * (T > 0.0)
     for i, j in blocks:
         P = pos[i:j, None]
@@ -588,8 +578,11 @@ def _grid_pass(field, config, groups, gamma_sq_term=0.0, beta=0.0):
             residual += gamma_row
             a.append(_tally("a", residual, (P, T), config.tol_a, _room(config, a),
                             floor=-config.tol_a))
-        if fused:
-            scan_b(pos[i:j], t, got["Psi"], work)
+        if "b" in groups:
+            tally, least = _b_block(pos[i:j], t, got["Psi"], beta, config.tol_b, _room(config, b),
+                                    work)
+            b.append(tally)
+            reduced.append(least)
         if "divflux" in groups:
             # boundedness has no graded margin: a finite sample scores the
             # full tolerance, which no divergence margin exceeds
@@ -605,12 +598,6 @@ def _grid_pass(field, config, groups, gamma_sq_term=0.0, beta=0.0):
             np.copyto(margin, config.tol_div, where=valid)
             bounded.append(_tally("bounded", margin, (P, T), config.tol_div,
                                   _room(config, bounded)))
-    if "b" in groups and not fused:
-        tg = np.linspace(0.0, field.t_max, config.pair_res)
-        blocks = _blocks(pos.size, tg.size)
-        work = np.empty((3, blocks[0][1], tg.size))
-        for i, j in blocks:
-            scan_b(pos[i:j], tg, field.Psi(pos[i:j, None], tg[None, :]), work)
 
     results = {}
     if "a" in groups:

@@ -185,7 +185,9 @@ def _stretches(field, tops):
 def reference_sample(field, pos, t, *quantities):
     """``(index, *values)`` of ``quantities`` (``psi``, ``phi_t``, ``Psi``) at
     ``pos x t``, each region's ``coeffs`` run on the fibres it touches and the
-    integrals of the stretches below formed anew at every call."""
+    integrals of the stretches below formed anew at every call.  The index
+    is read from each region's run of columns, a definition independent of
+    the claim rule that ``region_index`` applies point by point."""
 
     pos, t = np.asarray(pos, dtype=float), np.asarray(t, dtype=float)
     shape = np.broadcast_shapes(pos.shape, t.shape)

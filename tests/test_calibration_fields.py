@@ -557,18 +557,19 @@ def test_values_are_formed_in_their_buffers_where_runs_fill_their_span(monkeypat
 
     monkeypatch.setattr(calibration_fields, "np", Numpy())
     pos, t = np.arange(5.0)[:, None], np.linspace(0.0, 1.0, 7)[None, :]
-    names = ("index", "psi", "phi_t", "Psi")
+    names = ("psi", "phi_t", "Psi")
     for tops, copies in (([[0.5] * 5, [np.inf] * 5], 0),
                          ([[0.1, 0.3, 0.5, 0.7, 0.9], [np.inf] * 5], 2 * len(names))):
         field, masked[:] = table_field(tops, [False, False]), []
-        want = reference_sample(field, pos, t, *names[1:])
-        out = (np.empty((5, 7), dtype=int),) + tuple(np.empty((5, 7)) for _ in names[1:])
+        want = reference_sample(field, pos, t, *names)
+        out = tuple(np.empty((5, 7)) for _ in names)
         got = field._sample(pos, t, *names, out=out)
         assert all(value.base is buffer for value, buffer in zip(got, out))
-        assert np.array_equal(got[0], want[0])
-        for value, expected in zip(got[1:], want[1:]):
+        for value, expected in zip(got, want[1:]):
             assert_same_bits(value, expected)
         assert masked == ["copyto"] * copies
+        # the owner of each point, by the claim rule applied directly
+        assert np.array_equal(field.region_index(pos, t), want[0])
 
 
 def benchmark_field(kind, cell):

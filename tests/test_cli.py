@@ -651,6 +651,76 @@ def test_sign_domains_in_config_values(tmp_path, capsys):
                         "--gamma=-0.0"]) == (0, want, "")
 
 
+@pytest.mark.parametrize("argv, config, message", [
+    # a fraction for an integer option, which its flag would not read
+    (["describe", "indicator-const"], {"n": 2.5, "beta": 0.3, "gamma": 0.4},
+     "invalid value for n: 2.5"),
+    (["check", "harmonic", "--m", "0.8", "--M", "1", "--beta", "3"], {"samples": 64.9},
+     "invalid value for samples: 64.9"),
+    # also where the chosen kind does not read it
+    (["check", "harmonic", "--m", "0.8", "--M", "1", "--beta", "3"], {"n": 1.5},
+     "invalid value for n: 1.5"),
+    # a boolean for an integer or a float option
+    (["describe", "indicator-const"], {"n": True, "beta": 0.3, "gamma": 0.4},
+     "invalid value for n: True"),
+    (["check", "harmonic", "--m", "0.8", "--M", "1"], {"beta": True},
+     "invalid value for beta: True"),
+    (["describe", "1d", "--m", "0.8", "--M", "1", "--beta", "3"], {"gamma": False},
+     "invalid value for gamma: False"),
+    # the range errors of check name the option
+    (["check", "harmonic", "--m", "0.8", "--M", "1", "--beta", "3", "--samples", "8"], {},
+     "samples must be at least 16, got 8"),
+    (["check", "harmonic", "--m", "0.8", "--M", "1", "--beta", "3", "--tol-a", "0"], {},
+     "tol_a must be positive, got 0.0"),
+    (["check", "harmonic", "--m", "0.8", "--M", "1", "--beta", "3"], {"tol_flux": -1e-9},
+     "tol_flux must be positive, got -1e-09"),
+])
+def test_config_values_are_read_as_their_flags_read_text(argv, config, message, tmp_path,
+                                                         capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(capsys, argv + ["--config", str(cfg)])
+    assert (code, out, err) == (2, "", "error: {}\n".format(message))
+
+
+def test_integral_config_numbers_read_as_their_flags(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"n": 2.0, "samples": 64.0}')
+    argv = ["check", "indicator-const", "--beta", "0.3", "--gamma", "0.4", "--format", "json"]
+    want = run(capsys, argv + ["--n", "2", "--samples", "64"])
+    assert want[0] == 0
+    assert run(capsys, argv + ["--config", str(cfg)]) == want
+
+
+@pytest.mark.parametrize("argv", [
+    ["phase-diagram", "--n", "2", "--beta", "1", "--gamma", "0.4"],
+    ["energy-curve", "--n", "2", "--beta", "1", "--gamma", "0.4", "--samples", "4"],
+    ["energy-curve", "--n", "2", "--beta", "1", "--gamma", "0.4", "--samples", "4",
+     "--format", "json"],
+])
+def test_an_output_path_that_cannot_be_written_is_a_usage_error(argv, tmp_path, capsys):
+    missing = tmp_path / "missing" / "out.csv"
+    code, out, err = run(capsys, argv + ["--out", str(missing)])
+    assert (code, out, err) == (2, "", "error: cannot write {}: No such file or directory\n"
+                                .format(missing))
+    # a path given in a config file must be a string: not a descriptor, not a boolean
+    cfg = tmp_path / "cfg.json"
+    for value in (7, True, 1.5):
+        cfg.write_text(json.dumps({"out": value}))
+        code, out, err = run(capsys, argv + ["--config", str(cfg)])
+        assert (code, out, err) == (2, "", "error: invalid value for out: {!r}\n".format(value))
+
+
+def test_an_energy_curve_sidecar_that_cannot_be_written_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "curve.csv"
+    (tmp_path / "curve.csv.json").mkdir()
+    code, stdout, err = run(capsys, ["energy-curve", "--n", "2", "--beta", "1", "--gamma", "0.4",
+                                     "--samples", "4", "--out", str(out)])
+    assert (code, stdout) == (2, "")
+    assert err == "error: cannot write {}.json: Is a directory\n".format(out)
+    assert out.read_text().startswith("R,E,dE_dR\n")
+
+
 @pytest.mark.parametrize("rmax", ["2", "100"])
 def test_phase_diagram_label_does_not_depend_on_rmax(rmax, capsys):
     # phase-diagram takes no search range

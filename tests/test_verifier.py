@@ -72,6 +72,16 @@ def test_config_validation():
     assert cfg.pos_res == 32 and isinstance(cfg.pos_res, int)
 
 
+def test_pair_res_follows_t_res():
+    # axiom (b) pairs the t nodes of the pass's one grid: pair_res names
+    # their number and may not set another
+    assert VerifyConfig(t_res=64).pair_res == 64
+    assert VerifyConfig(t_res=64, pair_res=64.0).pair_res == 64
+    with pytest.raises(ValueError, match="^pair_res must equal t_res, got pair_res = 200 "
+                                         "and t_res = 128$"):
+        VerifyConfig(t_res=128, pair_res=200)
+
+
 def test_config_rejects_tolerances_that_are_not_positive_and_finite():
     for name in ("tol_a", "tol_b", "tol_div", "tol_flux", "tol_graph"):
         for value in (float("nan"), float("inf"), -float("inf"), 0.0, -1e-9):
@@ -180,16 +190,26 @@ def reference_condition_b(pos, Psi, tg, beta, tol, max_recorded):
 
 
 class RowsField:
-    """Stand-in field whose ``Psi`` on the pos x pair grid is a given array."""
+    """Stand-in field whose ``Psi`` on the ``pos x t`` grid is a given array.
+
+    It answers the two calls of the grid pass: its table of fibres holds row
+    numbers as positions, and no tops and no runs, so each block of the
+    table samples ``Psi`` as the block's rows.
+    """
 
     def __init__(self, rows, t_max):
         self.rows = rows
         self.pos_range = (1.0, 2.0)
         self.t_max = t_max
 
-    def Psi(self, P, T):
-        assert np.broadcast_shapes(np.shape(P), np.shape(T)) == self.rows.shape
-        return self.rows
+    def _fibres(self, pos, t, Psi):
+        assert Psi and (pos.size, t.size) == self.rows.shape
+        rows = np.arange(pos.size)[:, None]
+        return rows, t, [], np.zeros(pos.size, dtype=bool), []
+
+    def _sample(self, pos, t, *quantities, out, fibres):
+        assert quantities == ("Psi",) and np.array_equal(t, fibres[1])
+        return (self.rows[fibres[0][:, 0]],)
 
 
 @st.composite
@@ -250,7 +270,7 @@ def pair_scans(draw):
 @given(pair_scans())
 def test_condition_b_matches_the_full_pair_scan(scan):
     rows, t_max, beta, tol, max_recorded = scan
-    cfg = VerifyConfig(pos_res=rows.shape[0], pair_res=rows.shape[1], tol_b=tol,
+    cfg = VerifyConfig(pos_res=rows.shape[0], t_res=rows.shape[1], tol_b=tol,
                        max_recorded=max_recorded)
     got = check_condition_b(RowsField(rows, t_max), beta, cfg)
     pos = np.linspace(1.0, 2.0, rows.shape[0])
@@ -266,7 +286,7 @@ def test_condition_b_matches_the_full_pair_scan(scan):
 def test_condition_b_at_zero_beta_on_a_constant_field_keeps_its_memory_small():
     # with beta = 0 and Psi = 0 every node ties both extremes of its fibre,
     # so each of the 16 fibres crosses all 256^2 node pairs
-    cfg = VerifyConfig(pos_res=16, pair_res=256)
+    cfg = VerifyConfig(pos_res=16, t_res=256)
     tracemalloc.start()
     try:
         got = check_condition_b(RowsField(np.zeros((16, 256)), 1.0), 0.0, cfg)
@@ -712,8 +732,6 @@ BLOCK_CASES = {
                                  VerifyConfig(pos_res=512, t_res=512, pair_res=512)),
     "criterion-8 ball, capped": lambda: (criterion_8_ball(), VerifyConfig(
         pos_res=512, t_res=512, pair_res=512, axioms=("b",), max_recorded=1000)),
-    "criterion-8 ball, own pair grid": lambda: (criterion_8_ball(), VerifyConfig(
-        pos_res=128, t_res=128, pair_res=200, max_recorded=20)),
     "planted (a) defect": lambda: (planted_box(), VerifyConfig(
         pos_res=96, t_res=96, pair_res=96, axioms=("a",), max_recorded=20)),
     "divflux": lambda: (ball_field(), VerifyConfig(
