@@ -22,22 +22,30 @@ where it failed (``construction_location``) and the numbers behind it
 
 Exit codes: 0 when the requested computation succeeds (for ``check``:
 the field is certified), 1 when a construction is infeasible or a
-verification fails, 2 on usage errors: a NaN or infinite number, an
+verification fails, 2 on usage errors.  Options may also be supplied
+through ``--config FILE`` (a flat JSON object keyed by option name);
+explicit flags win over the file, and the file wins over defaults.  Each
+subcommand declares its options once (``_COMMANDS``): the flag, how it
+reads text, the default and the help.  ``_Options`` resolves every
+declared option once and reads a flag's text and a config value (a
+number or numeric text) alike, so each usage error reads the same from
+either: a key that names no option of the command, a value the flag
+would not read (a boolean, a fraction for an integer, a number for a
+path), a NaN or infinite number, a value outside the option's range
+(``_RULES``, also for an option the chosen kind does not read), an
 out-of-range dimension, a number that overflows a float, or an output
-file that cannot be written.  Options may also be supplied through
-``--config FILE`` (a flat JSON object keyed by option name); explicit
-flags win over the file, the file wins over defaults, and a key that
-names no flag of the command, or a value its flag would not read (a
-boolean, a fraction for an integer, a number for a path), is a usage
-error.
+file that cannot be written.  A range error reads
+``error: <name> must be <rule>, got <value>``.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -79,54 +87,76 @@ def _load_config(path):
     return data
 
 
-class _Options:
-    """Flag / config-file / default resolution by option name."""
+_TOLERANCES = ("tol_a", "tol_b", "tol_div", "tol_flux", "tol_graph")
+_POSITIVE = ("positive", lambda value: value > 0.0)
+_AT_LEAST_1 = ("at least 1", lambda value: value >= 1)
 
-    def __init__(self, args, config):
-        self.args = args
-        self.config = config
-        # the keys of the command's flags; any other key would go unread
-        unknown = set(config) - (set(vars(args)) - {"command", "config", "handler", "kind"})
+# The range rule of each option, (rule, test), by name or, where the commands
+# differ, by (command, name).  It holds whether or not the chosen kind reads
+# the option, and for each value of a grid.
+_RULES = {
+    "n": _AT_LEAST_1, "R": _AT_LEAST_1, "beta": _POSITIVE,
+    "gamma": ("nonnegative", lambda value: value >= 0.0),
+    "rmax": ("greater than 1", lambda value: value > 1.0),
+    ("check", "samples"): ("at least 16", lambda value: value >= 16),  # VerifyConfig's least
+    ("energy-curve", "samples"): ("at least 2", lambda value: value >= 2),
+    **dict.fromkeys(_TOLERANCES, _POSITIVE),
+}
+
+
+def _read(command, name, read, value):
+    """``value``, a flag's text or a config value, read as the flag reads text
+    (``read``: int, float, str for a path, a grid parser or a tuple of
+    choices), finite and within the range rule of ``name``."""
+    if isinstance(read, tuple):
+        if value not in read:
+            raise _UsageError("{} must be {}, got {!r}".format(name, " or ".join(read), value))
+        return value
+    try:
+        # no boolean, no number for a path and no fraction for an integer
+        if isinstance(value, bool) or (read is str and not isinstance(value, str)):
+            raise TypeError(value)
+        if read is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError(value)
+        value = read(value)
+    except _UsageError:
+        raise
+    except (TypeError, ValueError):
+        raise _UsageError("invalid value for {}: {!r}".format(name, value))
+    if isinstance(value, float) and not math.isfinite(value):
+        raise _UsageError("{} must be finite, got {!r}".format(name, value))
+    rule, holds = _RULES.get((command, name)) or _RULES.get(name) or (None, None)
+    for item in value.tolist() if isinstance(value, np.ndarray) else [value]:
+        if holds is not None and not holds(item):
+            raise _UsageError("{} must be {}, got {!r}".format(name, rule, item))
+    return value
+
+
+class _Options:
+    """Every option of ``command`` resolved once: the flag, else the config
+    value, else the default; a flag or config value as ``_read`` reads it."""
+
+    def __init__(self, command, args, config):
+        declared = _COMMANDS[command].options
+        unknown = set(config) - {option.name for option in declared}
         if unknown:
             raise _UsageError("unknown option in config: {}".format(", ".join(sorted(unknown))))
-        for name in {**config, **vars(args)}:  # an error even if the chosen kind never reads it
-            value = self.get(name)
-            if isinstance(value, (bool, float)):
-                self.get(name, cast=float)  # a boolean, NaN or inf
-            if name in ("n", "samples"):
-                value = self.get(name, cast=int)  # a fraction
-            if not isinstance(value, (int, float)):
-                continue  # a grid spec, which phase-diagram checks itself
-            if name == "beta" and not value > 0.0:
-                raise _UsageError("beta must be positive, got {!r}".format(value))
-            if name == "gamma" and not value >= 0.0:
-                raise _UsageError("gamma must be nonnegative, got {!r}".format(value))
-            if name in ("n", "R") and not value >= 1:
-                raise _UsageError("{} must be at least 1, got {!r}".format(name, value))
+        self.kind = getattr(args, "kind", None)
+        self.values = {}
+        for option in declared:
+            value = getattr(args, option.name, None)
+            if value is None:
+                value = config.get(option.name)
+            self.values[option.name] = (option.default if value is None
+                                        else _read(command, option.name, option.read, value))
 
-    def get(self, name, default=None, cast=None):
-        value = getattr(self.args, name, None)
-        if value is None:
-            value = self.config.get(name, default)
-        if value is None or cast is None:
-            return value
-        # a config value as its flag reads text: no boolean, and no fraction for an integer
-        fraction = cast is int and isinstance(value, float) and not value.is_integer()
-        if isinstance(value, bool) or fraction:
-            raise _UsageError("invalid value for {}: {!r}".format(name, value))
-        try:
-            value = cast(value)
-        except (TypeError, ValueError):
-            raise _UsageError("invalid value for {}: {!r}".format(name, value))
-        if cast is float and not math.isfinite(value):
-            raise _UsageError("{} must be finite, got {!r}".format(name, value))
-        return value
+    def get(self, name):
+        return self.values.get(name)
 
-    def require(self, name, cast=None):
-        value = self.get(name, cast=cast)
+    def require(self, name):
+        value = self.get(name)
         if value is None:
-            raise _UsageError("missing required option --{}".format(
-                name.replace("_", "-")))
+            raise _UsageError("missing required option --{}".format(name.replace("_", "-")))
         return value
 
 
@@ -158,13 +188,6 @@ def _parse_grid(spec):
     if count < 1 or stop < start:
         raise _UsageError("grid spec must be increasing with count >= 1")
     return np.linspace(start, stop, count)
-
-
-def _path(value):
-    """``value`` if it is a string, as a flag reads a path."""
-    if not isinstance(value, str):
-        raise TypeError("a path is a string")
-    return value
 
 
 def _write_text(path, text):
@@ -200,21 +223,11 @@ def _curve_in_range(n, beta, gamma_, rmax):
         _in_float_range("rmax", rmax, term, form)
 
 
-def _cmd_energy_curve(args, config):
-    opt = _Options(args, config)
-    n = opt.require("n", int)
-    beta = _beta_in_range(opt.require("beta", float))
-    gamma_ = _in_float_range("gamma", opt.require("gamma", float), "gamma^2", lambda g: g * g)
-    rmax = opt.get("rmax", 10.0, float)
-    samples = opt.get("samples", 512, int)
-    fmt = opt.get("format", "csv")
-    out = opt.get("out", cast=_path)
-    if rmax <= 1.0:
-        raise _UsageError("--rmax must be greater than 1")
-    if samples < 2:
-        raise _UsageError("--samples must be at least 2")
-    if fmt not in ("csv", "json"):
-        raise _UsageError("--format must be csv or json")
+def _cmd_energy_curve(opt):
+    n = opt.require("n")
+    beta = _beta_in_range(opt.require("beta"))
+    gamma_ = _in_float_range("gamma", opt.require("gamma"), "gamma^2", lambda g: g * g)
+    rmax, samples, out = opt.get("rmax"), opt.get("samples"), opt.get("out")
     _curve_in_range(n, beta, gamma_, rmax)
 
     Rs = np.linspace(1.0, rmax, samples)
@@ -234,7 +247,7 @@ def _cmd_energy_curve(args, config):
         "grid_best_energy": float(Es[best]),
     }
 
-    if fmt == "json":
+    if opt.get("format") == "json":
         doc = dict(meta)
         doc["columns"] = ["R", "E", "dE_dR"]
         doc["rows"] = [[float(r), float(e), float(d)]
@@ -247,39 +260,32 @@ def _cmd_energy_curve(args, config):
         lines.append(",".join((_fmt(r), _fmt(e), _fmt(d))))
     _write_text(out, "\n".join(lines) + "\n")
     if out:
-        _write_text(out + ".json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
+        try:
+            _write_text(out + ".json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
+        except _UsageError:
+            os.remove(out)  # no table without its metadata
+            raise
     return 0
 
 
 def _verify_config_from(opt):
-    kwargs = {"max_recorded": PRINTED_VIOLATIONS}  # the report prints no more
-    samples = opt.get("samples", cast=int)
-    if samples is not None:
-        if samples < 16:  # the least resolution VerifyConfig takes
-            raise _UsageError("samples must be at least 16, got {!r}".format(samples))
-        kwargs["pos_res"] = samples
-        kwargs["t_res"] = samples
-    for name in ("tol_a", "tol_b", "tol_div", "tol_flux", "tol_graph"):
-        value = opt.get(name, cast=float)
-        if value is not None:
-            if not value > 0.0:
-                raise _UsageError("{} must be positive, got {!r}".format(name, value))
-            kwargs[name] = value
-    return VerifyConfig(**kwargs)
+    tolerances = {name: opt.get(name) for name in _TOLERANCES}
+    return VerifyConfig(pos_res=opt.get("samples"), t_res=opt.get("samples"), **tolerances,
+                        max_recorded=PRINTED_VIOLATIONS)  # the report prints no more
 
 
 def _affine_args(opt):
     """``(m, M, beta)``; a usage error names an ``--M`` whose square overflows,
     then a ``--beta`` whose reduced weight beta (M - m) or whose pair-scan
     scale beta M^2 overflows."""
-    beta, m, M = opt.require("beta", float), opt.require("m", float), opt.require("M", float)
+    beta, m, M = opt.require("beta"), opt.require("m"), opt.require("M")
     _in_float_range("M", M, "M^2", lambda v: v * v)
     _in_float_range("beta", beta, "beta (M - m)", lambda b: b * (M - m))
     return m, M, _in_float_range("beta", beta, "beta M^2", lambda b: b * M * M)
 
 
 def _radial_args(opt):
-    n, beta, R = opt.require("n", int), opt.require("beta", float), opt.require("R", float)
+    n, beta, R = opt.require("n"), opt.require("beta"), opt.require("R")
     # the largest term in R the ball field forms: its grid ends at 2R, and
     # for n >= 2 rho forms R^(2n-2) gamma(R) at r = 1
     if n == 1:
@@ -302,8 +308,7 @@ def _harmonic_field(opt, notes):
 
 
 def _indicator_args(opt):
-    n = opt.require("n", int)
-    return n, _beta_in_range(opt.require("beta", float)), opt.require("gamma", float)
+    return opt.require("n"), _beta_in_range(opt.require("beta")), opt.require("gamma")
 
 
 def _ball_field(opt, notes):
@@ -312,7 +317,7 @@ def _ball_field(opt, notes):
 
     n, beta, R = _radial_args(opt)
     _beta_in_range(beta)
-    gamma_ = opt.get("gamma", cast=float)
+    gamma_ = opt.get("gamma")
     if gamma_ is None:
         gsq = robin_bracket(n, beta, R)
         if gsq < 0.0:
@@ -343,19 +348,15 @@ _FIELDS = {
 }
 
 
-def _cmd_check(args, config):
-    opt = _Options(args, config)
-    kind = args.kind
-    fmt = opt.get("format", "text")
-    if fmt not in ("text", "json"):
-        raise _UsageError("--format must be text or json")
+def _cmd_check(opt):
+    fmt = opt.get("format")
     vconfig = _verify_config_from(opt)
 
     notes = []
     try:
-        field = _FIELDS[kind](opt, notes)
+        field = _FIELDS[opt.kind](opt, notes)
     except HypothesisViolation as exc:
-        report = VerificationReport.infeasible(exc, kind, exc.location, exc.details)
+        report = VerificationReport.infeasible(exc, opt.kind, exc.location, exc.details)
         if fmt == "json":
             sys.stdout.write(report.to_json() + "\n")
         else:
@@ -397,16 +398,8 @@ def _classify_cell(n, beta, gamma_, bracket_sup):
     return "undetermined"
 
 
-def _cmd_phase_diagram(args, config):
-    opt = _Options(args, config)
-    n = opt.require("n", int)
-    betas = _parse_grid(opt.require("beta"))
-    gammas = _parse_grid(opt.require("gamma"))
-    out = opt.get("out", cast=_path)
-    if (betas <= 0.0).any():
-        raise _UsageError("beta grid must be positive")
-    if (gammas < 0.0).any():
-        raise _UsageError("gamma grid must be nonnegative")
+def _cmd_phase_diagram(opt):
+    n, betas, gammas = opt.require("n"), opt.require("beta"), opt.require("gamma")
     _beta_in_range(float(betas[-1]))
 
     lines = ["beta,gamma,regime"]
@@ -415,13 +408,13 @@ def _cmd_phase_diagram(args, config):
         for gamma_ in gammas:
             regime = _classify_cell(n, float(beta), float(gamma_), bracket_sup)
             lines.append(",".join((_fmt(beta), _fmt(gamma_), regime)))
-    _write_text(out, "\n".join(lines) + "\n")
+    _write_text(opt.get("out"), "\n".join(lines) + "\n")
     return 0
 
 
-def _cmd_describe(args, config):
+def _cmd_describe(opt):
     try:
-        field = _FIELDS[args.kind](_Options(args, config), [])
+        field = _FIELDS[opt.kind](opt, [])
     except HypothesisViolation as exc:
         sys.stderr.write("infeasible: {}\n".format(exc))
         return 1
@@ -429,68 +422,60 @@ def _cmd_describe(args, config):
     return 0
 
 
-def _add_field_params(sub):
-    sub.add_argument("--n", type=int, help="space dimension")
-    sub.add_argument("--beta", type=float, help="jump weight")
-    sub.add_argument("--gamma", type=float, help="volume weight")
-    sub.add_argument("--R", type=float, help="support radius")
-    sub.add_argument("--m", type=float, help="lower boundary datum")
-    sub.add_argument("--M", type=float, help="upper boundary datum")
+# One declaration per option: its name (``--tol-a`` is ``tol_a``), how its flag
+# reads text (see ``_read``), its default and its help
+_Option = collections.namedtuple("_Option", "name read default help", defaults=(None, None))
+_Command = collections.namedtuple("_Command", "help handler options kinds", defaults=(False,))
+
+_FIELD_OPTIONS = (
+    _Option("n", int, help="space dimension"), _Option("beta", float, help="jump weight"),
+    _Option("gamma", float, help="volume weight"), _Option("R", float, help="support radius"),
+    _Option("m", float, help="lower boundary datum"),
+    _Option("M", float, help="upper boundary datum"))
+
+_COMMANDS = {
+    "energy-curve": _Command("tabulate the optimal radial energy over R", _cmd_energy_curve, (
+        _Option("n", int), _Option("beta", float), _Option("gamma", float),
+        _Option("rmax", float, 10.0), _Option("samples", int, 512), _Option("out", str),
+        _Option("format", ("csv", "json"), "csv"))),
+    "check": _Command("verify a calibration field on a grid", _cmd_check, _FIELD_OPTIONS + (
+        _Option("samples", int, VerifyConfig.t_res, "grid resolution for every axis"),
+        *(_Option(name, float, getattr(VerifyConfig, name)) for name in _TOLERANCES),
+        _Option("format", ("text", "json"), "text")), True),
+    "phase-diagram": _Command("classify (beta, gamma) cells by certificate", _cmd_phase_diagram, (
+        _Option("n", int),
+        _Option("beta", _parse_grid, help="value or start:stop:count"),
+        _Option("gamma", _parse_grid, help="value or start:stop:count"),
+        _Option("out", str))),
+    "describe": _Command("dump a field's piecewise structure", _cmd_describe, _FIELD_OPTIONS, True),
+}
 
 
 @functools.lru_cache(maxsize=None)  # once per process: parsing leaves it as it was
 def _build_parser():
+    """Each flag keeps its text; ``_Options`` reads it as it reads a config value."""
     parser = argparse.ArgumentParser(
         prog="calx",
         description="calibration certificates and energies for thermal insulation")
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", help="JSON file with default option values")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    curve = subs.add_parser("energy-curve", parents=[shared],
-                            help="tabulate the optimal radial energy over R")
-    curve.add_argument("--n", type=int)
-    curve.add_argument("--beta", type=float)
-    curve.add_argument("--gamma", type=float)
-    curve.add_argument("--rmax", type=float)
-    curve.add_argument("--samples", type=int)
-    curve.add_argument("--out")
-    curve.add_argument("--format", choices=("csv", "json"))
-    curve.set_defaults(handler=_cmd_energy_curve)
-
-    check = subs.add_parser("check", parents=[shared], help="verify a calibration field on a grid")
-    check.add_argument("kind", choices=tuple(_FIELDS))
-    _add_field_params(check)
-    check.add_argument("--samples", type=int,
-                       help="grid resolution for every axis")
-    check.add_argument("--tol-a", dest="tol_a", type=float)
-    check.add_argument("--tol-b", dest="tol_b", type=float)
-    check.add_argument("--tol-div", dest="tol_div", type=float)
-    check.add_argument("--tol-flux", dest="tol_flux", type=float)
-    check.add_argument("--tol-graph", dest="tol_graph", type=float)
-    check.add_argument("--format", choices=("text", "json"))
-    check.set_defaults(handler=_cmd_check)
-
-    phase = subs.add_parser("phase-diagram", parents=[shared],
-                            help="classify (beta, gamma) cells by certificate")
-    phase.add_argument("--n", type=int)
-    phase.add_argument("--beta", help="value or start:stop:count")
-    phase.add_argument("--gamma", help="value or start:stop:count")
-    phase.add_argument("--out")
-    phase.set_defaults(handler=_cmd_phase_diagram)
-
-    desc = subs.add_parser("describe", parents=[shared], help="dump a field's piecewise structure")
-    desc.add_argument("kind", choices=tuple(_FIELDS))
-    _add_field_params(desc)
-    desc.set_defaults(handler=_cmd_describe)
+    for command, spec in _COMMANDS.items():
+        sub = subs.add_parser(command, parents=[shared], help=spec.help)
+        if spec.kinds:
+            sub.add_argument("kind", choices=tuple(_FIELDS))
+        for option in spec.options:
+            choices = "{%s}" % ",".join(option.read) if isinstance(option.read, tuple) else None
+            sub.add_argument("--" + option.name.replace("_", "-"), dest=option.name,
+                             metavar=choices, help=option.help)
+        sub.set_defaults(handler=spec.handler)
     return parser
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args, _load_config(args.config))
+        return args.handler(_Options(args.command, args, _load_config(args.config)))
     except OverflowError as exc:
         error = "number out of range ({})".format(exc)
     except ValueError as exc:

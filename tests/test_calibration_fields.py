@@ -575,7 +575,7 @@ def test_values_are_formed_in_their_buffers_where_runs_fill_their_span(monkeypat
 def benchmark_field(kind, cell):
     """The field of a benchmark cell, or of its planted defect, as the benchmark builds it."""
     if kind != "planted defect":
-        return cli._FIELDS[kind](cli._Options(argparse.Namespace(**cell), {}), [])
+        return cli._FIELDS[kind](cli._Options("check", argparse.Namespace(**cell), {}), [])
     n, beta, R = (cell[key] for key in ("n", "beta", "R"))
     ball = build_field_ball_harmonic(n, beta, critical_gamma(n, beta, R), R)
     pos, t = np.linspace(*ball.pos_range, SAMPLES), np.linspace(0.0, ball.t_max, SAMPLES)

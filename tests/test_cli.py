@@ -410,6 +410,40 @@ def test_the_parser_carries_no_state_between_calls(tmp_path, capsys):
     assert cli._build_parser() is cli._build_parser()
 
 
+_HELP = "show this help message and exit"
+_CONFIG = "JSON file with default option values"
+_FIELD_HELP = {"n": "space dimension", "beta": "jump weight", "gamma": "volume weight",
+               "R": "support radius", "m": "lower boundary datum", "M": "upper boundary datum"}
+# the help text of every flag, `--help` included, by (subcommand, dest); None
+# stands for the parser itself, and a help of None for a flag without one
+HELP_STRINGS = {
+    (None, "help"): _HELP,
+    ("energy-curve", "help"): _HELP, ("energy-curve", "config"): _CONFIG,
+    ("energy-curve", "n"): None, ("energy-curve", "beta"): None, ("energy-curve", "gamma"): None,
+    ("energy-curve", "rmax"): None, ("energy-curve", "samples"): None,
+    ("energy-curve", "out"): None, ("energy-curve", "format"): None,
+    ("check", "help"): _HELP, ("check", "config"): _CONFIG,
+    **{("check", name): text for name, text in _FIELD_HELP.items()},
+    ("check", "samples"): "grid resolution for every axis",
+    ("check", "tol_a"): None, ("check", "tol_b"): None, ("check", "tol_div"): None,
+    ("check", "tol_flux"): None, ("check", "tol_graph"): None, ("check", "format"): None,
+    ("phase-diagram", "help"): _HELP, ("phase-diagram", "config"): _CONFIG,
+    ("phase-diagram", "n"): None, ("phase-diagram", "beta"): "value or start:stop:count",
+    ("phase-diagram", "gamma"): "value or start:stop:count", ("phase-diagram", "out"): None,
+    ("describe", "help"): _HELP, ("describe", "config"): _CONFIG,
+    **{("describe", name): text for name, text in _FIELD_HELP.items()},
+}
+
+
+def test_every_flag_keeps_its_help_text():
+    parser = cli._build_parser()
+    subcommands = next(action.choices for action in parser._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    parsers = [(None, parser)] + sorted(subcommands.items())
+    assert {(command, action.dest): action.help for command, sub in parsers
+            for action in sub._actions if action.option_strings} == HELP_STRINGS
+
+
 def test_check_and_describe_share_one_kind_registry(capsys):
     subcommands = next(action.choices for action in cli._build_parser()._actions
                        if isinstance(action, argparse._SubParsersAction))
@@ -643,7 +677,7 @@ def test_sign_domains_in_config_values(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"m": 0.2, "M": 0.9, "beta": 0}')
     code, out, err = run(capsys, ["describe", "1d", "--config", str(cfg)])
-    assert (code, out, err) == (2, "", "error: beta must be positive, got 0\n")
+    assert (code, out, err) == (2, "", "error: beta must be positive, got 0.0\n")
     # a signed zero gamma is zero, in domain
     code, want, _ = run(capsys, ["describe", "harmonic", "--n", "2", "--beta", "2", "--R", "1.5"])
     assert code == 0
@@ -683,6 +717,66 @@ def test_config_values_are_read_as_their_flags_read_text(argv, config, message, 
     assert (code, out, err) == (2, "", "error: {}\n".format(message))
 
 
+# each subcommand with in-range values of the options a range case leaves alone
+RANGE_BASES = {
+    "energy-curve": ([], {"n": 2, "beta": 1, "gamma": 0.4, "samples": 4, "format": "json"}),
+    "check": (["indicator-const"], {"n": 2, "beta": 0.3, "gamma": 0.4, "samples": 16}),
+    "describe": (["ball-harmonic"], {"n": 2, "beta": 2, "R": 2}),
+    "phase-diagram": ([], {"n": 2, "beta": 1, "gamma": 0.4}),
+}
+NAN = float("nan")
+# every ranged option of every subcommand with a value out of its range, and
+# the error line it gives
+RANGE_CASES = [
+    ("energy-curve", "n", 0, "n must be at least 1, got 0"),
+    ("energy-curve", "beta", 0.0, "beta must be positive, got 0.0"),
+    ("energy-curve", "gamma", -0.5, "gamma must be nonnegative, got -0.5"),
+    ("energy-curve", "rmax", 0.5, "rmax must be greater than 1, got 0.5"),
+    ("energy-curve", "samples", 1, "samples must be at least 2, got 1"),
+    ("energy-curve", "format", "xml", "format must be csv or json, got 'xml'"),
+    ("check", "n", 0, "n must be at least 1, got 0"),
+    ("check", "beta", -1.0, "beta must be positive, got -1.0"),
+    ("check", "gamma", -0.5, "gamma must be nonnegative, got -0.5"),
+    ("check", "R", 0.5, "R must be at least 1, got 0.5"),  # which indicator-const does not read
+    ("check", "samples", 8, "samples must be at least 16, got 8"),
+    ("check", "tol_a", 0.0, "tol_a must be positive, got 0.0"),
+    ("check", "tol_b", -1e-9, "tol_b must be positive, got -1e-09"),
+    ("check", "tol_div", 0.0, "tol_div must be positive, got 0.0"),
+    ("check", "tol_flux", -1.0, "tol_flux must be positive, got -1.0"),
+    ("check", "tol_graph", 0.0, "tol_graph must be positive, got 0.0"),
+    ("check", "format", "xml", "format must be text or json, got 'xml'"),
+    ("describe", "n", 0, "n must be at least 1, got 0"),
+    ("describe", "beta", 0.0, "beta must be positive, got 0.0"),
+    ("describe", "gamma", -1.0, "gamma must be nonnegative, got -1.0"),
+    ("describe", "R", 0.5, "R must be at least 1, got 0.5"),
+    ("phase-diagram", "n", 0, "n must be at least 1, got 0"),
+    ("phase-diagram", "beta", -1.0, "beta must be positive, got -1.0"),
+    ("phase-diagram", "gamma", -0.5, "gamma must be nonnegative, got -0.5"),
+    # each value of a grid
+    ("phase-diagram", "beta", "0:1:3", "beta must be positive, got 0.0"),
+    ("phase-diagram", "gamma", "-0.5:0.5:3", "gamma must be nonnegative, got -0.5"),
+    # a NaN in an option the chosen kind does not read
+    ("check", "R", NAN, "R must be finite, got nan"),
+    ("check", "m", NAN, "m must be finite, got nan"),
+    ("describe", "M", NAN, "M must be finite, got nan"),
+]
+
+
+@pytest.mark.parametrize("command, name, value, message", RANGE_CASES)
+def test_range_rules_read_alike_from_a_flag_a_config_number_and_config_text(
+        command, name, value, message, tmp_path, capsys):
+    positional, base = RANGE_BASES[command]
+    argv = [command] + positional + ["--{}={}".format(key.replace("_", "-"), v)
+                                     for key, v in base.items() if key != name]
+    cfg = tmp_path / "cfg.json"
+    runs = [argv + ["--{}={}".format(name.replace("_", "-"), value)]]
+    for config in ([value, str(value)] if isinstance(value, (int, float)) else [value]):
+        cfg.write_text(json.dumps({name: config}))
+        runs.append(argv + ["--config", str(cfg)])
+    for run_argv in runs:
+        assert run(capsys, run_argv) == (2, "", "error: {}\n".format(message)), run_argv
+
+
 def test_integral_config_numbers_read_as_their_flags(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"n": 2.0, "samples": 64.0}')
@@ -718,7 +812,7 @@ def test_an_energy_curve_sidecar_that_cannot_be_written_is_a_usage_error(tmp_pat
                                      "--samples", "4", "--out", str(out)])
     assert (code, stdout) == (2, "")
     assert err == "error: cannot write {}.json: Is a directory\n".format(out)
-    assert out.read_text().startswith("R,E,dE_dR\n")
+    assert not out.exists()  # no table without its metadata
 
 
 @pytest.mark.parametrize("rmax", ["2", "100"])

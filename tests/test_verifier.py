@@ -577,7 +577,7 @@ def divergence_fields(draw):
     try:
         if source == "benchmark":
             kind, cell = draw(st.sampled_from(BENCHMARK_CELLS))
-            return cli._FIELDS[kind](cli._Options(argparse.Namespace(**cell), {}), [])
+            return cli._FIELDS[kind](cli._Options("check", argparse.Namespace(**cell), {}), [])
         if source == "1d":
             return build_field_1d(CalibParams1D.from_traces(draw(st.floats(0.0, 0.95)), 1.0, beta))
         if source == "shell":
