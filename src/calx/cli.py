@@ -156,7 +156,7 @@ class _Options:
     def require(self, name):
         value = self.get(name)
         if value is None:
-            raise _UsageError("missing required option --{}".format(name.replace("_", "-")))
+            raise _UsageError("missing required option: {}".format(name))
         return value
 
 
@@ -168,8 +168,8 @@ def _in_float_range(name, value, term, form):
             return value
     except OverflowError:
         pass
-    raise _UsageError("--{} {!r} is out of range: {} overflows a float".format(
-        name, value, term))
+    raise _UsageError("{} is out of range: {} overflows a float, got {!r}".format(
+        name, term, value))
 
 
 def _parse_grid(spec):

@@ -214,25 +214,6 @@ def check_condition_a(field, gamma_sq_term, config=None):
     return _grid_pass(field, config or VerifyConfig(), ("a",), gamma_sq_term=gamma_sq_term)["a"]
 
 
-# Sorted margins b_j - a_i only propose pairs: the exact pair expression
-# decides every pair whose sorted margin lies within this slack of -tol or
-# of the worst margin.  The slack is relative to the fibre scale max|Psi| +
-# beta t_max^2 (plus tol); rounding moves a sorted margin by about 20 units
-# of 2^-53 of that scale at most, so 2^-46 leaves a wide safety factor.
-_B_SLACK = 2.0 ** -46
-
-
-def _runs(first, counts):
-    """Runs of consecutive indices, ``counts[k]`` of them from ``first[k]``.
-
-    Returns the run of each index and the indices, concatenated in run order.
-    """
-
-    owner = np.repeat(np.arange(counts.size), counts)
-    ends = np.cumsum(counts)
-    return owner, np.arange(owner.size) + np.repeat(first - ends + counts, counts)
-
-
 def check_condition_b(field, beta, config=None):
     """Pairwise axiom (b): ``|Psi(pos, s) - Psi(pos, r)| <= beta (r^2 + s^2)``.
 
@@ -243,28 +224,27 @@ def check_condition_b(field, beta, config=None):
     fibres of the ``pos x t`` grid, in the pass of :func:`verify_all`, and
     each fibre is scanned on its own, so the blocks only split the work.
 
-    No fibre forms its ``N x N`` pair matrix.  With ``a = Psi - beta t^2``
-    and ``b = Psi + beta t^2`` the margin of the pair ``i < j`` is
-    ``min(b_j - a_i, b_i - a_j)``, and for ``beta >= 0`` the two one-sided
-    failures never happen together.  A fibre's least sorted margin pairs
-    its smallest ``b`` with its largest ``a`` (or a runner-up when both sit
-    at the same node), read in O(N) without a sort.  The worst margin lies
-    on a fibre whose least sorted margin is within a few ulps of the
-    block's, in a pair of nodes within a few ulps of that fibre's extremes.
-    Only a fibre whose least sorted margin is below ``-tol`` plus a few
-    ulps can fail.  Those and the non-finite fibres are decided one by one,
-    in position order: each finite one sorts its ``b`` and ranks every
-    ``a_i - tol`` among them by binary search, which counts its ``sum_i
-    #{j : b_j < a_i - tol}`` violations in O(N log N) however many there
-    are, and lists its pairs only while violations may still be recorded.
-    The extremes and the sort only propose pairs: every pair whose sorted
-    margin lies within a few ulps of ``max|Psi| + beta t_max^2`` of
-    ``-tol`` or of the worst margin is decided by the exact expression
-    ``beta (t_r^2 + t_c^2) - |Psi_c - Psi_r|``, which also gives every
-    recorded residual, so counts and margins are those of the full pair
-    scan bit for bit.  Each fibre records its violations worst first.  A
-    fibre with a non-finite sample counts as one violation and makes the
-    worst margin NaN.
+    With ``a = Psi - beta t^2`` and ``b = Psi + beta t^2`` the margin of
+    the pair ``i < j`` is ``min(b_j - a_i, b_i - a_j)`` in floating point:
+    in exact arithmetic it is ``beta (t_i^2 + t_j^2) - |Psi_j - Psi_i|``.
+    No fibre forms its ``N x N`` pair matrix.  A rounded difference ``b_j -
+    a_i`` rises with ``b_j`` and falls with ``a_i``, so a fibre's least
+    margin pairs its smallest ``b`` with its largest ``a`` (or a runner-up
+    when both sit at the same node), read in O(N) without a sort, and node
+    ``i`` fails against exactly a prefix of the fibre's sorted ``b``.  Only
+    a fibre whose least margin is below ``-tol`` can fail.  Those and the
+    non-finite fibres are decided one by one, in position order: each
+    finite one sorts its ``b`` once, places the end of every node's prefix
+    by a binary search for ``a_i - tol``, checks the entries on both sides
+    of that end by the margin itself and counts in full only the rows whose
+    end rounding misplaced.  That counts its violations in O(N log N)
+    however many there are, and its pairs are listed from the prefixes
+    only while violations may still be recorded.  As ``a <= b`` at every
+    node and ``tol > 0``, at most one orientation of a pair fails.  Counts,
+    margins and recorded violations are those of the full pair scan bit
+    for bit.  Each fibre records its violations worst first.  A fibre with
+    a non-finite sample counts as one violation and makes the worst margin
+    NaN.
     """
 
     return _grid_pass(field, config or VerifyConfig(), ("b",), beta=beta)["b"]
@@ -286,7 +266,7 @@ def _b_block(pos, tg, Psi, beta, tol, room, work):
     # no block-sized temporary: a fresh one costs more than the arithmetic,
     # so the reduced margins, a and b are formed in the rows of ``work``
     scale = np.maximum(np.max(Psi, axis=1), -np.min(Psi, axis=1)) + w[-1]
-    # false for NaN and inf; the thresholds below stay within 3 scales
+    # false for NaN and inf; a, b and their differences stay finite
     ok = scale <= np.finfo(float).max / 4.0
     psi = Psi if ok.all() else Psi[ok]
     reduced, a, b = work[:, :psi.shape[0]]
@@ -298,57 +278,19 @@ def _b_block(pos, tg, Psi, beta, tol, room, work):
     N = tg.size
     np.subtract(psi, w, out=a)
     np.add(psi, w, out=b)
-    slack = _B_SLACK * (scale[ok] + tol)
     fibres = np.arange(psi.shape[0])
     low, top = np.argmin(b, axis=1), np.argmax(a, axis=1)
     b1, a1 = b[fibres, low], a[fibres, top]
-    # the least b_j - a_i over i != j: where both extremes sit at one node,
-    # one of them pairs with the other's runner-up, read with that node set
-    # aside
+    # the least b_j - a_i over i != j, the fibre's worst margin: where both
+    # extremes sit at one node, one of them pairs with the other's
+    # runner-up, read with that node set aside
     one = np.flatnonzero(low == top)
     b[one, low[one]], a[one, low[one]] = np.inf, -np.inf
     lowest = np.minimum(np.min(b, axis=1) - a1, b1 - np.max(a, axis=1))
     b[one, low[one]], a[one, low[one]] = b1[one], a1[one]
 
-    flat = psi.ravel()
-
-    def exact(r, c):
-        """The margins of the pairs of flat indices ``r`` and ``c`` into ``psi``."""
-        return beta * (tg2[c % N] + tg2[r % N]) - np.abs(flat[c] - flat[r])
-
-    # the worst margin: exact and sorted margins differ by rounding, far
-    # below slack, so the worst pair has b_j - a_i < lowest + 2 slack in one
-    # orientation, on a fibre whose lowest is within 2 slack of the least
-    # lowest + 2 slack.  With one slack more for rounding, a_i > min b -
-    # reach and b_j < max a + reach, reach = lowest + 3 slack; every pair of
-    # these two node sets is a pair of the fibre, so the least exact margin
-    # over all of them is the worst.  The rows are crossed in chunks of at
-    # most _BLOCK_POINTS pairs (and at least one row): where Psi is constant
-    # along a fibre and beta = 0, every node ties both extremes and the
-    # fibre crosses all N^2 pairs
-    near = lowest - 2.0 * slack <= np.min(lowest + 2.0 * slack, initial=np.inf)
-    reach = (lowest + 3.0 * slack)[:, None]
-    rows, cols = a > b1[:, None] - reach, b < a1[:, None] + reach
-    if not near.all():
-        rows &= near[:, None]
-        cols &= near[:, None]
-    rows = np.flatnonzero(rows)
-    counts = np.count_nonzero(cols, axis=1)
-    first, pairs = (np.cumsum(counts) - counts)[rows // N], counts[rows // N]
-    ends, cols = np.cumsum(pairs), np.flatnonzero(cols)
-    worst, start = np.inf, 0
-    while start < rows.size:
-        stop = max(start + 1, int(np.searchsorted(ends, ends[start] - pairs[start] + _BLOCK_POINTS,
-                                                  side="right")))
-        owner, col = _runs(first[start:stop], pairs[start:stop])
-        r, c = rows[start:stop][owner], cols[col]
-        worst = min(worst, np.min(exact(r, c), where=r != c, initial=np.inf))
-        start = stop
-
-    # only a fibre whose lowest is below -tol + 2 slack can hold a certain
-    # or a band violation
     can = ~ok
-    can[np.flatnonzero(ok)[lowest < -tol + 2.0 * slack]] = True
+    can[np.flatnonzero(ok)[lowest < -tol]] = True
     count, violations = 0, []
     for p in np.flatnonzero(can):
         left = max(room - len(violations), 0)
@@ -357,37 +299,31 @@ def _b_block(pos, tg, Psi, beta, tol, room, work):
             violations += [Violation("b", (float(pos[p]), float("nan"), float("nan")),
                                      float("nan"), tol)][:left]
             continue
-        # one stable sort orders b, and one search ranks in it a_i - tol -
-        # slack (the certain violations) and a_i - tol + slack (the end of
-        # the band left to the exact expression): a query sorts before an
-        # equal b, so the b entries ahead of it are those below
+        # node i fails against the first ends[i] entries of the sorted b:
+        # the search for a_i - tol places that end up to rounding, so the
+        # margin decides the entries on both sides of it (infinite past the
+        # ends), and a row whose end it misplaced is counted in full
         f = np.count_nonzero(ok[:p])  # the row of psi: the finite fibres before p
-        order = np.argsort(b[f], kind="stable")
-        sure, band_end = np.searchsorted(b[f, order], a[f] + np.array([[-tol - slack[f]],
-                                                                       [-tol + slack[f]]]))
-        if left == 0 and np.array_equal(sure, band_end):  # no band: the ranks count it
-            count += int(sure.sum())
+        order = np.argsort(b[f])
+        edge = np.concatenate(([-np.inf], b[f, order], [np.inf]))
+        ends = np.searchsorted(edge[1:-1], a[f] - tol)
+        wrong = np.flatnonzero(~((edge[ends] - a[f] < -tol) & (edge[ends + 1] - a[f] >= -tol)))
+        ends[wrong] = np.count_nonzero(b[f] - a[f, wrong, None] < -tol, axis=1)
+        count += int(ends.sum())
+        if left == 0:
             continue
-        # node r pairs with order[start_r:band_end_r]: the certain pairs are
-        # counted by their ranks and enumerated only while there is room to
-        # record them.  Both orientations of a pair can fall in the band, so
-        # merge them (np.unique would import numpy.ma); a pair certain in one
-        # orientation is in neither the band nor the certain set in the
-        # other, because b >= a at every node and rounding is monotone
-        start = sure if left == 0 else np.zeros_like(sure)
-        r, c = _runs(start, band_end - start)  # reused names free pair-sized arrays
-        c = order[c]
-        keys = np.sort((np.minimum(r, c) * N + np.maximum(r, c))[r != c])
-        r, c = np.divmod(keys[np.diff(keys, prepend=-1) > 0], N)
-        margin = exact(f * N + r, f * N + c)
-        bad = margin < -tol
-        count += int(start.sum() + np.count_nonzero(bad))
-        r, c, margin = r[bad], c[bad], margin[bad]
-        for k in np.argsort(margin)[:left]:  # worst first
+        # node i pairs with order[:ends[i]], listed in the order of the
+        # triangular scan and recorded worst first
+        i = np.repeat(np.arange(N), ends)
+        j = order[np.arange(i.size) - np.repeat(np.cumsum(ends) - ends, ends)]
+        r, c = np.minimum(i, j), np.maximum(i, j)
+        scan = np.argsort(r * N + c)
+        r, c, margin = r[scan], c[scan], (b[f, j] - a[f, i])[scan]
+        for k in np.argsort(margin)[:left]:
             violations.append(Violation("b", (float(pos[p]), float(tg[r[k]]), float(tg[c[k]])),
                                         float(-margin[k]), tol))
 
-    worst = float(worst) if ok.all() else float("nan")
+    worst = float(np.min(lowest)) if ok.all() else float("nan")
     return (count, worst, violations), reduced
 
 

@@ -353,13 +353,17 @@ def test_check_reports_do_not_depend_on_the_block_size(fibres, monkeypatch, caps
 
 def test_a_large_check_keeps_its_peak_memory_small():
     # the grid pass samples blocks of at most 2^15 points, so the peak does
-    # not grow with the 2048 x 2048 grid; sampling it whole peaks near 356 MB
-    code = ("import contextlib, io, resource\n"
+    # not grow with the 2048 x 2048 grid; sampling it whole peaks near 356 MB.
+    # The child reads its own high-water mark, VmHWM: on Linux its ru_maxrss
+    # starts at the peak of the process it was forked from
+    code = ("import contextlib, io\n"
             "from calx.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    code = main(['check', 'ball-harmonic', '--n', '2', '--beta', '2', '--R', '2',\n"
             "                 '--samples', '2048'])\n"
-            "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+            "with open('/proc/self/status') as status:\n"
+            "    peak = next(line.split()[1] for line in status if line.startswith('VmHWM:'))\n"
+            "print(code, peak)\n")
     env = dict(os.environ, PYTHONPATH=str(Path(calx.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=300, check=True)
@@ -599,13 +603,25 @@ def test_out_of_range_dimensions_and_overflowing_numbers_are_usage_errors(argv, 
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
-    # the option that overflows is named with its value (a grid's largest)
-    huge = [(flag, float(value.split(":")[1] if ":" in value else value))
+    # the option that overflows is named bare, with its value (a grid's largest)
+    huge = [(flag[2:], float(value.split(":")[1] if ":" in value else value))
             for flag, value in zip(argv, argv[1:])
             if flag in ("--R", "--beta", "--rmax", "--gamma", "--M")]
-    huge = [(flag, value) for flag, value in huge if value >= 1e100]
+    huge = [(name, value) for name, value in huge if value >= 1e100]
     if huge:
-        assert err.startswith("error: {} {!r} is out of range".format(*huge[0])), err
+        name, value = huge[0]
+        assert err.startswith("error: {} is out of range: ".format(name)), err
+        assert err.endswith(" overflows a float, got {!r}\n".format(value)), err
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["energy-curve", "--n", "2", "--gamma", "0.4"], "beta"),
+    (["phase-diagram", "--n", "2", "--beta", "1"], "gamma"),
+    (["check", "ball-harmonic", "--n", "2", "--beta", "2"], "R"),
+    (["describe", "indicator-const", "--beta", "0.3", "--gamma", "0.4"], "n"),
+])
+def test_a_missing_option_is_a_usage_error_that_names_it_bare(argv, name, capsys):
+    assert run(capsys, argv) == (2, "", "error: missing required option: {}\n".format(name))
 
 
 @pytest.mark.parametrize("command", ["check", "describe"])
@@ -873,7 +889,8 @@ def _check_ball_at_the_largest_critical_radius(n, beta, gamma_):
         return
     code, out, err = _main_output(argv)
     if code == 2:
-        assert beyond_floats and err.startswith("error: --R {!r} is out of range".format(R))
+        assert beyond_floats and err.startswith("error: R is out of range: ")
+        assert err.endswith(", got {!r}\n".format(R))
     else:
         assert code == 0 and json.loads(out)["passed"], (R, out)
 

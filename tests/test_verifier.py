@@ -155,15 +155,17 @@ def test_condition_b_threads_agree():
 def reference_condition_b(pos, Psi, tg, beta, tol, max_recorded):
     """Axiom (b) by the full O(N^2) pair matrix of every fibre.
 
-    Returns ``(n_violations, worst_margin, reduced_margin, violations)``;
-    a fibre with a non-finite sample counts once and makes the worst
-    margin NaN.
+    With ``a = Psi - beta t^2`` and ``b = Psi + beta t^2`` the margin of a
+    pair ``r < c`` is ``min(b_c - a_r, b_r - a_c)``.  Returns
+    ``(n_violations, worst_margin, reduced_margin, violations)``; a fibre
+    with a non-finite sample counts once and makes the worst margin NaN.
     """
 
     worst = np.inf
     reduced_worst = np.inf
     count = 0
     kept = []
+    w = beta * tg ** 2
     bound = beta * (tg[None, :] ** 2 + tg[:, None] ** 2)
     iu = np.triu_indices(tg.size, k=1)
     for p, vals in zip(pos, Psi):
@@ -174,7 +176,8 @@ def reference_condition_b(pos, Psi, tg, beta, tol, max_recorded):
             kept += [Violation("b", (float(p), float("nan"), float("nan")),
                                float("nan"), tol)][:room]
             continue
-        margin = bound - np.abs(vals[None, :] - vals[:, None])
+        a, b = vals - w, vals + w
+        margin = np.minimum(b[None, :] - a[:, None], b[:, None] - a[None, :])
         tri = margin[iu]
         worst = min(worst, float(tri.min()))
         reduced = bound[0] - np.abs(vals - vals[0])
@@ -246,19 +249,17 @@ def pair_scans(draw):
             rows[f] = rng.choice([-1.0, 1.0]) * beta * tg ** 2 * scale
         else:
             rows[f] = rows[f, 0]
-    # pairs planted a few ulps from margin -tol, or also from -tol -/+ 2
-    # slack, where the scan prunes fibres
-    shifts = draw(st.sampled_from([[0.0], [-2.0, 0.0, 2.0]]))
+    # pairs planted a few ulps from b_j - a_i = -tol, with a = Psi - beta t^2
+    # and b = Psi + beta t^2: there the search for a_i - tol can misplace the
+    # end of node i's failing prefix of the sorted b
+    w = beta * tg ** 2
     for _ in range(planted):
         f = rng.integers(P)
-        r, c = sorted(rng.choice(N, size=2, replace=False))
-        base = beta * (tg[c] ** 2 + tg[r] ** 2) + tol
-        rows[f, c] = rows[f, r] + base
-        slack = verifier._B_SLACK * (np.max(np.abs(rows[f])) + beta * tg[-1] ** 2 + tol)
-        value = rows[f, r] + (base + rng.choice(shifts) * slack)
+        i, j = rng.choice(N, size=2, replace=False)
+        b = (rows[f, i] - w[i]) - tol
         for _ in range(abs(int(rng.integers(-4, 5)))):
-            value = np.nextafter(value, np.inf if rng.integers(2) else -np.inf)
-        rows[f, c] = value
+            b = np.nextafter(b, np.inf if rng.integers(2) else -np.inf)
+        rows[f, j] = b - w[j]
     # up to three non-finite fibres, so that the recorded list must follow
     # positions across them and the failing finite fibres
     for f in rng.choice(P, size=nonfinite, replace=False):
@@ -283,9 +284,30 @@ def test_condition_b_matches_the_full_pair_scan(scan):
     assert [repr(v) for v in got.violations] == [repr(v) for v in kept]
 
 
+def test_condition_b_moves_a_prefix_end_that_the_search_misplaces():
+    # beta = 0, so a = b = Psi.  Against a = 3 on fibre 3 the margin 2.3 - 3
+    # rounds to -0.7000000000000002, below -tol, but 3 - tol rounds to 2.3
+    # itself, so the search ends node 0's failing prefix of the sorted b
+    # one entry early: the margin must move that end
+    rows = np.full((16, 16), 2.65)
+    rows[3, [0, 5, 9]] = 3.0, 2.3, 2.0
+    tol, b = 0.7, np.sort(rows[3])
+    assert np.searchsorted(b, 3.0 - tol) == 1
+    assert np.count_nonzero(b - 3.0 < -tol) == 2
+    cfg = VerifyConfig(pos_res=16, t_res=16, tol_b=tol)
+    got = check_condition_b(RowsField(rows, 1.0), 0.0, cfg)
+    count, worst, reduced, kept = reference_condition_b(
+        np.linspace(1.0, 2.0, 16), rows, np.linspace(0.0, 1.0, 16), 0.0, tol, cfg.max_recorded)
+    assert got.n_violations == count == 2
+    assert repr(got.worst_margin) == repr(worst) == "-1.0"
+    assert repr(got.meta["reduced_margin"]) == repr(reduced)
+    assert [repr(v) for v in got.violations] == [repr(v) for v in kept]
+
+
 def test_condition_b_at_zero_beta_on_a_constant_field_keeps_its_memory_small():
-    # with beta = 0 and Psi = 0 every node ties both extremes of its fibre,
-    # so each of the 16 fibres crosses all 256^2 node pairs
+    # with beta = 0 and Psi = 0 every node ties both extremes of its fibre;
+    # their least margin, 0, is read from the extremes, so no fibre can fail
+    # and none of the 16 fibres forms its 256^2 node pairs
     cfg = VerifyConfig(pos_res=16, t_res=256)
     tracemalloc.start()
     try:
