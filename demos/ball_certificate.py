@@ -40,9 +40,12 @@ try:
 except HypothesisViolation as exc:
     print("wrong gamma refused: {}".format(exc))
 
-# The pair bound (b) genuinely needs beta >= n - 1/2. Slightly below
-# the threshold the construction still goes through algebraically, but
-# the scan finds fibers whose flux exceeds the allowed jump budget.
+# beta >= n - 1/2 is the sufficient hypothesis behind a `certified`
+# verdict. Below it the construction still goes through algebraically,
+# and on this cell, beta = 1.3 at the critical radius R = 1.08, the scan
+# finds fibers whose flux exceeds the jump budget of the pair bound (b).
+# That shows the hypothesis can matter, not that it is sharp: how far
+# below n - 1/2 axiom (b) keeps holding is an open question.
 print()
 beta_small, R_small = 1.3, 1.08
 d_small = delta_robin(n, beta_small, R_small)

@@ -74,12 +74,12 @@ def _pick(values, keep):
 
 
 def _block(fibres, i, j):
-    """Fibres ``i`` to ``j - 1`` of the table of a grid made by ``PiecewiseField._fibres``."""
-    pos, t, tops, unclaimed, runs = fibres
+    """Fibres ``i`` to ``j - 1`` of a grid's table (``PiecewiseField._fibres``), no stretches."""
+    pos, t, unclaimed, runs, _ = fibres
     spans = [(run, slice(*np.searchsorted(run[0], (i, j)))) for run in runs]
-    return (pos[i:j], t, [top[i:j] for top in tops], unclaimed[i:j],
+    return (pos[i:j], t, unclaimed[i:j],
             [(rows[at] - i, a[at], b[at], _pick(coeffs, at), terms and _pick(terms, at))
-             for (rows, a, b, coeffs, terms), at in spans])
+             for (rows, a, b, coeffs, terms), at in spans], None)
 
 
 def _zero_at(pos):
@@ -117,8 +117,8 @@ class Region:
     is the analytic spatial derivative of ``psi``.  Each coefficient is an
     array that broadcasts against ``pos`` or a scalar, and a scalar 0 is
     skipped.  A pass runs ``top`` once on every position and ``coeffs`` once
-    on the fibres the region touches or ``Psi`` integrates it over, ``pos``
-    of shape ``(P, 1)``, and hands each block of fibres its slice: both must
+    on the fibres the region touches, claims or ``Psi`` integrates it over,
+    ``pos`` of shape ``(P, 1)``, and hands each block its slice: both must
     be elementwise in ``pos``, and ``coeffs`` finite, raising no warning,
     there.  ``anchor`` is the level at which the factors of the polynomials
     vanish, if any (a top such as ``t = M``): expanded about it, ``(M -
@@ -204,30 +204,22 @@ class PiecewiseField:
     calibrated: Optional[CalibratedFunction] = None
     phi_t_bump: Optional[tuple] = None
 
-    def _stretches(self, tops):
-        """Each region's stretch ``(lo, hi)`` on fibres whose tops are ``tops``:
-        the running maxima of the tops below the region and up to it, clipped
-        to ``[0, t_max]``.  A NaN top claims no point but leaves the
-        stretches from its own up NaN."""
-        lo, out = np.zeros(np.shape(tops[0])), []
-        for top in tops:
-            hi = np.minimum(np.maximum(lo, top), self.t_max)
-            out.append((lo, hi))
-            lo = hi
-        return out
-
-    def _fibres(self, pos, t, Psi=False):
-        """The table of the fibres of ``pos x t``: ``(pos, t, tops, unclaimed, runs)``.
+    def _fibres(self, pos, t, stretches=False):
+        """The table of the fibres of ``pos x t``: ``(pos, t, unclaimed, runs, stretches)``.
 
         A grid is ``pos`` of shape ``(P, 1)`` against one sorted row ``t``
         of shape ``(1, N)``; any other points are one-point fibres, ``(K, 1)``
         each.  Every top runs once, and region ``k`` claims the run ``[a,
         b)`` of columns of a fibre past those below (its condition holds on
-        a prefix), found by a binary search of its top in the row.  Its run
-        ``(rows, a, b, coeffs, terms)`` lists the fibres it touches, its
-        ``coeffs`` evaluated once on them, and with ``Psi`` the ``terms``
-        ``(lo, below, psi(lo))``: its stretch's lower end and the
-        trapezoids of the stretches below it (:meth:`_stretches`).
+        a prefix), found by a binary search of its top in the row.  Its
+        stretch ``[lo, hi]`` spans the running maxima of the tops below it
+        and up to it, clipped to ``[0, t_max]``, NaN from a NaN top up.  Its
+        run ``(rows, a, b, coeffs, terms)`` lists the fibres it touches and
+        its ``coeffs`` there; with ``stretches``, ``terms`` is ``(lo, below,
+        psi(lo))``, the trapezoids of the stretches below, and its entry
+        ``(lo, hi, rows, coeffs)`` of ``stretches`` (else ``None``) gives its
+        stretch on every fibre and ``coeffs`` where it claims a point of
+        ``[0, t_max]``, all from one call of its ``coeffs``.
         """
         pos, t = np.asarray(pos, dtype=float), np.asarray(t, dtype=float)
         if not (pos.ndim == t.ndim == 2 and pos.shape[1] == 1 and t.shape[0] == 1
@@ -242,23 +234,32 @@ class PiecewiseField:
                                   "left" if region.strict else "right") if t.shape[0] == 1
                   else ((t < top) if region.strict else (t <= top))[:, 0]
                   for region, top in zip(self.regions, tops)]
-        below, end, runs = np.zeros((P, 1)), np.zeros(P, dtype=np.intp), []
-        for region, count, (lo, hi) in zip(self.regions, counts, self._stretches(tops)):
+        lo, below, closed = np.zeros((P, 1)), np.zeros((P, 1)), np.False_
+        end, runs, claims = np.zeros(P, dtype=np.intp), [], []
+        for region, top, count in zip(self.regions, tops, counts):
+            hi = np.minimum(np.maximum(lo, top), self.t_max)
             start, end = end, np.maximum(end, count)
-            # whole: with Psi, where a point of a region above reads the trapezoid
-            touched, whole = end > start, (hi > lo)[:, 0] & (end < N) & Psi
-            rows = np.flatnonzero(touched | whole)
+            # with stretches, whole: where a point of a region above reads the trapezoid;
+            # claimed: where hi > lo, and at lo alone where the condition holds there
+            # unless a region below claims lo (closed); a NaN end leaves it unknown
+            at_lo, at_hi = (lo < top, hi < top) if region.strict else (lo <= top, hi <= top)
+            touched, whole = end > start, (hi > lo)[:, 0] & (end < N) & stretches
+            claimed = (~(hi <= lo) | (at_lo & ~closed))[:, 0] & stretches
+            closed = at_hi | (closed & (hi == lo))
+            rows = np.flatnonzero(touched | whole | claimed)
             coeffs = tuple(np.broadcast_to(c, (rows.size, 1)) if isinstance(c, np.ndarray) else c
                            for c in region.coeffs(pos[rows])) if rows.size else ()
             run, at = rows[touched[rows]], rows[whole[rows]]
+            claims.append((lo, hi, rows[claimed[rows]], _pick(coeffs, claimed[rows])))
             affine, coeffs = _pick(coeffs[:2], whole[rows]), _pick(coeffs, touched[rows])
-            terms = (lo[run], below[run], _poly(coeffs[:2], lo[run] - region.anchor)) if Psi else None
+            terms = stretches and (lo[run], below[run], _poly(coeffs[:2], lo[run] - region.anchor))
             runs.append((run, start[run, None], end[run, None], coeffs, terms))
             if at.size:
                 a, b = lo[at], hi[at]
                 below[at] += 0.5 * (b - a) * (_poly(affine, a - region.anchor)
                                               + _poly(affine, b - region.anchor))
-        return pos, t, tops, np.max(counts, axis=0, initial=0) < N, runs
+            lo = hi
+        return pos, t, np.max(counts, axis=0, initial=0) < N, runs, claims if stretches else None
 
     def _sample(self, pos, t, *quantities, out=None, fibres=None):
         """Each of ``quantities`` at the points ``pos x t``, in their broadcast shape.
@@ -274,7 +275,7 @@ class PiecewiseField:
         to the trapezoids below: exact, as ``psi`` is affine in ``t``.
         """
         shape = np.broadcast_shapes(np.shape(pos), np.shape(t))
-        pos, t, _, unclaimed, runs = fibres or self._fibres(pos, t, "Psi" in quantities)
+        pos, t, unclaimed, runs, _ = fibres or self._fibres(pos, t, "Psi" in quantities)
         P, N = pos.shape[0], t.shape[1]
         if out is None:
             out = [np.empty((P, N)) for _ in quantities]

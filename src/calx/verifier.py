@@ -5,19 +5,19 @@ Every check works on deterministic tensor grids over
 margin means the axiom holds with room to spare on the sampled points.
 Every pointwise check follows one verdict rule: a sample violates unless
 its margin is finite and at least its floor, and any NaN or infinite
-margin makes the worst margin NaN.  Axioms (a), (b) and boundedness
-come from one pass over blocks of whole fibres (fixed ``pos``, every
-``t``): each block is sampled once into the pass's one set of buffers,
-from one table of the fibres (each region's run of ``t`` and its
-coefficients) built once per pass, and feeds the tallies of every
-selected group, which are merged in block order.  The
-divergence comes from the polynomials in ``t`` each region declares, with
-no difference quotient: ``d0 + d1 s`` is the analytic spatial derivative
-of ``phi_x``, because several constructions contain factors like
-``1/(r^(n-1) Gamma(r))`` whose finite differences are hopeless near
-``r = 1``, and ``c1 + 2 c2 s`` the time derivative of ``phi_t``.  It is
-affine in ``t`` on each region's stretch of a fibre, so it is checked at
-the two ends of every stretch.  The flux check samples both sides of
+margin makes the worst margin NaN.  Axioms (a), (b), boundedness and the
+divergence come from one table of the grid's fibres (fixed ``pos``, every
+``t``) built once per pass: each region's run of ``t``, its stretch and
+its coefficients, evaluated once.  Blocks of whole fibres are sampled
+from it into the pass's one set of buffers and feed the tallies of every
+selected group, which are merged in block order.  The divergence comes
+from the polynomials in ``t`` each region declares, with no difference
+quotient: ``d0 + d1 s`` is the analytic spatial derivative of ``phi_x``,
+because several constructions contain factors like ``1/(r^(n-1)
+Gamma(r))`` whose finite differences are hopeless near ``r = 1``, and
+``c1 + 2 c2 s`` the time derivative of ``phi_t``.  It is affine in ``t``
+on each region's stretch of a fibre, so it is checked at the two ends of
+every stretch the table gives.  The flux check samples both sides of
 every interface in one more pass.
 """
 
@@ -54,14 +54,14 @@ class VerifyConfig:
     """Grid resolutions and tolerances for verification.
 
     ``pos_res`` and ``t_res`` give the one ``pos x t`` grid of the pass,
-    whose ``t`` nodes axiom (b) pairs on each fibre.  ``pair_res`` is
-    accepted for compatibility: it defaults to ``t_res``, the number of
-    those nodes, and any other value is an error.  The divergence is
-    checked on the ``pos_res`` fibres at the two ends of each region's
-    stretch, whatever ``t_res``.  ``axioms`` selects which groups run.
-    ``threads`` is accepted and validated for compatibility and has no
-    effect: the axiom (b) scan reads each fibre's extremes and sorts only
-    the fibres that can fail, and a thread pool around it does not pay.
+    whose ``t`` nodes axiom (b) pairs on each fibre.  ``pair_res``, kept
+    as given for compatibility, may only be ``None`` or ``t_res``, which
+    reports give under its name.  The divergence is checked on the
+    ``pos_res`` fibres at the two ends of each region's stretch, whatever
+    ``t_res``.  ``axioms`` selects which groups run.  ``threads`` is
+    accepted and validated for compatibility and has no effect: the axiom
+    (b) scan reads each fibre's extremes and sorts only the fibres that can
+    fail, and a thread pool around it does not pay.
     """
 
     pos_res: int = 128
@@ -84,7 +84,6 @@ class VerifyConfig:
         if self.pair_res not in (None, self.t_res):
             raise ValueError("pair_res must equal t_res, got pair_res = {!r} and t_res = {}"
                              .format(self.pair_res, self.t_res))
-        object.__setattr__(self, "pair_res", self.t_res)
         for name in ("tol_a", "tol_b", "tol_div", "tol_flux", "tol_graph"):
             if not 0.0 < float(getattr(self, name)) < np.inf:  # false for NaN
                 raise ValueError("{} must be positive and finite".format(name))
@@ -365,11 +364,11 @@ def check_graph_conditions(field, calibrated, config=None):
          "max_phi_t_residual": float(np.max(res_t, initial=0.0)),
          "samples": int(pos.size)})
 
-    # one scalar residual per jump fibre, from the fibre's numbers as given
-    residual = np.array([abs(float(field.Psi(jpos, hi)) - float(field.Psi(jpos, lo))
-                             - beta * (lo ** 2 + hi ** 2) * nu)
-                         for jpos, lo, hi, nu in calibrated.jumps])
+    # one scalar residual per jump fibre, from its numbers as given and one call of Psi
     jumps = np.array(calibrated.jumps, dtype=float).reshape(-1, 4)
+    ends = field.Psi(np.repeat(jumps[:, 0], 2), jumps[:, 1:3].ravel()).reshape(-1, 2)
+    residual = np.array([abs(float(Psi_hi) - float(Psi_lo) - beta * (lo ** 2 + hi ** 2) * nu)
+                         for (_, lo, hi, nu), (Psi_lo, Psi_hi) in zip(calibrated.jumps, ends)])
     b_prime = _result(
         "b_prime", [_tally("b_prime", tol - residual, jumps.T[:3], tol, config.max_recorded,
                             residual)], config,
@@ -387,9 +386,11 @@ def check_divergence_and_flux(field, config=None):
     ``d0 + c1 + (d1 + 2 c2) s``, with ``(n-1) p0 / r`` and ``(n-1) p1 / r``
     added to ``d0`` and ``d1`` on a radial field.  Affine in ``t``, its
     largest magnitude on a region's stretch lies at an end: it is checked
-    at both ends of every stretch a region owns on each of the ``pos_res``
-    fibres.  ``n_div_checked`` counts those ends and ``n_div_skipped`` the
-    ends of the empty stretches, two per fibre and region in all.  Boundedness asks for finite ``psi`` and
+    at both ends of every stretch a region claims on each of the
+    ``pos_res`` fibres, from the stretches and coefficients of the grid
+    pass's table (``PiecewiseField._fibres``).  ``n_div_checked`` counts
+    those ends and ``n_div_skipped`` the ends of the other stretches, two
+    per fibre and region in all.  Boundedness asks for finite ``psi`` and
     ``phi_t`` at every grid point.  Interface flux continuity compares the
     two side limits of ``phi . normal`` along each declared interface.
     """
@@ -397,31 +398,25 @@ def check_divergence_and_flux(field, config=None):
     return _grid_pass(field, config or VerifyConfig(), ("divflux",))["divflux"]
 
 
-def _divergence(field, config, pos, tops):
+def _divergence(field, config, fibres):
     """The divergence tally at both ends of every region's stretch of the
-    fibres at ``pos``, whose region tops are ``tops``, and its statistics
-    ``(max |div|, ends checked, ends skipped)``.  A stretch is checked where
-    its region claims a point of ``[0, t_max]``; an end of an empty stretch
-    scores divergence 0: margin ``tol_div``, which no checked end exceeds."""
+    fibres of the pass's table ``fibres``, and its statistics ``(max |div|,
+    ends checked, ends skipped)``.  A stretch is checked where the table has
+    its region claim a point of ``[0, t_max]``, from the coefficients it
+    holds there; an end of any other stretch scores divergence 0: margin
+    ``tol_div``, which no checked end exceeds."""
 
-    div = np.zeros((pos.size, len(tops), 2))
-    ends = np.empty_like(div)
-    checked, closed = 0, np.False_  # closed: where a region below claims lo itself
-    for k, (region, top, (lo, hi)) in enumerate(zip(field.regions, tops, field._stretches(tops))):
-        ends[:, k, 0], ends[:, k, 1] = lo[:, 0], hi[:, 0]
-        # the region claims a point where hi > lo, and lo alone where hi == lo
-        # and its condition holds at lo; a NaN end leaves the stretch unknown
-        at_lo, at_hi = (lo < top, hi < top) if region.strict else (lo <= top, hi <= top)
-        rows = np.flatnonzero(~(hi <= lo) | (at_lo & ~closed))
-        closed = at_hi | (closed & (hi == lo))
+    pos, stretches = fibres[0], fibres[4]
+    ends = np.stack([np.hstack((lo, hi)) for lo, hi, _, _ in stretches], axis=1)
+    div, checked = np.zeros_like(ends), 0
+    for k, (region, (_, _, rows, coeffs)) in enumerate(zip(field.regions, stretches)):
         if rows.size:
-            p = pos[rows, None]
-            p0, p1, _, c1, c2, d0, d1 = region.coeffs(p)
+            p, (p0, p1, _, c1, c2, d0, d1) = pos[rows], coeffs
             if field.geometry == "radial":
                 d0, d1 = d0 + (field.n - 1) * p0 / p, d1 + (field.n - 1) * p1 / p
             div[rows, k] = np.abs(_poly((d0 + c1, d1 + 2.0 * c2), ends[rows, k] - region.anchor))
             checked += 2 * rows.size
-    tally = _tally("div", config.tol_div - div, (pos[:, None, None], ends), config.tol_div,
+    tally = _tally("div", config.tol_div - div, (pos[:, :, None], ends), config.tol_div,
                    config.max_recorded, div)
     return tally, (float(np.max(div)), checked, div.size - checked)
 
@@ -432,7 +427,7 @@ def _flux(field, config):
     The points on both sides of every interface are sampled in one pass.
     """
 
-    names, coords, sides, slopes = [], [np.zeros(0)], [], []
+    coords, sides, slopes = [np.zeros(0)], [], []
     shift = 1e-9 * max(1.0, field.t_max)
     for interface in field.interfaces:
         if interface.kind == "graph":
@@ -449,7 +444,6 @@ def _flux(field, config):
             dr = 1e-9 * max(1.0, r0)
             slopes.append(None)
             sides += [(np.full_like(at, r0 - dr), at), (np.full_like(at, r0 + dr), at)]
-        names += [interface.name] * at.size
         coords.append(at)
     flux = [np.zeros(0)]
     if sides:
@@ -464,8 +458,9 @@ def _flux(field, config):
             else:
                 flux.append(np.abs((phit[hi] - phit[lo]) - slope * (psi[hi] - psi[lo])))
     flux = np.concatenate(flux)
-    tally = _tally("flux", config.tol_flux - flux, (np.array(names, dtype=str),
-                                                    np.concatenate(coords)),
+    labels = np.repeat(np.array([interface.name for interface in field.interfaces], dtype=str),
+                       [at.size for at in coords[1:]])
+    tally = _tally("flux", config.tol_flux - flux, (labels, np.concatenate(coords)),
                    config.tol_flux, config.max_recorded, flux)
     return tally, float(np.max(flux, initial=0.0))
 
@@ -483,7 +478,7 @@ def _grid_pass(field, config, groups, gamma_sq_term=0.0, beta=0.0):
     the table of its fibres once (``PiecewiseField._fibres``: each top and
     each region's coefficients run once, and no region index is formed);
     each block samples its slice of the table into those buffers.  The
-    divergence reads the table's tops, at the ends of each stretch.
+    divergence reads the table's stretches and its coefficients at their ends.
     """
 
     if "b" in groups and beta < 0.0:
@@ -501,7 +496,7 @@ def _grid_pass(field, config, groups, gamma_sq_term=0.0, beta=0.0):
         grid = (blocks[0][1], t.size)
         out = tuple(np.empty(grid) for _ in names)
         work = np.empty((3,) + grid)
-        fibres = field._fibres(pos[:, None], T, "b" in groups)
+        fibres = field._fibres(pos[:, None], T, bool({"b", "divflux"} & set(groups)))
         gamma_row = gamma_sq_term * (T > 0.0)
     for i, j in blocks:
         P = pos[i:j, None]
@@ -543,10 +538,10 @@ def _grid_pass(field, config, groups, gamma_sq_term=0.0, beta=0.0):
     if "b" in groups:
         least = min(reduced)
         results["b"] = _result("b", b, config, {
-            "pos_res": config.pos_res, "pair_res": config.pair_res, "beta": float(beta),
+            "pos_res": config.pos_res, "pair_res": config.t_res, "beta": float(beta),
             "reduced_margin": float(least) if np.isfinite(least) else None})
     if "divflux" in groups:
-        div_tally, (div_worst, checked, skipped) = _divergence(field, config, pos, fibres[2])
+        div_tally, (div_worst, checked, skipped) = _divergence(field, config, fibres)
         flux_tally, flux_worst = _flux(field, config)
         # a maximum is -inf when no block has a finite sample
         max_phi_x, max_phi_t = (float(m) if m >= 0.0 else float("nan")
@@ -660,7 +655,7 @@ def verify_all(field, calibrated=None, config=None):
         "t_max": float(field.t_max),
         "pos_res": config.pos_res,
         "t_res": config.t_res,
-        "pair_res": config.pair_res,
+        "pair_res": config.t_res,
     }
     return VerificationReport(field_kind=field.kind, results=results,
                               grid_meta=grid_meta)

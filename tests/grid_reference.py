@@ -8,7 +8,9 @@ difference of ``psi`` along ``pos``, each region's ``psi``, ``phi_t`` and
 ``dpsi_dpos`` written out as closed-form callables of ``(pos, t)``, and
 the field's values sampled block by block, the region index with them,
 the way the verifier's grid pass did before it built one table of its
-fibres per pass.
+fibres per pass, and the divergence at the stretch ends with the claim
+rule applied to the tops, as the verifier did before that table held the
+stretches.
 """
 
 import numpy as np
@@ -180,6 +182,36 @@ def _stretches(field, tops):
         out.append((lo, hi))
         lo = hi
     return out
+
+
+def reference_divergence(field, pos):
+    """The divergence at both ends of every region's stretch of the fibres
+    at ``pos`` (1-d), each region's tops and ``coeffs`` evaluated anew, the
+    way the verifier formed it before the pass's table held the stretches:
+    ``(claimed, div, ends)``, ``claimed`` each region's fibres where it
+    claims a point of ``[0, t_max]``.  An end of any other stretch reads 0."""
+
+    P = pos[:, None]
+    tops = [np.broadcast_to(np.asarray(region.top(P), dtype=float), P.shape)
+            for region in field.regions]
+    div = np.zeros((pos.size, len(tops), 2))
+    ends = np.empty_like(div)
+    claimed, closed = [], np.False_  # closed: where a region below claims lo itself
+    for k, (region, top, (lo, hi)) in enumerate(zip(field.regions, tops, _stretches(field, tops))):
+        ends[:, k, 0], ends[:, k, 1] = lo[:, 0], hi[:, 0]
+        # the region claims a point where hi > lo, and lo alone where hi == lo
+        # and its condition holds at lo; a NaN end leaves the stretch unknown
+        at_lo, at_hi = (lo < top, hi < top) if region.strict else (lo <= top, hi <= top)
+        rows = np.flatnonzero(~(hi <= lo) | (at_lo & ~closed))
+        closed = at_hi | (closed & (hi == lo))
+        claimed.append(rows)
+        if rows.size:
+            p = pos[rows, None]
+            p0, p1, _, c1, c2, d0, d1 = region.coeffs(p)
+            if field.geometry == "radial":
+                d0, d1 = d0 + (field.n - 1) * p0 / p, d1 + (field.n - 1) * p1 / p
+            div[rows, k] = np.abs(_poly((d0 + c1, d1 + 2.0 * c2), ends[rows, k] - region.anchor))
+    return claimed, div, ends
 
 
 def reference_sample(field, pos, t, *quantities):

@@ -5,6 +5,7 @@ import json
 import math
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -34,11 +35,12 @@ from calx.potentials import delta_robin, u_radial
 from calx.verifier import (
     CalibratedFunction,
     VerifyConfig,
+    check_divergence_and_flux,
     check_graph_conditions,
     perturb_phi_t,
     verify_all,
 )
-from grid_reference import reference_sample
+from grid_reference import reference_divergence, reference_sample
 
 sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
 from workloads import (CERTIFY_CELLS, PLANTED_AMOUNT, PLANTED_CELL, REFUTE_CELLS,  # noqa: E402
@@ -535,6 +537,49 @@ def test_table_sampling_matches_the_block_reference_bit_for_bit(data):
     grid = np.all(t[1:] >= t[:-1])
     assert_sampling_matches_the_block_reference(table_field(tops, strict), pos, t[None, :],
                                                 data.draw(st.integers(1, P)) if grid else None)
+
+
+def assert_claimed_stretches_match_the_divergence_reference(field, pos_res, t_res):
+    """The stretches of the grid pass's table, and the divergence statistics
+    of a check read from them, equal the reference that applies the claim
+    rule to the tops and evaluates each region's ``coeffs`` anew."""
+
+    pos, t = np.linspace(*field.pos_range, pos_res), np.linspace(0.0, field.t_max, t_res)
+    claimed, div, ends = reference_divergence(field, pos)
+    stretches = field._fibres(pos[:, None], t[None, :], True)[4]
+    for k, (lo, hi, rows, _) in enumerate(stretches):
+        assert np.array_equal(rows, claimed[k])
+        assert np.array_equal(np.hstack((lo, hi)), ends[:, k], equal_nan=True)
+    meta = check_divergence_and_flux(field, VerifyConfig(pos_res=pos_res, t_res=t_res)).meta
+    checked = 2 * sum(rows.size for rows in claimed)
+    assert (meta["n_div_checked"], meta["n_div_skipped"]) == (checked, div.size - checked)
+    assert_same_bits(meta["div_worst"], np.max(div))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_claimed_stretches_match_the_divergence_reference(data):
+    # NaN, infinite and equal tops, strict and non-strict regions, and tops
+    # at a grid node and between nodes, so that zero-length stretches sit
+    # at both; an interval field, and a radial one whose fibres start at 1
+    K, P, N = (data.draw(st.integers(lo, hi)) for lo, hi in ((1, 4), (16, 20), (16, 24)))
+    t = np.linspace(0.0, 1.0, N)
+    levels = _TOPS + [t[1], t[N // 2], t[N - 2]]
+    tops = data.draw(st.lists(st.lists(st.sampled_from(levels), min_size=P, max_size=P),
+                              min_size=K, max_size=K))
+    strict = data.draw(st.lists(st.booleans(), min_size=K, max_size=K))
+    first, n = data.draw(st.sampled_from([(0, 1), (1, 2), (1, 3)]))
+    field = table_field([[np.nan] * first + row for row in tops], strict)
+    field = replace(field, geometry="interval" if n == 1 else "radial", n=n,
+                    pos_range=(float(first), float(first + P - 1)))
+    assert_claimed_stretches_match_the_divergence_reference(field, P, N)
+
+
+def test_claimed_stretches_match_the_divergence_reference_on_benchmark_fields():
+    for kind, cell in BENCHMARK_CELLS + [("planted defect", PLANTED_CELL)]:
+        if (kind, cell) not in REFUTE_CELLS[1:]:  # these stop in the constructor
+            assert_claimed_stretches_match_the_divergence_reference(benchmark_field(kind, cell),
+                                                                   64, 64)
 
 
 def test_values_are_formed_in_their_buffers_where_runs_fill_their_span(monkeypatch):

@@ -74,12 +74,29 @@ def test_config_validation():
 
 def test_pair_res_follows_t_res():
     # axiom (b) pairs the t nodes of the pass's one grid: pair_res names
-    # their number and may not set another
-    assert VerifyConfig(t_res=64).pair_res == 64
+    # their number and may not set another; it is kept as given, and the
+    # reports read t_res under its name
+    assert VerifyConfig(t_res=64).pair_res is None
     assert VerifyConfig(t_res=64, pair_res=64.0).pair_res == 64
     with pytest.raises(ValueError, match="^pair_res must equal t_res, got pair_res = 200 "
                                          "and t_res = 128$"):
         VerifyConfig(t_res=128, pair_res=200)
+    for cfg in (VerifyConfig(pos_res=16, t_res=24, axioms=("b",)),
+                VerifyConfig(pos_res=16, t_res=24, pair_res=24.0, axioms=("b",))):
+        report = verify_all(ball_field(), config=cfg)
+        assert report.grid_meta["pair_res"] == report.results["b"].meta["pair_res"] == 24
+        assert json.loads(report.to_json())["grid"]["pair_res"] == 24
+
+
+def test_a_config_takes_another_t_res_by_replace():
+    # replace passes every field back to the constructor: a pair_res left
+    # unset stays unset, and one the caller set must still match
+    cfg = dataclasses.replace(VerifyConfig(), t_res=64)
+    assert (cfg.t_res, cfg.pair_res) == (64, None)
+    assert dataclasses.replace(VerifyConfig(t_res=64, pair_res=64), t_res=64).pair_res == 64
+    with pytest.raises(ValueError, match="^pair_res must equal t_res, got pair_res = 128 "
+                                         "and t_res = 64$"):
+        dataclasses.replace(VerifyConfig(pair_res=128), t_res=64)
 
 
 def test_config_rejects_tolerances_that_are_not_positive_and_finite():
@@ -196,7 +213,7 @@ class RowsField:
     """Stand-in field whose ``Psi`` on the ``pos x t`` grid is a given array.
 
     It answers the two calls of the grid pass: its table of fibres holds row
-    numbers as positions, and no tops and no runs, so each block of the
+    numbers as positions, and no runs and no stretches, so each block of the
     table samples ``Psi`` as the block's rows.
     """
 
@@ -205,10 +222,10 @@ class RowsField:
         self.pos_range = (1.0, 2.0)
         self.t_max = t_max
 
-    def _fibres(self, pos, t, Psi):
-        assert Psi and (pos.size, t.size) == self.rows.shape
+    def _fibres(self, pos, t, stretches):
+        assert stretches and (pos.size, t.size) == self.rows.shape
         rows = np.arange(pos.size)[:, None]
-        return rows, t, [], np.zeros(pos.size, dtype=bool), []
+        return rows, t, np.zeros(pos.size, dtype=bool), [], None
 
     def _sample(self, pos, t, *quantities, out, fibres):
         assert quantities == ("Psi",) and np.array_equal(t, fibres[1])
@@ -731,6 +748,29 @@ def test_axioms_classify_each_grid_once(monkeypatch):
         check()
         assert passes == [8 * cfg.t_res] * 4
         assert seen == [(r.name, cfg.pos_res) for r in field.regions]
+
+
+def test_each_region_runs_its_coefficients_once_a_grid_pass(monkeypatch):
+    # the pass's table gives the runs, the Psi trapezoids and the stretches
+    # the divergence reads their coefficients from one call a region, in one
+    # block or in several; the flux check samples its own points
+    calls = []
+
+    def counted(region):
+        def coeffs(pos):
+            calls.append(region.name)
+            return region.coeffs(pos)
+        return dataclasses.replace(region, coeffs=coeffs)
+
+    field = ball_field()
+    field = dataclasses.replace(field, regions=tuple(counted(r) for r in field.regions))
+    monkeypatch.setattr(verifier, "_flux", lambda field, config: ((0, config.tol_flux, []), 0.0))
+    for axioms, fibres in ((("a", "b", "divflux"), 64), (("divflux",), 64), (("b",), 8),
+                           (("a", "b", "divflux"), 8)):
+        monkeypatch.setattr(verifier, "_BLOCK_POINTS", fibres * 64)
+        calls.clear()
+        verify_all(field, config=VerifyConfig(pos_res=64, t_res=64, axioms=axioms))
+        assert sorted(calls) == sorted(r.name for r in field.regions), (axioms, fibres)
 
 
 def criterion_8_ball():
