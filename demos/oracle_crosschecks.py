@@ -36,8 +36,8 @@ sweep = oracle_radial_sweep(2, 1.0, 0.4, R_grid, delta_grid)
 print("radial sweep at (n, beta, gamma) = (2, 1, 0.4): {} rows".format(
     len(sweep.rows)))
 print("  indicator row total = {:.9f}".format(sweep.rows[0].total))
-print("  best interior total = {:.9f}".format(
-    min(r.total for r in sweep.rows[1:])))
+# the table is held by column: its minimum needs no row formed
+print("  best interior total = {:.9f}".format(sweep.rows.total.min()))
 print("  indicator best? {}".format(sweep.is_indicator_best))
 sweep.write_csv("radial_sweep.csv")
 print("  wrote radial_sweep.csv")
@@ -48,7 +48,7 @@ print()
 n, beta, gamma_, R = 2, 3.0, 0.2, 2.0
 fine = np.linspace(1e-3, 1.0, 20_000)
 sweep = oracle_radial_sweep(n, beta, gamma_, [R], fine)
-grid_min = min(row.total for row in sweep.rows if row.R == R)
+grid_min = sweep.rows.total[0].min()  # the table's one radius, R
 closed = energy_radial_optimal(n, beta, gamma_, R)
 print("delta-grid minimum vs closed form at R = {}: {:.9f} vs {:.9f} "
       "(diff {:+.2e})".format(R, grid_min, closed, grid_min - closed))

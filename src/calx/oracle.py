@@ -19,8 +19,9 @@ from __future__ import annotations
 import csv
 from array import array
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -32,6 +33,7 @@ __all__ = [
     "oracle_1d_best",
     "oracle_robin_shooting",
     "SweepRow",
+    "SweepTable",
     "RadialSweepResult",
     "oracle_radial_sweep",
 ]
@@ -326,6 +328,47 @@ class SweepRow:
     total: float
 
 
+class SweepTable(Sequence):
+    """The sweep's rows, held by column and formed when read: row 0 is ``unit``
+    (R = 1), row 1 + k len(deltas) + j is radius ``radii[k]`` at trace ``deltas[j]``,
+    with ``volumes[k]`` and entry (k, j) of the read-only ``dirichlet``, ``jump`` and
+    ``total`` arrays.  A slice is a tuple of its rows; iteration forms one radius at a time."""
+
+    __slots__ = ("unit", "radii", "deltas", "volumes", "dirichlet", "jump", "total")
+
+    def __init__(self, unit, radii, deltas, volumes, *columns):
+        self.unit, self.radii, self.deltas, self.volumes = unit, radii, deltas, volumes
+        self.dirichlet, self.jump, self.total = columns
+        for column in columns:
+            column.flags.writeable = False
+
+    def __len__(self):
+        return 1 + self.total.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(len(self))[index]))
+        k, j = divmod(range(-1, self.total.size)[index], len(self.deltas))  # unit row: k = -1
+        return self.unit if k < 0 else SweepRow(
+            self.radii[k], self.deltas[j], self.dirichlet.item(k, j), self.jump.item(k, j),
+            self.volumes[k], self.total.item(k, j))
+
+    def __reduce__(self):  # through __init__, so a copy's columns are read-only too
+        return SweepTable, tuple(map(getattr, repeat(self), self.__slots__))
+
+    def __iter__(self):
+        return chain((self.unit,), chain.from_iterable(map(self._block, range(len(self.radii)))))
+
+    def _block(self, k):
+        # bare rows, each field stored by its slot's descriptor as the frozen __init__ does
+        block = list(map(object.__new__, repeat(SweepRow, len(self.deltas))))
+        columns = (repeat(self.radii[k]), self.deltas, self.dirichlet[k].tolist(),
+                   self.jump[k].tolist(), repeat(self.volumes[k]), self.total[k].tolist())
+        for name, column in zip(SweepRow.__slots__, columns):
+            deque(map(getattr(SweepRow, name).__set__, block, column), maxlen=0)
+        return block
+
+
 @dataclass(frozen=True)
 class RadialSweepResult:
     """Energy table over (R, delta) with the scan-order minimizer."""
@@ -333,7 +376,7 @@ class RadialSweepResult:
     n: int
     beta: float
     gamma: float
-    rows: tuple
+    rows: Sequence
     best_index: int
 
     @property
@@ -361,12 +404,7 @@ def oracle_radial_sweep(n, beta, gamma_, R_grid, delta_grid, threads=None):
     rows are sorted by R then delta, computed one radius at a time over
     the whole delta grid by :func:`calx.energy.energy_radial_traces`;
     the best row is the first minimum in scan order.  ``threads`` is
-    accepted and has no effect.
-
-    Each radius's rows are built by column: allocated bare, then each
-    field stored over the whole block through its slot descriptor, the
-    same store the frozen ``__init__`` makes one row at a time.  The rows
-    are ordinary ``SweepRow`` instances, equal to per-row construction.
+    accepted and has no effect.  The rows are a :class:`SweepTable`.
     """
 
     Rs = sorted(set(float(R) for R in R_grid))
@@ -381,21 +419,13 @@ def oracle_radial_sweep(n, beta, gamma_, R_grid, delta_grid, threads=None):
         raise ValueError("delta grid must lie in (0, 1]")
 
     unit = energy_radial_general(RadialProfile(n=n, beta=beta, gamma=gamma_, R=1.0, delta=1.0))
-    rows = [SweepRow(R=1.0, delta=1.0, dirichlet=unit.dirichlet, jump=unit.jump,
-                     volume=unit.volume, total=unit.total)]
-    totals = [[unit.total]]
+    radii = tuple(R for R in Rs if R > 1.0)
     traces = np.array(deltas)
-    stores = [getattr(SweepRow, name).__set__ for name in SweepRow.__slots__]
-    for R in Rs:
-        if R > 1.0:
-            e = energy_radial_traces(n, beta, gamma_, R, traces)
-            with np.errstate(over="ignore"):  # past the float range a total is inf, as a float sum
-                totals.append(e.total)
-            block = list(map(object.__new__, repeat(SweepRow, len(deltas))))
-            columns = (repeat(R), deltas, e.dirichlet.tolist(), e.jump.tolist(),
-                       repeat(e.volume), totals[-1].tolist())
-            for store, column in zip(stores, columns):
-                deque(map(store, block, column), maxlen=0)
-            rows += block
-    best = int(np.argmin(np.concatenate(totals)))
-    return RadialSweepResult(n=n, beta=beta, gamma=gamma_, rows=tuple(rows), best_index=best)
+    parts = [energy_radial_traces(n, beta, gamma_, R, traces) for R in radii]
+    with np.errstate(over="ignore"):  # past the float range a total is inf, as a float sum
+        columns = [np.reshape([getattr(e, name) for e in parts], (len(radii), len(deltas)))
+                   for name in ("dirichlet", "jump", "total")]
+    rows = SweepTable(SweepRow(1.0, 1.0, unit.dirichlet, unit.jump, unit.volume, unit.total),
+                      radii, tuple(deltas), tuple(e.volume for e in parts), *columns)
+    best = int(np.argmin(np.concatenate(([unit.total], rows.total.ravel()))))
+    return RadialSweepResult(n=n, beta=beta, gamma=gamma_, rows=rows, best_index=best)

@@ -131,7 +131,7 @@ class AxiomResult:
                  "tol": viol.tol}
                 for viol in self.violations[:PRINTED_VIOLATIONS]
             ],
-            "meta": {k: (float(v) if isinstance(v, (int, float, np.floating)) else v)
+            "meta": {k: (v.item() if isinstance(v, np.generic) else v)  # ints stay ints
                      for k, v in self.meta.items()},
         }
 

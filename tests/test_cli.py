@@ -307,6 +307,18 @@ def test_check_emits_the_recorded_report(case, capsys):
     assert (code, json.loads(out)) == (expected["exit"], expected["report"])
 
 
+def test_check_prints_integer_meta_as_json_integers(capsys):
+    code, out, err = run(capsys, ["check"] + CHECK_CASES["ball-harmonic"] + ["--samples", "64",
+                                                                          "--format", "json"])
+    assert (code, err) == (0, "")
+    kinds = {key: type(value) for result in json.loads(out)["results"].values()
+             for key, value in result["meta"].items()}
+    counts = {"pos_res", "t_res", "pair_res", "samples", "n_jumps", "n_div_checked",
+              "n_div_skipped"}
+    assert {key for key, kind in kinds.items() if kind is int} == counts
+    assert {kinds[key] for key in kinds.keys() - counts} == {float}
+
+
 def test_thin_shell_fails_on_its_flux_alone(capsys):
     # R = 1.001: next to the graph the exact slope of phi_t leaves the
     # divergence at rounding; the flux read 1e-9 off the graph still fails

@@ -1,5 +1,6 @@
 """Tests for the brute-force cross-check oracles."""
 
+import copy
 import dataclasses
 import itertools
 import math
@@ -19,6 +20,7 @@ from calx.energy import (Competitor1D, RadialProfile, energy_1d, energy_radial_g
 from calx.oracle import (
     JumpSearchSpace,
     SweepRow,
+    SweepTable,
     oracle_1d_best,
     oracle_radial_sweep,
     oracle_robin_shooting,
@@ -421,7 +423,7 @@ def test_radial_sweep_threads_and_csv(tmp_path):
     delta_grid = np.linspace(0.1, 1.0, 9)
     sweep1 = oracle_radial_sweep(2, 1.0, 0.34, R_grid, delta_grid)
     sweep2 = oracle_radial_sweep(2, 1.0, 0.34, R_grid, delta_grid, threads=2)
-    assert sweep1.rows == sweep2.rows
+    assert tuple(sweep1.rows) == tuple(sweep2.rows)
     assert sweep1.best_index == sweep2.best_index
 
     path = tmp_path / "sweep.csv"
@@ -462,12 +464,12 @@ def assert_same_rows(sweep, rows, best):
     """The sweep's rows are plain frozen ``SweepRow`` values that behave as the
     per-row ``rows`` do: equal, hashing alike, replaceable, picklable, and
     written to the same CSV bytes."""
-    assert (repr(sweep.rows), sweep.best_index) == (repr(rows), best)
+    assert (repr(tuple(sweep.rows)), sweep.best_index) == (repr(rows), best)
     assert all(type(row) is SweepRow for row in sweep.rows)
-    assert sweep.rows == rows
+    assert tuple(sweep.rows) == rows
     assert list(map(hash, sweep.rows)) == list(map(hash, rows))
     assert tuple(map(dataclasses.replace, sweep.rows)) == rows
-    assert pickle.loads(pickle.dumps(sweep.rows)) == rows
+    assert pickle.loads(pickle.dumps(tuple(sweep.rows))) == rows
     for row, name in zip(sweep.rows, itertools.cycle(SweepRow.__slots__)):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(row, name, 0.0)
@@ -477,6 +479,56 @@ def assert_same_rows(sweep, rows, best):
         sweep.write_csv(got_csv)
         want.write_csv(want_csv)
         assert got_csv.read_bytes() == want_csv.read_bytes()
+
+
+def test_radial_sweep_table_indexes_slices_and_iterates_as_its_tuple():
+    sweep = oracle_radial_sweep(2, 1.0, 0.4, [1.5, 2.0, 3.0], [0.2, 0.5, 1.0])
+    table, rows = sweep.rows, tuple(sweep.rows)
+    assert type(table) is SweepTable and len(table) == len(rows) == 10
+    assert tuple(table[i] for i in range(len(table))) == rows
+    assert tuple(table[i] for i in range(-len(table), 0)) == rows
+    for i in (len(table), len(table) + 5, -len(table) - 1):
+        with pytest.raises(IndexError):
+            table[i]
+    bounds = [None, 0, 1, 3, 4, 9, 10, -1, -3, -10, -11, 50]
+    for start, stop, step in itertools.product(bounds, bounds, [None, 1, 2, 3, -1, -2, -4, 20]):
+        assert table[start:stop:step] == rows[start:stop:step], (start, stop, step)
+    assert all(type(row) is SweepRow for row in itertools.chain(
+        table, map(table.__getitem__, range(-len(table), len(table))), table[::-1], table[1::3]))
+    assert table.total.shape == (3, 3)
+    for copied in (table, pickle.loads(pickle.dumps(table)), copy.deepcopy(table)):
+        assert tuple(copied) == rows
+        for column in (copied.dirichlet, copied.jump, copied.total):
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("R_grid, delta_grid", [([1.0], [0.3, 0.7]), ([1.5, 1.0, 2.0], [0.5])])
+def test_radial_sweep_table_on_a_unit_only_or_single_trace_grid(R_grid, delta_grid):
+    sweep = oracle_radial_sweep(2, 1.0, 0.4, R_grid, delta_grid)
+    assert_same_rows(sweep, *scalar_sweep(2, 1.0, 0.4, R_grid, delta_grid))
+    table = sweep.rows
+    assert len(table) == 1 + (len(R_grid) - 1) * len(delta_grid)
+    assert table.total.shape == (len(R_grid) - 1, len(delta_grid))
+    assert table[0] is table[-len(table)] is table.unit
+    with pytest.raises(IndexError):
+        table[len(table)]
+    assert table[1:] == tuple(table)[1:] and table[::-1] == tuple(table)[::-1]
+
+
+@pytest.mark.parametrize("beta, gamma_", [(1.0, 0.4), (3.0, 0.2)])
+def test_radial_sweep_reads_the_same_with_its_rows_as_a_tuple(beta, gamma_, tmp_path):
+    # the path the benchmark's self-test takes: a result whose rows are a plain tuple
+    R_grid, delta_grid = np.linspace(1.0, 3.0, 7), np.linspace(0.1, 1.0, 6)
+    sweep = oracle_radial_sweep(2, beta, gamma_, R_grid, delta_grid)
+    plain = dataclasses.replace(sweep, rows=tuple(sweep.rows))
+    assert sweep.is_indicator_best == (beta == 1.0)
+    assert (plain.best, plain.best_index, plain.is_indicator_best) == (
+        sweep.best, sweep.best_index, sweep.is_indicator_best)
+    sweep.write_csv(tmp_path / "table.csv")
+    plain.write_csv(tmp_path / "tuple.csv")
+    assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "tuple.csv").read_bytes()
 
 
 def _with_repeats(values):
