@@ -28,8 +28,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from calx.potentials import (_G_prime, _K_factor, _weights, delta_robin, delta_robin_prime, rho,
-                             rho_prime, robin_bracket, robin_bracket_sup, u_radial)
+from calx.potentials import (_G_prime, _K_factor, _check_dimension, _weights, delta_robin,
+                             delta_robin_prime, rho, rho_prime, robin_bracket, robin_bracket_sup,
+                             u_radial)
 
 __all__ = [
     "PiecewiseField",
@@ -123,6 +124,8 @@ class Region:
     there.  ``anchor`` is the level at which the factors of the polynomials
     vanish, if any (a top such as ``t = M``): expanded about it, ``(M -
     t)^2 q^2`` is ``q^2 s^2`` and keeps its relative precision near that top.
+    ``top_prime`` is the analytic slope of ``top`` where the top is a curve
+    along which an :class:`Interface` checks the flux, else ``None``.
     """
 
     name: str
@@ -133,28 +136,24 @@ class Region:
     phi_t_formula: str = ""
     strict: bool = False
     anchor: float = 0.0
+    top_prime: Optional[Callable] = None
 
 
 @dataclass(frozen=True)
 class Interface:
     """A curve separating two regions, used for flux continuity checks.
 
-    ``kind`` is ``'graph'`` for a curve ``t = g(pos)`` or ``'sphere'``
-    for a vertical interface ``pos = radius``.  A graph interface
-    declares its curve ``g`` and the curve's analytic slope ``g_prime``.
+    ``kind`` is ``'graph'`` for the top, over ``pos_range``, of the field's
+    region named ``region``, which must declare ``top_prime``, or
+    ``'sphere'`` for a vertical interface ``pos = radius``.
     """
 
     name: str
     kind: str
     pos_range: tuple = (0.0, 1.0)
-    g: Optional[Callable] = None
-    g_prime: Optional[Callable] = None
+    region: Optional[str] = None
     radius: float = 0.0
     description: str = ""
-
-    def __post_init__(self):
-        if self.kind == "graph" and (self.g is None or self.g_prime is None):
-            raise ValueError("a graph interface needs its curve g and its slope g_prime")
 
 
 class HypothesisViolation(Exception):
@@ -203,6 +202,13 @@ class PiecewiseField:
     interfaces: tuple = ()
     calibrated: Optional[CalibratedFunction] = None
     phi_t_bump: Optional[tuple] = None
+
+    def __post_init__(self):
+        slopes = {region.name: region.top_prime for region in self.regions}
+        for interface in self.interfaces:
+            if interface.kind == "graph" and slopes.get(interface.region) is None:
+                raise ValueError("graph interface {!r} names {!r}, not a region of the field "
+                                 "with top_prime".format(interface.name, interface.region))
 
     def _fibres(self, pos, t, stretches=False):
         """The table of the fibres of ``pos x t``: ``(pos, t, unclaimed, runs, stretches)``.
@@ -397,20 +403,18 @@ class CalibratedFunction:
     (``grad`` is the signed component along the field direction).
     ``jumps`` lists jump fibers as ``(pos, lo, hi, nu_sign)`` with
     ``lo < hi`` and ``nu_sign`` the component of the jump normal along
-    the field direction.  ``gamma_sq`` is the ``gamma^2`` entering the
-    graph condition on ``phi_t`` (zero for Dirichlet-type problems).
+    the field direction.  The ``gamma^2`` of the graph condition on
+    ``phi_t`` is the field's ``gamma_sq_term``.
     """
 
     value: Callable
     grad: Callable
     jumps: tuple = ()
-    gamma_sq: float = 0.0
 
 
-def _unit_ball_indicator(gamma_sq):
-    """The unit-ball indicator on ``r >= 1``: zero, with a jump up to 1 at ``r = 1``."""
-    return CalibratedFunction(value=_zero_at, grad=_zero_at,
-                              jumps=((1.0, 0.0, 1.0, -1.0),), gamma_sq=gamma_sq)
+# The unit-ball indicator on r >= 1: zero, with a jump up to 1 at r = 1.
+_UNIT_BALL_INDICATOR = CalibratedFunction(value=_zero_at, grad=_zero_at,
+                                          jumps=((1.0, 0.0, 1.0, -1.0),))
 
 
 def affine_profile(m, M):
@@ -682,9 +686,6 @@ def _template_field(params, profile, kind):
     def g_sigma(pos):
         return m + sigma * w_of(pos)
 
-    def g_sigma_prime(pos):
-        return sigma * gcomp(pos) / tau
-
     def below_coeffs(pos):
         f = factor(pos)
         return 0, -2.0 * lam * f, (lam * m) ** 2 * f ** 2, 0, 0, 0, -2.0 * lam * gprime(pos) / tau
@@ -702,11 +703,14 @@ def _template_field(params, profile, kind):
 
     regions = (
         Region("below-data", "t < m", g_data, below_coeffs,
-               "-2 lam t grad(u)/(M-m)", "(lam m)^2 |grad(u)/(M-m)|^2", strict=True),
+               "-2 lam t grad(u)/(M-m)", "(lam m)^2 |grad(u)/(M-m)|^2", strict=True,
+               top_prime=_zero_at),
         Region("lower-band", "m <= t < m + sigma w", g_sigma, lower_coeffs,
-               "-2 lam m grad(u)/(M-m)", "(lam m)^2 |grad(u)/(M-m)|^2", strict=True),
+               "-2 lam m grad(u)/(M-m)", "(lam m)^2 |grad(u)/(M-m)|^2", strict=True,
+               top_prime=lambda pos: sigma * gcomp(pos) / tau),
         Region("graph-band", "m + sigma w <= t <= u", value,
-               _gradient_band(profile, lambda pos: gcomp(pos) ** 2), "2 grad(u)", "|grad(u)|^2"),
+               _gradient_band(profile, lambda pos: gcomp(pos) ** 2), "2 grad(u)", "|grad(u)|^2",
+               top_prime=gcomp),
         Region("above-graph", "t > u", _unbounded, above_coeffs,
                "2 (M-t)/(M-u) grad(u)", "((M-t)/(M-u))^2 |grad(u)|^2", anchor=M),
     )
@@ -715,14 +719,14 @@ def _template_field(params, profile, kind):
     if m > 0.0:
         interfaces.append(Interface(
             name="data-level", kind="graph", pos_range=profile.pos_range,
-            g=g_data, g_prime=_zero_at, description="t = m"))
+            region="below-data", description="t = m"))
     if sigma > 0.0:
         interfaces.append(Interface(
             name="slope-matching", kind="graph", pos_range=profile.pos_range,
-            g=g_sigma, g_prime=g_sigma_prime, description="t = m + sigma w"))
+            region="lower-band", description="t = m + sigma w"))
     interfaces.append(Interface(
         name="graph", kind="graph", pos_range=profile.pos_range,
-        g=value, g_prime=gcomp, description="t = u(pos)"))
+        region="graph-band", description="t = u(pos)"))
 
     return PiecewiseField(
         kind=kind,
@@ -753,8 +757,8 @@ def build_field_1d(params):
     return _template_field(params, profile, kind="1d")
 
 
-def build_field_harmonic(u, m, M, beta):
-    """Calibration of a harmonic profile with trace range ``[m, M]``.
+def build_field_harmonic(u, beta):
+    """Calibration of a harmonic profile over its trace range ``[u.m, u.M]``.
 
     ``u`` is a :class:`HarmonicProfile`.  The reduced jump weight is
     ``beta0 = beta (M - m) / sup|grad u|``; infeasibility of the band
@@ -762,11 +766,7 @@ def build_field_harmonic(u, m, M, beta):
     the field is identically zero.
     """
 
-    m = float(m)
-    M = float(M)
-    if abs(u.m - m) > 1e-9 * max(1.0, abs(M)) or abs(u.M - M) > 1e-9 * max(1.0, abs(M)):
-        raise ValueError("profile range does not match the given traces")
-    params = CalibParams1D.from_traces(m, M, beta, sup_grad=u.sup_grad)
+    params = CalibParams1D.from_traces(u.m, u.M, beta, sup_grad=u.sup_grad)
     return _template_field(params, u, kind="harmonic")
 
 
@@ -776,6 +776,22 @@ _INDICATOR_POS_MAX = 4.0
 _EL_TOL = 1e-9
 
 
+def _indicator_field(kind, n, beta, gamma_, regions, interfaces=()):
+    """A calibration of the unit-ball indicator, over ``1 <= r <= _INDICATOR_POS_MAX``."""
+    return PiecewiseField(
+        kind=kind,
+        geometry="radial",
+        n=n,
+        pos_range=(1.0, _INDICATOR_POS_MAX),
+        t_max=1.0,
+        gamma_sq_term=gamma_ ** 2,
+        params={"n": n, "beta": beta, "gamma": gamma_, "R": 1.0},
+        regions=regions,
+        interfaces=interfaces,
+        calibrated=_UNIT_BALL_INDICATOR,
+    )
+
+
 def build_field_indicator_const(n, beta, gamma_):
     """Single-piece calibration of the unit-ball indicator for ``beta <= gamma``.
 
@@ -783,10 +799,8 @@ def build_field_indicator_const(n, beta, gamma_):
     Axiom (a) at ``t = 1``, ``r = 1`` requires exactly ``beta <= gamma``.
     """
 
-    n = int(n)
+    n = _check_dimension(n)
     beta, gamma_ = _weights(beta, gamma_)
-    if n < 1:
-        raise ValueError("dimension must be at least 1")
     if beta > gamma_:
         raise HypothesisViolation(
             "indicator field needs beta <= gamma: {:g} > {:g}".format(beta, gamma_),
@@ -799,18 +813,7 @@ def build_field_indicator_const(n, beta, gamma_):
         return 0, -2.0 * beta * r ** (1 - n), 0, 0, 0, 0, 2.0 * (n - 1) * beta * r ** (-n)
 
     region = Region("whole-domain", "0 <= t <= 1", _unbounded, coeffs, "-2 beta t r^(1-n)", "0")
-    return PiecewiseField(
-        kind="indicator-const",
-        geometry="radial",
-        n=n,
-        pos_range=(1.0, _INDICATOR_POS_MAX),
-        t_max=1.0,
-        gamma_sq_term=gamma_ ** 2,
-        params={"n": n, "beta": beta, "gamma": gamma_, "R": 1.0},
-        regions=(region,),
-        interfaces=(),
-        calibrated=_unit_ball_indicator(gamma_ ** 2),
-    )
+    return _indicator_field("indicator-const", n, beta, gamma_, (region,))
 
 
 def _above_trace(n, level):
@@ -828,29 +831,24 @@ def _trace_pieces(n, beta, pos_range):
     """The Robin trace curve ``t = delta(r)`` and the two regions it separates.
 
     Returns ``(below, above, curve)``, ``curve`` being the interface over
-    ``pos_range``.  Below the curve the field is ``(-2 beta t e_r, (n-1) beta t^2 / r)``;
-    above it the components follow the trace, ``(-2 (1-t) K(r) e_r,
-    (1-t)^2 K(r)^2 - (beta^2 - (n-1) beta / r) delta(r)^2)`` with
-    ``K = beta delta / (1 - delta)``.
+    ``pos_range`` along the top of ``below``.  Below the curve the field is
+    ``(-2 beta t e_r, (n-1) beta t^2 / r)``; above it the components follow
+    the trace, ``(-2 (1-t) K(r) e_r, (1-t)^2 K(r)^2 - (beta^2 - (n-1) beta /
+    r) delta(r)^2)`` with ``K = beta delta / (1 - delta)``.
     """
-
-    def g_trace(pos):
-        return delta_robin(n, beta, pos)
-
-    def g_trace_prime(pos):
-        return delta_robin_prime(n, beta, pos)
 
     def lower_coeffs(pos):
         return 0, -2.0 * beta, 0, 0, (n - 1) * beta / np.asarray(pos, dtype=float), 0, 0
 
     return (
-        Region("below-trace", "t <= delta(r)", g_trace, lower_coeffs,
-               "-2 beta t", "(n-1) beta t^2 / r"),
+        Region("below-trace", "t <= delta(r)", lambda pos: delta_robin(n, beta, pos), lower_coeffs,
+               "-2 beta t", "(n-1) beta t^2 / r",
+               top_prime=lambda pos: delta_robin_prime(n, beta, pos)),
         Region("above-trace", "t > delta(r)", _unbounded,
                _above_trace(n, lambda pos: robin_bracket(n, beta, pos)),
                "-2 (1-t) K(r)", "(1-t)^2 K(r)^2 - (beta^2-(n-1)beta/r) delta(r)^2", anchor=1.0),
-        Interface(name="trace-curve", kind="graph", pos_range=pos_range,
-                  g=g_trace, g_prime=g_trace_prime, description="t = delta(r)"),
+        Interface(name="trace-curve", kind="graph", pos_range=pos_range, region="below-trace",
+                  description="t = delta(r)"),
     )
 
 
@@ -864,7 +862,7 @@ def build_field_indicator_two_piece(n, beta, gamma_):
     :class:`HypothesisViolation` with the radius of the supremum attached.
     """
 
-    n = int(n)
+    n = _check_dimension(n)
     beta, gamma_ = _weights(beta, gamma_)
     worst_r, worst = robin_bracket_sup(n, beta)
     worst_excess = worst - gamma_ ** 2
@@ -877,18 +875,7 @@ def build_field_indicator_two_piece(n, beta, gamma_):
         )
 
     below, above, curve = _trace_pieces(n, beta, (1.0, _INDICATOR_POS_MAX))
-    return PiecewiseField(
-        kind="indicator-two-piece",
-        geometry="radial",
-        n=n,
-        pos_range=(1.0, _INDICATOR_POS_MAX),
-        t_max=1.0,
-        gamma_sq_term=gamma_ ** 2,
-        params={"n": n, "beta": beta, "gamma": gamma_, "R": 1.0},
-        regions=(below, above),
-        interfaces=(curve,),
-        calibrated=_unit_ball_indicator(gamma_ ** 2),
-    )
+    return _indicator_field("indicator-two-piece", n, beta, gamma_, (below, above), (curve,))
 
 
 def build_field_ball_harmonic(n, beta, gamma_, R, enforce_beta=True):
@@ -904,7 +891,7 @@ def build_field_ball_harmonic(n, beta, gamma_, R, enforce_beta=True):
     outside the ball the field is that construction's two regions.
     """
 
-    n = int(n)
+    n = _check_dimension(n)
     beta, gamma_ = _weights(beta, gamma_)
     R = float(R)
     if not 1.0 <= R < np.inf:
@@ -948,13 +935,14 @@ def build_field_ball_harmonic(n, beta, gamma_, R, enforce_beta=True):
 
     regions = (
         replace(below, name="inner-below-trace", condition="r <= R, t <= delta(R)",
-                top=_inside(R, g_level)),
+                top=_inside(R, g_level), top_prime=_zero_at),
         Region("inner-transition", "r <= R, delta(R) < t <= rho(r)", _inside(R, rho_of),
-               b_coeffs, "-2 beta delta(R)", "(n-1) beta delta(R)(2t - delta(R))/r"),
+               b_coeffs, "-2 beta delta(R)", "(n-1) beta delta(R)(2t - delta(R))/r",
+               top_prime=lambda pos: rho_prime(n, beta, R, pos)),
         Region("inner-gradient", "r <= R, rho(r) < t <= u(r)", _inside(R, u_of),
                _gradient_band(profile, c_phi_t),
                "-2 beta delta(R) (R/r)^(n-1)",
-               "(beta delta(R))^2 (R/r)^(2n-2) - gamma^2"),
+               "(beta delta(R))^2 (R/r)^(2n-2) - gamma^2", top_prime=profile.grad_component),
         replace(above, name="inner-above-graph", condition="r <= R, t > u(r)",
                 top=_inside(R, _unbounded), coeffs=_above_trace(n, lambda pos: gamma_sq),
                 phi_t_formula="(1-t)^2 K(r)^2 - gamma^2"),
@@ -966,22 +954,19 @@ def build_field_ball_harmonic(n, beta, gamma_, R, enforce_beta=True):
         pos = np.asarray(pos, dtype=float)
         return np.where((pos >= 1.0) & (pos <= R), profile.grad_component(pos), 0.0)
 
-    def g_rho_prime(pos):
-        return rho_prime(n, beta, R, pos)
-
     interfaces = [
         Interface(name="trace-level", kind="graph", pos_range=(1.0, R),
-                  g=g_level, g_prime=_zero_at, description="t = delta(R)"),
+                  region="inner-below-trace", description="t = delta(R)"),
         Interface(name="graph", kind="graph", pos_range=(1.0, R),
-                  g=u_of, g_prime=profile.grad_component, description="t = u(r)"),
+                  region="inner-gradient", description="t = u(r)"),
         Interface(name="support-sphere", kind="sphere", radius=R,
                   description="r = R"),
-        replace(curve, name="outer-trace-curve"),
+        replace(curve, name="outer-trace-curve", region="outer-below-trace"),
     ]
     if n > 1:
         interfaces.insert(1, Interface(
             name="flux-matching-curve", kind="graph", pos_range=(1.0, R),
-            g=rho_of, g_prime=g_rho_prime, description="t = rho(r)"))
+            region="inner-transition", description="t = rho(r)"))
 
     return PiecewiseField(
         kind="ball-harmonic",
@@ -994,6 +979,5 @@ def build_field_ball_harmonic(n, beta, gamma_, R, enforce_beta=True):
                 "delta_R": dR, "beta_threshold": n - 0.5},
         regions=regions,
         interfaces=tuple(interfaces),
-        calibrated=CalibratedFunction(value=u_of, grad=shell_grad, jumps=((R, 0.0, dR, -1.0),),
-                                      gamma_sq=gamma_sq),
+        calibrated=CalibratedFunction(value=u_of, grad=shell_grad, jumps=((R, 0.0, dR, -1.0),)),
     )

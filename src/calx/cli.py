@@ -304,7 +304,7 @@ def _harmonic_field(opt, notes):
     else:
         m, M, beta = _affine_args(opt)
         profile = affine_profile(m, M)
-    return build_field_harmonic(profile, profile.m, profile.M, beta)
+    return build_field_harmonic(profile, beta)
 
 
 def _indicator_args(opt):

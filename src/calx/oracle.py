@@ -310,8 +310,8 @@ def oracle_robin_shooting(n, beta, R, step=1e-4):
 
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError("dimension must be a positive integer")
-    if not (beta > 0.0 and R > 1.0):
-        raise ValueError("need beta > 0 and R > 1")
+    if not (0.0 < beta < np.inf and R > 1.0):
+        raise ValueError("need beta > 0 and R > 1, beta finite")
     vR, wR = _basis_at(int(n), float(R), float(step))
     return wR / (wR + float(beta) * vR)
 

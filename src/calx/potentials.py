@@ -108,8 +108,8 @@ def delta_robin(n: int, beta: float, R):
     Lies in (0, 1], equals 1 at R = 1 and decreases strictly in R.
     """
     n = _check_dimension(n)
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    if not 0.0 < beta < np.inf:  # _weights' rule, kept cheap for robin_bracket_sup's bisection
+        raise ValueError("beta must be positive and finite")
     R = _radii(R, "delta_robin is defined for R >= 1")
     top = R if isinstance(R, float) else np.fmax.reduce(R, axis=None, initial=1.0)
     if n < 3 or not top > 2.0 ** (1000 / (n - 1)):
@@ -211,6 +211,7 @@ def robin_bracket_sup(n: int, beta: float) -> tuple[float, float]:
     below 3e-320.
     """
     n = _check_dimension(n)
+    beta = _weights(beta)[0]
     r0 = max(1.0, 2.0 * (n - 1) / beta)
     with np.errstate(over="ignore"):  # delta(r0) underflows to 0 where r0^(n-1) overflows
         level = np.sqrt(robin_bracket(n, beta, r0))

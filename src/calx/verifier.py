@@ -207,10 +207,11 @@ def _room(config, tallies):
     return config.max_recorded - sum(len(tally[2]) for tally in tallies)
 
 
-def check_condition_a(field, gamma_sq_term, config=None):
-    """Pointwise axiom (a): ``phi_t >= |phi_x|^2/4 - gamma^2 1_{(0,1]}(t)``."""
+def check_condition_a(field, config=None):
+    """Pointwise axiom (a): ``phi_t >= |phi_x|^2/4 - gamma^2 1_{(0,1]}(t)``, with
+    ``gamma^2`` the field's ``gamma_sq_term``."""
 
-    return _grid_pass(field, config or VerifyConfig(), ("a",), gamma_sq_term=gamma_sq_term)["a"]
+    return _grid_pass(field, config or VerifyConfig(), ("a",))["a"]
 
 
 def check_condition_b(field, beta, config=None):
@@ -330,7 +331,8 @@ def check_graph_conditions(field, calibrated, config=None):
     """Graph matching conditions of the calibrated function.
 
     On the graph: ``phi_x(pos, u) = 2 grad u`` and ``phi_t(pos, u) =
-    |grad u|^2 - gamma^2 1_{(0,1]}(u)``.  Across each jump fiber:
+    |grad u|^2 - gamma^2 1_{(0,1]}(u)``, with ``gamma^2`` the field's
+    ``gamma_sq_term``.  Across each jump fiber:
     ``Psi(pos, hi) - Psi(pos, lo) = beta (lo^2 + hi^2) nu_sign``.
     Returns a pair of results, one for the pointwise graph conditions
     and one for the jump fibers.
@@ -338,7 +340,7 @@ def check_graph_conditions(field, calibrated, config=None):
 
     config = config or VerifyConfig()
     beta = float(field.params["beta"])
-    gamma_sq = float(calibrated.gamma_sq)
+    gamma_sq = float(field.gamma_sq_term)
     span = field.pos_range[1] - field.pos_range[0]
     # keep away from the extreme fibers, where a competing minimizer can
     # touch the graph of the calibrated profile and the field value at
@@ -424,18 +426,22 @@ def _divergence(field, config, fibres):
 def _flux(field, config):
     """Flux continuity along each declared interface: its tally and its largest residual.
 
-    The points on both sides of every interface are sampled in one pass.
+    A graph interface reads its curve and slope from the ``top`` and
+    ``top_prime`` of the region it names.  The points on both sides of
+    every interface are sampled in one pass.
     """
 
     coords, sides, slopes = [np.zeros(0)], [], []
     shift = 1e-9 * max(1.0, field.t_max)
+    regions = {region.name: region for region in field.regions}
     for interface in field.interfaces:
         if interface.kind == "graph":
             lo, hi = interface.pos_range
             margin = 1e-4 * (hi - lo)
             at = np.linspace(lo + margin, hi - margin, config.pos_res)
-            curve = np.asarray(interface.g(at), dtype=float)
-            slopes.append(np.asarray(interface.g_prime(at), dtype=float))
+            region = regions[interface.region]
+            curve = np.asarray(region.top(at), dtype=float)
+            slopes.append(np.asarray(region.top_prime(at), dtype=float))
             sides += [(at, curve - shift), (at, curve + shift)]
         else:
             r0 = interface.radius
@@ -465,7 +471,7 @@ def _flux(field, config):
     return tally, float(np.max(flux, initial=0.0))
 
 
-def _grid_pass(field, config, groups, gamma_sq_term=0.0, beta=0.0):
+def _grid_pass(field, config, groups, beta=0.0):
     """The grid axiom groups among ``groups`` (``a``, ``b``, ``divflux``), by results id.
 
     One pass over blocks of whole fibres of the ``pos x t`` grid, at most
@@ -497,7 +503,6 @@ def _grid_pass(field, config, groups, gamma_sq_term=0.0, beta=0.0):
         out = tuple(np.empty(grid) for _ in names)
         work = np.empty((3,) + grid)
         fibres = field._fibres(pos[:, None], T, bool({"b", "divflux"} & set(groups)))
-        gamma_row = gamma_sq_term * (T > 0.0)
     for i, j in blocks:
         P = pos[i:j, None]
         got = dict(zip(names, field._sample(P, T, *names, out=out, fibres=_block(fibres, i, j))))
@@ -506,7 +511,7 @@ def _grid_pass(field, config, groups, gamma_sq_term=0.0, beta=0.0):
             residual = np.square(got["psi"], out=work[0, :j - i])
             residual *= 0.25
             np.subtract(got["phi_t"], residual, out=residual)
-            residual += gamma_row
+            residual += field.gamma_sq_term * (T > 0.0)
             a.append(_tally("a", residual, (P, T), config.tol_a, _room(config, a),
                             floor=-config.tol_a))
         if "b" in groups:
@@ -534,7 +539,7 @@ def _grid_pass(field, config, groups, gamma_sq_term=0.0, beta=0.0):
     if "a" in groups:
         results["a"] = _result("a", a, config, {
             "pos_res": config.pos_res, "t_res": config.t_res,
-            "gamma_sq_term": float(gamma_sq_term)})
+            "gamma_sq_term": float(field.gamma_sq_term)})
     if "b" in groups:
         least = min(reduced)
         results["b"] = _result("b", b, config, {
@@ -637,7 +642,7 @@ def verify_all(field, calibrated=None, config=None):
 
     config = config or VerifyConfig()
     beta = float(field.params["beta"]) if "b" in config.axioms else 0.0
-    grid = _grid_pass(field, config, config.axioms, field.gamma_sq_term, beta)
+    grid = _grid_pass(field, config, config.axioms, beta)
     results = {key: grid[key] for key in ("a", "b") if key in grid}
     if "graph" in config.axioms:
         calibrated = calibrated or field.calibrated

@@ -31,7 +31,9 @@ from calx.calibration_fields import (
     _block,
 )
 from calx import cli
-from calx.potentials import delta_robin, u_radial
+from calx.oracle import oracle_robin_shooting
+from calx.potentials import (delta_robin, delta_robin_prime, rho, robin_bracket,
+                             robin_bracket_sup, u_radial)
 from calx.verifier import (
     CalibratedFunction,
     VerifyConfig,
@@ -178,17 +180,18 @@ def test_psi_antiderivative_properties():
     shell = radial_shell_profile(2, 0.5, 2.0)
     fields = (build_field_1d(limit_params()), build_field_indicator_const(2, 0.3, 0.4),
               build_field_indicator_two_piece(2, 1.0, 0.4),
-              build_field_harmonic(shell, shell.m, shell.M, 0.5),
+              build_field_harmonic(shell, 0.5),
               build_field_ball_harmonic(2, 2.0, math.sqrt(GAMMA_EL_SQ_2_2_2), 2.0))
     for field in fields:
         pos = np.linspace(*field.pos_range, 41)
         assert np.max(np.abs(field.Psi(pos, np.zeros_like(pos)))) == 0.0
         # continuity of Psi in t across every graph interface, and in pos
         # across the support sphere
+        regions = dict(zip(field.region_names(), field.regions))
         for interface in field.interfaces:
             if interface.kind == "graph":
                 at = np.linspace(*interface.pos_range, 41)
-                curve = interface.g(at)
+                curve = regions[interface.region].top(at)
                 above = field.Psi(at, np.minimum(curve + 1e-12, field.t_max))
                 below = field.Psi(at, np.maximum(curve - 1e-12, 0.0))
             else:
@@ -221,7 +224,7 @@ def test_limit_case_calibrates_both_minimizers():
 
     competitor = CalibratedFunction(
         value=jump_value, grad=jump_grad,
-        jumps=((0.0, 0.25, 0.5, 1.0),), gamma_sq=0.0)
+        jumps=((0.0, 0.25, 0.5, 1.0),))
     a_prime, b_prime = check_graph_conditions(field, competitor, config)
     assert a_prime.status == "pass"
     assert b_prime.status == "pass"
@@ -250,18 +253,12 @@ def test_zero_multiplier_field_has_two_regions_active():
 def test_harmonic_composition_verifies():
     n, beta, R = 2, 0.5, 2.0
     u = radial_shell_profile(n, beta, R)
-    field = build_field_harmonic(u, u.m, u.M, beta)
+    field = build_field_harmonic(u, beta)
     assert field.kind == "harmonic"
     assert field.geometry == "radial"
     report = verify_all(field, config=VerifyConfig(pos_res=48, t_res=48,
                                                    pair_res=48))
     assert report.passed
-
-
-def test_harmonic_composition_rejects_mismatched_traces():
-    u = radial_shell_profile(2, 0.5, 2.0)
-    with pytest.raises(ValueError):
-        build_field_harmonic(u, 0.1, 1.0, 0.5)
 
 
 def test_indicator_const_field_values_and_hypothesis():
@@ -315,7 +312,7 @@ def test_ball_field_construction_guards():
     lambda bad: radial_shell_profile(2, bad, 2.0),
     lambda bad: radial_shell_profile(2, 0.5, bad),
     lambda bad: build_field_1d(CalibParams1D.from_traces(0.8, 1.0, bad)),
-    lambda bad: build_field_harmonic(affine_profile(0.8, 1.0), 0.8, 1.0, bad),
+    lambda bad: build_field_harmonic(affine_profile(0.8, 1.0), bad),
 ])
 def test_builders_reject_nan_parameters(build):
     # and both infinities, each before any arithmetic can warn
@@ -326,13 +323,46 @@ def test_builders_reject_nan_parameters(build):
                 build(bad)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: delta_robin(2, math.nan, 2.0), "beta must be positive and finite"),
+    (lambda: delta_robin_prime(2, math.nan, 2.0), "beta must be positive and finite"),
+    (lambda: robin_bracket(2, math.nan, 2.0), "beta must be positive and finite"),
+    (lambda: rho(2, math.nan, 2.0, 1.5), "beta must be positive and finite"),
+    (lambda: u_radial(2, math.nan, 2.0, 1.5), "beta must be positive and finite"),
+    (lambda: delta_robin(2, math.inf, 2.0), "beta must be positive and finite"),
+    (lambda: oracle_robin_shooting(2, math.inf, 2.0), "need beta > 0 and R > 1, beta finite"),
+    (lambda: robin_bracket_sup(2, 0.0), "beta must be positive"),
+    (lambda: robin_bracket_sup(2, math.nan), "beta must be positive"),
+    (lambda: build_field_indicator_const(2.7, 0.3, 0.4), "dimension must be a positive integer"),
+    (lambda: build_field_indicator_two_piece(2.7, 1.0, 0.4),
+     "dimension must be a positive integer"),
+    (lambda: build_field_ball_harmonic(2.7, 2.0, 0.4, 2.0), "dimension must be a positive integer"),
+])
+def test_a_beta_or_dimension_out_of_its_domain_is_rejected(call, message):
+    # not a NaN or 0.0 result, another exception, or a dimension truncated to 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^" + message):
+            call()
+
+
 def test_regions_and_graph_interfaces_declare_their_derivatives():
     # a region declares its coefficients, the derivative of psi among them
     with pytest.raises(TypeError):
         Region("everything", "all t", lambda pos: np.inf + 0.0 * pos)
-    with pytest.raises(ValueError):
-        Interface(name="curve", kind="graph", g=lambda pos: 0.0 * pos)
-    assert Interface(name="sphere", kind="sphere", radius=2.0).g_prime is None
+    # a graph interface names a region of the field that declares the slope of its top
+    field = build_field_indicator_two_piece(2, 1.0, 0.4)
+    below, above = field.regions
+    assert field.interfaces[0].region == below.name and above.top_prime is None
+    for interface in (replace(field.interfaces[0], region="nowhere"),
+                      replace(field.interfaces[0], region=above.name),
+                      Interface(name="curve", kind="graph")):
+        with pytest.raises(ValueError, match="^graph interface '(trace-)?curve' names"):
+            replace(field, interfaces=(interface,))
+    with pytest.raises(ValueError, match="names 'below-trace', not a region of the field"):
+        replace(field, regions=(replace(below, top_prime=None), above))
+    sphere = Interface(name="sphere", kind="sphere", radius=2.0)
+    assert replace(field, interfaces=(sphere,)).interfaces == (sphere,)
 
 
 def test_ball_field_regions_and_jump_identity():

@@ -162,6 +162,23 @@ def test_check_flags_uncertified_grid_runs(capsys):
     assert "below n - 1/2" in out
 
 
+def test_check_flags_an_uncertified_construction_whose_grid_checks_pass(capsys):
+    # beta below n - 1/2 at a critical radius where every group passes: the run
+    # exits 1, says why in text, and reads passed but not certified in JSON
+    argv = ["check", "ball-harmonic", "--n", "2", "--beta", "1.2", "--R", "2.2411381602068765",
+            "--samples", "64"]
+    code, out, _ = run(capsys, argv)
+    lines = out.splitlines()
+    assert code == 1
+    assert lines[1] == ("note: beta = 1.2 is below n - 1/2 = 1.5; the monotonicity hypothesis "
+                        "fails, grid results are empirical only")
+    assert lines[-2:] == ["overall: pass", "grid checks passed but the construction is "
+                          "outside the certified hypotheses"]
+    code, out, _ = run(capsys, argv + ["--format", "json"])
+    doc = json.loads(out)
+    assert (code, doc["passed"], doc["grid"]["certified"]) == (1, True, False)
+
+
 def test_divergence_mode_option_is_gone(capsys):
     # the divergence has one mode, exact at the stretch ends
     for mode in ("auto", "fd"):

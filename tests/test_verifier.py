@@ -118,14 +118,14 @@ def test_calibrated_function_for_each_kind():
     field = limit_field()
     cal = field.calibrated
     assert cal.jumps == ()
-    assert cal.gamma_sq == 0.0
+    assert field.gamma_sq_term == 0.0
     assert cal.value(0.4) == pytest.approx(0.55)
     assert cal.grad(0.4) == pytest.approx(0.75)
 
     field = build_field_indicator_const(2, 0.3, 0.4)
     cal = field.calibrated
     assert cal.jumps == ((1.0, 0.0, 1.0, -1.0),)
-    assert cal.gamma_sq == pytest.approx(0.16)
+    assert field.gamma_sq_term == pytest.approx(0.16)
     assert cal.value(2.0) == 0.0
 
     field = ball_field()
@@ -153,7 +153,7 @@ def test_condition_a_margin_is_tight_on_the_saturating_band():
     # the worst margin sits at zero up to rounding
     field = limit_field()
     cfg = VerifyConfig(pos_res=64, t_res=64)
-    result = check_condition_a(field, field.gamma_sq_term, cfg)
+    result = check_condition_a(field, cfg)
     assert result.status == "pass"
     assert -1e-12 <= result.worst_margin <= 1e-12
 
@@ -421,15 +421,11 @@ def test_condition_b_matches_the_full_pair_scan_on_a_failing_ball(max_recorded):
         assert len({v.location[0] for v in got.violations}) == 8
 
 
-def harmonic_field(profile, beta):
-    return build_field_harmonic(profile, profile.m, profile.M, beta)
-
-
 # the README cell of each `check` kind, and the criterion-8 ball
 CHECK_FIELDS = {
     "1d": lambda: build_field_1d(CalibParams1D.from_traces(0.8, 1.0, 3.0)),
-    "harmonic": lambda: harmonic_field(affine_profile(0.8, 1.0), 3.0),
-    "harmonic radial shell": lambda: harmonic_field(radial_shell_profile(2, 2.0, 2.0), 2.0),
+    "harmonic": lambda: build_field_harmonic(affine_profile(0.8, 1.0), 3.0),
+    "harmonic radial shell": lambda: build_field_harmonic(radial_shell_profile(2, 2.0, 2.0), 2.0),
     "indicator-const": lambda: build_field_indicator_const(2, 0.3, 0.4),
     "indicator-two-piece": lambda: build_field_indicator_two_piece(2, 1.0, 0.4),
     "ball-harmonic": ball_field,
@@ -475,7 +471,7 @@ def test_nonfinite_samples_fail_with_a_nan_margin():
 
     field = limit_field()
     bad = dataclasses.replace(field, phi_t_bump=(0.5, 0.5, np.nan, 0.01, 0.01))
-    result = check_condition_a(bad, 0.0, VerifyConfig(pos_res=64, t_res=64))
+    result = check_condition_a(bad, VerifyConfig(pos_res=64, t_res=64))
     assert result.status == "fail" and result.n_violations > 0
     assert math.isnan(result.worst_margin)
 
@@ -527,7 +523,7 @@ def test_psi_antiderivative_matches_quadrature():
     rng = np.random.default_rng(11)
     for field in (limit_field(), ball_field(), build_field_indicator_const(3, 0.6, 0.8),
                   build_field_indicator_two_piece(2, 1.0, 0.4),
-                  build_field_harmonic(shell, shell.m, shell.M, 0.5)):
+                  build_field_harmonic(shell, 0.5)):
         lo, hi = field.pos_range
         for _ in range(12):
             pos = float(rng.uniform(lo + 1e-3, hi - 1e-3))
@@ -563,6 +559,23 @@ def test_every_check_field_declares_the_derivative_of_its_psi(case):
         assert np.all(np.abs(fd[at] - exact) <= 1e-7 * (1.0 + np.abs(exact))), region.name
 
 
+@pytest.mark.parametrize("case", sorted(CHECK_FIELDS) + ["n = 1 ball"])
+def test_every_graph_interface_reads_the_slope_of_its_regions_top(case):
+    # top_prime of the region an interface names against a central difference
+    # of its top, inside the interface's range
+    field = CHECK_FIELDS.get(case, lambda: build_field_ball_harmonic(
+        1, 1.0, math.sqrt(robin_bracket(1, 1.0, 1.5)), 1.5))()
+    regions = dict(zip(field.region_names(), field.regions))
+    for interface in field.interfaces:
+        if interface.kind == "graph":
+            region = regions[interface.region]
+            lo, hi = interface.pos_range
+            at, h = np.linspace(lo, hi, 97)[1:-1], 1e-6 * (hi - lo)
+            fd = (region.top(at + h) - region.top(at - h)) / (2.0 * h)
+            exact = region.top_prime(at)
+            assert np.all(np.abs(fd - exact) <= 1e-7 * (1.0 + np.abs(exact))), interface.name
+
+
 def assert_coefficients_match_the_closed_forms(field, res=97):
     """``psi`` and ``phi_t`` as sampled, and ``d0 + d1 s``, against each region's
     closed-form callables at the grid points the region claims, to within a
@@ -589,7 +602,8 @@ def assert_coefficients_match_the_closed_forms(field, res=97):
 
 
 THIN_FIELDS = {
-    "harmonic shell, R = 1.001": lambda: harmonic_field(radial_shell_profile(2, 2.0, 1.001), 2.0),
+    "harmonic shell, R = 1.001":
+        lambda: build_field_harmonic(radial_shell_profile(2, 2.0, 1.001), 2.0),
     "ball, R = 1.001": lambda: build_field_ball_harmonic(
         3, 3.0, math.sqrt(robin_bracket(3, 3.0, 1.001)), 1.001),
     "constant profile": lambda: build_field_1d(CalibParams1D.from_traces(1.0, 1.0, 2.0)),
@@ -620,7 +634,7 @@ def divergence_fields(draw):
         if source == "1d":
             return build_field_1d(CalibParams1D.from_traces(draw(st.floats(0.0, 0.95)), 1.0, beta))
         if source == "shell":
-            return harmonic_field(radial_shell_profile(n, beta, R), beta)
+            return build_field_harmonic(radial_shell_profile(n, beta, R), beta)
         if source == "indicator-const":
             return build_field_indicator_const(n, beta, max(beta, gamma_))
         if source == "indicator-two-piece":
@@ -742,7 +756,7 @@ def test_axioms_classify_each_grid_once(monkeypatch):
     # blocks of 8 fibres
     monkeypatch.setattr(verifier, "_BLOCK_POINTS", 8 * cfg.t_res)
     for check in (lambda: check_condition_b(field, 2.0, cfg),
-                  lambda: check_condition_a(field, field.gamma_sq_term, cfg)):
+                  lambda: check_condition_a(field, cfg)):
         passes.clear()
         seen.clear()
         check()
@@ -900,7 +914,7 @@ def test_explicit_calibrated_function_overrides_default():
     wrong = CalibratedFunction(
         value=lambda x: np.full_like(np.asarray(x, dtype=float), 0.9),
         grad=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        jumps=(), gamma_sq=0.0)
+        jumps=())
     cfg = VerifyConfig(pos_res=32, t_res=32, pair_res=32, axioms=("graph",))
     report = verify_all(field, calibrated=wrong, config=cfg)
     assert report.results["a_prime"].status == "fail"
