@@ -380,7 +380,8 @@ def _cmd_check(opt):
 
 
 def _classify_cell(n, beta, gamma_, bracket_sup):
-    """Regime of one cell; bracket_sup is robin_bracket_sup(n, beta)[1].
+    """Regime of one cell; bracket_sup is robin_bracket_sup(n, beta)[1], which
+    the phase diagram reads for all its beta rows at once, beta as an array.
 
     Past the two indicator labels gamma^2 < bracket_sup.  The bracket is
     continuous on [1, inf) and at most beta^2 delta^2, which tends to 0, so
@@ -403,8 +404,7 @@ def _cmd_phase_diagram(opt):
     _beta_in_range(float(betas[-1]))
 
     lines = ["beta,gamma,regime"]
-    for beta in betas:
-        bracket_sup = robin_bracket_sup(n, float(beta))[1]
+    for beta, bracket_sup in zip(betas, robin_bracket_sup(n, betas)[1]):
         for gamma_ in gammas:
             regime = _classify_cell(n, float(beta), float(gamma_), bracket_sup)
             lines.append(",".join((_fmt(beta), _fmt(gamma_), regime)))

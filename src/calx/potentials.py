@@ -16,6 +16,11 @@ The building blocks used everywhere else in the package:
 
 All functions accept scalars or numpy arrays for the radius argument,
 branch explicitly on the dimension (n = 1, n = 2, n >= 3) and need numpy alone.
+``delta_robin``, ``delta_robin_prime`` and ``robin_bracket`` also take beta
+as an array, elementwise, and ``robin_bracket_sup`` takes it as a float or a
+1-d array, whose elements it bisects together.  An array element gets the
+bits of its float, because a float r or beta takes the same numpy ufuncs as
+an array, and an array squares beta as a float does.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ def _radii(r, message):
             raise ValueError(message)
         return r
     r = np.asarray(r, dtype=float)
-    if np.any(r < 1.0):
+    if (r < 1.0).any():
         raise ValueError(message)
     return r
 
@@ -76,11 +81,14 @@ def gamma(n: int, r):
     return out if isinstance(out, np.ndarray) else float(out)
 
 
+_WEIGHTS_RULE = "beta must be positive and gamma nonnegative, both finite"
+
+
 def _weights(beta, gamma_=0.0):
     """``(beta, gamma_)`` as floats, finite with ``beta > 0`` and ``gamma_ >= 0``."""
     beta, gamma_ = float(beta), float(gamma_)
     if not (0.0 < beta < np.inf and 0.0 <= gamma_ < np.inf):
-        raise ValueError("beta must be positive and gamma nonnegative, both finite")
+        raise ValueError(_WEIGHTS_RULE)
     return beta, gamma_
 
 
@@ -105,10 +113,13 @@ def gamma_scaling_identity(n: int, s: float, t: float) -> tuple[float, float]:
 def delta_robin(n: int, beta: float, R):
     """Optimal Robin trace 1 / (1 + beta R^(n-1) gamma(R)).
 
-    Lies in (0, 1], equals 1 at R = 1 and decreases strictly in R.
+    Lies in (0, 1], equals 1 at R = 1 and decreases strictly in R.  beta
+    may be an array, every element of which must be positive and finite.
     """
     n = _check_dimension(n)
-    if not 0.0 < beta < np.inf:  # _weights' rule, kept cheap for robin_bracket_sup's bisection
+    # _weights' rule, kept cheap for robin_bracket_sup's bisection
+    if not (0.0 < beta < np.inf if isinstance(beta, (float, int))
+            else ((beta > 0.0) & (beta < np.inf)).all()):
         raise ValueError("beta must be positive and finite")
     R = _radii(R, "delta_robin is defined for R >= 1")
     top = R if isinstance(R, float) else np.fmax.reduce(R, axis=None, initial=1.0)
@@ -148,7 +159,11 @@ def delta_robin_prime(n: int, beta: float, r):
     """
     n = _check_dimension(n)
     r = _radii(r, "delta_robin_prime is defined for r >= 1")
-    d = delta_robin(n, beta, r)
+    return _delta_prime(n, beta, r, delta_robin(n, beta, r))
+
+
+def _delta_prime(n: int, beta, r, d):
+    """delta_robin_prime at radii r that _radii has read, given d = delta_robin(n, beta, r)."""
     top = r if isinstance(r, float) else np.fmax.reduce(r, axis=None, initial=1.0)
     low = d if isinstance(d, float) else np.fmin.reduce(d, axis=None, initial=1.0)
     # the plain product unless G' may overflow (r^(n-2) past 2^1000) or delta^2 is not normal
@@ -172,35 +187,77 @@ def robin_bracket(n: int, beta: float, r):
     """
     r = np.asarray(r, dtype=float)
     d = np.asarray(delta_robin(n, beta, r))
-    out = (beta ** 2 - (n - 1) * beta / r) * d ** 2
+    out = (_square(beta) - (n - 1) * beta / r) * d ** 2
     return out if out.ndim else float(out)
+
+
+def _square(beta):
+    """beta ** 2, as a float squares in every element of an array too: numpy squares by a
+    product, which differs from a float's ** in the last place for about 1 beta in 1,200."""
+    if isinstance(beta, np.ndarray):
+        return np.array([b ** 2 for b in beta.ravel().tolist()]).reshape(beta.shape)
+    return beta ** 2
 
 
 _LOG_FLOAT_MAX = np.log(np.finfo(float).max) - 1.0  # a factor e of room for rounding
 
 
-def _robin_tail(n: int, beta: float, level: float, r: float) -> float:
+def _robin_tail(n: int, beta, level, r):
     """First r 2^k (k >= 0) with beta delta <= level: the bracket, at most
-    beta^2 delta^2, stays at or below level^2 from there on."""
-    # stop before r^(n-1), beta r^(n-1) or beta r^(n-1) gamma(r) in delta overflows
-    while (n - 1) * np.log(r) + np.log(max(beta, 1.0) * max(gamma(n, r), 1.0)) <= _LOG_FLOAT_MAX:
-        if not beta * delta_robin(n, beta, r) > level:
-            return r
-        r *= 2.0
-    raise OverflowError("beta delta(r) stays above {!r} within the float range".format(level))
+    beta^2 delta^2, stays at or below level^2 from there on.  Arrays of beta,
+    level and r are doubled elementwise, each element as its float would be; an
+    element that leaves the float range raises, the first of them if several do."""
+    message = "beta delta(r) stays above {!r} within the float range"
+    if isinstance(r, float):
+        # stop before r^(n-1), beta r^(n-1) or beta r^(n-1) gamma(r) in delta overflows
+        while (n - 1) * np.log(r) + np.log(max(beta, 1.0) * max(gamma(n, r), 1.0)) <= _LOG_FLOAT_MAX:
+            if not beta * delta_robin(n, beta, r) > level:
+                return r
+            r *= 2.0
+        raise OverflowError(message.format(level))
+    r = r.copy()
+    live, over = np.arange(r.size), r.size
+    while live.size:
+        b, x = beta[live], r[live]
+        fits = (n - 1) * np.log(x) + np.log(
+            np.maximum(b, 1.0) * np.maximum(gamma(n, x), 1.0)) <= _LOG_FLOAT_MAX
+        if not fits.all():
+            over = min(over, live[~fits][0])
+            live, b, x = live[fits], b[fits], x[fits]
+        live = live[b * delta_robin(n, b, x) > level[live]]
+        r[live] *= 2.0
+    if over < r.size:
+        raise OverflowError(message.format(level[over]))
+    return r
 
 
 def _bisect(f, lo, hi):
     """Where f turns from positive to non-positive on [lo, hi]: lo if f(lo) <= 0, else
-    the upper end once the halving reaches adjacent floats (f(hi) <= 0 is taken on trust)."""
-    if f(lo) > 0.0:
-        while lo < (mid := 0.5 * (lo + hi)) < hi:
-            lo, hi = (mid, hi) if f(mid) > 0.0 else (lo, mid)
-        return hi
-    return lo
+    the upper end once the halving reaches adjacent floats (f(hi) <= 0 is taken on trust).
+    Arrays of lo and hi are halved elementwise, each element as its float would be, and
+    f takes the whole array at every step."""
+    if not isinstance(hi, np.ndarray):
+        if f(lo) > 0.0:
+            while lo < (mid := 0.5 * (lo + hi)) < hi:
+                lo, hi = (mid, hi) if f(mid) > 0.0 else (lo, mid)
+            return hi
+        return lo
+    hi = np.where(f(lo) > 0.0, hi, lo)
+    while (step := (lo < (mid := 0.5 * (lo + hi))) & (mid < hi)).any():
+        up = f(mid) > 0.0
+        lo, hi = np.where(step & up, mid, lo), np.where(step & ~up, mid, hi)
+    return hi
 
 
-def robin_bracket_sup(n: int, beta: float) -> tuple[float, float]:
+def _bracket_slope(n: int, beta):
+    """r -> the bracket's slope times r^2 / (beta delta^2), which spares it underflow."""
+    def slope(r):
+        d = delta_robin(n, beta, r)
+        return (n - 1) + 2.0 * (beta * r - (n - 1)) * (r * _delta_prime(n, beta, r, d) / d)
+    return slope
+
+
+def robin_bracket_sup(n: int, beta):
     """Supremum of robin_bracket over all r >= 1, as ``(r, value)``.
 
     The bracket is positive at r0 = max(1, 2(n-1)/beta) and stays below
@@ -209,8 +266,13 @@ def robin_bracket_sup(n: int, beta: float) -> tuple[float, float]:
     At a tiny beta bracket(r0) underflows to 0 (n = 3: beta <= 1e-81), and (r0, 0.0) is
     returned: the supremum, at most 1.1e4 times the exact bracket(r0) for n <= 10, is then
     below 3e-320.
+
+    beta may be a 1-d array: r and the value are then arrays, all elements are
+    bisected together, and each element has the bits of its float call.
     """
     n = _check_dimension(n)
+    if np.ndim(beta):
+        return _robin_bracket_sups(n, np.asarray(beta, dtype=float))
     beta = _weights(beta)[0]
     r0 = max(1.0, 2.0 * (n - 1) / beta)
     with np.errstate(over="ignore"):  # delta(r0) underflows to 0 where r0^(n-1) overflows
@@ -218,11 +280,27 @@ def robin_bracket_sup(n: int, beta: float) -> tuple[float, float]:
     if level == 0.0:
         return r0, 0.0
     r_hat = _robin_tail(n, beta, level, 2.0 * r0)
-    def slope(r):  # the bracket's slope times r^2 / (beta delta^2), which spares it underflow
-        return (n - 1) + 2.0 * (beta * r - (n - 1)) * (
-            r * delta_robin_prime(n, beta, r) / delta_robin(n, beta, r))
-    r = _bisect(slope, 1.0, r_hat)
+    r = _bisect(_bracket_slope(n, beta), 1.0, r_hat)
     return r, robin_bracket(n, beta, r)
+
+
+def _robin_bracket_sups(n: int, beta: np.ndarray):
+    """robin_bracket_sup over a 1-d array of beta, each element in the steps of its float."""
+    if beta.ndim != 1:
+        raise ValueError("beta must be a float or a 1-d array, got shape {}".format(beta.shape))
+    if not np.all((beta > 0.0) & (beta < np.inf)):
+        raise ValueError(_WEIGHTS_RULE)
+    with np.errstate(over="ignore"):
+        r = np.maximum(1.0, 2.0 * (n - 1) / beta)
+        level = np.sqrt(robin_bracket(n, beta, r))
+    value = np.zeros_like(r)
+    live = level > 0.0  # elsewhere (r0, 0.0), as for a float
+    beta = beta[live]
+    with np.errstate(over="ignore", invalid="ignore"):  # as a float's arithmetic, silently
+        r_hat = _robin_tail(n, beta, level[live], 2.0 * r[live])
+        r[live] = _bisect(_bracket_slope(n, beta), np.ones_like(r_hat), r_hat)
+    value[live] = robin_bracket(n, beta, r[live])
+    return r, value
 
 
 def u_radial(n: int, beta: float, R: float, r):

@@ -546,6 +546,31 @@ def test_phase_diagram_where_the_bracket_underflows(beta, capsys):
     assert out.splitlines()[1].endswith(",0.5,indicator-by-beta-le-gamma")
 
 
+# phase diagrams as calx printed them with one scalar bracket supremum per beta row:
+# the README grid, the seed-0 n = 3 benchmark grid, a wide n = 2 grid, rows at n = 1,
+# at n = 10 and at an n = 3 beta whose bracket underflows, and betas whose bracket
+# slope overflows
+PHASE_DIAGRAM_CASES = {
+    "readme-n2": ["--n", "2", "--beta", "0.2:2.0:19", "--gamma", "0.1:0.8:15"],
+    "survey-n3": ["--n", "3", "--beta", "0.5382177012392872:3.516187202825832:19",
+                  "--gamma", "0.10057362933510673:0.8002313868973995:15"],
+    "wide-n2": ["--n", "2", "--beta", "0.05:40:60", "--gamma", "0:3:20"],
+    "n1": ["--n", "1", "--beta", "0.05:3:12", "--gamma", "0:2:9"],
+    "n10": ["--n", "10", "--beta", "0.05:40:12", "--gamma", "0:3:9"],
+    "n3-underflow": ["--n", "3", "--beta", "1e-90:3:4", "--gamma", "0:1:5"],
+    "huge-beta": ["--n", "2", "--beta", "1:1.3e154:4", "--gamma", "0:1e154:3"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(PHASE_DIAGRAM_CASES))
+def test_phase_diagram_prints_the_recorded_csv(case, capsys):
+    with open(Path(__file__).with_name("phase_diagram_expected.json")) as handle:
+        expected = json.load(handle)[case]
+    code, out, err = run(capsys, ["phase-diagram"] + PHASE_DIAGRAM_CASES[case])
+    assert (code, err) == (0, "")
+    assert out == expected
+
+
 def test_energy_curve_where_the_bracket_peak_is_past_r_to_the_n_minus_1_overflow(capsys):
     # the bracket's supremum sits at r0 = 4e200 here, where r0^2 overflows
     with warnings.catch_warnings():

@@ -5,12 +5,13 @@ closed forms and are trusted to well below the asserted tolerances.
 """
 
 import math
+import re
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from calx.potentials import (
@@ -25,6 +26,7 @@ from calx.potentials import (
     robin_bracket,
     robin_bracket_sup,
 )
+from calx.potentials import _robin_tail
 
 GAMMA_2_AT_2 = 0.69314718055994530941723212145817656807550013436025
 DELTA_2_3_2 = 0.19384040766994080387225125720150649854545286443803
@@ -302,6 +304,86 @@ def test_robin_bracket_sup_bounds_a_dense_scan_far_beyond_its_interval(n, beta):
     scan = robin_bracket(n, beta, radii)
     assert value >= scan.max()
     assert value - scan.max() <= 1e-6 * value
+
+
+@st.composite
+def beta_rows(draw):
+    """A phase diagram's betas: log-uniform on [1e-3, 1e3], some repeated, with the
+    beta at which the n = 3 bracket underflows, in any order."""
+    betas = draw(st.lists(st.floats(math.log(1e-3), math.log(1e3)).map(math.exp),
+                          min_size=1, max_size=20))
+    betas += draw(st.lists(st.sampled_from(betas), max_size=5)) + [1e-90]
+    return draw(st.permutations(betas))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 10), betas=beta_rows())
+@example(n=1, betas=[15.041482287339278, 1e-90])  # its ** 2 and numpy's square differ
+def test_robin_bracket_sup_over_an_array_has_the_bits_of_its_float_calls(n, betas):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r, value = robin_bracket_sup(n, np.array(betas))
+    assert r.shape == value.shape == (len(betas),)
+    got = [(repr(float(a)), repr(float(b))) for a, b in zip(r, value)]
+    assert got == [tuple(map(repr, robin_bracket_sup(n, beta))) for beta in betas]
+
+
+@pytest.mark.parametrize("beta", [5e-324, 1e-310, 1e-200, 1.2e154, 1.3e154, 1e300])
+@pytest.mark.parametrize("n", [1, 2, 3, 10])
+def test_robin_bracket_sup_over_an_array_matches_its_float_calls_at_extreme_betas(n, beta):
+    # r0 = 2 (n-1) / beta leaves the float range, the slope's product overflows (a float
+    # does so silently), or beta^2 overflows, which raises for a float
+    def outcome(call):
+        try:
+            r, value = call()
+        except OverflowError as exc:
+            return repr(exc)
+        return repr((float(np.ravel(r)[0]), float(np.ravel(value)[0])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert (outcome(lambda: robin_bracket_sup(n, np.array([beta, 1.0])))
+                == outcome(lambda: robin_bracket_sup(n, beta)))
+
+
+_TAKES_AN_ARRAY_BETA = {
+    "delta_robin": lambda beta: delta_robin(2, beta, 2.0),
+    "delta_robin_prime": lambda beta: delta_robin_prime(2, beta, np.full(np.shape(beta), 2.0)),
+    "robin_bracket": lambda beta: robin_bracket(2, beta, 2.0),
+    "robin_bracket_sup": lambda beta: robin_bracket_sup(2, beta),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TAKES_AN_ARRAY_BETA))
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_an_array_beta_with_one_bad_element_raises_as_that_float_does(name, bad):
+    call = _TAKES_AN_ARRAY_BETA[name]
+    with pytest.raises(ValueError) as scalar:
+        call(bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^" + re.escape(str(scalar.value)) + "$"):
+            call(np.array([0.5, bad, 2.0]))
+        call(np.array([0.5, 2.0]))
+
+
+def test_robin_bracket_sup_takes_a_float_or_a_1d_array_of_beta():
+    r, value = robin_bracket_sup(2, np.array([], dtype=float))
+    assert r.shape == value.shape == (0,)
+    with pytest.raises(ValueError, match="1-d array"):
+        robin_bracket_sup(2, np.ones((2, 2)))
+
+
+def test_an_array_robin_tail_raises_for_its_first_element_past_the_float_range():
+    # n = 3, beta = 1: beta delta(r) ~ 1 / r^2 falls to 1e-310 only past r^2 = 1e310
+    levels = np.array([0.5, 1e-200, 1e-310, 0.1, 1e-320])
+    fits = [0, 1, 3]
+    tails = _robin_tail(3, np.ones(3), levels[fits], np.full(3, 2.0))
+    assert [repr(float(t)) for t in tails] == [
+        repr(_robin_tail(3, 1.0, levels[i], 2.0)) for i in fits]
+    with pytest.raises(OverflowError) as scalar:
+        _robin_tail(3, 1.0, levels[2], 2.0)
+    with pytest.raises(OverflowError, match="^" + re.escape(str(scalar.value)) + "$"):
+        _robin_tail(3, np.ones(5), levels, np.full(5, 2.0))
 
 
 @pytest.mark.parametrize("n", range(1, 11))
