@@ -173,7 +173,8 @@ def _in_float_range(name, value, term, form):
 
 
 def _parse_grid(spec):
-    """A float or 'start:stop:count' string into a 1-D array."""
+    """A float or 'start:stop:count' string into a 1-D array; a count of 1
+    needs start == stop, since it gives the start alone."""
 
     text = str(spec)
     parts = text.split(":") if ":" in text else [text, text, "1"]
@@ -187,6 +188,8 @@ def _parse_grid(spec):
         raise _UsageError("grid spec must be finite, got {!r}".format(spec))
     if count < 1 or stop < start:
         raise _UsageError("grid spec must be increasing with count >= 1")
+    if count == 1 and stop != start:
+        raise _UsageError("grid spec with count 1 must have start == stop, got {!r}".format(spec))
     return np.linspace(start, stop, count)
 
 
@@ -404,10 +407,11 @@ def _cmd_phase_diagram(opt):
     _beta_in_range(float(betas[-1]))
 
     lines = ["beta,gamma,regime"]
-    for beta, bracket_sup in zip(betas, robin_bracket_sup(n, betas)[1]):
-        for gamma_ in gammas:
-            regime = _classify_cell(n, float(beta), float(gamma_), bracket_sup)
-            lines.append(",".join((_fmt(beta), _fmt(gamma_), regime)))
+    columns = [(gamma_, "," + _fmt(gamma_) + ",") for gamma_ in gammas.tolist()]
+    for beta, bracket_sup in zip(betas.tolist(), robin_bracket_sup(n, betas)[1].tolist()):
+        row = _fmt(beta)
+        lines += [row + column + _classify_cell(n, beta, gamma_, bracket_sup)
+                  for gamma_, column in columns]
     _write_text(opt.get("out"), "\n".join(lines) + "\n")
     return 0
 

@@ -272,29 +272,44 @@ class RadialProfile:
 
 def _check_radial(n, beta, gamma_, R):
     """A radial profile's checks, its trace apart: a dimension n >= 1, finite
-    beta > 0 and gamma >= 0, and a finite R >= 1."""
+    beta > 0 and gamma >= 0, and a finite R >= 1, or an array of finite radii above 1."""
     _check_dimension(n)
     _weights(beta, gamma_)
-    if not 1.0 <= R < math.inf:
+    if np.ndim(R):
+        if not np.all((R > 1.0) & (R < math.inf)):
+            raise ValueError("radii must be finite and above 1")
+    elif not 1.0 <= R < math.inf:
         raise ValueError("R must be finite and >= 1")
 
 
 def _radial_terms(n, beta, gamma_, R, delta):
     """(dirichlet, jump, volume) of the radial profile with outer trace delta,
-    a float or an array of floats.
+    a float or an array of floats, at a float R or at each radius of a column
+    of radii above 1, shape (k, 1): the terms are then rows, the volume a column.
 
-    Every factor of R alone stays a Python scalar, so an overflowing R raises
-    OverflowError and a trace in an array gets the bits it gets on its own.
-    delta is squared by a product: Python's ``float ** 2`` calls libm pow,
-    which an array's square does not match in the last ulp.
+    Every factor of one radius stays a Python scalar, so an overflowing R raises
+    OverflowError and an entry of an array gets the bits it gets on its own.  A
+    column is read radius by radius, and the first radius with a factor out of
+    the float range fails EnergyBreakdown's check as on its own, before a later
+    radius can raise.  delta is squared by a product: Python's ``float ** 2``
+    calls libm pow, which an array's square does not match in the last ulp.
     """
     w = unit_ball_volume(n)
-    if R == 1.0:
-        return 0.0, beta * n * w, w * gamma_**2
+    jump_w, volume = beta * n * w, w * gamma_**2
+    if not isinstance(R, np.ndarray):
+        if R == 1.0:
+            return 0.0, jump_w, volume
+        jump_w, volume = jump_w * R ** (n - 1), volume * R**n
+    else:
+        jump_ws, volumes = [], []
+        for r in R.ravel().tolist():
+            jump_ws.append(jump_w * r ** (n - 1))
+            volumes.append(volume * r**n)
+            if not max(jump_ws[-1], volumes[-1]) < math.inf:
+                EnergyBreakdown(*_radial_terms(n, beta, gamma_, r, delta))  # raises
+        jump_w, volume = np.reshape(jump_ws, R.shape), np.reshape(volumes, R.shape)
     s = 1.0 - delta
-    return (n * w * (s * s) / gamma(n, R),
-            beta * n * w * R ** (n - 1) * (delta * delta),
-            w * gamma_**2 * R**n)
+    return n * w * (s * s) / gamma(n, R), jump_w * (delta * delta), volume
 
 
 def energy_radial_general(p: RadialProfile) -> EnergyBreakdown:
@@ -308,15 +323,21 @@ def energy_radial_general(p: RadialProfile) -> EnergyBreakdown:
     return EnergyBreakdown(*_radial_terms(p.n, p.beta, p.gamma, p.R, p.delta))
 
 
-def energy_radial_traces(n: int, beta: float, gamma_: float, R: float, deltas) -> EnergyBreakdown:
-    """:func:`energy_radial_general` at one radius R for every trace in ``deltas``.
+def energy_radial_traces(n: int, beta: float, gamma_: float, R, deltas) -> EnergyBreakdown:
+    """:func:`energy_radial_general` for every trace in ``deltas``, at one radius R
+    or, R a 1-d array, at each of its radii, which must lie above 1.
 
     The parameters pass the checks of :class:`RadialProfile` once, and every
-    trace must lie in (0, 1].  The dirichlet and jump terms are arrays over
-    ``deltas`` holding, bit for bit, what ``energy_radial_general`` gives each
-    trace; the volume term, and at R = 1 every term, is a float.
+    trace must lie in (0, 1].  The terms hold, bit for bit, what
+    ``energy_radial_general`` gives each (R, trace).  At a float R the
+    dirichlet and jump terms are arrays over ``deltas`` and the volume, and at
+    R = 1 every term, is a float.  At an array of radii they are tables with one
+    row per radius, and the volume is a column.  The table is checked once; the
+    first radius whose terms fail the check raises as it does on its own.
     """
     deltas = np.asarray(deltas, dtype=float)
+    if np.ndim(R):
+        R = np.asarray(R, dtype=float).reshape(-1, 1)
     _check_radial(n, beta, gamma_, R)
     if not np.all((deltas > 0.0) & (deltas <= 1.0)):
         raise ValueError("delta must lie in (0, 1]")

@@ -10,8 +10,9 @@ scheme, whose steps it composes as running products and sums because
 the ODE is linear, and solves the Robin condition, which is linear in the
 unknown slope, for the outer trace.
 The radial sweep tabulates the two-parameter family of profiles
-(support radius, outer trace) so the optimal trace and the indicator
-transition can be read off a table instead of trusted from a formula.
+(support radius, outer trace), as one table of radii by traces, so the
+optimal trace and the indicator transition can be read off a table
+instead of trusted from a formula.
 """
 
 from __future__ import annotations
@@ -401,10 +402,12 @@ def oracle_radial_sweep(n, beta, gamma_, R_grid, delta_grid, threads=None):
     The degenerate radius R = 1 collapses every trace to the indicator
     of the unit ball, so the table always starts with that single row
     and any user-supplied R = 1 entries are folded into it.  Remaining
-    rows are sorted by R then delta, computed one radius at a time over
-    the whole delta grid by :func:`calx.energy.energy_radial_traces`;
-    the best row is the first minimum in scan order.  ``threads`` is
-    accepted and has no effect.  The rows are a :class:`SweepTable`.
+    rows are sorted by R then delta, computed as one (R, delta) table by
+    :func:`calx.energy.energy_radial_traces`, which forms each trace's
+    factors once and each radius's factors as Python floats, and checks
+    the table once; the best row is the first minimum in scan order.
+    ``threads`` is accepted and has no effect.  The rows are a
+    :class:`SweepTable`.
     """
 
     Rs = sorted(set(float(R) for R in R_grid))
@@ -420,12 +423,14 @@ def oracle_radial_sweep(n, beta, gamma_, R_grid, delta_grid, threads=None):
 
     unit = energy_radial_general(RadialProfile(n=n, beta=beta, gamma=gamma_, R=1.0, delta=1.0))
     radii = tuple(R for R in Rs if R > 1.0)
-    traces = np.array(deltas)
-    parts = [energy_radial_traces(n, beta, gamma_, R, traces) for R in radii]
+    table = energy_radial_traces(n, beta, gamma_, np.array(radii), deltas)
     with np.errstate(over="ignore"):  # past the float range a total is inf, as a float sum
-        columns = [np.reshape([getattr(e, name) for e in parts], (len(radii), len(deltas)))
-                   for name in ("dirichlet", "jump", "total")]
+        total = table.dirichlet + table.jump
+        total += table.volume  # EnergyBreakdown.total in place: one new table, not two
     rows = SweepTable(SweepRow(1.0, 1.0, unit.dirichlet, unit.jump, unit.volume, unit.total),
-                      radii, tuple(deltas), tuple(e.volume for e in parts), *columns)
-    best = int(np.argmin(np.concatenate(([unit.total], rows.total.ravel()))))
+                      radii, tuple(deltas), tuple(table.volume.ravel().tolist()),
+                      table.dirichlet, table.jump, total)
+    # the first minimum in scan order, which starts at the R = 1 row
+    i = int(total.argmin()) if total.size else 0
+    best = 1 + i if total.size and total.flat[i] < unit.total else 0
     return RadialSweepResult(n=n, beta=beta, gamma=gamma_, rows=rows, best_index=best)

@@ -21,6 +21,11 @@ as an array, elementwise, and ``robin_bracket_sup`` takes it as a float or a
 1-d array, whose elements it bisects together.  An array element gets the
 bits of its float, because a float r or beta takes the same numpy ufuncs as
 an array, and an array squares beta as a float does.
+
+Each public function checks its arguments once per call.  The bisection in
+``robin_bracket_sup`` steps through the unchecked forms that ``gamma``,
+``delta_robin`` and ``delta_robin_prime`` wrap, so a step runs no guard and
+forms gamma(r) once, with the bits of the public functions.
 """
 
 from __future__ import annotations
@@ -71,7 +76,11 @@ def gamma(n: int, r):
     differently in the last ulp), so it gets the bits of a 0-d array.
     """
     n = _check_dimension(n)
-    r = _radii(r, "gamma is defined for r >= 1")
+    return _gamma(n, _radii(r, "gamma is defined for r >= 1"))
+
+
+def _gamma(n: int, r):
+    """gamma at radii that _radii has read, for a dimension already checked."""
     if n == 1:
         out = r - 1.0
     elif n == 2:
@@ -117,33 +126,49 @@ def delta_robin(n: int, beta: float, R):
     may be an array, every element of which must be positive and finite.
     """
     n = _check_dimension(n)
-    # _weights' rule, kept cheap for robin_bracket_sup's bisection
+    _check_beta(beta)
+    R = _radii(R, "delta_robin is defined for R >= 1")
+    return _delta(n, beta, R, _gamma(n, R))
+
+
+def _check_beta(beta):
+    """_weights' rule for beta alone, which may also be an array: every element
+    positive and finite."""
     if not (0.0 < beta < np.inf if isinstance(beta, (float, int))
             else ((beta > 0.0) & (beta < np.inf)).all()):
         raise ValueError("beta must be positive and finite")
-    R = _radii(R, "delta_robin is defined for R >= 1")
-    top = R if isinstance(R, float) else np.fmax.reduce(R, axis=None, initial=1.0)
-    if n < 3 or not top > 2.0 ** (1000 / (n - 1)):
-        out = 1.0 / (1.0 + beta * np.power(R, n - 1.0) * gamma(n, R))
+
+
+def _top(r):
+    """The largest of the radii r, a float or an array; 1 for an empty array."""
+    return r if isinstance(r, float) else np.fmax.reduce(r, axis=None, initial=1.0)
+
+
+def _delta(n: int, beta, R, g):
+    """delta_robin at radii R that _radii has read, given g = gamma(n, R); no checks."""
+    if n < 3 or not _top(R) > 2.0 ** (1000 / (n - 1)):
+        out = 1.0 / (1.0 + beta * np.power(R, n - 1.0) * g)
         return out if out.ndim else float(out)
     # R^(n-1) may overflow; wherever beta R^(n-1) gamma(R) does, it is taken
     # from its logarithm (about 1e-13 relative), elsewhere formed as above
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        G = beta * np.power(R, n - 1.0) * gamma(n, R)
-        e = np.exp(-(np.log(beta) + (n - 1) * np.log(R) + np.log(gamma(n, R))))
+        G = beta * np.power(R, n - 1.0) * g
+        e = np.exp(-(np.log(beta) + (n - 1) * np.log(R) + np.log(g)))
         out = np.where(np.isinf(G), e / (1.0 + e), 1.0 / (1.0 + G))
     return out if out.ndim else float(out)
 
 
-def _G_prime(n: int, r):
-    """G'(r) = (n-1) r^(n-2) gamma(r) + 1 for G(r) = r^(n-1) gamma(r); 1 when n = 1."""
-    return (n - 1) * np.power(r, n - 2.0) * gamma(n, r) + 1.0
+def _G_prime(n: int, r, g=None):
+    """G'(r) = (n-1) r^(n-2) gamma(r) + 1 for G(r) = r^(n-1) gamma(r); 1 when n = 1.
+    g is gamma(n, r) when the caller has it."""
+    return (n - 1) * np.power(r, n - 2.0) * (gamma(n, r) if g is None else g) + 1.0
 
 
-def _K_factor(n: int, r):
-    """Robin trace ratio ``beta delta / (1 - delta) = 1 / (r^(n-1) gamma(r))``."""
+def _K_factor(n: int, r, g=None):
+    """Robin trace ratio ``beta delta / (1 - delta) = 1 / (r^(n-1) gamma(r))``;
+    g is gamma(n, r) when the caller has it."""
     rr = np.asarray(r, dtype=float)
-    return 1.0 / (rr ** (n - 1) * gamma(n, rr))
+    return 1.0 / (rr ** (n - 1) * (gamma(n, rr) if g is None else g))
 
 
 _TINY = np.finfo(float).tiny
@@ -159,22 +184,24 @@ def delta_robin_prime(n: int, beta: float, r):
     """
     n = _check_dimension(n)
     r = _radii(r, "delta_robin_prime is defined for r >= 1")
-    return _delta_prime(n, beta, r, delta_robin(n, beta, r))
+    _check_beta(beta)
+    g = _gamma(n, r)
+    return _delta_prime(n, beta, r, _delta(n, beta, r, g), g)
 
 
-def _delta_prime(n: int, beta, r, d):
-    """delta_robin_prime at radii r that _radii has read, given d = delta_robin(n, beta, r)."""
-    top = r if isinstance(r, float) else np.fmax.reduce(r, axis=None, initial=1.0)
+def _delta_prime(n: int, beta, r, d, g):
+    """delta_robin_prime at radii r that _radii has read, given d = delta_robin(n, beta, r)
+    and g = gamma(n, r); no checks."""
     low = d if isinstance(d, float) else np.fmin.reduce(d, axis=None, initial=1.0)
     # the plain product unless G' may overflow (r^(n-2) past 2^1000) or delta^2 is not normal
-    if (n < 3 or not top > 2.0 ** (1000 / (n - 2))) and not low * low < _TINY:
-        out = -beta * _G_prime(n, r) * np.square(d)
+    if (n < 3 or not _top(r) > 2.0 ** (1000 / (n - 2))) and not low * low < _TINY:
+        out = -beta * _G_prime(n, r, g) * np.square(d)
         return out if out.ndim else float(out)
     # beta G delta = 1 - delta, so -beta G' delta^2 = -(G'/G) (1 - delta) delta with
     # G'/G = (n-1)/r + K, whose factors stay in range where G' overflows or delta^2 is not normal
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        out = -beta * _G_prime(n, r) * np.square(d)
-        tail = -((n - 1) / r + _K_factor(n, r)) * (1.0 - d) * d
+        out = -beta * _G_prime(n, r, g) * np.square(d)
+        tail = -((n - 1) / r + _K_factor(n, r, g)) * (1.0 - d) * d
         out = np.where(np.isfinite(out) & (np.square(d) >= _TINY), out, tail)
     return out if out.ndim else float(out)
 
@@ -235,7 +262,8 @@ def _bisect(f, lo, hi):
     """Where f turns from positive to non-positive on [lo, hi]: lo if f(lo) <= 0, else
     the upper end once the halving reaches adjacent floats (f(hi) <= 0 is taken on trust).
     Arrays of lo and hi are halved elementwise, each element as its float would be, and
-    f takes the whole array at every step."""
+    f takes the whole array at every step.  f is not guarded here: the caller checks
+    the arguments it closes over once, before the first step."""
     if not isinstance(hi, np.ndarray):
         if f(lo) > 0.0:
             while lo < (mid := 0.5 * (lo + hi)) < hi:
@@ -250,10 +278,15 @@ def _bisect(f, lo, hi):
 
 
 def _bracket_slope(n: int, beta):
-    """r -> the bracket's slope times r^2 / (beta delta^2), which spares it underflow."""
+    """r -> the bracket's slope times r^2 / (beta delta^2), which spares it underflow.
+
+    A bisection step: n, beta and r are the caller's, checked once per public call, so
+    the step runs no guard.  It forms gamma(r) once and delta and delta' from it, through
+    the branches delta_robin and delta_robin_prime take, so it has their bits."""
     def slope(r):
-        d = delta_robin(n, beta, r)
-        return (n - 1) + 2.0 * (beta * r - (n - 1)) * (r * _delta_prime(n, beta, r, d) / d)
+        g = _gamma(n, r)
+        d = _delta(n, beta, r, g)
+        return (n - 1) + 2.0 * (beta * r - (n - 1)) * (r * _delta_prime(n, beta, r, d, g) / d)
     return slope
 
 

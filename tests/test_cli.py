@@ -825,6 +825,9 @@ RANGE_CASES = [
     # each value of a grid
     ("phase-diagram", "beta", "0:1:3", "beta must be positive, got 0.0"),
     ("phase-diagram", "gamma", "-0.5:0.5:3", "gamma must be nonnegative, got -0.5"),
+    # a count of 1 gives the start alone, so a different stop would be dropped
+    ("phase-diagram", "beta", "0.5:1.0:1",
+     "grid spec with count 1 must have start == stop, got '0.5:1.0:1'"),
     # a NaN in an option the chosen kind does not read
     ("check", "R", NAN, "R must be finite, got nan"),
     ("check", "m", NAN, "m must be finite, got nan"),
@@ -845,6 +848,13 @@ def test_range_rules_read_alike_from_a_flag_a_config_number_and_config_text(
         runs.append(argv + ["--config", str(cfg)])
     for run_argv in runs:
         assert run(capsys, run_argv) == (2, "", "error: {}\n".format(message)), run_argv
+
+
+def test_a_one_value_grid_with_equal_ends_reads_as_its_number(capsys):
+    argv = ["phase-diagram", "--n", "2", "--gamma", "0.1", "--beta"]
+    want = run(capsys, argv + ["0.5"])
+    assert want[0] == 0 and len(want[1].splitlines()) == 2
+    assert run(capsys, argv + ["0.5:0.5:1"]) == want
 
 
 def test_integral_config_numbers_read_as_their_flags(tmp_path, capsys):

@@ -149,6 +149,25 @@ def test_energies_reject_non_finite_parameters(call):
                 call(bad)
 
 
+def test_energy_radial_traces_over_radii_stacks_its_call_at_each_radius():
+    deltas = np.linspace(1e-3, 1.0, 37)
+    radii = [1.0 + 1e-12, 1.5, 2.0, 7.0, 1e3]
+    for n in (1, 2, 3, 10):
+        table = energy_radial_traces(n, 1.3, 0.4, np.array(radii), deltas)
+        rows = [energy_radial_traces(n, 1.3, 0.4, R, deltas) for R in radii]
+        assert table.dirichlet.shape == table.jump.shape == (len(radii), deltas.size)
+        assert table.volume.shape == (len(radii), 1)
+        for name in ("dirichlet", "jump", "total"):
+            assert repr(getattr(table, name).tolist()) == repr(
+                [getattr(row, name).tolist() for row in rows])
+        assert repr(table.volume.ravel().tolist()) == repr([row.volume for row in rows])
+    empty = energy_radial_traces(2, 1.3, 0.4, np.array([]), deltas)
+    assert empty.total.shape == (0, deltas.size)
+    for bad in (1.0, 0.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="^radii must be finite and above 1$"):
+            energy_radial_traces(2, 1.0, 0.4, np.array([2.0, bad]), [0.5])
+
+
 def test_indicator_energy_at_unit_radius():
     e = energy_radial_general(RadialProfile(n=2, beta=1.0, gamma=0.34,
                                             R=1.0, delta=1.0)).total

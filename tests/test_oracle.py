@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import math
 import pickle
+import re
 import tempfile
 from array import array
 from pathlib import Path
@@ -569,13 +570,18 @@ def test_radial_sweep_matches_the_scalar_loop(n, beta, gamma_, R_grid, delta_gri
     (2, 1.0, 1e200, [2.0], [0.5]),             # gamma^2 overflows
     (2, 1e308, 0.4, [2.0], [1e-200, 0.5]),     # infinite jump weight, and inf * 0
     (2, 1e307, 3e153, [2.0], [0.5, 1.0]),      # finite terms whose total is inf
+    # radius 3's jump weight is inf, and it is checked before radius 1e300's R^2 overflows
+    (2, 1e307, 0.4, [3.0, 1e300], [0.5, 1.0]),
+    (2, 1e307, 0.4, [1e300, 3.0], [0.5, 1.0]),
+    # radius 2's volume is inf, and it is checked before radius 100's jump weight
+    (2, 1e307, 7e153, [2.0, 100.0], [0.5, 1.0]),
 ])
 def test_radial_sweep_edge_grids_match_the_scalar_loop(n, beta, gamma_, R_grid, delta_grid):
-    # the same exception type, or the same rows; never a warning
+    # the same exception and message, or the same rows; never a warning
     try:
         want = scalar_sweep(n, beta, gamma_, R_grid, delta_grid)
     except (ValueError, OverflowError) as exc:
-        with pytest.raises(type(exc)):
+        with pytest.raises(type(exc), match="^" + re.escape(str(exc)) + "$"):
             oracle_radial_sweep(n, beta, gamma_, R_grid, delta_grid)
     else:
         sweep = oracle_radial_sweep(n, beta, gamma_, R_grid, delta_grid)

@@ -4,9 +4,11 @@ Reference digits were computed with 50-digit arithmetic from the same
 closed forms and are trusted to well below the asserted tolerances.
 """
 
+import json
 import math
 import re
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -26,7 +28,8 @@ from calx.potentials import (
     robin_bracket,
     robin_bracket_sup,
 )
-from calx.potentials import _robin_tail
+from calx.energy import critical_radii
+from calx.potentials import _bracket_slope, _robin_tail
 
 GAMMA_2_AT_2 = 0.69314718055994530941723212145817656807550013436025
 DELTA_2_3_2 = 0.19384040766994080387225125720150649854545286443803
@@ -343,6 +346,71 @@ def test_robin_bracket_sup_over_an_array_matches_its_float_calls_at_extreme_beta
         warnings.simplefilter("error")
         assert (outcome(lambda: robin_bracket_sup(n, np.array([beta, 1.0])))
                 == outcome(lambda: robin_bracket_sup(n, beta)))
+
+
+def _sup_outcome(call):
+    """repr of r and the value, or of the OverflowError raised, as the bits fixture holds them."""
+    try:
+        r, value = call()
+    except OverflowError as exc:
+        return repr(exc)
+    if np.ndim(r):
+        return [[repr(x) for x in r.tolist()], [repr(x) for x in value.tolist()]]
+    return [repr(r), repr(value)]
+
+
+with open(Path(__file__).with_name("robin_bracket_sup_bits.json")) as _handle:
+    _SUP_BITS = json.load(_handle)
+
+
+@pytest.mark.parametrize("case", _SUP_BITS["robin_bracket_sup"], ids=lambda case: case["name"])
+def test_robin_bracket_sup_keeps_its_recorded_bits(case):
+    # the bits of the guarded bisection step, which the unguarded step keeps: the README
+    # and survey beta grids, and the extreme betas of the test above, each with 1.0
+    n, betas = case["n"], [float(b) for b in case["betas"]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert [_sup_outcome(lambda: robin_bracket_sup(n, b)) for b in betas] == case["float"]
+        assert _sup_outcome(lambda: robin_bracket_sup(n, np.array(betas))) == case["array"]
+
+
+def test_critical_radii_keep_their_recorded_bits():
+    want = _SUP_BITS["critical_radii(2, 1, 0.34)"]
+    assert [repr(r) for r in critical_radii(2, 1.0, 0.34)] == want
+
+
+def _public_slope(n, beta, r):
+    """The bisection step's slope, formed from the public delta_robin and delta_robin_prime."""
+    d = delta_robin(n, beta, r)
+    return (n - 1) + 2.0 * (beta * r - (n - 1)) * (r * delta_robin_prime(n, beta, r) / d)
+
+
+def _slope_outcome(slope, r):
+    try:
+        with np.errstate(all="ignore"):
+            out = slope(r)
+    except ZeroDivisionError as exc:  # a float delta that underflows to 0
+        return repr(exc)
+    return [repr(x) for x in np.ravel(out).tolist()], type(out).__name__
+
+
+_LOG_UNIFORM_BETA = st.floats(math.log(1e-3), math.log(1e3)).map(math.exp)
+_LOG_UNIFORM_R = st.floats(0.0, math.log(1e300)).map(math.exp)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 10), beta=_LOG_UNIFORM_BETA, r=_LOG_UNIFORM_R,
+       pairs=st.lists(st.tuples(_LOG_UNIFORM_BETA, _LOG_UNIFORM_R), min_size=1, max_size=8))
+@example(n=3, beta=1.0, r=1e80, pairs=[(1.0, 1e80), (1.0, 2.0)])  # delta^2 is not normal
+@example(n=10, beta=1.0, r=1e40, pairs=[(1.0, 1e40), (1.0, 2.0)])  # r^(n-1) overflows
+@example(n=5, beta=1e3, r=1e300, pairs=[(1e3, 1e300), (1e-3, 1.5)])
+def test_bisection_step_has_the_bits_of_the_public_delta_functions(n, beta, r, pairs):
+    # the step runs no guard and forms gamma(r) once, through the same branches
+    assert _slope_outcome(_bracket_slope(n, beta), r) == _slope_outcome(
+        lambda x: _public_slope(n, beta, x), r)
+    betas, radii = map(np.array, zip(*pairs))
+    assert _slope_outcome(_bracket_slope(n, betas), radii) == _slope_outcome(
+        lambda x: _public_slope(n, betas, x), radii)
 
 
 _TAKES_AN_ARRAY_BETA = {
