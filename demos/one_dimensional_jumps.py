@@ -8,7 +8,7 @@ times the sum of squared one-sided traces). This script reproduces the
 two canonical cases and the borderline one where both strategies tie.
 """
 
-from calx.calibration_fields import CalibParams1D, build_field_1d, choose_lambda
+from calx.calibration_fields import affine_profile, build_field_harmonic, choose_lambda
 from calx.energy import Competitor1D, energy_1d
 from calx.oracle import oracle_1d_best
 from calx.verifier import verify_all
@@ -34,15 +34,13 @@ print()
 print("data (0.8, 1), beta = 3:")
 print("  oracle best = {:.6f} with {} jumps".format(energy,
                                                     len(best.jumps)))
-params = CalibParams1D.from_traces(0.8, 1.0, 3.0)
-report = verify_all(build_field_1d(params))
+report = verify_all(build_field_harmonic(affine_profile(0.8, 1.0), 3.0))
 print("  calibration verdict: {}".format(
     "pass" if report.passed else "FAIL"))
 
 # The borderline: data (0.25, 1) at beta = 1. The affine profile and a
 # jump profile have the same energy, and a single field calibrates both
 # of them, which is exactly how one proves both are minimizers.
-params = CalibParams1D.from_traces(0.25, 1.0, 1.0)
 print()
 print("data (0.25, 1), beta = 1 (the tie):")
 affine = Competitor1D.affine(0.0, 1.0, 0.25, 1.0, left_data=0.25,
@@ -51,7 +49,7 @@ jumper = Competitor1D.affine(0.0, 1.0, 0.5, 1.0, left_data=0.25,
                              right_data=1.0)
 print("  affine energy = {:.6f}".format(energy_1d(affine, 1.0).total))
 print("  jump-at-0 energy = {:.6f}".format(energy_1d(jumper, 1.0).total))
-field = build_field_1d(params)
+field = build_field_harmonic(affine_profile(0.25, 1.0), 1.0)
 report = verify_all(field)
 print("  shared calibration verdict: {}".format(
     "pass" if report.passed else "FAIL"))

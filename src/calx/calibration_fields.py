@@ -43,7 +43,6 @@ __all__ = [
     "affine_profile",
     "radial_shell_profile",
     "choose_lambda",
-    "build_field_1d",
     "build_field_harmonic",
     "build_field_indicator_const",
     "build_field_indicator_two_piece",
@@ -454,7 +453,7 @@ def radial_shell_profile(n, beta, R):
     beta = _weights(beta)[0]
     R = float(R)
     if not 1.0 < R < np.inf:
-        raise ValueError("shell requires a finite R > 1")
+        raise ValueError("R must be finite and greater than 1, got {!r}".format(R))
     dR = delta_robin(n, beta, R)
     amp = beta * dR * R ** (n - 1)
 
@@ -621,25 +620,7 @@ class CalibParams1D:
         return cls(m=m, M=M, beta=beta, beta0=beta0, lam=lam)
 
 
-def _zero_field(kind, profile, params_dict, calibrated):
-    """Degenerate field for a constant profile: identically (0, 0)."""
-
-    region = Region("everything", "all t", _unbounded, lambda pos: (0,) * 7, "0", "0")
-    return PiecewiseField(
-        kind=kind,
-        geometry=profile.geometry,
-        n=profile.n,
-        pos_range=profile.pos_range,
-        t_max=profile.M if profile.M > 0.0 else 1.0,
-        gamma_sq_term=0.0,
-        params=params_dict,
-        regions=(region,),
-        interfaces=(),
-        calibrated=calibrated,
-    )
-
-
-def _template_field(params, profile, kind):
+def _template_field(params, profile):
     """Four-band field transported along a harmonic profile.
 
     In normalized height ``w = (u - m) / (M - m)`` the interval template
@@ -669,8 +650,16 @@ def _template_field(params, profile, kind):
     value = profile.value
     gcomp = profile.grad_component
     calibrated = CalibratedFunction(value=value, grad=gcomp)
-    if tau == 0.0:
-        return _zero_field(kind, profile, params_dict, calibrated)
+
+    def field(regions, interfaces=(), t_max=M):
+        return PiecewiseField(kind="harmonic", geometry=profile.geometry, n=profile.n,
+                              pos_range=profile.pos_range, t_max=t_max, gamma_sq_term=0.0,
+                              params=params_dict, regions=regions, interfaces=tuple(interfaces),
+                              calibrated=calibrated)
+
+    if tau == 0.0:  # a constant profile: the field is identically (0, 0)
+        return field((Region("everything", "all t", _unbounded, lambda pos: (0,) * 7, "0", "0"),),
+                     t_max=M if M > 0.0 else 1.0)
 
     gprime = profile.grad_prime
 
@@ -728,33 +717,7 @@ def _template_field(params, profile, kind):
         name="graph", kind="graph", pos_range=profile.pos_range,
         region="graph-band", description="t = u(pos)"))
 
-    return PiecewiseField(
-        kind=kind,
-        geometry=profile.geometry,
-        n=profile.n,
-        pos_range=profile.pos_range,
-        t_max=M,
-        gamma_sq_term=0.0,
-        params=params_dict,
-        regions=regions,
-        interfaces=tuple(interfaces),
-        calibrated=calibrated,
-    )
-
-
-def build_field_1d(params):
-    """Four-band calibration of the affine profile on ``[0, 1]``.
-
-    ``params`` must already be feasible (see :class:`CalibParams1D`).
-    The bands are, bottom to top: ``t < m`` with ``phi = (-2 lam t,
-    (lam m)^2)``, then ``m <= t < m + sigma x`` with constant
-    ``phi = (-2 lam m, (lam m)^2)``, the band up to the graph with
-    ``phi = (2 (M-m), (M-m)^2)``, and above the graph
-    ``phi = (2 (M-t)/(1-x), ((M-t)/(1-x))^2)``.
-    """
-
-    profile = affine_profile(params.m, params.M)
-    return _template_field(params, profile, kind="1d")
+    return field(regions, interfaces)
 
 
 def build_field_harmonic(u, beta):
@@ -763,11 +726,12 @@ def build_field_harmonic(u, beta):
     ``u`` is a :class:`HarmonicProfile`.  The reduced jump weight is
     ``beta0 = beta (M - m) / sup|grad u|``; infeasibility of the band
     construction raises :class:`HypothesisViolation`.  For ``m == M``
-    the field is identically zero.
+    the field is identically zero.  Interval data take the affine
+    profile, ``affine_profile(m, M)``.
     """
 
     params = CalibParams1D.from_traces(u.m, u.M, beta, sup_grad=u.sup_grad)
-    return _template_field(params, u, kind="harmonic")
+    return _template_field(params, u)
 
 
 # Radial extent of the indicator fields' grid, and the tolerance on the

@@ -14,7 +14,8 @@ Four subcommands:
 ``harmonic``, ``indicator-const``, ``indicator-two-piece`` and
 ``ball-harmonic``.  ``harmonic`` calibrates the affine profile on
 [0, 1] when ``--m`` or ``--M`` is given, and the Robin-optimal radial
-shell 1 <= r <= R from ``--n --beta --R`` otherwise.
+shell 1 <= r <= R from ``--n --beta --R`` otherwise; ``1d`` is that
+affine field under its own kind name.
 
 ``check --format json`` of a construction whose hypothesis fails keeps
 where it failed (``construction_location``) and the numbers behind it
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import dataclasses
 import functools
 import json
 import math
@@ -51,10 +53,8 @@ import sys
 import numpy as np
 
 from calx.calibration_fields import (
-    CalibParams1D,
     HypothesisViolation,
     affine_profile,
-    build_field_1d,
     build_field_ball_harmonic,
     build_field_harmonic,
     build_field_indicator_const,
@@ -277,14 +277,15 @@ def _verify_config_from(opt):
                         max_recorded=PRINTED_VIOLATIONS)  # the report prints no more
 
 
-def _affine_args(opt):
-    """``(m, M, beta)``; a usage error names an ``--M`` whose square overflows,
-    then a ``--beta`` whose reduced weight beta (M - m) or whose pair-scan
-    scale beta M^2 overflows."""
+def _affine_field(opt):
+    """The template over the affine profile on [0, 1]; a usage error names an
+    ``--M`` whose square overflows, then a ``--beta`` whose reduced weight
+    beta (M - m) or whose pair-scan scale beta M^2 overflows."""
     beta, m, M = opt.require("beta"), opt.require("m"), opt.require("M")
     _in_float_range("M", M, "M^2", lambda v: v * v)
     _in_float_range("beta", beta, "beta (M - m)", lambda b: b * (M - m))
-    return m, M, _in_float_range("beta", beta, "beta M^2", lambda b: b * M * M)
+    _in_float_range("beta", beta, "beta M^2", lambda b: b * M * M)
+    return build_field_harmonic(affine_profile(m, M), beta)
 
 
 def _radial_args(opt):
@@ -301,13 +302,10 @@ def _radial_args(opt):
 
 def _harmonic_field(opt, notes):
     """The template over the affine profile if --m or --M is given, else the radial shell."""
-    if opt.get("m") is None and opt.get("M") is None:
-        n, beta, R = _radial_args(opt)
-        profile = radial_shell_profile(n, beta, R)
-    else:
-        m, M, beta = _affine_args(opt)
-        profile = affine_profile(m, M)
-    return build_field_harmonic(profile, beta)
+    if opt.get("m") is not None or opt.get("M") is not None:
+        return _affine_field(opt)
+    n, beta, R = _radial_args(opt)
+    return build_field_harmonic(radial_shell_profile(n, beta, R), beta)
 
 
 def _indicator_args(opt):
@@ -342,7 +340,7 @@ def _ball_field(opt, notes):
 # and appends notes for the report.  Infeasible constructions raise
 # HypothesisViolation, malformed options ValueError.
 _FIELDS = {
-    "1d": lambda opt, notes: build_field_1d(CalibParams1D.from_traces(*_affine_args(opt))),
+    "1d": lambda opt, notes: dataclasses.replace(_affine_field(opt), kind="1d"),
     "harmonic": _harmonic_field,
     "indicator-const": lambda opt, notes: build_field_indicator_const(*_indicator_args(opt)),
     "indicator-two-piece":

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from calx.potentials import (_bisect, _check_dimension, _robin_tail, _weights, delta_robin,
-                             gamma, robin_bracket, robin_bracket_sup)
+from calx.potentials import (_bisect, _check_dimension, _delta, _gamma, _robin_tail, _weights,
+                             delta_robin, gamma, robin_bracket, robin_bracket_sup)
 
 __all__ = [
     "unit_ball_volume",
@@ -129,9 +129,6 @@ class Competitor1D:
         object.__setattr__(
             self, "pieces", tuple((float(s), float(c)) for s, c in self.pieces)
         )
-        self.validate()
-
-    def validate(self):
         if not (math.isfinite(self.a) and math.isfinite(self.b) and self.a < self.b):
             raise ValueError(f"invalid interval [{self.a}, {self.b}]")
         if len(self.pieces) != len(self.breakpoints) + 1:
@@ -229,7 +226,6 @@ def energy_1d(c: Competitor1D, beta: float) -> EnergyBreakdown:
     """
     if beta < 0:
         raise ValueError("beta must be nonnegative")
-    c.validate()
     nodes = c.nodes
     dirichlet = 0.0
     for i, (slope, _) in enumerate(c.pieces):
@@ -378,13 +374,15 @@ def critical_radii(n: int, beta: float, gamma_: float) -> list:
     gamma (the bracket is at most beta^2 delta^2), unless a tiny gamma puts
     that radius past the float range.
     """
+    n = _check_dimension(n)
     beta, gamma_ = _weights(beta, gamma_)
 
     def sign_of_dE_dR(R):
         # gamma minus the bracket's signed root: gamma is not squared, so its
-        # root stays where gamma^2 underflows
+        # root stays where gamma^2 underflows; a step of a bisection whose
+        # arguments are checked above, so delta is formed unguarded
         s = beta ** 2 - (n - 1) * beta / R
-        return gamma_ - math.copysign(math.sqrt(abs(s)), s) * delta_robin(n, beta, R)
+        return gamma_ - math.copysign(math.sqrt(abs(s)), s) * _delta(n, beta, R, _gamma(n, R))
 
     r_star = robin_bracket_sup(n, beta)[0]
     if not sign_of_dE_dR(r_star) < 0.0:

@@ -46,12 +46,12 @@ class JumpSearchSpace:
 
     ``locations`` are candidate jump positions in [0, 1] (the endpoints
     mean a jump against the boundary datum).  ``values`` are candidate
-    one-sided traces, finite.  ``max_jumps`` caps the number of jumps tried.
+    one-sided traces, finite.  The number of jumps tried is capped by
+    :func:`oracle_1d_best`.
     """
 
     locations: tuple
     values: tuple
-    max_jumps: int = 2
 
     def __post_init__(self):
         locs = tuple(sorted(set(map(float, self.locations))))
@@ -62,16 +62,14 @@ class JumpSearchSpace:
             raise ValueError("locations and values must be finite")
         if locs[0] < 0.0 or locs[-1] > 1.0:
             raise ValueError("jump locations must lie in [0, 1]")
-        if self.max_jumps not in (0, 1, 2):
-            raise ValueError("max_jumps must be 0, 1 or 2")
         object.__setattr__(self, "locations", locs)
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def uniform(cls, resolution=1000, max_jumps=2):
+    def uniform(cls, resolution=1000):
         """resolution + 1 equispaced nodes on [0, 1] for both grids."""
         grid = np.linspace(0.0, 1.0, resolution + 1).tolist()
-        return cls(locations=grid, values=grid, max_jumps=max_jumps)
+        return cls(locations=grid, values=grid)
 
 
 def _one_jump_tables(locs, vals, m, M, beta):
@@ -177,18 +175,22 @@ def oracle_1d_best(m, M, beta, max_jumps=2, resolution=1000, space=None):
 
     Minimizes the one-dimensional energy with boundary data ``u(0) = m``
     and ``u(1) = M`` over all competitors with at most ``max_jumps``
-    jumps whose locations and traces live on the search grids.  Ties
-    prefer fewer jumps, then smaller locations.  Returns the winning
-    competitor and its energy as recomputed by :func:`energy_1d`.
+    jumps whose locations and traces live on the search grids, ``space``
+    or else ``JumpSearchSpace.uniform(resolution)``.  ``max_jumps``, the
+    one cap, is the int 0, 1 or 2.  Ties prefer fewer jumps, then smaller
+    locations.  Returns the winning competitor and its energy as
+    recomputed by :func:`energy_1d`.
     """
 
     if not (0.0 <= m <= M <= 1.0):
         raise ValueError("need 0 <= m <= M <= 1, got m={}, M={}".format(m, M))
     if not 0.0 < beta < np.inf:
         raise ValueError("beta must be positive and finite, got {!r}".format(beta))
+    if isinstance(max_jumps, bool) or not (isinstance(max_jumps, (int, np.integer))
+                                           and max_jumps in (0, 1, 2)):
+        raise ValueError("max_jumps must be the int 0, 1 or 2, got {!r}".format(max_jumps))
     if space is None:
-        space = JumpSearchSpace.uniform(resolution=resolution, max_jumps=max_jumps)
-    max_jumps = min(int(max_jumps), space.max_jumps)
+        space = JumpSearchSpace.uniform(resolution=resolution)
 
     best = Competitor1D.affine(0.0, 1.0, m, M, left_data=m, right_data=M)
     best_energy = energy_1d(best, beta).total

@@ -233,12 +233,14 @@ def _robin_tail(n: int, beta, level, r):
     """First r 2^k (k >= 0) with beta delta <= level: the bracket, at most
     beta^2 delta^2, stays at or below level^2 from there on.  Arrays of beta,
     level and r are doubled elementwise, each element as its float would be; an
-    element that leaves the float range raises, the first of them if several do."""
+    element that leaves the float range raises, the first of them if several do.
+    n, beta and r are the caller's, checked once, so each step runs no guard."""
     message = "beta delta(r) stays above {!r} within the float range"
     if isinstance(r, float):
         # stop before r^(n-1), beta r^(n-1) or beta r^(n-1) gamma(r) in delta overflows
-        while (n - 1) * np.log(r) + np.log(max(beta, 1.0) * max(gamma(n, r), 1.0)) <= _LOG_FLOAT_MAX:
-            if not beta * delta_robin(n, beta, r) > level:
+        while ((n - 1) * np.log(r) + np.log(max(beta, 1.0) * max(g := _gamma(n, r), 1.0))
+               <= _LOG_FLOAT_MAX):
+            if not beta * _delta(n, beta, r, g) > level:
                 return r
             r *= 2.0
         raise OverflowError(message.format(level))
@@ -246,12 +248,13 @@ def _robin_tail(n: int, beta, level, r):
     live, over = np.arange(r.size), r.size
     while live.size:
         b, x = beta[live], r[live]
+        g = _gamma(n, x)
         fits = (n - 1) * np.log(x) + np.log(
-            np.maximum(b, 1.0) * np.maximum(gamma(n, x), 1.0)) <= _LOG_FLOAT_MAX
+            np.maximum(b, 1.0) * np.maximum(g, 1.0)) <= _LOG_FLOAT_MAX
         if not fits.all():
             over = min(over, live[~fits][0])
-            live, b, x = live[fits], b[fits], x[fits]
-        live = live[b * delta_robin(n, b, x) > level[live]]
+            live, b, x, g = live[fits], b[fits], x[fits], g[fits]
+        live = live[b * _delta(n, b, x, g) > level[live]]
         r[live] *= 2.0
     if over < r.size:
         raise OverflowError(message.format(level[over]))

@@ -49,6 +49,14 @@ _AXIOMS = ("a", "b", "graph", "divflux")
 PRINTED_VIOLATIONS = 50  # per axiom group in a report
 
 
+def _whole(name, value):
+    """``value`` as an int; a bool, a string or a number with a fraction raises ValueError."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) or (
+            isinstance(value, (float, np.floating)) and float(value).is_integer())):
+        raise ValueError("{} must be an integer, got {!r}".format(name, value))
+    return int(value)
+
+
 @dataclass(frozen=True)
 class VerifyConfig:
     """Grid resolutions and tolerances for verification.
@@ -78,9 +86,12 @@ class VerifyConfig:
 
     def __post_init__(self):
         for name, least in (("pos_res", 16), ("t_res", 16), ("threads", 1), ("max_recorded", 0)):
-            if int(getattr(self, name)) < least:
+            value = _whole(name, getattr(self, name))
+            if value < least:
                 raise ValueError("{} must be at least {}".format(name, least))
-            object.__setattr__(self, name, int(getattr(self, name)))
+            object.__setattr__(self, name, value)
+        if self.pair_res is not None:
+            _whole("pair_res", self.pair_res)
         if self.pair_res not in (None, self.t_res):
             raise ValueError("pair_res must equal t_res, got pair_res = {!r} and t_res = {}"
                              .format(self.pair_res, self.t_res))

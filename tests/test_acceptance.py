@@ -13,8 +13,9 @@ import pytest
 from calx.calibration_fields import (
     CalibParams1D,
     HypothesisViolation,
-    build_field_1d,
+    affine_profile,
     build_field_ball_harmonic,
+    build_field_harmonic,
     build_field_indicator_const,
     build_field_indicator_two_piece,
     choose_lambda,
@@ -123,7 +124,7 @@ def test_criterion_04_one_dimensional_sharpness():
     assert best2.trace_at_a() == pytest.approx(0.8)
     assert best2.trace_at_b() == pytest.approx(1.0)
     assert energy2 == pytest.approx(0.04, abs=1e-12)
-    field = build_field_1d(CalibParams1D.from_traces(0.8, 1.0, 3.0))
+    field = build_field_harmonic(affine_profile(0.8, 1.0), 3.0)
     report = verify_all(field, config=VerifyConfig(pos_res=1000, t_res=1000,
                                                    pair_res=1000))
     assert report.passed

@@ -21,7 +21,6 @@ from calx.calibration_fields import (
     PiecewiseField,
     Region,
     affine_profile,
-    build_field_1d,
     build_field_ball_harmonic,
     build_field_harmonic,
     build_field_indicator_const,
@@ -58,6 +57,11 @@ def limit_params():
     # every derived quantity is a dyadic rational, so the equalities
     # below hold exactly in floating point
     return CalibParams1D.from_traces(0.25, 1.0, 1.0)
+
+
+def limit_field():
+    # the interval template at limit_params()'s traces and beta
+    return build_field_harmonic(affine_profile(0.25, 1.0), 1.0)
 
 
 def test_affine_profile_endpoints_and_gradient():
@@ -147,7 +151,7 @@ def test_params_validation():
 
 
 def test_field_1d_band_membership_and_values():
-    field = build_field_1d(limit_params())
+    field = limit_field()
     names = field.region_names()
     # at pos = 0.4 the bands are cut at t = 0.25, 0.35 and the graph 0.55
     assert names[field.region_index(0.4, 0.10)] == "below-data"
@@ -166,7 +170,7 @@ def test_field_1d_band_membership_and_values():
 
 
 def test_field_1d_graph_lands_in_the_saturating_band():
-    field = build_field_1d(limit_params())
+    field = limit_field()
     names = field.region_names()
     u = field.calibrated.value
     for pos in (0.0, 0.25, 0.5, 0.99, 1.0):
@@ -178,7 +182,7 @@ def test_field_1d_graph_lands_in_the_saturating_band():
 
 def test_psi_antiderivative_properties():
     shell = radial_shell_profile(2, 0.5, 2.0)
-    fields = (build_field_1d(limit_params()), build_field_indicator_const(2, 0.3, 0.4),
+    fields = (limit_field(), build_field_indicator_const(2, 0.3, 0.4),
               build_field_indicator_two_piece(2, 1.0, 0.4),
               build_field_harmonic(shell, 0.5),
               build_field_ball_harmonic(2, 2.0, math.sqrt(GAMMA_EL_SQ_2_2_2), 2.0))
@@ -202,7 +206,7 @@ def test_psi_antiderivative_properties():
 
 
 def test_field_1d_jump_identity_is_exact_in_the_limit_case():
-    field = build_field_1d(limit_params())
+    field = limit_field()
     # the competitor jumping from the datum 0.25 to 0.5 at pos = 0 pays
     # beta (m^2 + delta^2) = 0.3125, and the field flux matches exactly
     assert field.Psi(0.0, 0.5) - field.Psi(0.0, 0.25) == 0.3125
@@ -210,7 +214,7 @@ def test_field_1d_jump_identity_is_exact_in_the_limit_case():
 
 def test_limit_case_calibrates_both_minimizers():
     """One field certifies the affine minimizer and the jump minimizer."""
-    field = build_field_1d(limit_params())
+    field = limit_field()
     config = VerifyConfig(pos_res=64, t_res=64, pair_res=64)
 
     report = verify_all(field, config=config)
@@ -232,17 +236,16 @@ def test_limit_case_calibrates_both_minimizers():
 
 def test_field_1d_rejects_other_intervals():
     # the construction is normalized to [0, 1] and takes no interval
-    assert build_field_1d(limit_params()).pos_range == (0.0, 1.0)
+    assert limit_field().pos_range == (0.0, 1.0)
     with pytest.raises(TypeError):
-        build_field_1d(limit_params(), interval=(0.0, 2.0))
+        affine_profile(0.25, 1.0, interval=(0.0, 2.0))
 
 
 def test_zero_multiplier_field_has_two_regions_active():
     # (beta=3, m=0.8, M=1): the trace lies above the Robin value, so the
     # template needs no multiplier and the lower bands collapse
-    params = CalibParams1D.from_traces(0.8, 1.0, 3.0)
-    assert params.lam == 0.0
-    field = build_field_1d(params)
+    field = build_field_harmonic(affine_profile(0.8, 1.0), 3.0)
+    assert field.params["lambda"] == 0.0
     psi, phi_t = field.evaluate(0.5, 0.1)
     assert psi == 0.0 and phi_t == 0.0
     report = verify_all(field, config=VerifyConfig(pos_res=48, t_res=48,
@@ -311,7 +314,7 @@ def test_ball_field_construction_guards():
     lambda bad: build_field_ball_harmonic(2, 2.0, 0.4, bad),
     lambda bad: radial_shell_profile(2, bad, 2.0),
     lambda bad: radial_shell_profile(2, 0.5, bad),
-    lambda bad: build_field_1d(CalibParams1D.from_traces(0.8, 1.0, bad)),
+    lambda bad: CalibParams1D.from_traces(0.8, 1.0, bad),
     lambda bad: build_field_harmonic(affine_profile(0.8, 1.0), bad),
 ])
 def test_builders_reject_nan_parameters(build):
@@ -416,7 +419,7 @@ def test_indicator_const_works_in_dimension_one():
 
 
 def test_field_evaluate_shapes_and_scalars():
-    field = build_field_1d(limit_params())
+    field = limit_field()
     psi, phi_t = field.evaluate(0.3, 0.2)
     assert isinstance(psi, float) and isinstance(phi_t, float)
     P = np.linspace(0.0, 1.0, 7)[:, None] * np.ones((1, 5))
@@ -430,7 +433,7 @@ def test_field_evaluate_shapes_and_scalars():
 
 def test_field_description_is_json_serializable():
     for field in (
-        build_field_1d(limit_params()),
+        limit_field(),
         build_field_indicator_const(2, 0.3, 0.4),
         build_field_indicator_two_piece(2, 1.0, 0.4),
         build_field_ball_harmonic(2, 2.0, math.sqrt(GAMMA_EL_SQ_2_2_2), 2.0),

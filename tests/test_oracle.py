@@ -33,13 +33,16 @@ def test_search_space_validation():
     space = JumpSearchSpace.uniform(resolution=10)
     assert space.locations[0] == 0.0 and space.locations[-1] == 1.0
     assert len(space.locations) == 11
-    assert space.max_jumps == 2
+    # a space is only its two grids: oracle_1d_best holds the one jump cap
+    assert [field.name for field in dataclasses.fields(space)] == ["locations", "values"]
     with pytest.raises(ValueError):
         JumpSearchSpace(locations=(-0.5, 1.0), values=(0.0, 1.0))
     with pytest.raises(ValueError):
         JumpSearchSpace(locations=(), values=(0.0, 1.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         JumpSearchSpace(locations=(0.0, 1.0), values=(0.0, 1.0), max_jumps=3)
+    with pytest.raises(TypeError):
+        JumpSearchSpace.uniform(resolution=10, max_jumps=1)
     for locations, values in [((0.5, math.nan, 1.0), (0.0, 0.5)), ((0.0, 1.0), (0.0, math.inf)),
                               ((0.0, 1.0), (-math.inf, 0.5)), ((0.0, 1.0), (math.nan,))]:
         with pytest.raises(ValueError, match="must be finite"):
@@ -221,6 +224,22 @@ def test_oracle_zero_jump_budget():
     best, energy = oracle_1d_best(0.0, 1.0, 0.01, max_jumps=0)
     assert best.breakpoints == ()
     assert energy == pytest.approx(1.0)
+
+
+def test_oracle_jump_cap_holds_with_and_without_a_space():
+    # (0, 1, 0.05): a jump is far cheaper than the affine energy 1
+    space = JumpSearchSpace.uniform(resolution=8)
+    for kwargs in ({"resolution": 8}, {"space": space}):
+        energies = [oracle_1d_best(0.0, 1.0, 0.05, max_jumps=cap, **kwargs)[1]
+                    for cap in (0, 1, 2, np.int64(2))]
+        assert energies[0] == pytest.approx(1.0)
+        assert energies[0] > energies[1] >= energies[2] == energies[3]
+        best, _ = oracle_1d_best(0.0, 1.0, 0.05, max_jumps=1, **kwargs)
+        ends = (best.trace_at_a() != best.left_data) + (best.trace_at_b() != best.right_data)
+        assert len(best.jumps) + ends == 1
+        for cap in (-1, 3, 1.7, 1.0, True, False, "1", None):
+            with pytest.raises(ValueError, match="^max_jumps must be the int 0, 1 or 2, got "):
+                oracle_1d_best(0.0, 1.0, 0.05, max_jumps=cap, **kwargs)
 
 
 def test_oracle_rejects_bad_data():

@@ -15,11 +15,9 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from calx.calibration_fields import (
-    CalibParams1D,
     HypothesisViolation,
     PiecewiseField,
     affine_profile,
-    build_field_1d,
     build_field_ball_harmonic,
     build_field_harmonic,
     build_field_indicator_const,
@@ -52,7 +50,7 @@ def ball_field():
 
 
 def limit_field():
-    return build_field_1d(CalibParams1D.from_traces(0.25, 1.0, 1.0))
+    return build_field_harmonic(affine_profile(0.25, 1.0), 1.0)
 
 
 def test_config_validation():
@@ -70,6 +68,18 @@ def test_config_validation():
         VerifyConfig(threads=0)
     cfg = VerifyConfig(pos_res=32.0)
     assert cfg.pos_res == 32 and isinstance(cfg.pos_res, int)
+
+
+@pytest.mark.parametrize("name", ["pos_res", "t_res", "pair_res", "threads", "max_recorded"])
+def test_config_integers_take_no_fraction_bool_or_string(name):
+    # each is read as an int, so a fraction would be truncated to another grid
+    base = {"t_res": 64, "pair_res": 64} if name == "pair_res" else {}
+    for value in (64.9, 64.5, math.nan, math.inf, True, False, "64", np.float64(64.5)):
+        with pytest.raises(ValueError, match="^{} must be an integer, got ".format(name)):
+            VerifyConfig(**{**base, name: value})
+    for value in (64, 64.0, np.int64(64), np.float64(64.0)):
+        got = getattr(VerifyConfig(**{**base, name: value}), name)
+        assert got == 64 and (name == "pair_res" or type(got) is int)
 
 
 def test_pair_res_follows_t_res():
@@ -423,7 +433,8 @@ def test_condition_b_matches_the_full_pair_scan_on_a_failing_ball(max_recorded):
 
 # the README cell of each `check` kind, and the criterion-8 ball
 CHECK_FIELDS = {
-    "1d": lambda: build_field_1d(CalibParams1D.from_traces(0.8, 1.0, 3.0)),
+    "1d": lambda: dataclasses.replace(build_field_harmonic(affine_profile(0.8, 1.0), 3.0),
+                                      kind="1d"),
     "harmonic": lambda: build_field_harmonic(affine_profile(0.8, 1.0), 3.0),
     "harmonic radial shell": lambda: build_field_harmonic(radial_shell_profile(2, 2.0, 2.0), 2.0),
     "indicator-const": lambda: build_field_indicator_const(2, 0.3, 0.4),
@@ -606,7 +617,7 @@ THIN_FIELDS = {
         lambda: build_field_harmonic(radial_shell_profile(2, 2.0, 1.001), 2.0),
     "ball, R = 1.001": lambda: build_field_ball_harmonic(
         3, 3.0, math.sqrt(robin_bracket(3, 3.0, 1.001)), 1.001),
-    "constant profile": lambda: build_field_1d(CalibParams1D.from_traces(1.0, 1.0, 2.0)),
+    "constant profile": lambda: build_field_harmonic(affine_profile(1.0, 1.0), 2.0),
 }
 
 
@@ -632,7 +643,7 @@ def divergence_fields(draw):
             kind, cell = draw(st.sampled_from(BENCHMARK_CELLS))
             return cli._FIELDS[kind](cli._Options("check", argparse.Namespace(**cell), {}), [])
         if source == "1d":
-            return build_field_1d(CalibParams1D.from_traces(draw(st.floats(0.0, 0.95)), 1.0, beta))
+            return build_field_harmonic(affine_profile(draw(st.floats(0.0, 0.95)), 1.0), beta)
         if source == "shell":
             return build_field_harmonic(radial_shell_profile(n, beta, R), beta)
         if source == "indicator-const":
@@ -888,7 +899,7 @@ def test_report_serialization_and_summary():
     report = verify_all(field, config=VerifyConfig(pos_res=32, t_res=32,
                                                    pair_res=32))
     doc = json.loads(report.to_json())
-    assert doc["field_kind"] == "1d"
+    assert doc["field_kind"] == "harmonic"  # every template field, the CLI's 1d kind renames it
     assert doc["passed"] is True
     assert set(doc["results"]) == {"a", "b", "a_prime", "b_prime", "divflux"}
     for entry in doc["results"].values():
